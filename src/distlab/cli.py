@@ -287,7 +287,10 @@ def _cmd_sdp(args, digests):
         problem = problem_from_json(_load_json(args.problem, digests))
     except ValueError as exc:
         raise CliError(f"bad SDP problem in {args.problem}: {exc}") from exc
-    opts = SolveOptions(tol=args.tol if args.tol is not None else 1e-6, max_iter=args.max_iter)
+    try:
+        opts = SolveOptions(tol=args.tol if args.tol is not None else 1e-6, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     sol = solve(problem, opts)
     return (0 if sol.status == "optimal" else 1), "sdp_solution", solution_to_json(sol)
 

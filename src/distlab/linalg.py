@@ -71,17 +71,22 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], party: int | Iterable[
     """Transpose the indices of the chosen party (or parties) only.
 
     Involutive and trace-preserving; accepts a single party index or an
-    iterable of them (transpositions on distinct parties commute).
+    iterable of them (transpositions on distinct parties commute).  ``m`` is
+    one matrix or a stack of shape ``(..., side, side)``, transposed matrix
+    by matrix; float64 input stays float64, anything else becomes complex.
     """
-    m = as_matrix(m)
-    dims = check_dims(dims, m.shape[0])
+    m = np.asarray(m)
+    if m.dtype != np.float64:
+        m = m.astype(complex, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    dims = check_dims(dims, m.shape[-1])
     parties = _party_list(dims, party)
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * k))
+    k, lead = len(dims), m.ndim - 2
+    axes = list(range(lead + 2 * k))
     for p in parties:
-        axes[p], axes[k + p] = axes[k + p], axes[p]
-    return t.transpose(axes).reshape(m.shape)
+        axes[lead + p], axes[lead + k + p] = axes[lead + k + p], axes[lead + p]
+    return m.reshape(m.shape[:lead] + dims + dims).transpose(axes).reshape(m.shape)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:

@@ -9,9 +9,19 @@ Solves problems of the form
 which is exactly the feasible set of a (PPT) measurement.  The method is a
 consensus variant of ADMM: one copy of each block per cone constraint, cone
 projections by eigenvalue clipping, and an affine projection onto the sum
-constraint that is available in closed form.  Iterates are tracked by their
-combined residual and the best one seen is returned, so the recorded residual
-trail never regresses.
+constraint that is available in closed form (Boyd et al. 2011, "Distributed
+Optimization and Statistical Learning via ADMM", section 7.1).  Iterates are
+tracked by their combined residual and the best one seen is returned, so the
+recorded residual trail never regresses.
+
+The iteration runs on stacks: all copies live in one ``(copies, side, side)``
+array, each block's ``x`` is one reduction over its copies, and each distinct
+cone is projected as one batch per iteration (partial transpose, one batched
+``eigh``, clipping, and reconstruction of only the matrices that had a
+negative eigenvalue).  When every objective block and the target have an
+identically zero imaginary part, the iteration runs in float64 instead of
+complex128; the input alone decides this, no option selects it.  Returned
+matrices are complex128 either way.
 """
 
 from __future__ import annotations
@@ -98,12 +108,15 @@ class SdpProblem:
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    # reserved for stochastic restarts; the splitting iteration itself is
-    # deterministic, seeded or not
-    seed: int | None = None
     penalty: float = 1.0
     over_relaxation: float = 1.6
     check_every: int = 25
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
 
 
 @dataclass(frozen=True)
@@ -116,57 +129,69 @@ class SdpSolution:
     history: tuple[dict, ...]
 
 
+# A cut is None for the plain PSD cone, else the (dims, parties) of a
+# partial transposition; every helper below works on (count, side, side) stacks.
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
-def _clip_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    if w[0] >= 0.0:
-        return m
-    return _sym((v * np.maximum(w, 0.0)) @ v.conj().T)
+def _transposed(mats: np.ndarray, cut) -> np.ndarray:
+    return mats if cut is None else partial_transpose(mats, *cut)
 
 
-def project_psd(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues."""
+def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
+    """Per matrix, how far it sits outside the cone: max(0, -lambda_min)."""
+    w = np.linalg.eigvalsh(_sym(_transposed(mats, cut)))
+    return np.maximum(0.0, -w[:, 0])
+
+
+def _project(mats: np.ndarray, cut) -> np.ndarray:
+    """Frobenius-nearest cone points: clip negative eigenvalues in the cone's frame."""
+    h = _sym(_transposed(mats, cut))
+    w, v = np.linalg.eigh(h)
+    neg = w[:, 0] < 0.0
+    if neg.any():
+        vn = v[neg]
+        h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ np.swapaxes(vn.conj(), -1, -2))
+    # h is exactly Hermitian, and so is its partial transpose
+    return _transposed(h, cut)
+
+
+def _checked_hermitian(m) -> np.ndarray:
     m = as_matrix(m)
     defect = hermiticity_defect(m)
     if defect > 1e-10:
         raise ValueError(f"projection needs Hermitian input (defect {defect:.3e})")
-    return _clip_psd(_sym(m))
+    return m
+
+
+def project_psd(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrix: clip negative eigenvalues."""
+    return _project(_checked_hermitian(m)[None], None)[0]
 
 
 def project_ppt(m: np.ndarray, dims: Sequence[int], cut: int | Sequence[int]) -> np.ndarray:
     """Frobenius-nearest matrix whose partial transpose is PSD."""
-    dims = check_dims(dims)
-    pt = partial_transpose(project_psd(partial_transpose(m, dims, cut)), dims, cut)
-    return _sym(pt)
+    return _project(_checked_hermitian(m)[None], (check_dims(dims), cut))[0]
 
 
-def _negative_part(m: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(_sym(m))
-    return float(max(0.0, -w[0]))
+def _objective_value(c: np.ndarray, x: np.ndarray) -> float:
+    return float(np.einsum("iab,iba->", c, x).real)
 
 
-def _cone_violation(mat: np.ndarray, cones) -> float:
-    worst = 0.0
-    for cone in cones:
-        if cone is None:
-            worst = max(worst, _negative_part(mat))
-        else:
-            worst = max(worst, _negative_part(partial_transpose(mat, cone.dims, cone.parties)))
-    return worst
+def _block_sums(copies: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum each block's consecutive copies, adding them in copy order."""
+    total = copies[starts]
+    for j in range(1, int(counts.max())):
+        has = counts > j
+        total[has] += copies[starts[has] + j]
+    return total
 
 
-def _project_cone(mat: np.ndarray, cone) -> np.ndarray:
-    if cone is None:
-        return _clip_psd(_sym(mat))
-    pt = partial_transpose(mat, cone.dims, cone.parties)
-    return _sym(partial_transpose(_clip_psd(_sym(pt)), cone.dims, cone.parties))
-
-
-def _objective_value(problem: SdpProblem, mats) -> float:
-    return float(sum(np.trace(c @ m).real for c, m in zip(problem.objective, mats)))
+def _cone_violation(x: np.ndarray, owner: np.ndarray, groups) -> float:
+    return max(float(np.max(_negative_parts(x[owner[idx]], cut))) for cut, idx in groups)
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
@@ -178,24 +203,34 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """
     opts = opts or SolveOptions()
     n = problem.n_blocks
-    side = problem.side
-    f = problem.target.astype(complex)
-    # cone list per block: None marks the plain PSD cone
-    cones = [[None, *problem.pt_cones[i]] for i in range(n)]
-    m_counts = [len(cs) for cs in cones]
-    inv_m_sum = sum(1.0 / mi for mi in m_counts)
+    c = np.stack(problem.objective)
+    f = problem.target
+    if not (np.any(c.imag) or np.any(f.imag)):  # real data: iterate in float64
+        c, f = np.ascontiguousarray(c.real), np.ascontiguousarray(f.real)
+    # copies run block by block: block i owns one copy for the PSD cone and
+    # one per PT cone; each distinct cut is projected as one group of copies
+    cuts = [[None, *((cone.dims, cone.parties) for cone in cs)] for cs in problem.pt_cones]
+    counts = np.array([len(cs) for cs in cuts])
+    owner = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    by_cut: dict = {}
+    for k, cut in enumerate(cut for cs in cuts for cut in cs):
+        by_cut.setdefault(cut, []).append(k)
+    groups = [(cut, np.array(idx)) for cut, idx in by_cut.items()]
+    m = counts[:, None, None]
+    inv_m_sum = sum(1.0 / mi for mi in counts.tolist())
     rho, alpha = opts.penalty, opts.over_relaxation
 
     evidence = _infeasibility_evidence(problem)
     if evidence is not None:
-        mats = tuple(_sym(f / n) for _ in range(n))
+        x = _sym(np.repeat((f / n)[None], n, axis=0))
         return SdpSolution(
-            matrices=mats,
-            objective_value=_objective_value(problem, mats),
+            matrices=tuple(xi.astype(complex) for xi in x),
+            objective_value=_objective_value(c, x),
             status="infeasible-evidence",
             residuals={
                 "affine": 0.0,
-                "cone": max(_cone_violation(mi, cones[i]) for i, mi in enumerate(mats)),
+                "cone": _cone_violation(x, owner, groups),
                 "gap_estimate": float("nan"),
                 "evidence": evidence,
             },
@@ -203,65 +238,46 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             history=(),
         )
 
-    rng = np.random.default_rng(opts.seed) if opts.seed is not None else None
-    z = []
-    u = []
-    for i in range(n):
-        zi, ui = [], []
-        for _ in cones[i]:
-            init = f / n
-            if rng is not None:
-                g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-                init = init + 1e-3 * _sym(g)
-            zi.append(init.astype(complex))
-            ui.append(np.zeros((side, side), dtype=complex))
-        z.append(zi)
-        u.append(ui)
-
+    z = np.repeat((f / n)[None], len(owner), axis=0)
+    u = np.zeros_like(z)
+    xhat = np.empty_like(z)
+    work = np.empty_like(z)
+    shift = c / (rho * m)
     best: dict | None = None
     history: list[dict] = []
     prev_obj = None
-    x = [f / n for _ in range(n)]
 
     for it in range(1, opts.max_iter + 1):
         checkpoint = it % opts.check_every == 0 or it == opts.max_iter
-        z_prev = [[zik.copy() for zik in zi] for zi in z] if checkpoint else None
+        z_prev = z.copy() if checkpoint else None
 
         # affine step: weighted projection of the shifted consensus targets
-        v = [
-            sum(z[i][k] - u[i][k] for k in range(m_counts[i])) / m_counts[i]
-            + problem.objective[i] / (rho * m_counts[i])
-            for i in range(n)
-        ]
-        excess = (sum(v) - f) / inv_m_sum
-        x = [_sym(v[i] - excess / m_counts[i]) for i in range(n)]
+        np.subtract(z, u, out=work)
+        v = _block_sums(work, starts, counts) / m + shift
+        excess = (v.sum(axis=0) - f) / inv_m_sum
+        x = _sym(v - excess / m)
 
-        # cone steps with over-relaxation
-        for i in range(n):
-            for k in range(m_counts[i]):
-                xhat = alpha * x[i] + (1 - alpha) * z[i][k]
-                znew = _project_cone(xhat + u[i][k], cones[i][k])
-                u[i][k] = u[i][k] + xhat - znew
-                z[i][k] = znew
+        # cone steps with over-relaxation, one batched projection per cut
+        np.take(x, owner, axis=0, out=xhat)
+        xhat *= alpha
+        np.multiply(z, 1 - alpha, out=work)
+        xhat += work
+        np.add(xhat, u, out=work)
+        for cut, idx in groups:
+            z[idx] = _project(work[idx], cut)
+        u += xhat
+        u -= z
 
         if not checkpoint:
             continue
 
-        affine = float(np.max(np.abs(sum(x) - f)))
-        cone = max(_cone_violation(x[i], cones[i]) for i in range(n))
-        consensus = max(
-            float(np.max(np.abs(x[i] - z[i][k])))
-            for i in range(n)
-            for k in range(m_counts[i])
-        )
-        dual = rho * max(
-            float(np.max(np.abs(z[i][k] - z_prev[i][k])))
-            for i in range(n)
-            for k in range(m_counts[i])
-        )
-        obj = _objective_value(problem, x)
-        zbar = [sum(z[i]) / m_counts[i] for i in range(n)]
-        gap = abs(obj - _objective_value(problem, zbar))
+        affine = float(np.max(np.abs(x.sum(axis=0) - f)))
+        cone = _cone_violation(x, owner, groups)
+        consensus = float(np.max(np.abs(x[owner] - z)))
+        dual = rho * float(np.max(np.abs(z - z_prev)))
+        obj = _objective_value(c, x)
+        zbar = _block_sums(z, starts, counts) / m
+        gap = abs(obj - _objective_value(c, zbar))
         obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
         prev_obj = obj
         combined = max(affine, cone, consensus, dual, gap)
@@ -269,7 +285,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if best is None or combined < best["combined"]:
             best = {
                 "combined": combined,
-                "matrices": [xi.copy() for xi in x],
+                "matrices": x,
                 "affine": affine,
                 "cone": cone,
                 "gap": gap,
@@ -287,8 +303,8 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
             break
 
-    assert best is not None
-    mats = tuple(best["matrices"])
+    if best is None:
+        raise RuntimeError("the iteration ended before its first checkpoint")
     status = "optimal" if best["combined"] <= opts.tol else "max-iterations"
     if status != "optimal" and best["combined"] > np.sqrt(opts.tol) and len(history) >= 8:
         # a residual plateau far above tolerance is the strongest evidence
@@ -297,8 +313,8 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if best["combined"] > 0.95 * halfway:
             status = "infeasible-evidence"
     return SdpSolution(
-        matrices=mats,
-        objective_value=_objective_value(problem, mats),
+        matrices=tuple(xi.astype(complex) for xi in best["matrices"]),
+        objective_value=_objective_value(c, best["matrices"]),
         status=status,
         residuals={
             "affine": best["affine"],
@@ -312,15 +328,15 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
 def _infeasibility_evidence(problem: SdpProblem) -> str | None:
     """Necessary-condition screen: the target must lie in every shared cone."""
-    neg = _negative_part(problem.target)
+    target = problem.target[None]
+    neg = _negative_parts(target, None)[0]
     if neg > 1e-9:
         return f"constraint target has negative eigenvalue {-neg:.3e}"
     shared = set(problem.pt_cones[0])
     for cs in problem.pt_cones[1:]:
         shared &= set(cs)
     for cone in shared:
-        pt = partial_transpose(problem.target, cone.dims, cone.parties)
-        neg = _negative_part(pt)
+        neg = _negative_parts(target, (cone.dims, cone.parties))[0]
         if neg > 1e-9:
             return (
                 f"target transposed on {cone.parties} has negative eigenvalue {-neg:.3e}"

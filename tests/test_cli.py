@@ -193,6 +193,31 @@ def test_sdp_summary_six_digits(tmp_path, capsys):
     assert "value 0.666667" in err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+def test_sdp_nonpositive_max_iter_is_usage_error(tmp_path, max_iter):
+    # a fresh interpreter, so an escaping exception would show as a traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import distlab
+    from distlab.discrimination import ppt_discrimination_problem
+
+    problem = ppt_discrimination_problem(bell_states().subset([0, 2]))
+    path = write_json(tmp_path / "bell2.json", problem_to_json(problem))
+    env = dict(os.environ, PYTHONPATH=str(Path(distlab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from distlab.cli import run; sys.exit(run(sys.argv[1:]))",
+         "sdp", "--problem", path, "--max-iter", max_iter],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("distlab: error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_theorem1_command(tmp_path, capsys):
     states_path = bell_pair_file(tmp_path)
     code, report, err = run_captured(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from sdp_reference import reference_solve
 
+from distlab.discrimination import ppt_discrimination_problem
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -16,11 +18,14 @@ from distlab.sdp import (
     solution_to_json,
     solve,
 )
+from distlab.states import bell_states, domino_states, generalized_bell_states, pure_state
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
 PSI_PLUS = np.zeros((4, 4), dtype=complex)
 PSI_PLUS[np.ix_([1, 2], [1, 2])] = 0.5
+PHI_MINUS = np.zeros((4, 4), dtype=complex)
+PHI_MINUS[np.ix_([0, 3], [0, 3])] = [[0.5, -0.5], [-0.5, 0.5]]
 
 
 def random_hermitian(rng, n):
@@ -110,7 +115,7 @@ def test_infeasible_transposed_target_detected():
     assert sol.status == "infeasible-evidence"
 
 
-def test_infeasible_plateau_detected():
+def ghz_plateau_problem():
     # GHZ projector split between two blocks with different transposition
     # cuts: any PSD decomposition of a rank-1 projector is a scalar split,
     # and the GHZ projector violates PPT on every single-party cut, so the
@@ -118,12 +123,13 @@ def test_infeasible_plateau_detected():
     ghz = np.zeros((8, 8), dtype=complex)
     ghz[np.ix_([0, 7], [0, 7])] = 0.5
     dims = (2, 2, 2)
-    problem = SdpProblem(
-        [ghz / 2, ghz / 2],
-        ghz,
-        [(PtCone(dims, (0,)),), (PtCone(dims, (1,)),)],
+    return SdpProblem(
+        [ghz / 2, ghz / 2], ghz, [(PtCone(dims, (0,)),), (PtCone(dims, (1,)),)]
     )
-    sol = solve(problem, SolveOptions(tol=1e-7, max_iter=3000))
+
+
+def test_infeasible_plateau_detected():
+    sol = solve(ghz_plateau_problem(), SolveOptions(tol=1e-7, max_iter=3000))
     assert sol.status == "infeasible-evidence"
     assert sol.residuals["cone"] > 0.1
 
@@ -214,3 +220,86 @@ def test_problem_and_solution_json_roundtrip():
     assert sol2.status == sol.status
     for a, b in zip(sol.matrices, sol2.matrices):
         assert np.array_equal(a, b)
+
+
+def test_solve_options_reject_empty_iteration():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolveOptions(max_iter=0)
+    with pytest.raises(ValueError, match="check_every"):
+        SolveOptions(check_every=0)
+
+
+def unequal_cones_problem():
+    # block 0 is PSD-only, the other two also carry the PT cone
+    states = [PHI_PLUS, PSI_PLUS, PHI_MINUS]
+    cone = PtCone((2, 2), (0,))
+    return SdpProblem([s / 3 for s in states], np.eye(4), [(), (cone,), (cone,)])
+
+
+def tripartite_two_cut_problem():
+    dims = (2, 2, 2)
+    kets = [[1, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 1, 0, 1, 0, 0, 0]]
+    rhos = [pure_state(k, dims).rho for k in kets]
+    cones = (PtCone(dims, (0,)), PtCone(dims, (1,)))
+    return SdpProblem([r / 3 for r in rhos], np.eye(8), [cones] * 3)
+
+
+REFERENCE_CORPUS = {
+    "operator-interval": (lambda: operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions()),
+    "bell-pair": (
+        lambda: ppt_discrimination_problem(bell_states().subset([0, 2])),
+        SolveOptions(tol=1e-7),
+    ),
+    "ghz-plateau": (ghz_plateau_problem, SolveOptions(tol=1e-7, max_iter=3000)),
+    "unequal-cones": (unequal_cones_problem, SolveOptions(tol=1e-7)),
+    "tripartite-two-cuts": (tripartite_two_cut_problem, SolveOptions(tol=1e-7)),
+    "gbell3-first-four": (
+        lambda: ppt_discrimination_problem(generalized_bell_states(3).subset([0, 1, 2, 3])),
+        SolveOptions(tol=1e-7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_stacked_solve_matches_per_matrix_reference(name):
+    build, opts = REFERENCE_CORPUS[name]
+    problem = build()
+    got = solve(problem, opts)
+    want = reference_solve(problem, opts)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert len(got.history) == len(want.history)
+    assert abs(got.objective_value - want.objective_value) <= 1e-9
+    for a, b in zip(got.matrices, want.matrices, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-8
+
+
+def local_phase_unitary(dims, seed):
+    rng = np.random.default_rng(seed)
+    diag = np.ones(1, dtype=complex)
+    for d in dims:
+        diag = np.kron(diag, np.exp(2j * np.pi * rng.random(d)))
+    return np.diag(diag)
+
+
+@pytest.mark.parametrize(
+    "states", [domino_states(), bell_states().subset([0, 2])], ids=["domino", "bell-pair"]
+)
+def test_real_problem_matches_its_complex_phase_conjugate(states):
+    # D_A (x) D_B maps the PT cone onto itself, so the optimum is unchanged,
+    # but the conjugated data is complex and takes the complex path
+    real = ppt_discrimination_problem(states)
+    d = local_phase_unitary(states.dims, seed=5)
+    conj = SdpProblem(
+        [d @ c @ d.conj().T for c in real.objective],
+        d @ real.target @ d.conj().T,
+        real.pt_cones,
+    )
+    assert any(np.any(c.imag) for c in conj.objective)
+    opts = SolveOptions(tol=1e-7)
+    a, b = solve(real, opts), solve(conj, opts)
+    assert abs(a.objective_value - b.objective_value) <= 1e-9
+    assert a.iterations == b.iterations
+    for sol in (a, b):
+        for mat in sol.matrices:
+            assert mat.dtype == np.complex128 and mat.ndim == 2
