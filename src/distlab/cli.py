@@ -29,7 +29,7 @@ from .discrimination import (
     verdict_from_json,
     verdict_to_json,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, strict_object
 from .povm import (
     Locc1Tree,
     counterexample_c4,
@@ -69,8 +69,8 @@ PAYLOAD_PARSERS = {
 }
 
 
-class CliError(Exception):
-    """Usage or input problem: maps to exit code 2."""
+class CliError(ValueError):
+    """Usage or input problem; ``run`` maps it, like every ``ValueError``, to exit code 2."""
 
 
 def _default_tol() -> float:
@@ -99,7 +99,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _load_json(path: str, digests: dict) -> dict:
+def _load(path: str, parse, digests: dict):
+    """Read, decode and parse one input file; any defect in it is an input error naming the path."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -107,9 +108,9 @@ def _load_json(path: str, digests: dict) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
     digests[path] = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+        return parse(json.loads(raw))
+    except (ValueError, TypeError, OverflowError) as exc:  # foreign input: [] for a number, 1e400 for a count
+        raise CliError(f"bad input file {path}: {exc}") from exc
 
 
 def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_extra: dict) -> dict:
@@ -132,14 +133,10 @@ def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_
 
 def parse_report(obj: dict):
     """Validate a report and parse the payload back into its domain type."""
-    if not isinstance(obj, dict):
-        raise ValueError("report must be a JSON object")
-    unknown = set(obj) - {"schema_version", "payload_kind", "payload", "manifest"}
-    if unknown:
-        raise ValueError(f"unknown report fields {sorted(unknown)}")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unknown schema version {obj.get('schema_version')!r}")
-    kind = obj.get("payload_kind")
+    strict_object(obj, "report", ("schema_version", "payload_kind", "payload"), ("manifest",))
+    if obj["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unknown schema version {obj['schema_version']!r}")
+    kind = obj["payload_kind"]
     if kind not in PAYLOAD_PARSERS:
         raise ValueError(f"unknown payload kind {kind!r}")
     return kind, PAYLOAD_PARSERS[kind](obj["payload"])
@@ -198,28 +195,19 @@ def _cmd_gen(args, digests):
         dims = _parse_dims(args.dims or "")
         if len(dims) != 2:
             raise CliError("domino-ext needs dims m,n")
-        try:
-            states = extended_domino_basis(*dims)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        states = extended_domino_basis(*dims)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown family {family!r}")
     return 0, "state_set", state_set_to_json(states)
 
 
-def _load_povm_or_tree(path: str, digests: dict):
-    obj = _load_json(path, digests)
-    try:
-        if isinstance(obj, dict) and "root" in obj:
-            return locc1_from_json(obj)
-        return povm_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad POVM file {path}: {exc}") from exc
+def _povm_or_tree(obj):
+    return locc1_from_json(obj) if isinstance(obj, dict) and "root" in obj else povm_from_json(obj)
 
 
 def _cmd_verify(args, digests):
     tol = args.tol if args.tol is not None else _default_tol()
-    loaded = _load_povm_or_tree(args.povm, digests)
+    loaded = _load(args.povm, _povm_or_tree, digests)
     details: dict = {}
     if args.kind == "locc1":
         if not isinstance(loaded, Locc1Tree):
@@ -242,20 +230,17 @@ def _cmd_verify(args, digests):
         povm = loaded
     report = verify_povm(povm, tol)
     passed = report.passed
-    try:
-        if args.kind == "projective":
-            details["projective"] = passed and is_projective(povm, tol)
-            passed = details["projective"]
-        elif args.kind == "ppt":
-            cut = _parse_dims(args.cut) if args.cut else None
-            details["ppt"] = passed and is_ppt_povm(povm, partition=cut, tol=tol)
-            details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if passed else float("nan")
-            passed = details["ppt"]
-        elif args.kind == "sep":
-            details["sep_witness_ok"] = passed and verify_sep(povm, tol)
-            passed = details["sep_witness_ok"]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.kind == "projective":
+        details["projective"] = passed and is_projective(povm, tol)
+        passed = details["projective"]
+    elif args.kind == "ppt":
+        cut = _parse_dims(args.cut) if args.cut else None
+        details["ppt"] = passed and is_ppt_povm(povm, partition=cut, tol=tol)
+        details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if passed else float("nan")
+        passed = details["ppt"]
+    elif args.kind == "sep":
+        details["sep_witness_ok"] = passed and verify_sep(povm, tol)
+        passed = details["sep_witness_ok"]
     payload = {
         "kind": args.kind,
         "passed": bool(passed),
@@ -268,40 +253,27 @@ def _cmd_verify(args, digests):
 
 def _cmd_discriminate(args, digests):
     tol = args.tol if args.tol is not None else _default_tol()
-    states = state_set_from_json(_load_json(args.states, digests))
-    loaded = _load_povm_or_tree(args.povm, digests)
+    states = _load(args.states, state_set_from_json, digests)
+    loaded = _load(args.povm, _povm_or_tree, digests)
     povm = flatten_locc1(loaded) if not hasattr(loaded, "elements") else loaded
-    try:
-        if args.mode == "perfect":
-            verdict = check_perfect(povm, states, tol)
-        else:
-            inconclusive = [int(x) for x in args.inconclusive.split(",")] if args.inconclusive else []
-            verdict = check_unambiguous(povm, states, inconclusive, tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.mode == "perfect":
+        verdict = check_perfect(povm, states, tol)
+    else:
+        inconclusive = [int(x) for x in args.inconclusive.split(",")] if args.inconclusive else []
+        verdict = check_unambiguous(povm, states, inconclusive, tol)
     return (0 if verdict.passes else 1), "verdict", verdict_to_json(verdict)
 
 
 def _cmd_sdp(args, digests):
-    try:
-        problem = problem_from_json(_load_json(args.problem, digests))
-    except ValueError as exc:
-        raise CliError(f"bad SDP problem in {args.problem}: {exc}") from exc
-    try:
-        opts = SolveOptions(tol=args.tol if args.tol is not None else 1e-6, max_iter=args.max_iter)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = _load(args.problem, problem_from_json, digests)
+    opts = SolveOptions(tol=args.tol if args.tol is not None else 1e-6, max_iter=args.max_iter)
     sol = solve(problem, opts)
     return (0 if sol.status == "optimal" else 1), "sdp_solution", solution_to_json(sol)
 
 
 def _cmd_theorem1(args, digests):
-    states = state_set_from_json(_load_json(args.states, digests))
-    new_dims = _parse_dims(args.new_dims)
-    try:
-        result = theorem1_ppt_invariance(states, new_dims)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    states = _load(args.states, state_set_from_json, digests)
+    result = theorem1_ppt_invariance(states, _parse_dims(args.new_dims))
     ok = (
         result.small.solution.status == "optimal"
         and result.big.solution.status == "optimal"
@@ -322,18 +294,17 @@ def _cmd_theorem1(args, digests):
 
 def _cmd_fuzz(args, digests):
     tol = args.tol if args.tol is not None else _default_tol()
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     if args.states:
-        states = state_set_from_json(_load_json(args.states, digests))
+        states = _load(args.states, state_set_from_json, digests)
     else:
         states = bell_states().subset([0, 1, 2])
     new_dims = _parse_dims(args.new_dims)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise CliError("at least one kind required")
-    try:
-        report = local_global_fuzz(states, kinds, new_dims, args.trials, args.seed, tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = local_global_fuzz(states, kinds, new_dims, args.trials, args.seed, tol)
     return (0 if report.passes else 1), "harness", harness_to_json(report)
 
 
@@ -430,7 +401,7 @@ def run(argv: list[str]) -> int:
     seed = getattr(args, "seed", None)
     try:
         code, payload_kind, payload = args.func(args, digests)
-    except CliError as exc:
+    except ValueError as exc:  # CliError and the domain checks: usage or input errors
         print(f"distlab: error: {exc}", file=sys.stderr)
         return 2
     report = _report(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, embed_matrix, matrix_from_json, matrix_to_json, restrict_matrix
+from .linalg import DEFAULT_TOL, embed_matrix, matrix_from_json, matrix_to_json, restrict_matrix, strict_object
 from .povm import (
     Locc1Tree,
     Povm,
@@ -407,9 +407,9 @@ def verdict_to_json(v: DiscriminationVerdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> DiscriminationVerdict:
-    unknown = set(obj) - {"mode", "povm_kind", "passes", "hit_table", "success_probability", "violations", "tol"}
-    if unknown:
-        raise ValueError(f"unknown verdict fields {sorted(unknown)}")
+    strict_object(
+        obj, "verdict", ("mode", "povm_kind", "passes", "hit_table", "success_probability", "violations", "tol")
+    )
     return DiscriminationVerdict(
         mode=str(obj["mode"]),
         povm_kind=str(obj["povm_kind"]),
@@ -434,9 +434,7 @@ def harness_to_json(r: HarnessReport) -> dict:
 
 
 def harness_from_json(obj: dict) -> HarnessReport:
-    unknown = set(obj) - {"trials", "seed", "kinds", "dims", "sub_dims", "failures", "passes"}
-    if unknown:
-        raise ValueError(f"unknown harness fields {sorted(unknown)}")
+    strict_object(obj, "harness", ("trials", "seed", "kinds", "dims", "sub_dims", "failures", "passes"))
     report = HarnessReport(
         trials=int(obj["trials"]),
         seed=int(obj["seed"]),

@@ -43,10 +43,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def tensor(*matrices: np.ndarray) -> np.ndarray:
     """Kronecker product, first factor slowest-varying."""
     if not matrices:
@@ -203,17 +199,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    """Return ``obj`` if it is a JSON object that has every ``required`` field and no
+    field outside ``required`` and ``optional``; raise ``ValueError`` otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
-    unknown = set(obj) - {"rows", "cols", "re", "im"}
+        raise ValueError(f"{what} JSON must be an object")
+    unknown = set(obj).difference(required, optional)
     if unknown:
-        raise ValueError(f"unknown matrix fields {sorted(unknown)}")
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+    missing = [f for f in required if f not in obj]
+    if missing:
+        raise ValueError(f"{what} JSON lacks fields {missing}")
+    return obj
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    strict_object(obj, "matrix", ("rows", "cols", "re", "im"))
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix entries do not match {rows}x{cols}")

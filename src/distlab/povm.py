@@ -28,6 +28,7 @@ from .linalg import (
     min_eigenvalue,
     partial_transpose,
     restrict_matrix,
+    strict_object,
     tensor,
 )
 
@@ -512,27 +513,23 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Povm:
-    if not isinstance(obj, dict):
-        raise ValueError("POVM JSON must be an object")
-    unknown = set(obj) - {"dims", "elements", "kind", "witness"}
-    if unknown:
-        raise ValueError(f"unknown POVM fields {sorted(unknown)}")
+    strict_object(obj, "POVM", ("dims", "elements"), ("kind", "witness"))
     dims = check_dims(obj["dims"])
     elements = [matrix_from_json(e) for e in obj["elements"]]
-    witness = None
     w = obj.get("witness")
-    if w is not None:
-        if w.get("type") == "sep":
-            witness = SepDecomposition(
-                [
-                    tuple(tuple(matrix_from_json(f) for f in term) for term in et)
-                    for et in w["terms"]
-                ]
-            )
-        elif w.get("type") == "locc1":
-            witness = locc1_from_json(w["tree"])
-        else:
-            raise ValueError(f"unknown witness type {w.get('type')!r}")
+    if w is None:
+        witness = None
+    elif isinstance(w, dict) and w.get("type") == "sep":
+        witness = SepDecomposition(
+            [
+                tuple(tuple(matrix_from_json(f) for f in term) for term in et)
+                for et in strict_object(w, "sep witness", ("type", "terms"))["terms"]
+            ]
+        )
+    elif isinstance(w, dict) and w.get("type") == "locc1":
+        witness = locc1_from_json(strict_object(w, "locc1 witness", ("type", "tree"))["tree"])
+    else:
+        raise ValueError('witness must be {"type": "sep", "terms"} or {"type": "locc1", "tree"}')
     return Povm(elements, dims, kind=obj.get("kind", "general"), witness=witness)
 
 
@@ -547,15 +544,11 @@ def _node_to_json(node: LoccNode) -> dict:
 
 
 def _node_from_json(obj: dict) -> LoccNode:
-    unknown = set(obj) - {"party", "outcomes"}
-    if unknown:
-        raise ValueError(f"unknown tree-node fields {sorted(unknown)}")
+    strict_object(obj, "tree-node", ("party", "outcomes"))
     elements = []
     children = []
     for entry in obj["outcomes"]:
-        unknown = set(entry) - {"element", "children"}
-        if unknown:
-            raise ValueError(f"unknown outcome fields {sorted(unknown)}")
+        strict_object(entry, "outcome", ("element",), ("children",))
         elements.append(matrix_from_json(entry["element"]))
         children.append(entry.get("children"))
     if all(c is None for c in children):
@@ -574,7 +567,5 @@ def locc1_to_json(tree: Locc1Tree) -> dict:
 
 
 def locc1_from_json(obj: dict) -> Locc1Tree:
-    unknown = set(obj) - {"dims", "party_order", "root"}
-    if unknown:
-        raise ValueError(f"unknown tree fields {sorted(unknown)}")
+    strict_object(obj, "tree", ("dims", "party_order", "root"))
     return Locc1Tree(obj["dims"], obj["party_order"], _node_from_json(obj["root"]))

@@ -38,6 +38,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_transpose,
+    strict_object,
 )
 
 PROBLEM_HERMITIAN_TOL = 1e-12
@@ -360,19 +361,13 @@ def problem_to_json(problem: SdpProblem) -> dict:
 
 
 def problem_from_json(obj: dict) -> SdpProblem:
-    if not isinstance(obj, dict):
-        raise ValueError("SDP problem JSON must be an object")
-    unknown = set(obj) - {"target", "dims", "blocks"}
-    if unknown:
-        raise ValueError(f"unknown SDP problem fields {sorted(unknown)}")
+    strict_object(obj, "SDP problem", ("target", "dims", "blocks"))
     dims = check_dims(obj["dims"])
     target = matrix_from_json(obj["target"])
     objective = []
     pt_cones = []
     for block in obj["blocks"]:
-        unknown = set(block) - {"objective", "pt_cuts"}
-        if unknown:
-            raise ValueError(f"unknown SDP block fields {sorted(unknown)}")
+        strict_object(block, "SDP block", ("objective",), ("pt_cuts",))
         objective.append(matrix_from_json(block["objective"]))
         pt_cones.append(tuple(PtCone(dims, cut) for cut in block.get("pt_cuts", [])))
     return SdpProblem(objective, target, pt_cones)
@@ -390,9 +385,9 @@ def solution_to_json(sol: SdpSolution) -> dict:
 
 
 def solution_from_json(obj: dict) -> SdpSolution:
-    unknown = set(obj) - {"matrices", "objective_value", "status", "residuals", "iterations", "history"}
-    if unknown:
-        raise ValueError(f"unknown SDP solution fields {sorted(unknown)}")
+    strict_object(
+        obj, "SDP solution", ("matrices", "objective_value", "status", "residuals", "iterations", "history")
+    )
     return SdpSolution(
         matrices=tuple(matrix_from_json(m) for m in obj["matrices"]),
         objective_value=float(obj["objective_value"]),

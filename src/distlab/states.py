@@ -24,7 +24,7 @@ from .linalg import (
     matrix_to_json,
     min_eigenvalue,
     partial_trace,
-    tensor,
+    strict_object,
 )
 
 STATE_TOL = 1e-9
@@ -255,20 +255,14 @@ def state_set_to_json(states: StateSet) -> dict:
 
 
 def state_set_from_json(obj: dict) -> StateSet:
-    if not isinstance(obj, dict):
-        raise ValueError("state set JSON must be an object")
-    unknown = set(obj) - {"dims", "states"}
-    if unknown:
-        raise ValueError(f"unknown state-set fields {sorted(unknown)}")
+    strict_object(obj, "state set", ("dims", "states"))
     dims = check_dims(obj["dims"])
     entries = obj["states"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("state set JSON needs a nonempty 'states' list")
     out = []
     for e in entries:
-        unknown = set(e) - {"label", "matrix"}
-        if unknown:
-            raise ValueError(f"unknown state fields {sorted(unknown)}")
+        strict_object(e, "state", ("matrix",), ("label",))
         out.append(State(matrix_from_json(e["matrix"]), dims, label=str(e.get("label", ""))))
     return StateSet(out)
 
@@ -289,11 +283,3 @@ def reduced_state(s: State, party: int) -> np.ndarray:
         if other < party:
             party -= 1
     return rho
-
-
-def product_state(locals_: Sequence[np.ndarray], dims: Sequence[int], label: str = "") -> State:
-    """Tensor product of per-party density matrices."""
-    dims = check_dims(dims)
-    if len(locals_) != len(dims):
-        raise ValueError("one local factor per party required")
-    return State(tensor(*locals_), dims, label=label)

@@ -4,14 +4,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from distlab.discrimination import _sample_of_kind
 from distlab.povm import (
     flatten_locc1,
     is_ppt_povm,
     ppt_min_eigenvalue,
-    random_locc1,
-    random_povm,
-    random_ppt_povm,
-    random_sep_povm,
     restrict_locc1,
     restrict_povm,
     verify_locc1,
@@ -26,19 +23,6 @@ FUZZ_DIM_CONFIGS = [
 ]
 
 
-def make_random_povm(kind, dims, seed, n_elements=4, branching=2):
-    """One seeded POVM (or measurement tree) of the requested kind."""
-    if kind == "general":
-        return random_povm(dims, n_elements, seed)
-    if kind == "ppt":
-        return random_ppt_povm(dims, n_elements, seed)
-    if kind == "sep":
-        return random_sep_povm(dims, n_elements, seed)
-    if kind == "locc1":
-        return random_locc1(dims, branching, seed)
-    raise ValueError(f"no generator for kind {kind!r}")
-
-
 def restriction_defects(kind, big_dims, sub_dims, seed, tol=1e-9):
     """Check that restriction preserves the given POVM kind for one seed.
 
@@ -46,7 +30,7 @@ def restriction_defects(kind, big_dims, sub_dims, seed, tol=1e-9):
     an empty list means the trial passed.
     """
     defects = []
-    obj = make_random_povm(kind, big_dims, seed)
+    obj = _sample_of_kind(kind, big_dims, seed)
 
     if kind == "locc1":
         sub_tree = restrict_locc1(obj, sub_dims)

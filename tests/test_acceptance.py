@@ -12,6 +12,7 @@ from conftest import FUZZ_DIM_CONFIGS, criterion, restriction_defects
 
 from distlab.cli import run
 from distlab.discrimination import (
+    _sample_of_kind,
     check_perfect,
     global_distinguishable,
     ppt_distinguishability,
@@ -86,7 +87,6 @@ def test_criterion_2_kind_preservation_fuzz():
 
 def test_criterion_3_trace_identity_over_corpus():
     with criterion(3, "restriction/embedding trace identity <= 1e-12 over the fuzz corpus"):
-        from conftest import make_random_povm
         from distlab.povm import Locc1Tree
 
         pair = bell_pair()
@@ -102,7 +102,7 @@ def test_criterion_3_trace_identity_over_corpus():
         for big_dims, states in corpus:
             for kind in KINDS:
                 for seed in range(TRIALS_PER_KIND):
-                    obj = make_random_povm(kind, big_dims, seed)
+                    obj = _sample_of_kind(kind, big_dims, seed)
                     povm = flatten_locc1(obj) if isinstance(obj, Locc1Tree) else obj
                     worst = max(worst, theorem1_trace_identity(states, povm, states.dims))
         assert worst <= 1e-12

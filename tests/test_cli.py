@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import distlab
 from distlab.cli import parse_report, run, summarize
-from distlab.povm import povm_to_json, locc1_to_json, random_locc1, counterexample_c4
+from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
 from distlab.sdp import PtCone, SdpProblem, problem_to_json
 from distlab.states import bell_states, domino_states, state_set_to_json
 
@@ -349,6 +351,10 @@ def test_console_script_smoke():
     check_console_command([sys.executable, "-c", wrapper])
 
 
+def test_python_m_distlab():
+    check_console_command([sys.executable, "-m", "distlab"])
+
+
 @pytest.mark.skipif(shutil.which("distlab") is None, reason="distlab console script not installed")
 def test_installed_console_script_smoke():
     check_console_command([shutil.which("distlab")])
@@ -366,3 +372,202 @@ def test_distlab_tol_env_override(tmp_path, capsys, monkeypatch):
     code_loose, _, _ = run_captured(capsys, ["verify", "--povm", path])
     assert code_strict == 1
     assert code_loose == 0
+
+
+def bell_pair_obj():
+    return state_set_to_json(bell_states().subset([0, 2]))
+
+
+def identity_povm_obj():
+    return povm_to_json(Povm([np.eye(4)], (2, 2)))
+
+
+def sep_c4_obj():
+    return povm_to_json(counterexample_c4(bipartite=True))
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def doubled_trace():
+    obj = bell_pair_obj()
+    matrix = obj["states"][0]["matrix"]
+    matrix["re"] = [2 * x for x in matrix["re"]]
+    return obj
+
+
+def state_matrix_without_re():
+    obj = bell_pair_obj()
+    obj["states"][0]["matrix"] = without(obj["states"][0]["matrix"], "re")
+    return obj
+
+
+def incomplete_tree():
+    # Alice's only outcome is |0><0|, so her conditional family misses |1><1|
+    def element(values):
+        return {"rows": 2, "cols": 2, "re": values, "im": [0, 0, 0, 0]}
+
+    leaf = {"party": 1, "outcomes": [{"element": element([1, 0, 0, 1])}]}
+    root = {"party": 0, "outcomes": [{"element": element([1, 0, 0, 0]), "children": leaf}]}
+    return {"dims": [2, 2], "party_order": [0, 1], "root": root}
+
+
+def sep_witness_with_extra_field():
+    obj = sep_c4_obj()
+    obj["witness"]["extra"] = 1
+    return obj
+
+
+def bell_pair_problem():
+    from distlab.discrimination import ppt_discrimination_problem
+
+    return problem_to_json(ppt_discrimination_problem(bell_states().subset([0, 2])))
+
+
+# (files to write, argv with {name} placeholders for their paths)
+CONTRACT_BREAKERS = {
+    "state-file-without-states": (
+        {"s": {"dims": [2, 2]}, "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "trace-2-state-discriminate": (
+        {"s": doubled_trace(), "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "trace-2-state-theorem1": (
+        {"s": doubled_trace()},
+        ["theorem1", "--states", "{s}", "--new-dims", "3,3"],
+    ),
+    "state-entry-is-5": (
+        {"s": {"dims": [2, 2], "states": [5]}, "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "matrix-without-re": (
+        {"s": state_matrix_without_re(), "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "witness-is-5": (
+        {"p": {**sep_c4_obj(), "witness": 5}},
+        ["verify", "--povm", "{p}", "--kind", "sep"],
+    ),
+    "incomplete-tree-discriminate": (
+        {"s": bell_pair_obj(), "p": incomplete_tree()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "sdp-without-target": (
+        {"q": without(bell_pair_problem(), "target")},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "sdp-blocks-is-3": (
+        {"q": {**bell_pair_problem(), "blocks": 3}},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "sep-witness-unknown-field": (
+        {"p": sep_witness_with_extra_field()},
+        ["verify", "--povm", "{p}", "--kind", "sep"],
+    ),
+    "dims-overflow": (
+        {"p": {**identity_povm_obj(), "dims": [1e400]}},
+        ["verify", "--povm", "{p}"],
+    ),
+    "fuzz-negative-trials": (
+        {},
+        ["fuzz", "--kinds", "general", "--trials", "-3", "--seed", "1"],
+    ),
+    "fuzz-zero-trials": (
+        {},
+        ["fuzz", "--kinds", "general", "--trials", "0", "--seed", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_BREAKERS))
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
+    # in-process, so any exception escaping run() fails the test
+    files, argv = CONTRACT_BREAKERS[case]
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    code = run([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("distlab: error:")
+    assert "Traceback" not in captured.err
+
+
+def test_fuzz_single_trial_still_runs(capsys):
+    code, report, err = run_captured(capsys, ["fuzz", "--kinds", "general", "--trials", "1", "--seed", "1"])
+    assert code == 0
+    assert report["payload"]["trials"] == 1
+    assert "FUZZ: 1/1 OK" in err
+
+
+def dict_paths(obj, path=()):
+    """Every path (tuple of keys and indices) at which ``obj`` holds a JSON object."""
+    if isinstance(obj, dict):
+        yield path
+        for key, value in obj.items():
+            yield from dict_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from dict_paths(value, path + (i,))
+
+
+def at(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+MUTATION_SOURCES = {
+    "states": bell_pair_obj(),
+    "sep": sep_c4_obj(),
+    "tree": locc1_to_json(random_locc1((2, 2), 2, seed=5)),
+}
+# each mutated file goes through every command that reads it; the other files stay valid
+MUTATION_COMMANDS = [
+    ("states", ["discriminate", "--states", "{states}", "--povm", "{sep}"]),
+    ("sep", ["verify", "--povm", "{sep}", "--kind", "sep"]),
+    ("sep", ["discriminate", "--states", "{states}", "--povm", "{sep}"]),
+    ("tree", ["verify", "--povm", "{tree}", "--kind", "locc1"]),
+    ("tree", ["discriminate", "--states", "{states}", "--povm", "{tree}"]),
+]
+REPLACEMENTS = [5, "x", [], {}, None]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
+    target, argv = data.draw(st.sampled_from(MUTATION_COMMANDS), label="command")
+    mutated = json.loads(json.dumps(MUTATION_SOURCES[target]))
+    node = at(mutated, data.draw(st.sampled_from(list(dict_paths(mutated))), label="object"))
+    op = data.draw(st.sampled_from(["drop", "add", "replace"]), label="mutation")
+    if op == "add":
+        node["unexpected"] = 0
+    else:
+        key = data.draw(st.sampled_from(sorted(node)), label="key")
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    files = {**MUTATION_SOURCES, target: mutated}
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+
+    code = run([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("distlab: error:")
+    else:
+        parse_report(json.loads(captured.out))
+    if op == "add":
+        # unknown fields are rejected everywhere
+        assert code == 2
