@@ -132,14 +132,17 @@ def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_
 
 
 def parse_report(obj: dict):
-    """Validate a report and parse the payload back into its domain type."""
+    """Validate a report and parse the payload back into its domain type; any defect raises ``ValueError``."""
     strict_object(obj, "report", ("schema_version", "payload_kind", "payload"), ("manifest",))
     if obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unknown schema version {obj['schema_version']!r}")
     kind = obj["payload_kind"]
-    if kind not in PAYLOAD_PARSERS:
+    if not isinstance(kind, str) or kind not in PAYLOAD_PARSERS:
         raise ValueError(f"unknown payload kind {kind!r}")
-    return kind, PAYLOAD_PARSERS[kind](obj["payload"])
+    try:
+        return kind, PAYLOAD_PARSERS[kind](obj["payload"])
+    except (TypeError, OverflowError) as exc:  # a wrong JSON type where a parser expects a number or list
+        raise ValueError(f"malformed {kind} payload: {exc}") from exc
 
 
 def summarize(report: dict) -> str:

@@ -20,10 +20,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, embed_matrix, matrix_from_json, matrix_to_json, restrict_matrix, strict_object
+from .linalg import DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json, restrict_matrix
+from .linalg import strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
+    _require_valid,
     canonical_cuts,
     flatten_locc1,
     ppt_min_eigenvalue,
@@ -99,26 +101,27 @@ def hit_table(povm: Povm, states: StateSet) -> np.ndarray:
     """p(j|i) = tr(M_j rho_i); rows are states, columns outcomes."""
     if povm.dims != states.dims:
         raise ValueError(f"POVM dims {povm.dims} do not match state dims {states.dims}")
-    table = np.empty((len(states), len(povm)))
-    for i, s in enumerate(states):
-        for j, m in enumerate(povm.elements):
-            table[i, j] = np.trace(m @ s.rho).real
-    return table
+    return trace_products(states.rhos, povm.elements).real
 
 
-def _checked_table(povm: Povm, states: StateSet, tol: float) -> np.ndarray:
-    report = verify_povm(povm, tol)
-    if not report.passed:
-        raise ValueError(
-            f"invalid POVM: completeness residual {report.completeness_residual:.3e}, "
-            f"min eigenvalue {min(report.element_min_eigs):.3e}"
-        )
-    return hit_table(povm, states)
-
-
-def _live_outcomes(povm: Povm, tol: float) -> list[int]:
-    # null outcomes are allowed in a POVM and skipped by the checks
-    return [j for j, m in enumerate(povm.elements) if np.trace(m).real > tol]
+def _assign_hits(povm: Povm, states: StateSet, skip: set[int], ambiguous: str, tol: float):
+    """Hit table of a valid POVM, and each state's total probability from the outcomes
+    outside ``skip`` that hit it alone; an outcome hitting several states is an
+    ``ambiguous`` violation.  Null outcomes are allowed in a POVM and skipped."""
+    _require_valid(povm, tol)
+    table = hit_table(povm, states)
+    live = np.trace(povm.elements, axis1=1, axis2=2).real > tol
+    totals = np.zeros(table.shape[0])
+    violations: list[dict] = []
+    for j in np.flatnonzero(live).tolist():
+        if j in skip:
+            continue
+        hits = [i for i in range(table.shape[0]) if table[i, j] > tol]
+        if len(hits) > 1:
+            violations.append({"kind": ambiguous, "outcome": j, "states": hits})
+        elif len(hits) == 1:
+            totals[hits[0]] += table[hits[0], j]
+    return table, totals, violations
 
 
 def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> DiscriminationVerdict:
@@ -127,16 +130,8 @@ def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> Dis
     An outcome is assigned to the single state it hits above ``tol``; every
     state must collect total assigned probability 1 within ``tol``.
     """
-    table = _checked_table(povm, states, tol)
-    violations: list[dict] = []
-    assigned_total = np.zeros(len(states))
-    for j in _live_outcomes(povm, tol):
-        hits = [i for i in range(len(states)) if table[i, j] > tol]
-        if len(hits) > 1:
-            violations.append({"kind": "outcome-hits-multiple-states", "outcome": j, "states": hits})
-        elif len(hits) == 1:
-            assigned_total[hits[0]] += table[hits[0], j]
-    for i, total in enumerate(assigned_total):
+    table, totals, violations = _assign_hits(povm, states, set(), "outcome-hits-multiple-states", tol)
+    for i, total in enumerate(totals):
         if abs(total - 1.0) > tol:
             violations.append({"kind": "state-not-identified", "state": i, "probability": float(total)})
     return DiscriminationVerdict(
@@ -144,7 +139,7 @@ def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> Dis
         povm_kind=povm.kind,
         passes=not violations,
         hit_table=table,
-        success_probability=float(np.mean(assigned_total)),
+        success_probability=float(np.mean(totals)),
         violations=tuple(violations),
         tol=tol,
     )
@@ -165,18 +160,8 @@ def check_unambiguous(
     inconclusive = set(int(j) for j in inconclusive)
     if not set(range(len(povm))) - inconclusive:
         raise ValueError("at least one outcome must be conclusive")
-    table = _checked_table(povm, states, tol)
-    violations: list[dict] = []
-    conclusive_total = np.zeros(len(states))
-    for j in _live_outcomes(povm, tol):
-        if j in inconclusive:
-            continue
-        hits = [i for i in range(len(states)) if table[i, j] > tol]
-        if len(hits) > 1:
-            violations.append({"kind": "conclusive-outcome-ambiguous", "outcome": j, "states": hits})
-        elif len(hits) == 1:
-            conclusive_total[hits[0]] += table[hits[0], j]
-    for i, total in enumerate(conclusive_total):
+    table, totals, violations = _assign_hits(povm, states, inconclusive, "conclusive-outcome-ambiguous", tol)
+    for i, total in enumerate(totals):
         if total <= tol:
             violations.append({"kind": "state-never-detected", "state": i, "probability": float(total)})
     return DiscriminationVerdict(
@@ -184,7 +169,7 @@ def check_unambiguous(
         povm_kind=povm.kind,
         passes=not violations,
         hit_table=table,
-        success_probability=float(np.min(conclusive_total)),
+        success_probability=float(np.min(totals)),
         violations=tuple(violations),
         tol=tol,
     )
@@ -198,16 +183,12 @@ def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> Global
     """
     if not mutually_orthogonal(states, tol):
         return GlobalVerdict(False, None)
-    side = states[0].side
-    cutoff = max(tol, 1e-12)
-    projectors = []
-    for s in states:
-        w, v = np.linalg.eigh(s.rho)
-        keep = v[:, w > cutoff]
-        p = keep @ keep.conj().T
-        projectors.append((p + p.conj().T) / 2)
-    complement = np.eye(side) - sum(projectors)
-    witness = Povm(projectors + [complement], states.dims, kind="projective")
+    w, v = np.linalg.eigh(states.rhos)
+    keep = v * (w > max(tol, 1e-12))[:, None, :]  # zero the eigenvectors outside each support
+    p = keep @ dagger(keep)
+    projectors = (p + dagger(p)) / 2
+    complement = np.eye(states.rhos.shape[-1]) - projectors.sum(axis=0)
+    witness = Povm(np.concatenate([projectors, complement[None]]), states.dims, kind="projective")
     return GlobalVerdict(True, witness)
 
 
@@ -219,8 +200,7 @@ def ppt_discrimination_problem(
     cuts = canonical_cuts(dims) if cuts is None else [tuple(c) for c in cuts]
     n = len(states)
     cones = tuple(tuple(PtCone(dims, c) for c in cuts) for _ in range(n))
-    objective = [s.rho / n for s in states]
-    return SdpProblem(objective, np.eye(states[0].side), cones)
+    return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), cones)
 
 
 def ppt_distinguishability(
@@ -255,18 +235,9 @@ def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence
     sub_dims = tuple(int(d) for d in sub_dims)
     if states.dims != sub_dims:
         raise ValueError(f"states live in {states.dims}, expected {sub_dims}")
-    if len(povm_big.dims) != len(sub_dims) or any(
-        b < s for b, s in zip(povm_big.dims, sub_dims)
-    ):
-        raise ValueError(f"POVM dims {povm_big.dims} do not dominate {sub_dims}")
-    worst = 0.0
-    for m in povm_big.elements:
-        small = restrict_matrix(m, povm_big.dims, sub_dims)
-        for s in states:
-            lhs = np.trace(small @ s.rho)
-            rhs = np.trace(m @ embed_matrix(s.rho, sub_dims, povm_big.dims))
-            worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    lhs = trace_products(states.rhos, restrict_matrix(povm_big.elements, povm_big.dims, sub_dims))
+    rhs = trace_products(embed_matrix(states.rhos, sub_dims, povm_big.dims), povm_big.elements)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def theorem1_ppt_invariance(

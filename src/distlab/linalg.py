@@ -8,6 +8,7 @@ which is exactly the ordering produced by ``numpy.kron``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce input to a square complex matrix or a ``(..., side, side)`` stack of them."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def check_dims(dims: Sequence[int], side: int | None = None) -> tuple[int, ...]:
     """Validate a tuple of per-party local dimensions."""
     t = tuple(int(d) for d in dims)
@@ -37,10 +46,15 @@ def check_dims(dims: Sequence[int], side: int | None = None) -> tuple[int, ...]:
     return t
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of one matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max entrywise |M - M^dagger|."""
-    m = as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max entrywise |M - M^dagger| over one matrix or every matrix of a stack."""
+    m = as_stack(m)
+    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
 def tensor(*matrices: np.ndarray) -> np.ndarray:
@@ -111,12 +125,12 @@ def hermitian_eigen(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarr
     return w, v
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``m``."""
-    m = as_matrix(m)
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+def min_eigenvalue(m: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of ``m``: a float for one matrix,
+    an array of shape ``m.shape[:-2]`` for a stack (one batched ``eigvalsh``)."""
+    m = as_stack(m)
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    return float(w) if m.ndim == 2 else w
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -128,15 +142,18 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return min_eigenvalue(m) >= -tol
 
 
+@lru_cache(maxsize=64)
 def _inrange_indices(dims: tuple[int, ...], sub_dims: tuple[int, ...]) -> np.ndarray:
     """Global indices in a ``dims`` system whose multi-index is componentwise < sub_dims.
 
     Returned in lexicographic multi-index order, so position ``s`` corresponds
-    to global index ``s`` of the ``sub_dims`` system.
+    to global index ``s`` of the ``sub_dims`` system.  Cached per argument pair
+    and shared by every caller, so the array is read-only.
     """
     idx = np.zeros(1, dtype=np.intp)
     for d, ds in zip(dims, sub_dims):
         idx = (idx[:, None] * d + np.arange(ds, dtype=np.intp)[None, :]).ravel()
+    idx.flags.writeable = False
     return idx
 
 
@@ -146,32 +163,38 @@ def embed_matrix(m: np.ndarray, dims: Sequence[int], new_dims: Sequence[int]) ->
     For a single party this is the familiar top-left block; for two or more
     parties the in-range multi-indices are not contiguous in lexicographic
     ordering, so the entries are scattered onto that sub-lattice instead.
+    ``m`` is one matrix or a ``(..., side, side)`` stack; both maps work matrix by matrix.
     """
-    m = as_matrix(m)
-    dims = check_dims(dims, m.shape[0])
+    m = as_stack(m)
+    dims = check_dims(dims, m.shape[-1])
     new_dims = check_dims(new_dims)
     if len(new_dims) != len(dims):
         raise ValueError(f"party count mismatch: {len(dims)} vs {len(new_dims)}")
     if any(n < d for d, n in zip(dims, new_dims)):
         raise ValueError(f"new_dims {new_dims} must dominate dims {dims} componentwise")
     side = int(np.prod(new_dims, dtype=np.int64))
-    out = np.zeros((side, side), dtype=complex)
+    out = np.zeros(m.shape[:-2] + (side, side), dtype=complex)
     idx = _inrange_indices(new_dims, dims)
-    out[np.ix_(idx, idx)] = m
+    out[..., idx[:, None], idx] = m
     return out
 
 
 def restrict_matrix(m: np.ndarray, dims: Sequence[int], sub_dims: Sequence[int]) -> np.ndarray:
     """Exact adjoint of :func:`embed_matrix`: keep rows/columns with in-range multi-indices."""
-    m = as_matrix(m)
-    dims = check_dims(dims, m.shape[0])
+    m = as_stack(m)
+    dims = check_dims(dims, m.shape[-1])
     sub_dims = check_dims(sub_dims)
     if len(sub_dims) != len(dims):
         raise ValueError(f"party count mismatch: {len(dims)} vs {len(sub_dims)}")
     if any(s > d for d, s in zip(dims, sub_dims)):
         raise ValueError(f"sub_dims {sub_dims} must not exceed dims {dims}")
     idx = _inrange_indices(dims, sub_dims)
-    return m[np.ix_(idx, idx)].copy()
+    return m[..., idx[:, None], idx]
+
+
+def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs tr(A_i B_j) of two ``(n, side, side)`` stacks, as an ``(n, m)`` array."""
+    return np.einsum("iab,jba->ij", a, b, optimize=True)
 
 
 def embed_vector(v: np.ndarray, dims: Sequence[int], new_dims: Sequence[int]) -> np.ndarray:
@@ -224,3 +247,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix entries do not match {rows}x{cols}")
     return (re + 1j * im).reshape(rows, cols)
+
+
+def matrices_from_json(objs, what: str) -> np.ndarray:
+    """Parse a nonempty list of equal-shape matrix objects straight into one ``(n, rows, cols)`` stack."""
+    if not isinstance(objs, list) or not objs:
+        raise ValueError(f"{what} JSON needs a nonempty list of matrices")
+    out = None
+    for k, obj in enumerate(objs):
+        m = matrix_from_json(obj)
+        if out is None:
+            out = np.empty((len(objs),) + m.shape, dtype=complex)
+        elif m.shape != out.shape[1:]:
+            raise ValueError(f"{what} matrix {k} has shape {m.shape}, expected {out.shape[1:]}")
+        out[k] = m
+    return out

@@ -21,8 +21,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
+    as_stack,
     check_dims,
+    dagger,
     hermiticity_defect,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
@@ -59,12 +62,12 @@ class LoccNode:
     """One conditional local measurement: the POVM a party applies given the prefix."""
 
     party: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray  # (outcomes, d, d)
     children: tuple["LoccNode", ...] | None = None
 
     def __init__(self, party, elements, children=None):
-        elements = tuple(as_matrix(e) for e in elements)
-        if not elements:
+        elements = as_stack(elements)
+        if elements.ndim != 3 or not len(elements):
             raise ValueError("a node needs at least one outcome")
         children = tuple(children) if children is not None else None
         if children is not None and len(children) != len(elements):
@@ -98,9 +101,8 @@ class Locc1Tree:
         if node.party != expected:
             raise ValueError(f"node at depth {depth} measures party {node.party}, expected {expected}")
         d = self.dims[node.party]
-        for e in node.elements:
-            if e.shape != (d, d):
-                raise ValueError(f"local element shape {e.shape} does not match dimension {d}")
+        if node.elements.shape[1:] != (d, d):
+            raise ValueError(f"local element shape {node.elements.shape[1:]} does not match dimension {d}")
         if depth == k - 1:
             if node.children is not None:
                 raise ValueError("deepest level must not have children")
@@ -113,22 +115,22 @@ class Locc1Tree:
 
 @dataclass(frozen=True)
 class Povm:
-    """Measurement given by PSD elements summing to the identity."""
+    """Measurement given by PSD elements summing to the identity, held as one
+    ``(n, side, side)`` complex stack (a stack passed in is not copied)."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     dims: tuple[int, ...]
     kind: str = "general"
     witness: SepDecomposition | Locc1Tree | None = None
 
     def __init__(self, elements, dims, kind="general", witness=None):
-        elements = tuple(as_matrix(e) for e in elements)
-        if not elements:
+        elements = np.asarray(elements, dtype=complex)
+        if not len(elements):
             raise ValueError("a POVM needs at least one element")
         dims = check_dims(dims)
         side = int(np.prod(dims))
-        for e in elements:
-            if e.shape != (side, side):
-                raise ValueError(f"element shape {e.shape} does not match system side {side}")
+        if elements.shape[1:] != (side, side):
+            raise ValueError(f"element shape {elements.shape[1:]} does not match system side {side}")
         if kind not in POVM_KINDS:
             raise ValueError(f"unknown POVM kind {kind!r}")
         object.__setattr__(self, "elements", elements)
@@ -141,7 +143,7 @@ class Povm:
 
     @property
     def side(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,9 @@ class PovmReport:
 
 def verify_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmReport:
     """Measure completeness residual and per-element minimum eigenvalues."""
-    total = sum(p.elements)
-    residual = float(np.max(np.abs(total - np.eye(p.side))))
-    min_eigs = tuple(min_eigenvalue(e) for e in p.elements)
-    defect = max(hermiticity_defect(e) for e in p.elements)
-    return PovmReport(residual, min_eigs, defect, tol)
+    residual = float(np.max(np.abs(p.elements.sum(axis=0) - np.eye(p.side))))
+    min_eigs = tuple(min_eigenvalue(p.elements).tolist())
+    return PovmReport(residual, min_eigs, hermiticity_defect(p.elements), tol)
 
 
 def _require_valid(p: Povm, tol: float):
@@ -183,13 +183,10 @@ def _require_valid(p: Povm, tol: float):
 def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
     """True iff all elements are idempotent and mutually annihilating."""
     _require_valid(p, tol)
-    for j, m in enumerate(p.elements):
-        if np.max(np.abs(m @ m - m)) > tol:
-            return False
-        for k in range(j + 1, len(p.elements)):
-            if np.max(np.abs(m @ p.elements[k])) > tol:
-                return False
-    return True
+    e = p.elements
+    if np.max(np.abs(e @ e - e)) > tol:
+        return False
+    return all(np.max(np.abs(e[j] @ e[j + 1 :])) <= tol for j in range(len(e) - 1))
 
 
 def canonical_cuts(dims: Sequence[int]) -> list[tuple[int, ...]]:
@@ -203,16 +200,17 @@ def canonical_cuts(dims: Sequence[int]) -> list[tuple[int, ...]]:
     return cuts
 
 
+def _pt_min_eigenvalues(elements: np.ndarray, dims: tuple[int, ...], cuts) -> np.ndarray:
+    """(cuts, n) table: smallest eigenvalue of each element transposed on each cut."""
+    return np.array([min_eigenvalue(partial_transpose(elements, dims, cut)) for cut in cuts])
+
+
 def ppt_min_eigenvalue(p: Povm, cuts: Iterable[tuple[int, ...]] | None = None) -> float:
     """Smallest eigenvalue over all elements and partial-transposition cuts."""
     cuts = canonical_cuts(p.dims) if cuts is None else [tuple(c) for c in cuts]
     if not cuts:
         raise ValueError("PPT needs a nontrivial bipartition")
-    worst = np.inf
-    for m in p.elements:
-        for cut in cuts:
-            worst = min(worst, min_eigenvalue(partial_transpose(m, p.dims, cut)))
-    return float(worst)
+    return float(np.min(_pt_min_eigenvalues(p.elements, p.dims, cuts)))
 
 
 def is_ppt_povm(
@@ -285,16 +283,9 @@ def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> bool:
     """True iff every conditional family is a complete local POVM on its party."""
 
     def node_ok(node: LoccNode) -> bool:
-        d = tree.dims[node.party]
-        total = sum(node.elements)
-        if np.max(np.abs(total - np.eye(d))) > tol:
+        if not verify_povm(Povm(node.elements, (tree.dims[node.party],)), tol).passed:
             return False
-        for e in node.elements:
-            if hermiticity_defect(e) > tol or min_eigenvalue(e) < -tol:
-                return False
-        if node.children is not None:
-            return all(node_ok(c) for c in node.children)
-        return True
+        return node.children is None or all(node_ok(c) for c in node.children)
 
     return node_ok(tree.root)
 
@@ -324,7 +315,7 @@ def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
     factor by factor, a tree witness level by level.
     """
     sub_dims = check_dims(sub_dims)
-    elements = [restrict_matrix(m, p.dims, sub_dims) for m in p.elements]
+    elements = restrict_matrix(p.elements, p.dims, sub_dims)
     witness = p.witness
     if isinstance(witness, SepDecomposition):
         witness = SepDecomposition(
@@ -346,29 +337,26 @@ def restrict_locc1(tree: Locc1Tree, sub_dims: Sequence[int]) -> Locc1Tree:
 
     def rec(node: LoccNode) -> LoccNode:
         d = sub_dims[node.party]
-        elements = [e[:d, :d] for e in node.elements]
+        elements = node.elements[:, :d, :d]
         children = None if node.children is None else [rec(c) for c in node.children]
         return LoccNode(node.party, elements, children)
 
     return Locc1Tree(sub_dims, tree.party_order, rec(tree.root))
 
 
-def _random_povm_elements(rng: np.random.Generator, side: int, n: int) -> list[np.ndarray]:
-    """n PSD matrices normalized symmetrically into a complete POVM."""
-    gram = []
-    for _ in range(n):
-        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-        gram.append(g @ g.conj().T)
-    total = sum(gram)
+def _random_povm_elements(rng: np.random.Generator, side: int, n: int) -> np.ndarray:
+    """(n, side, side) PSD matrices normalized symmetrically into a complete POVM;
+    element by element, the real part is drawn from ``rng`` before the imaginary part."""
+    g = rng.standard_normal((n, 2, side, side))
+    g = g[:, 0] + 1j * g[:, 1]
+    gram = g @ dagger(g)
+    total = gram.sum(axis=0)
     w, v = np.linalg.eigh((total + total.conj().T) / 2)
     if w[0] <= side * 1e-12 * max(w[-1], 1.0):
         raise ArithmeticError("singular normalization")
     inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
-    out = []
-    for g in gram:
-        m = inv_sqrt @ g @ inv_sqrt
-        out.append((m + m.conj().T) / 2)
-    return out
+    m = inv_sqrt @ gram @ inv_sqrt
+    return (m + dagger(m)) / 2
 
 
 def _rng_with_retries(seed: int, build):
@@ -405,16 +393,12 @@ def random_ppt_povm(dims: Sequence[int], n_elements: int, seed: int, margin: flo
         raise ValueError("PPT needs at least two parties")
     base = random_povm(dims, n_elements, seed)
     side = base.side
-    lam = 0.0
-    for m in base.elements:
-        c = np.trace(m).real / side
-        for cut in canonical_cuts(dims):
-            mu = min_eigenvalue(partial_transpose(m, dims, cut))
-            if mu < margin:
-                lam = max(lam, (margin - mu) / (c - mu))
+    c = np.trace(base.elements, axis1=1, axis2=2).real / side
+    mu = _pt_min_eigenvalues(base.elements, dims, canonical_cuts(dims))
+    lam = float(np.max(((margin - mu) / (c - mu))[mu < margin], initial=0.0))
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"degenerate mixing weight {lam}")
-    elements = [(1 - lam) * m + lam * (np.trace(m).real / side) * np.eye(side) for m in base.elements]
+    elements = (1 - lam) * base.elements + (lam * c)[:, None, None] * np.eye(side)
     return Povm(elements, dims, kind="ppt")
 
 
@@ -515,7 +499,7 @@ def povm_to_json(p: Povm) -> dict:
 def povm_from_json(obj: dict) -> Povm:
     strict_object(obj, "POVM", ("dims", "elements"), ("kind", "witness"))
     dims = check_dims(obj["dims"])
-    elements = [matrix_from_json(e) for e in obj["elements"]]
+    elements = matrices_from_json(obj["elements"], "POVM")
     w = obj.get("witness")
     if w is None:
         witness = None
@@ -545,12 +529,11 @@ def _node_to_json(node: LoccNode) -> dict:
 
 def _node_from_json(obj: dict) -> LoccNode:
     strict_object(obj, "tree-node", ("party", "outcomes"))
-    elements = []
-    children = []
-    for entry in obj["outcomes"]:
+    outcomes = obj["outcomes"]
+    for entry in outcomes:
         strict_object(entry, "outcome", ("element",), ("children",))
-        elements.append(matrix_from_json(entry["element"]))
-        children.append(entry.get("children"))
+    elements = matrices_from_json([entry["element"] for entry in outcomes], "tree-node")
+    children = [entry.get("children") for entry in outcomes]
     if all(c is None for c in children):
         return LoccNode(obj["party"], elements, None)
     if any(c is None for c in children):

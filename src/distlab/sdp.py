@@ -34,6 +34,7 @@ import numpy as np
 from .linalg import (
     as_matrix,
     check_dims,
+    dagger,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
@@ -135,7 +136,7 @@ class SdpSolution:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
+    return (m + dagger(m)) / 2
 
 
 def _transposed(mats: np.ndarray, cut) -> np.ndarray:
@@ -155,7 +156,7 @@ def _project(mats: np.ndarray, cut) -> np.ndarray:
     neg = w[:, 0] < 0.0
     if neg.any():
         vn = v[neg]
-        h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ np.swapaxes(vn.conj(), -1, -2))
+        h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
     # h is exactly Hermitian, and so is its partial transpose
     return _transposed(h, cut)
 

@@ -9,7 +9,7 @@ embedding of states into larger local dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,11 +20,12 @@ from .linalg import (
     check_dims,
     embed_matrix,
     hermiticity_defect,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     min_eigenvalue,
     partial_trace,
     strict_object,
+    trace_products,
 )
 
 STATE_TOL = 1e-9
@@ -60,9 +61,13 @@ class State:
 
 @dataclass(frozen=True)
 class StateSet:
-    """Finite list of states sharing one dimension vector."""
+    """Finite list of states sharing one dimension vector, held as one
+    ``(n, side, side)`` complex stack with a label per state.  Indexing (and so
+    iteration) yields each member as a ``State``, checked again on the way out."""
 
-    states: tuple[State, ...]
+    rhos: np.ndarray
+    dims: tuple[int, ...]
+    labels: tuple[str, ...]
     label: str = ""
 
     def __init__(self, states: Iterable[State], label: str = ""):
@@ -73,27 +78,30 @@ class StateSet:
         for s in states:
             if s.dims != dims:
                 raise ValueError(f"mixed dimension vectors {dims} vs {s.dims}")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "label", label)
+        labels = tuple(s.label for s in states)
+        self.__dict__.update(rhos=np.stack([s.rho for s in states]), dims=dims, labels=labels, label=label)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.states[0].dims
+    @classmethod
+    def from_stack(cls, rhos, dims: Sequence[int], labels: Sequence[str], label: str = "") -> "StateSet":
+        """Adopt a stack without copying it; each matrix must pass ``State``'s checks in turn."""
+        rhos, labels = np.asarray(rhos, dtype=complex), tuple(str(x) for x in labels)
+        if rhos.ndim != 3 or not len(rhos) or len(labels) != len(rhos):
+            raise ValueError(f"bad state stack: shape {rhos.shape} with {len(labels)} labels")
+        dims = check_dims(dims, rhos.shape[-1])
+        for rho, lab in zip(rhos, labels):
+            State(rho, dims, label=lab)
+        out = cls.__new__(cls)
+        out.__dict__.update(rhos=rhos, dims=dims, labels=labels, label=label)
+        return out
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states)
+        return len(self.rhos)
 
     def __getitem__(self, i) -> State:
-        return self.states[i]
+        return State(self.rhos[i], self.dims, label=self.labels[i])
 
     def subset(self, indices: Sequence[int], label: str = "") -> "StateSet":
-        return StateSet([self.states[i] for i in indices], label=label or self.label)
-
-    def matrices(self) -> list[np.ndarray]:
-        return [s.rho for s in self.states]
+        return StateSet([self[i] for i in indices], label=label or self.label)
 
 
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int], label: str = "") -> State:
@@ -186,7 +194,9 @@ def embed_state(s: State, new_dims: Sequence[int]) -> State:
 
 
 def embed_set(states: StateSet, new_dims: Sequence[int]) -> StateSet:
-    return StateSet([embed_state(s, new_dims) for s in states], label=states.label)
+    """Zero-pad the whole stack at once; labels and the set label carry over."""
+    rhos = embed_matrix(states.rhos, states.dims, new_dims)
+    return StateSet.from_stack(rhos, new_dims, states.labels, label=states.label)
 
 
 def state_vector(s: State, tol: float = STATE_TOL) -> np.ndarray:
@@ -218,13 +228,7 @@ def schmidt_rank(s: State, cut: Iterable[int] = (0,), tol: float = STATE_TOL) ->
 
 def pairwise_overlaps(states: StateSet) -> np.ndarray:
     """Matrix of trace(rho_i rho_j) products."""
-    mats = states.matrices()
-    n = len(mats)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = np.trace(mats[i] @ mats[j]).real
-    return g
+    return trace_products(states.rhos, states.rhos).real
 
 
 def mutually_orthogonal(states: StateSet, tol: float = DEFAULT_TOL) -> bool:
@@ -250,7 +254,7 @@ def mix(p: float, a: State, b: State, label: str = "") -> State:
 def state_set_to_json(states: StateSet) -> dict:
     return {
         "dims": list(states.dims),
-        "states": [{"label": s.label, "matrix": matrix_to_json(s.rho)} for s in states],
+        "states": [{"label": lab, "matrix": matrix_to_json(rho)} for rho, lab in zip(states.rhos, states.labels)],
     }
 
 
@@ -260,11 +264,10 @@ def state_set_from_json(obj: dict) -> StateSet:
     entries = obj["states"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("state set JSON needs a nonempty 'states' list")
-    out = []
     for e in entries:
         strict_object(e, "state", ("matrix",), ("label",))
-        out.append(State(matrix_from_json(e["matrix"]), dims, label=str(e.get("label", ""))))
-    return StateSet(out)
+    rhos = matrices_from_json([e["matrix"] for e in entries], "state set")
+    return StateSet.from_stack(rhos, dims, [e.get("label", "") for e in entries])
 
 
 def maximally_mixed(dims: Sequence[int]) -> State:

@@ -1,5 +1,7 @@
 """Tests for the command-line reporter."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 import distlab
 from distlab.cli import parse_report, run, summarize
+from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
 from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
-from distlab.sdp import PtCone, SdpProblem, problem_to_json
+from distlab.sdp import PtCone, SdpProblem, SdpSolution, problem_to_json, solution_to_json
 from distlab.states import bell_states, domino_states, state_set_to_json
 
 
@@ -535,6 +538,23 @@ MUTATION_COMMANDS = [
 REPLACEMENTS = [5, "x", [], {}, None]
 
 
+def draw_mutation(data, source):
+    """A deep copy of ``source`` with one key dropped, added or given a foreign value,
+    in any of its objects; returns the copy and the operation."""
+    mutated = json.loads(json.dumps(source))
+    node = at(mutated, data.draw(st.sampled_from(list(dict_paths(mutated))), label="object"))
+    op = data.draw(st.sampled_from(["drop", "add", "replace"] if node else ["add"]), label="mutation")
+    if op == "add":
+        node["unexpected"] = 0
+    else:
+        key = data.draw(st.sampled_from(sorted(node)), label="key")
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    return mutated, op
+
+
 @settings(
     max_examples=150,
     derandomize=True,
@@ -545,17 +565,7 @@ REPLACEMENTS = [5, "x", [], {}, None]
 @given(data=st.data())
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
     target, argv = data.draw(st.sampled_from(MUTATION_COMMANDS), label="command")
-    mutated = json.loads(json.dumps(MUTATION_SOURCES[target]))
-    node = at(mutated, data.draw(st.sampled_from(list(dict_paths(mutated))), label="object"))
-    op = data.draw(st.sampled_from(["drop", "add", "replace"]), label="mutation")
-    if op == "add":
-        node["unexpected"] = 0
-    else:
-        key = data.draw(st.sampled_from(sorted(node)), label="key")
-        if op == "drop":
-            del node[key]
-        else:
-            node[key] = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    mutated, op = draw_mutation(data, MUTATION_SOURCES[target])
     files = {**MUTATION_SOURCES, target: mutated}
     paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
 
@@ -571,3 +581,75 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
     if op == "add":
         # unknown fields are rejected everywhere
         assert code == 2
+
+
+def report_of(kind, payload):
+    return {"schema_version": "1", "payload_kind": kind, "payload": payload}
+
+
+def harness_payload(**changes):
+    payload = harness_to_json(local_global_fuzz(bell_states().subset([0, 1, 2]), ["general"], (3, 3), 1, 3))
+    return {**payload, **changes}
+
+
+def verdict_payload(**changes):
+    return {**verdict_to_json(check_perfect(counterexample_c4(bipartite=True), bell_states())), **changes}
+
+
+def solution_payload(**changes):
+    solution = SdpSolution((np.eye(2),), 1.0, "optimal", {"primal": 0.0}, 25, ({"iteration": 25},))
+    return {**solution_to_json(solution), **changes}
+
+
+# reports whose foreign JSON types once escaped parse_report as TypeError
+TYPE_BREAKING_REPORTS = {
+    "payload-kind-list": lambda: report_of([], {}),
+    "harness-kinds-int": lambda: report_of("harness", harness_payload(kinds=5)),
+    "harness-trials-list": lambda: report_of("harness", harness_payload(trials=[])),
+    "verdict-violations-int": lambda: report_of("verdict", verdict_payload(violations=5)),
+    "solution-history-int-entry": lambda: report_of("sdp_solution", solution_payload(history=[5])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_BREAKING_REPORTS))
+def test_parse_report_raises_only_value_error(case):
+    with pytest.raises(ValueError):
+        parse_report(TYPE_BREAKING_REPORTS[case]())
+
+
+@pytest.fixture(scope="module")
+def valid_reports(tmp_path_factory):
+    """Reports of gen, verify, discriminate and fuzz, as the CLI prints them."""
+    directory = tmp_path_factory.mktemp("reports")
+    states = write_json(directory / "states.json", bell_pair_obj())
+    sep = write_json(directory / "sep.json", sep_c4_obj())
+    commands = [
+        ["gen", "--family", "bell"],
+        ["verify", "--povm", sep, "--kind", "sep"],
+        ["discriminate", "--states", states, "--povm", sep],
+        ["fuzz", "--kinds", "general,locc1", "--trials", "2", "--seed", "3"],
+    ]
+    reports = []
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            run(argv)
+        reports.append(json.loads(out.getvalue()))
+    return reports
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_reports_parse_or_raise_value_error(valid_reports, data):
+    report = data.draw(st.sampled_from(valid_reports), label="report")
+    mutated, _ = draw_mutation(data, report)
+    try:
+        parse_report(mutated)
+    except ValueError:
+        pass

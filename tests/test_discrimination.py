@@ -314,3 +314,16 @@ def test_harness_json_roundtrip():
     report = local_global_fuzz(three, ["general"], (3, 3), trials=5, seed=1)
     back = harness_from_json(harness_to_json(report))
     assert back == report
+
+
+def test_hit_table_matches_per_pair_sums_on_three_parties():
+    dims = (3, 2, 3)
+    povm = random_povm(dims, 5, seed=11)
+    rng = np.random.default_rng(13)
+    pure = [pure_state(rng.standard_normal(18) + 1j * rng.standard_normal(18), dims) for _ in range(3)]
+    states = StateSet(pure + [maximally_mixed(dims)])
+    # independent oracle: tr(M rho) = sum_ab M_ab rho_ba, one pair at a time
+    expected = np.array([[np.sum(m * s.rho.T).real for m in povm.elements] for s in states])
+    table = hit_table(povm, states)
+    assert table.shape == (4, 5)
+    assert np.max(np.abs(table - expected)) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distlab.linalg import (
+    _inrange_indices,
     embed_matrix,
     embed_vector,
     hermitian_eigen,
@@ -239,6 +240,43 @@ def test_restrict_embed_trace_adjoint_identity():
         lhs = np.trace(restrict_matrix(m, (3, 3), (2, 2)) @ rho)
         rhs = np.trace(m @ embed_matrix(rho, (2, 2), (3, 3)))
         assert abs(lhs - rhs) <= 1e-12
+
+
+def enumerated_map(m, dims, out_dims):
+    """Independent oracle: copy entry (a, b) of every matrix of ``m``, for each pair
+    of multi-indices a, b in range of both systems, from ``dims`` to ``out_dims``."""
+    common = [range(min(d, e)) for d, e in zip(dims, out_dims)]
+    side = int(np.prod(out_dims))
+    out = np.zeros(m.shape[:-2] + (side, side), dtype=complex)
+    for a, b in itertools.product(itertools.product(*common), repeat=2):
+        src = np.ravel_multi_index(a, dims), np.ravel_multi_index(b, dims)
+        dst = np.ravel_multi_index(a, out_dims), np.ravel_multi_index(b, out_dims)
+        out[..., dst[0], dst[1]] = m[..., src[0], src[1]]
+    return out
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("small,big", [((2, 2), (3, 3)), ((2, 2), (3, 4)), ((1, 3), (2, 3)), ((2, 2, 2), (3, 2, 3))])
+def test_embed_and_restrict_stacks_match_enumerated_multi_indices(small, big, lead):
+    rng = np.random.default_rng(47)
+    s, b = int(np.prod(small)), int(np.prod(big))
+    m = rng.standard_normal(lead + (s, s)) + 1j * rng.standard_normal(lead + (s, s))
+    big_m = rng.standard_normal(lead + (b, b)) + 1j * rng.standard_normal(lead + (b, b))
+    embedded = embed_matrix(m, small, big)
+    restricted = restrict_matrix(big_m, big, small)
+    assert np.array_equal(embedded, enumerated_map(m, small, big))
+    assert np.array_equal(restricted, enumerated_map(big_m, big, small))
+    for i in np.ndindex(*lead):
+        assert np.array_equal(embedded[i], embed_matrix(m[i], small, big))
+        assert np.array_equal(restricted[i], restrict_matrix(big_m[i], big, small))
+
+
+def test_cached_index_map_is_read_only():
+    idx = _inrange_indices((3, 3), (2, 2))
+    assert idx is _inrange_indices((3, 3), (2, 2))
+    with pytest.raises(ValueError):
+        idx[0] = 1
+    assert idx.tolist() == [0, 1, 3, 4]
 
 
 def test_embed_vector_matches_matrix_embedding():

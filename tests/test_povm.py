@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from conftest import FUZZ_DIM_CONFIGS, restriction_defects
+from sampler_reference import reference_povm_elements, reference_random_povm, reference_random_ppt_povm
 
+import distlab.povm
 from distlab.linalg import tensor
 from distlab.povm import (
     Locc1Tree,
@@ -315,3 +317,27 @@ def test_povm_with_tree_witness_verifies_sep():
     flat = flatten_locc1(tree)
     p = Povm(flat.elements, (2, 2), kind="locc1", witness=tree)
     assert verify_sep(p)
+
+
+def tree_elements(node):
+    """Every conditional family of a tree, depth first in outcome order."""
+    yield node.elements
+    for child in node.children or ():
+        yield from tree_elements(child)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 2), (3, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 7, 301, 2024])
+def test_samplers_reproduce_the_per_element_reference_stream(dims, seed, monkeypatch):
+    # bit for bit: a seeded sample, and so every fuzz report, must not change
+    assert np.array_equal(random_povm(dims, 4, seed).elements, reference_random_povm(dims, 4, seed))
+    assert np.array_equal(random_ppt_povm(dims, 4, seed).elements, reference_random_ppt_povm(dims, 4, seed))
+    sep, tree = random_sep_povm(dims, 4, seed), random_locc1(dims, 2, seed)
+    monkeypatch.setattr(distlab.povm, "_random_povm_elements", reference_povm_elements)
+    ref_sep, ref_tree = random_sep_povm(dims, 4, seed), random_locc1(dims, 2, seed)
+    assert np.array_equal(sep.elements, np.array(ref_sep.elements))
+    for terms, ref_terms in zip(sep.witness.terms, ref_sep.witness.terms, strict=True):
+        for term, ref_term in zip(terms, ref_terms, strict=True):
+            assert all(np.array_equal(f, g) for f, g in zip(term, ref_term, strict=True))
+    for family, ref_family in zip(tree_elements(tree.root), tree_elements(ref_tree.root), strict=True):
+        assert np.array_equal(family, ref_family)

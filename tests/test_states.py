@@ -209,3 +209,28 @@ def test_embed_set():
     big = embed_set(small, (3, 3))
     assert big.dims == (3, 3)
     assert len(big) == 4
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
+        (np.eye(2), "has trace 2.0, expected 1"),
+        (np.diag([1.5, -0.5]), "has negative eigenvalue"),
+    ],
+)
+def test_stack_constructor_rejects_with_the_state_message(bad, message):
+    stack = np.stack([np.diag([1.0, 0.0]), bad])
+    with pytest.raises(ValueError, match=f"state 'second' {message}"):
+        StateSet.from_stack(stack, (2,), ["first", "second"])
+
+
+def test_stack_constructor_adopts_the_stack():
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    s = StateSet.from_stack(stack, (2,), ["zero", "one"], label="basis")
+    assert s.rhos is stack
+    assert (s.dims, s.labels, s.label, len(s)) == ((2,), ("zero", "one"), "basis", 2)
+    assert [t.label for t in s] == ["zero", "one"]
+    assert np.array_equal(StateSet(list(s)).rhos, stack)
+    with pytest.raises(ValueError):
+        StateSet.from_stack(stack, (2,), ["zero"])
