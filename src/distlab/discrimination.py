@@ -216,13 +216,16 @@ def ppt_distinguishability(
     problem = ppt_discrimination_problem(states, cuts)
     solution = solve(problem, opts or SolveOptions(tol=1e-7))
     povm = Povm(solution.matrices, states.dims, kind="ppt")
-    distinguishable = solution.status == "optimal" and solution.objective_value >= 1 - DISTINGUISHABLE_MARGIN
     return PptResult(
         optimum=solution.objective_value,
-        distinguishable=distinguishable,
+        distinguishable=_distinguishable(solution),
         povm=povm,
         solution=solution,
     )
+
+
+def _distinguishable(solution: SdpSolution) -> bool:
+    return solution.status == "optimal" and solution.objective_value >= 1 - DISTINGUISHABLE_MARGIN
 
 
 def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence[int]) -> float:
@@ -240,6 +243,34 @@ def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _transfer(small: PptResult, embedded: StateSet, tol: float) -> PptResult:
+    """Pad the small optimum into the dims of ``embedded`` and verify it again there.
+
+    Element i becomes E(M_i) + (I - E(I))/n.  Its completeness residual, its
+    eigenvalues, its partial transposes on every cut and its objective on the
+    embedded states are all computed in the enlarged space; the status is the
+    small one, downgraded from optimal when either enlarged residual exceeds ``tol``.
+    """
+    n, dims, new_dims = len(embedded), small.povm.dims, embedded.dims
+    pi = embed_matrix(np.eye(small.povm.side), dims, new_dims)
+    elements = embed_matrix(small.povm.elements, dims, new_dims) + (np.eye(len(pi)) - pi) / n
+    povm = Povm(elements, new_dims, kind="ppt")
+    report = verify_povm(povm)
+    cuts = canonical_cuts(new_dims)
+    worst = min(min(report.element_min_eigs), ppt_min_eigenvalue(povm, cuts) if cuts else np.inf)
+    residuals = {
+        "affine": report.completeness_residual,
+        "cone": max(0.0, -worst),
+        "gap_estimate": small.solution.residuals["gap_estimate"],
+    }
+    status = small.solution.status
+    if status == "optimal" and max(residuals["affine"], residuals["cone"]) > tol:
+        status = "max-iterations"
+    objective = float(np.einsum("iab,iba->", embedded.rhos, elements).real) / n
+    solution = SdpSolution(tuple(elements), objective, status, residuals, iterations=0, history=())
+    return PptResult(objective, _distinguishable(solution), povm, solution)
+
+
 def theorem1_ppt_invariance(
     states: StateSet,
     new_dims: Sequence[int],
@@ -250,9 +281,25 @@ def theorem1_ppt_invariance(
     The optimum cannot grow (restriction maps the larger feasible set into
     the smaller one preserving the objective) and cannot shrink (padding an
     optimal POVM with the complement projector is feasible above).
+
+    Only the small problem is solved.  The enlarged result is that optimum
+    transferred, M_i -> E(M_i) + (I - Pi)/n with Pi = E(I), and checked again
+    in the enlarged space: completeness, element eigenvalues, partial
+    transposes on every cut of ``new_dims`` and the objective on the embedded
+    states.  The transfer is what a second solve would return: that solve
+    starts at I/n = E(I_small/n) + (I - Pi)/n, the block (I - Pi)/n is real,
+    diagonal, PSD and fixed by every partial transpose, and E commutes with
+    partial transposition on every cut, so each of its iterates is the padded
+    small iterate.  Hence ``big.solution`` reports ``iterations == 0``, an
+    empty history, the enlarged ``affine`` and ``cone`` residuals and the
+    small run's ``gap_estimate``; its status is the small status, downgraded
+    from ``optimal`` to ``max-iterations`` when an enlarged residual exceeds
+    the solve tolerance.
     """
+    opts = opts or SolveOptions(tol=1e-7)
+    embedded = embed_set(states, new_dims)  # rejects bad new_dims before the solve
     small = ppt_distinguishability(states, opts=opts)
-    big = ppt_distinguishability(embed_set(states, new_dims), opts=opts)
+    big = _transfer(small, embedded, opts.tol)
     return Theorem1Result(
         opt_small=small.optimum,
         opt_big=big.optimum,

@@ -246,6 +246,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix entries do not match {rows}x{cols}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite numbers, not NaN or Infinity")
     return (re + 1j * im).reshape(rows, cols)
 
 

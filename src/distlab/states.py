@@ -8,6 +8,7 @@ embedding of states into larger local dimensions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -63,7 +64,8 @@ class State:
 class StateSet:
     """Finite list of states sharing one dimension vector, held as one
     ``(n, side, side)`` complex stack with a label per state.  Indexing (and so
-    iteration) yields each member as a ``State``, checked again on the way out."""
+    iteration) yields each member as a ``State`` viewing its stack entry; the
+    members were checked when the set was built, so they are not checked again."""
 
     rhos: np.ndarray
     dims: tuple[int, ...]
@@ -98,7 +100,10 @@ class StateSet:
         return len(self.rhos)
 
     def __getitem__(self, i) -> State:
-        return State(self.rhos[i], self.dims, label=self.labels[i])
+        i = operator.index(i)
+        member = State.__new__(State)
+        member.__dict__.update(rho=self.rhos[i], dims=self.dims, label=self.labels[i])
+        return member
 
     def subset(self, indices: Sequence[int], label: str = "") -> "StateSet":
         return StateSet([self[i] for i in indices], label=label or self.label)

@@ -15,6 +15,16 @@ from distlab.povm import (
     verify_povm,
     verify_sep,
 )
+from distlab.states import StateSet, bell_states, pure_state, state_vector
+
+def bell_pair_three_party():
+    """The Bell pair {0, 2} with a third qubit in |0>, on (2, 2, 2)."""
+    out = []
+    e0 = np.array([1, 0], dtype=complex)
+    for s in bell_states().subset([0, 2]):
+        out.append(pure_state(np.kron(state_vector(s), e0), (2, 2, 2), label=s.label + "|0>"))
+    return StateSet(out)
+
 
 FUZZ_DIM_CONFIGS = [
     ((3, 3), (2, 2)),

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import FUZZ_DIM_CONFIGS, criterion, restriction_defects
+from conftest import FUZZ_DIM_CONFIGS, bell_pair_three_party, criterion, restriction_defects
 
 from distlab.cli import run
 from distlab.discrimination import (
@@ -31,6 +31,7 @@ from distlab.states import (
     StateSet,
     bell_states,
     domino_states,
+    embed_set,
     extended_domino_basis,
     mutually_orthogonal,
     pairwise_overlaps,
@@ -45,14 +46,6 @@ TRIALS_PER_KIND = 200
 
 def bell_pair():
     return bell_states().subset([0, 2])
-
-
-def bell_pair_three_party():
-    out = []
-    e0 = np.array([1, 0], dtype=complex)
-    for s in bell_pair():
-        out.append(pure_state(np.kron(state_vector(s), e0), (2, 2, 2), label=s.label + "|0>"))
-    return StateSet(out)
 
 
 def test_criterion_1_counterexample_regression():
@@ -120,6 +113,12 @@ def test_criterion_4_ppt_invariance():
         two = theorem1_ppt_invariance(bell_pair(), (4, 3))
         assert two.opt_small == pytest.approx(1.0, abs=1e-4)
         assert two.opt_big == pytest.approx(1.0, abs=1e-4)
+        # independent oracle: a cold second solve on each embedded set
+        oracles = [(three, bell_states().subset([0, 1, 2]), (3, 3)), (two, bell_pair(), (4, 3))]
+        for result, states, new_dims in oracles:
+            cold = ppt_distinguishability(embed_set(states, new_dims))
+            assert result.big.solution.status == cold.solution.status
+            assert abs(result.opt_big - cold.optimum) <= 1e-9
         assert time.monotonic() - start < 120.0
 
 

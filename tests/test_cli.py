@@ -422,6 +422,18 @@ def sep_witness_with_extra_field():
     return obj
 
 
+def nan_state():
+    obj = bell_pair_obj()
+    obj["states"][0]["matrix"]["re"][1] = float("nan")
+    return obj
+
+
+def infinite_sep_element():
+    obj = sep_c4_obj()
+    obj["elements"][0]["im"][0] = float("inf")
+    return obj
+
+
 def bell_pair_problem():
     from distlab.discrimination import ppt_discrimination_problem
 
@@ -474,6 +486,14 @@ CONTRACT_BREAKERS = {
         {"p": {**identity_povm_obj(), "dims": [1e400]}},
         ["verify", "--povm", "{p}"],
     ),
+    "nan-state-discriminate": (
+        {"s": nan_state(), "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
+    "infinity-povm-verify-sep": (
+        {"p": infinite_sep_element()},
+        ["verify", "--povm", "{p}", "--kind", "sep"],
+    ),
     "fuzz-negative-trials": (
         {},
         ["fuzz", "--kinds", "general", "--trials", "-3", "--seed", "1"],
@@ -483,6 +503,10 @@ CONTRACT_BREAKERS = {
         ["fuzz", "--kinds", "general", "--trials", "0", "--seed", "1"],
     ),
 }
+
+
+# non-finite matrix entries: the message names the file and the defect
+NON_FINITE = {"nan-state-discriminate": "s", "infinity-povm-verify-sep": "p"}
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_BREAKERS))
@@ -496,6 +520,9 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("distlab: error:")
     assert "Traceback" not in captured.err
+    if case in NON_FINITE:
+        assert paths[NON_FINITE[case]] in captured.err
+        assert "NaN or Infinity" in captured.err
 
 
 def test_fuzz_single_trial_still_runs(capsys):
@@ -526,6 +553,7 @@ MUTATION_SOURCES = {
     "states": bell_pair_obj(),
     "sep": sep_c4_obj(),
     "tree": locc1_to_json(random_locc1((2, 2), 2, seed=5)),
+    "problem": bell_pair_problem(),
 }
 # each mutated file goes through every command that reads it; the other files stay valid
 MUTATION_COMMANDS = [
@@ -534,6 +562,8 @@ MUTATION_COMMANDS = [
     ("sep", ["discriminate", "--states", "{states}", "--povm", "{sep}"]),
     ("tree", ["verify", "--povm", "{tree}", "--kind", "locc1"]),
     ("tree", ["discriminate", "--states", "{states}", "--povm", "{tree}"]),
+    # a mutated problem may be hard; 50 iterations bound the solver's work
+    ("problem", ["sdp", "--problem", "{problem}", "--max-iter", "50"]),
 ]
 REPLACEMENTS = [5, "x", [], {}, None]
 
@@ -556,7 +586,7 @@ def draw_mutation(data, source):
 
 
 @settings(
-    max_examples=150,
+    max_examples=180,
     derandomize=True,
     deadline=None,
     database=None,

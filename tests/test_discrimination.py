@@ -1,7 +1,10 @@
 """Tests for the distinguishability semantics layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import bell_pair_three_party
 
 from distlab.povm import Povm, random_povm, verify_povm
 from distlab.sdp import SolveOptions
@@ -9,6 +12,8 @@ from distlab.states import (
     StateSet,
     bell_states,
     domino_states,
+    embed_set,
+    generalized_bell_states,
     maximally_mixed,
     pure_state,
 )
@@ -251,6 +256,33 @@ def test_theorem1_ppt_invariance_trivial_embedding():
     assert result.delta == 0.0
 
 
+def test_transfer_downgrades_a_small_optimum_that_fails_in_the_enlarged_space():
+    from distlab.discrimination import _transfer
+
+    pair = bell_states().subset([0, 2])
+    small = ppt_distinguishability(pair)
+    assert small.solution.status == "optimal"
+    # completeness off by 1e-3 while the status still reads optimal
+    doctored = dataclasses.replace(small, povm=Povm(small.povm.elements * (1 + 1e-3), pair.dims, kind="ppt"))
+    big = _transfer(doctored, embed_set(pair, (3, 3)), tol=1e-7)
+    assert big.solution.status == "max-iterations"
+    assert not big.distinguishable
+    assert big.solution.residuals["affine"] == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_theorem1_rejects_bad_new_dims_before_solving(monkeypatch):
+    import distlab.discrimination as discrimination
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the new dims were checked")
+
+    monkeypatch.setattr(discrimination, "solve", no_solve)
+    with pytest.raises(ValueError, match="must dominate"):
+        theorem1_ppt_invariance(domino_states(), (2, 2))
+    with pytest.raises(ValueError, match="party count mismatch"):
+        theorem1_ppt_invariance(domino_states(), (4, 4, 1))
+
+
 def random_orthogonal_triple(seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
@@ -276,6 +308,41 @@ def test_theorem1_delta_within_twice_solver_tol(states, new_dims):
     assert result.small.solution.status == "optimal"
     assert result.big.solution.status == "optimal"
     assert abs(result.delta) <= 2 * tol
+    # independent oracle: a cold second solve on the embedded set
+    cold = ppt_distinguishability(embed_set(states, new_dims), opts=SolveOptions(tol=tol))
+    assert result.big.solution.status == cold.solution.status
+    assert abs(result.opt_big - cold.optimum) <= 1e-9
+
+
+@pytest.mark.parametrize("max_iter", [50000, 25], ids=["converged", "capped"])
+@pytest.mark.parametrize(
+    "states,new_dims",
+    [
+        (bell_pair_three_party(), (3, 2, 3)),
+        (generalized_bell_states(3).subset([0, 1, 2, 3]), (4, 4)),
+        (bell_states().subset([0, 1, 2]), (3, 3)),
+    ],
+    ids=["bell2-ket0-multicut", "gbell3x4-complex", "bell3"],
+)
+def test_theorem1_transfer_matches_cold_big_solve(states, new_dims, max_iter):
+    opts = SolveOptions(tol=1e-7, max_iter=max_iter)
+    result = theorem1_ppt_invariance(states, new_dims, opts)
+    cold_result = ppt_distinguishability(embed_set(states, new_dims), opts=opts)
+    big, cold = result.big.solution, cold_result.solution
+    assert big.status == cold.status
+    if max_iter == 25:
+        assert big.status != "optimal"
+        assert not result.big.distinguishable
+    assert result.big.distinguishable == cold_result.distinguishable
+    assert abs(result.opt_big - cold.objective_value) <= 1e-9
+    # residuals measured in the enlarged space, as the cold solve measures them
+    assert abs(big.residuals["affine"] - cold.residuals["affine"]) <= 1e-9
+    assert abs(big.residuals["cone"] - cold.residuals["cone"]) <= 1e-9
+    assert max(np.max(np.abs(a - b)) for a, b in zip(big.matrices, cold.matrices)) <= 1e-8
+    # no ADMM step ran in the enlarged space
+    assert big.iterations == 0
+    assert big.history == ()
+    assert cold.iterations == result.small.solution.iterations
 
 
 def test_local_global_fuzz_bell_locc1():

@@ -296,3 +296,8 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"rows": 2, "cols": 2, "re": [0] * 4, "im": [0] * 4, "oops": 1})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [0] * 3, "im": [0] * 4})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            matrix_from_json({"rows": 1, "cols": 1, "re": [bad], "im": [0.0]})
+        with pytest.raises(ValueError, match="finite"):
+            matrix_from_json({"rows": 1, "cols": 1, "re": [0.0], "im": [bad]})

@@ -234,3 +234,22 @@ def test_stack_constructor_adopts_the_stack():
     assert np.array_equal(StateSet(list(s)).rhos, stack)
     with pytest.raises(ValueError):
         StateSet.from_stack(stack, (2,), ["zero"])
+
+
+def test_members_and_subsets_are_not_checked_again(monkeypatch):
+    dominoes = domino_states()
+
+    def no_eigen_call(*args, **kwargs):
+        raise AssertionError("a member of a checked set was checked again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_call)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigen_call)
+    members = list(dominoes)
+    part = dominoes.subset([8, 0, 3])
+    monkeypatch.undo()
+    assert [s.label for s in members] == list(dominoes.labels)
+    for k, s in enumerate(members):
+        assert np.array_equal(s.rho, dominoes.rhos[k])
+        assert s.dims == dominoes.dims
+    assert np.array_equal(part.rhos, dominoes.rhos[[8, 0, 3]])
+    assert part.labels == tuple(dominoes.labels[k] for k in (8, 0, 3))
