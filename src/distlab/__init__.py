@@ -33,7 +33,6 @@ from .states import (
 )
 from .povm import (
     Locc1Tree,
-    LoccNode,
     Povm,
     SepDecomposition,
     counterexample_c4,
@@ -67,7 +66,6 @@ __all__ = [
     "Povm",
     "SepDecomposition",
     "Locc1Tree",
-    "LoccNode",
     "SdpProblem",
     "SdpSolution",
     "SolveOptions",

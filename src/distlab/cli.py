@@ -258,7 +258,7 @@ def _cmd_discriminate(args, digests):
     tol = args.tol if args.tol is not None else _default_tol()
     states = _load(args.states, state_set_from_json, digests)
     loaded = _load(args.povm, _povm_or_tree, digests)
-    povm = flatten_locc1(loaded) if not hasattr(loaded, "elements") else loaded
+    povm = flatten_locc1(loaded, tol) if not hasattr(loaded, "elements") else loaded
     if args.mode == "perfect":
         verdict = check_perfect(povm, states, tol)
     else:

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json, restrict_matrix
-from .linalg import strict_object, trace_products
+from .linalg import ALGEBRA_TOL, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
+from .linalg import restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -326,7 +326,7 @@ def _sample_of_kind(kind: str, dims, seed: int):
     raise ValueError(f"no sampler for kind {kind!r}")
 
 
-def _restriction_kind_defect(kind: str, small_povm: Povm, small_tree, tol: float):
+def _restriction_kind_defect(kind: str, small_povm: Povm, tol: float):
     """Residual of the worst violated kind property of the restriction, if any."""
     report = verify_povm(small_povm, tol)
     if report.completeness_residual > tol:
@@ -340,8 +340,6 @@ def _restriction_kind_defect(kind: str, small_povm: Povm, small_tree, tol: float
             return "ppt", pt_worst
     if kind == "sep" and not verify_sep(small_povm, tol):
         return "sep-witness", float("nan")
-    if kind == "locc1" and not verify_locc1(small_tree, tol):
-        return "locc1-tree", float("nan")
     return None
 
 
@@ -369,15 +367,19 @@ def local_global_fuzz(
             trial = _trial_seed(seed, kind_index, offset)
             obj = _sample_of_kind(kind, new_dims, trial)
             if isinstance(obj, Locc1Tree):
-                big_povm = flatten_locc1(obj)
                 small_tree = restrict_locc1(obj, states.dims)
-                small_povm = flatten_locc1(small_tree)
+                if not verify_locc1(small_tree, tol):
+                    failures.append(
+                        {"seed_offset": offset, "kind": kind, "check": "locc1-tree", "residual": float("nan")}
+                    )
+                    continue
+                big_povm = flatten_locc1(obj, tol)
+                small_povm = flatten_locc1(small_tree, tol)
             else:
                 big_povm = obj
-                small_tree = None
                 small_povm = restrict_povm(obj, states.dims)
 
-            defect = _restriction_kind_defect(kind, small_povm, small_tree, tol)
+            defect = _restriction_kind_defect(kind, small_povm, tol)
             if defect is not None:
                 failures.append(
                     {"seed_offset": offset, "kind": kind, "check": defect[0], "residual": defect[1]}
@@ -385,7 +387,7 @@ def local_global_fuzz(
                 continue
 
             residual = theorem1_trace_identity(states, big_povm, states.dims)
-            if residual > 1e-12:
+            if residual > ALGEBRA_TOL:
                 failures.append(
                     {"seed_offset": offset, "kind": kind, "check": "trace-identity", "residual": residual}
                 )

@@ -58,12 +58,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def tensor(*matrices: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor slowest-varying."""
+    """Kronecker product, first factor slowest-varying.
+
+    Each factor is one matrix or a ``(..., d, d)`` stack; stacks multiply
+    matrix by matrix (leading axes broadcast), entry for entry as ``np.kron``.
+    """
     if not matrices:
         raise ValueError("tensor of zero factors is undefined")
-    out = as_matrix(matrices[0])
+    out = as_stack(matrices[0])
     for m in matrices[1:]:
-        out = np.kron(out, as_matrix(m))
+        m = as_stack(m)
+        lead = np.broadcast_shapes(out.shape[:-2], m.shape[:-2])
+        side = out.shape[-1] * m.shape[-1]
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(lead + (side, side))
     return out
 
 

@@ -20,13 +20,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    as_matrix,
     as_stack,
     check_dims,
     dagger,
     hermiticity_defect,
     matrices_from_json,
-    matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
@@ -38,79 +36,89 @@ from .linalg import (
 POVM_KINDS = ("general", "projective", "ppt", "sep", "locc1")
 
 
+def _segment_index(index, what: str) -> np.ndarray:
+    """``index`` as a nonempty integer array that starts at group 0 and is
+    nondecreasing in steps of 0 or 1, so it names groups ``0..index[-1]`` in order."""
+    index = np.asarray(index)
+    if index.ndim != 1 or not len(index) or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"{what} must be a nonempty 1-d integer index")
+    steps = np.diff(index)
+    if index[0] != 0 or np.any((steps != 0) & (steps != 1)):
+        raise ValueError(f"{what} must be nondecreasing and name every group from 0 in order")
+    return index
+
+
+def _segment_sums(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sum the matrices of ``stack`` into the groups named by a :func:`_segment_index`;
+    each group adds its members in stack order."""
+    out = np.zeros((int(index[-1]) + 1,) + stack.shape[1:], dtype=stack.dtype)
+    np.add.at(out, index, stack)
+    return out
+
+
 @dataclass(frozen=True)
 class SepDecomposition:
-    """Per element: a list of terms, each a tuple of per-party PSD factors."""
+    """Separability witness as flat stacks: term ``t`` is the product of
+    ``factors[k][t]`` over the parties ``k`` and belongs to element ``owner[t]``.
 
-    terms: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    ``factors`` holds one ``(terms, d_k, d_k)`` stack per party; ``owner`` is
+    nondecreasing and names every element, so each element has a term.
+    """
 
-    def __init__(self, terms):
-        frozen = tuple(
-            tuple(tuple(as_matrix(f) for f in term) for term in element_terms)
-            for element_terms in terms
-        )
-        if not frozen or any(not et for et in frozen):
-            raise ValueError("every element needs at least one product term")
-        object.__setattr__(self, "terms", frozen)
+    factors: tuple[np.ndarray, ...]
+    owner: np.ndarray
+
+    def __init__(self, factors, owner):
+        owner = _segment_index(owner, "witness owner")
+        factors = tuple(as_stack(f) for f in factors)
+        if not factors or any(f.ndim != 3 or len(f) != len(owner) for f in factors):
+            raise ValueError("a witness needs one (terms, d, d) factor stack per party, one term per owner")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "owner", owner)
 
     def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class LoccNode:
-    """One conditional local measurement: the POVM a party applies given the prefix."""
-
-    party: int
-    elements: np.ndarray  # (outcomes, d, d)
-    children: tuple["LoccNode", ...] | None = None
-
-    def __init__(self, party, elements, children=None):
-        elements = as_stack(elements)
-        if elements.ndim != 3 or not len(elements):
-            raise ValueError("a node needs at least one outcome")
-        children = tuple(children) if children is not None else None
-        if children is not None and len(children) != len(elements):
-            raise ValueError("one child per outcome required")
-        object.__setattr__(self, "party", int(party))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "children", children)
+        return int(self.owner[-1]) + 1
 
 
 @dataclass(frozen=True)
 class Locc1Tree:
-    """One-round protocol: parties measure in a fixed order, conditioning on prior outcomes."""
+    """One-round protocol: parties measure in a fixed order, conditioning on prior outcomes.
+
+    ``levels[l]`` is the ``(N_l, d, d)`` stack of every outcome measured at
+    depth ``l`` (by party ``party_order[l]``); ``parents[l][j]`` is the outcome
+    of level ``l - 1`` whose conditional family holds outcome ``j``.  Level 0
+    is one family, so ``parents[0]`` is all zeros.  Each ``parents[l]`` is
+    nondecreasing and covers every outcome of the level above, so families
+    are contiguous and may differ in size.
+    """
 
     dims: tuple[int, ...]
     party_order: tuple[int, ...]
-    root: LoccNode
+    levels: tuple[np.ndarray, ...]
+    parents: tuple[np.ndarray, ...]
 
-    def __init__(self, dims, party_order, root):
+    def __init__(self, dims, party_order, levels, parents):
         dims = check_dims(dims)
         party_order = tuple(int(p) for p in party_order)
         if sorted(party_order) != list(range(len(dims))):
             raise ValueError(f"party_order {party_order} is not a permutation of the parties")
+        levels = tuple(as_stack(level) for level in levels)
+        if len(levels) != len(dims) or len(parents) != len(dims):
+            raise ValueError(f"a tree on {len(dims)} parties needs {len(dims)} levels and parent indices")
+        checked = []
+        for depth, (level, party) in enumerate(zip(levels, party_order)):
+            d = dims[party]
+            if level.ndim != 3 or level.shape[1:] != (d, d):
+                raise ValueError(f"level {depth} has shape {level.shape}, expected (outcomes, {d}, {d})")
+            parent = _segment_index(parents[depth], f"parents of level {depth}")
+            above = len(levels[depth - 1]) if depth else 1
+            if len(parent) != len(level) or parent[-1] != above - 1:
+                raise ValueError(f"level {depth} needs a parent per outcome and a family under all {above}")
+            checked.append(parent)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "party_order", party_order)
-        object.__setattr__(self, "root", root)
-        self._check_structure(root, 0)
-
-    def _check_structure(self, node: LoccNode, depth: int):
-        k = len(self.dims)
-        expected = self.party_order[depth]
-        if node.party != expected:
-            raise ValueError(f"node at depth {depth} measures party {node.party}, expected {expected}")
-        d = self.dims[node.party]
-        if node.elements.shape[1:] != (d, d):
-            raise ValueError(f"local element shape {node.elements.shape[1:]} does not match dimension {d}")
-        if depth == k - 1:
-            if node.children is not None:
-                raise ValueError("deepest level must not have children")
-        else:
-            if node.children is None:
-                raise ValueError(f"missing conditional measurements below depth {depth}")
-            for child in node.children:
-                self._check_structure(child, depth + 1)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "parents", tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -234,10 +242,10 @@ def is_ppt_povm(
     return ppt_min_eigenvalue(p, cuts) >= -tol
 
 
-def _sep_witness(p: Povm) -> SepDecomposition:
+def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
     w = p.witness
     if isinstance(w, Locc1Tree):
-        w = flatten_locc1(w).witness
+        w = flatten_locc1(w, tol).witness
     if not isinstance(w, SepDecomposition):
         raise ValueError("POVM carries no separability witness")
     if len(w) != len(p.elements):
@@ -247,47 +255,25 @@ def _sep_witness(p: Povm) -> SepDecomposition:
 
 def verify_sep(p: Povm, tol: float = DEFAULT_TOL) -> bool:
     """Check the separability witness: PSD local factors reconstructing each element."""
-    witness = _sep_witness(p)
-    for m, element_terms in zip(p.elements, witness.terms):
-        recon = np.zeros_like(m)
-        for term in element_terms:
-            if len(term) != len(p.dims):
-                raise ValueError("witness term does not have one factor per party")
-            for k, f in enumerate(term):
-                if f.shape != (p.dims[k], p.dims[k]):
-                    raise ValueError(f"witness factor shape {f.shape} mismatches party {k}")
-                if hermiticity_defect(f) > tol or min_eigenvalue(f) < -tol:
-                    return False
-            recon = recon + tensor(*term)
-        if np.max(np.abs(recon - m)) > tol:
+    witness = _sep_witness(p, tol)
+    if len(witness.factors) != len(p.dims):
+        raise ValueError("witness term does not have one factor per party")
+    for k, f in enumerate(witness.factors):
+        if f.shape[1:] != (p.dims[k], p.dims[k]):
+            raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
+        if hermiticity_defect(f) > tol or np.min(min_eigenvalue(f)) < -tol:
             return False
-    return True
-
-
-def _iter_leaves(tree: Locc1Tree):
-    """Yield (outcome path, {party: local element}) over leaves in outcome order."""
-
-    def rec(node: LoccNode, path, ops):
-        for j, e in enumerate(node.elements):
-            ops2 = dict(ops)
-            ops2[node.party] = e
-            if node.children is None:
-                yield path + (j,), ops2
-            else:
-                yield from rec(node.children[j], path + (j,), ops2)
-
-    yield from rec(tree.root, (), {})
+    recon = _segment_sums(tensor(*witness.factors), witness.owner)
+    return bool(np.max(np.abs(recon - p.elements)) <= tol)
 
 
 def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> bool:
     """True iff every conditional family is a complete local POVM on its party."""
-
-    def node_ok(node: LoccNode) -> bool:
-        if not verify_povm(Povm(node.elements, (tree.dims[node.party],)), tol).passed:
+    for level, parents in zip(tree.levels, tree.parents):
+        residual = np.max(np.abs(_segment_sums(level, parents) - np.eye(level.shape[-1])))
+        if residual > tol or hermiticity_defect(level) > tol or np.min(min_eigenvalue(level)) < -tol:
             return False
-        return node.children is None or all(node_ok(c) for c in node.children)
-
-    return node_ok(tree.root)
+    return True
 
 
 def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
@@ -299,13 +285,13 @@ def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
     """
     if not verify_locc1(tree, tol):
         raise ValueError("incomplete conditional family in measurement tree")
-    elements = []
-    terms = []
-    for _path, ops in _iter_leaves(tree):
-        factors = tuple(ops[party] for party in range(len(tree.dims)))
-        elements.append(tensor(*factors))
-        terms.append((factors,))
-    return Povm(elements, tree.dims, kind="locc1", witness=SepDecomposition(terms))
+    factors: list = [None] * len(tree.dims)
+    path = np.arange(len(tree.levels[-1]))  # each leaf's outcome at the current depth
+    for depth in reversed(range(len(tree.levels))):
+        factors[tree.party_order[depth]] = tree.levels[depth][path]
+        path = tree.parents[depth][path]
+    witness = SepDecomposition(factors, np.arange(len(tree.levels[-1])))
+    return Povm(tensor(*factors), tree.dims, kind="locc1", witness=witness)
 
 
 def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
@@ -318,12 +304,8 @@ def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
     elements = restrict_matrix(p.elements, p.dims, sub_dims)
     witness = p.witness
     if isinstance(witness, SepDecomposition):
-        witness = SepDecomposition(
-            tuple(
-                tuple(tuple(f[: sub_dims[k], : sub_dims[k]] for k, f in enumerate(term)) for term in et)
-                for et in witness.terms
-            )
-        )
+        factors = [f[:, :d, :d] for f, d in zip(witness.factors, sub_dims, strict=True)]
+        witness = SepDecomposition(factors, witness.owner)
     elif isinstance(witness, Locc1Tree):
         witness = restrict_locc1(witness, sub_dims)
     return Povm(elements, sub_dims, kind=p.kind, witness=witness)
@@ -334,14 +316,8 @@ def restrict_locc1(tree: Locc1Tree, sub_dims: Sequence[int]) -> Locc1Tree:
     sub_dims = check_dims(sub_dims)
     if len(sub_dims) != len(tree.dims) or any(s > d for s, d in zip(sub_dims, tree.dims)):
         raise ValueError(f"cannot restrict dims {tree.dims} to {sub_dims}")
-
-    def rec(node: LoccNode) -> LoccNode:
-        d = sub_dims[node.party]
-        elements = node.elements[:, :d, :d]
-        children = None if node.children is None else [rec(c) for c in node.children]
-        return LoccNode(node.party, elements, children)
-
-    return Locc1Tree(sub_dims, tree.party_order, rec(tree.root))
+    levels = [level[:, : sub_dims[p], : sub_dims[p]] for level, p in zip(tree.levels, tree.party_order)]
+    return Locc1Tree(sub_dims, tree.party_order, levels, tree.parents)
 
 
 def _random_povm_elements(rng: np.random.Generator, side: int, n: int) -> np.ndarray:
@@ -417,19 +393,18 @@ def random_sep_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
 
     def build(rng: np.random.Generator) -> Povm:
         locals_ = [_random_povm_elements(rng, d, n_local) for d in dims]
-        products: list[tuple[np.ndarray, ...]] = [()]
-        for lp in locals_:
-            products = [term + (e,) for term in products for e in lp]
-        if len(products) < n_elements:
+        n_products = n_local**k  # products enumerated with party 0's outcome slowest
+        if n_products < n_elements:
             raise ArithmeticError("not enough product terms to fill the groups")
-        order = rng.permutation(len(products))
-        groups: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(n_elements)]
-        for pos, idx in enumerate(order):
-            # first pass seeds every group, the remainder lands at random
-            g = pos if pos < n_elements else int(rng.integers(n_elements))
-            groups[g].append(products[idx])
-        elements = [sum(tensor(*term) for term in g) for g in groups]
-        return Povm(elements, dims, kind="sep", witness=SepDecomposition([tuple(g) for g in groups]))
+        order = rng.permutation(n_products)
+        # the first n_elements positions seed every group, the remainder lands at random
+        drawn = rng.integers(n_elements, size=n_products - n_elements)
+        group = np.concatenate([np.arange(n_elements), drawn])
+        terms = np.argsort(group, kind="stable")  # positions grouped, in draw order within a group
+        outcomes = np.unravel_index(order[terms], (n_local,) * k)
+        witness = SepDecomposition([lp[i] for lp, i in zip(locals_, outcomes)], group[terms])
+        elements = _segment_sums(tensor(*witness.factors), witness.owner)
+        return Povm(elements, dims, kind="sep", witness=witness)
 
     return _rng_with_retries(seed, build)
 
@@ -447,15 +422,17 @@ def random_locc1(
     order = tuple(range(len(dims))) if party_order is None else tuple(party_order)
 
     def build(rng: np.random.Generator) -> Locc1Tree:
-        def node(depth: int) -> LoccNode:
-            party = order[depth]
-            elements = _random_povm_elements(rng, dims[party], branching)
-            children = None
-            if depth + 1 < len(dims):
-                children = [node(depth + 1) for _ in elements]
-            return LoccNode(party, elements, children)
+        levels: list[list[np.ndarray]] = [[] for _ in dims]
 
-        return Locc1Tree(dims, order, node(0))
+        def draw(depth: int):  # preorder: a family, then the subtree below each of its outcomes
+            levels[depth].append(_random_povm_elements(rng, dims[order[depth]], branching))
+            if depth + 1 < len(dims):
+                for _ in range(branching):
+                    draw(depth + 1)
+
+        draw(0)
+        parents = [np.arange(branching ** (depth + 1)) // branching for depth in range(len(dims))]
+        return Locc1Tree(dims, order, [np.concatenate(families) for families in levels], parents)
 
     return _rng_with_retries(seed, build)
 
@@ -470,10 +447,10 @@ def counterexample_c4(bipartite: bool = False) -> Povm:
     """
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    locals_ = [(plus, plus), (plus, minus), (minus, plus), (minus, minus)]
-    elements = [tensor(a, b) for a, b in locals_]
+    first, second = np.array([plus, plus, minus, minus]), np.array([plus, minus, plus, minus])
+    elements = tensor(first, second)
     if bipartite:
-        witness = SepDecomposition([((a, b),) for a, b in locals_])
+        witness = SepDecomposition([first, second], np.arange(4))
         return Povm(elements, (2, 2), kind="sep", witness=witness)
     return Povm(elements, (4,), kind="projective")
 
@@ -485,15 +462,24 @@ def povm_to_json(p: Povm) -> dict:
         "kind": p.kind,
     }
     if isinstance(p.witness, SepDecomposition):
-        obj["witness"] = {
-            "type": "sep",
-            "terms": [
-                [[matrix_to_json(f) for f in term] for term in et] for et in p.witness.terms
-            ],
-        }
+        terms: list[list] = [[] for _ in range(len(p.witness))]
+        for t, element in enumerate(p.witness.owner):
+            terms[element].append([matrix_to_json(f[t]) for f in p.witness.factors])
+        obj["witness"] = {"type": "sep", "terms": terms}
     elif isinstance(p.witness, Locc1Tree):
         obj["witness"] = {"type": "locc1", "tree": locc1_to_json(p.witness)}
     return obj
+
+
+def _sep_from_json(terms) -> SepDecomposition:
+    """The witness of ``{"terms": [per element: [per term: [per party: matrix]]]}``."""
+    if not isinstance(terms, list) or not terms or not all(isinstance(et, list) and et for et in terms):
+        raise ValueError("sep witness terms must give every element a nonempty list of product terms")
+    flat = [term for et in terms for term in et]
+    if not all(isinstance(term, list) and len(term) == len(flat[0]) for term in flat):
+        raise ValueError("every sep witness term needs one factor per party")
+    factors = [matrices_from_json([term[k] for term in flat], "sep witness") for k in range(len(flat[0]))]
+    return SepDecomposition(factors, [element for element, et in enumerate(terms) for _ in et])
 
 
 def povm_from_json(obj: dict) -> Povm:
@@ -504,12 +490,7 @@ def povm_from_json(obj: dict) -> Povm:
     if w is None:
         witness = None
     elif isinstance(w, dict) and w.get("type") == "sep":
-        witness = SepDecomposition(
-            [
-                tuple(tuple(matrix_from_json(f) for f in term) for term in et)
-                for et in strict_object(w, "sep witness", ("type", "terms"))["terms"]
-            ]
-        )
+        witness = _sep_from_json(strict_object(w, "sep witness", ("type", "terms"))["terms"])
     elif isinstance(w, dict) and w.get("type") == "locc1":
         witness = locc1_from_json(strict_object(w, "locc1 witness", ("type", "tree"))["tree"])
     else:
@@ -517,38 +498,40 @@ def povm_from_json(obj: dict) -> Povm:
     return Povm(elements, dims, kind=obj.get("kind", "general"), witness=witness)
 
 
-def _node_to_json(node: LoccNode) -> dict:
-    outcomes = []
-    for j, e in enumerate(node.elements):
-        entry = {"element": matrix_to_json(e)}
-        if node.children is not None:
-            entry["children"] = _node_to_json(node.children[j])
-        outcomes.append(entry)
-    return {"party": node.party, "outcomes": outcomes}
-
-
-def _node_from_json(obj: dict) -> LoccNode:
-    strict_object(obj, "tree-node", ("party", "outcomes"))
-    outcomes = obj["outcomes"]
-    for entry in outcomes:
-        strict_object(entry, "outcome", ("element",), ("children",))
-    elements = matrices_from_json([entry["element"] for entry in outcomes], "tree-node")
-    children = [entry.get("children") for entry in outcomes]
-    if all(c is None for c in children):
-        return LoccNode(obj["party"], elements, None)
-    if any(c is None for c in children):
-        raise ValueError("either all outcomes or none may carry children")
-    return LoccNode(obj["party"], elements, [_node_from_json(c) for c in children])
-
-
 def locc1_to_json(tree: Locc1Tree) -> dict:
-    return {
-        "dims": list(tree.dims),
-        "party_order": list(tree.party_order),
-        "root": _node_to_json(tree.root),
-    }
+    """Nested ``{"party", "outcomes": [{"element", "children"?}]}`` nodes, built from the deepest level."""
+    below = None  # the node under each outcome of the current level
+    for depth in reversed(range(len(tree.levels))):
+        outcomes = [{"element": matrix_to_json(e)} for e in tree.levels[depth]]
+        for entry, child in zip(outcomes, below or ()):
+            entry["children"] = child
+        party, families = tree.party_order[depth], int(tree.parents[depth][-1]) + 1
+        below = [{"party": party, "outcomes": []} for _ in range(families)]
+        for entry, parent in zip(outcomes, tree.parents[depth]):
+            below[parent]["outcomes"].append(entry)
+    return {"dims": list(tree.dims), "party_order": list(tree.party_order), "root": below[0]}
 
 
 def locc1_from_json(obj: dict) -> Locc1Tree:
     strict_object(obj, "tree", ("dims", "party_order", "root"))
-    return Locc1Tree(obj["dims"], obj["party_order"], _node_from_json(obj["root"]))
+    order = [int(p) for p in obj["party_order"]]
+    levels, parents = [], []
+    nodes = [obj["root"]]  # the families of one level, one per outcome of the level above
+    while nodes:
+        depth = len(levels)
+        outcomes, parent = [], []
+        for j, node in enumerate(nodes):
+            strict_object(node, "tree-node", ("party", "outcomes"))
+            if depth >= len(order) or int(node["party"]) != order[depth]:
+                raise ValueError(f"node at depth {depth} measures party {node['party']}, not as in {order}")
+            family = node["outcomes"]
+            if not isinstance(family, list) or not family:
+                raise ValueError("a tree node needs a nonempty list of outcomes")
+            outcomes += [strict_object(entry, "outcome", ("element",), ("children",)) for entry in family]
+            parent += [j] * len(family)
+        levels.append(matrices_from_json([entry["element"] for entry in outcomes], "tree-node"))
+        parents.append(parent)
+        nodes = [entry["children"] for entry in outcomes if entry.get("children") is not None]
+        if nodes and len(nodes) != len(outcomes):
+            raise ValueError("either all outcomes of a level or none may carry children")
+    return Locc1Tree(obj["dims"], order, levels, parents)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import distlab
 from distlab.cli import parse_report, run, summarize
 from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
+from distlab.linalg import matrix_to_json
 from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
 from distlab.sdp import PtCone, SdpProblem, SdpSolution, problem_to_json, solution_to_json
 from distlab.states import bell_states, domino_states, state_set_to_json
@@ -132,6 +133,31 @@ def test_verify_locc1_invalid_tree(tmp_path, capsys):
     assert report["payload"]["details"]["tree_valid"] is False
     assert report["payload"]["completeness_residual"] is None
     assert "VERIFY locc1: FAIL (completeness n/a)" in err
+
+
+def test_flatten_honours_the_tol_of_every_command(tmp_path, capsys):
+    # Alice's first outcome is off by 1e-6: complete at --tol 1e-3, not at the default 1e-9
+    alice = [np.diag([1 + 1e-6, 0.0]), np.diag([0.0, 1.0])]
+    bob = {"party": 1, "outcomes": [{"element": matrix_to_json(np.eye(2))}]}
+    root = {"party": 0, "outcomes": [{"element": matrix_to_json(a), "children": bob} for a in alice]}
+    tree_obj = {"dims": [2, 2], "party_order": [0, 1], "root": root}
+    tree_path = write_json(tmp_path / "tree.json", tree_obj)
+    loose = ["--tol", "1e-3"]
+    code, report, _ = run_captured(capsys, ["verify", "--povm", tree_path, "--kind", "locc1", *loose])
+    assert code == 0
+    assert report["payload"]["details"]["tree_valid"] is True
+    states_path = write_json(tmp_path / "bell.json", state_set_to_json(bell_states()))
+    argv = ["discriminate", "--states", states_path, "--povm", tree_path, "--mode", "unambiguous", *loose]
+    code, report, _ = run_captured(capsys, argv)
+    assert code == 1
+    kind, verdict = parse_report(report)
+    assert kind == "verdict" and not verdict.passes
+    povm = Povm([np.kron(a, np.eye(2)) for a in alice], (2, 2), "locc1")
+    povm_obj = {**povm_to_json(povm), "witness": {"type": "locc1", "tree": tree_obj}}
+    povm_path = write_json(tmp_path / "povm.json", povm_obj)
+    code, report, _ = run_captured(capsys, ["verify", "--povm", povm_path, "--kind", "sep", *loose])
+    assert code == 0
+    assert report["payload"]["details"]["sep_witness_ok"] is True
 
 
 def test_discriminate_domino(tmp_path, capsys):

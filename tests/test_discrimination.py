@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import bell_pair_three_party
 
-from distlab.povm import Povm, random_povm, verify_povm
+import distlab.discrimination
+from distlab.povm import Povm, locc1_from_json, locc1_to_json, random_povm, verify_povm
 from distlab.sdp import SolveOptions
 from distlab.states import (
     StateSet,
@@ -350,6 +351,26 @@ def test_local_global_fuzz_bell_locc1():
     report = local_global_fuzz(three, ["locc1"], (3, 3), trials=500, seed=42)
     assert report.passes
     assert report.trials == 500
+
+
+def test_local_global_fuzz_records_a_broken_restricted_tree(monkeypatch):
+    restrict = distlab.discrimination.restrict_locc1
+
+    def broken_restrict(tree, sub_dims):
+        # the restricted root family no longer sums to I: its first element is scaled by 1.01
+        obj = locc1_to_json(restrict(tree, sub_dims))
+        element = obj["root"]["outcomes"][0]["element"]
+        element["re"] = [1.01 * x for x in element["re"]]
+        element["im"] = [1.01 * x for x in element["im"]]
+        return locc1_from_json(obj)
+
+    monkeypatch.setattr(distlab.discrimination, "restrict_locc1", broken_restrict)
+    three = bell_states().subset([0, 1, 2])
+    report = local_global_fuzz(three, ["general", "locc1"], (3, 3), trials=6, seed=4)
+    assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [
+        ("locc1", offset, "locc1-tree") for offset in range(6)
+    ]
+    assert all(np.isnan(f["residual"]) for f in report.failures)
 
 
 def test_local_global_fuzz_domino_sep():

@@ -1,15 +1,24 @@
 """Tests for POVM verification, restriction, and the random generators."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import FUZZ_DIM_CONFIGS, restriction_defects
-from sampler_reference import reference_povm_elements, reference_random_povm, reference_random_ppt_povm
+from sampler_reference import (
+    ReferenceNode,
+    reference_flatten_locc1,
+    reference_node_to_json,
+    reference_random_locc1,
+    reference_random_povm,
+    reference_random_ppt_povm,
+    reference_random_sep_povm,
+    reference_sep_elements,
+)
 
-import distlab.povm
-from distlab.linalg import tensor
+from distlab.linalg import matrix_to_json, tensor
 from distlab.povm import (
     Locc1Tree,
-    LoccNode,
     Povm,
     SepDecomposition,
     canonical_cuts,
@@ -39,16 +48,15 @@ KET01 = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex
 
 
 def unconditional_tree(dims, local_povms, party_order=None):
+    """Every party measures its fixed local POVM whatever came before."""
     order = tuple(party_order) if party_order is not None else tuple(range(len(dims)))
-
-    def node(depth):
-        party = order[depth]
-        children = None
-        if depth + 1 < len(dims):
-            children = [node(depth + 1) for _ in local_povms[party]]
-        return LoccNode(party, local_povms[party], children)
-
-    return Locc1Tree(dims, order, node(0))
+    levels, parents, above = [], [], 1
+    for party in order:
+        family = np.asarray(local_povms[party], dtype=complex)
+        levels.append(np.concatenate([family] * above))
+        parents.append(np.repeat(np.arange(above), len(family)))
+        above *= len(family)
+    return Locc1Tree(dims, order, levels, parents)
 
 
 def test_verify_povm_pass_and_fail():
@@ -138,17 +146,17 @@ def test_verify_sep_witness_required_and_checked():
     with pytest.raises(ValueError):
         verify_sep(Povm([np.eye(4)], (2, 2)))
     # a witness with a negative local factor fails
-    neg = SepDecomposition([(((np.diag([1.0, -1.0])), np.eye(2)),)])
+    neg = SepDecomposition([[np.diag([1.0, -1.0])], [np.eye(2)]], [0])
     p = Povm([tensor(np.diag([1.0, -1.0]), np.eye(2))], (2, 2), witness=neg)
     assert not verify_sep(p)
     # a witness that does not reconstruct the element fails
-    wrong = SepDecomposition([((np.eye(2) / 2, np.eye(2)),)])
+    wrong = SepDecomposition([[np.eye(2) / 2], [np.eye(2)]], [0])
     p = Povm([np.eye(4)], (2, 2), witness=wrong)
     assert not verify_sep(p)
 
 
 def test_flatten_single_party_tree():
-    tree = Locc1Tree((2,), (0,), LoccNode(0, KET01))
+    tree = Locc1Tree((2,), (0,), [KET01], [[0, 0]])
     p = flatten_locc1(tree)
     assert len(p) == 2
     assert np.array_equal(p.elements[0], KET01[0])
@@ -170,12 +178,7 @@ def test_flatten_conditional_tree_and_order():
     # party 1 measures computational or Hadamard depending on party 0's outcome
     h0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     h1 = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    root = LoccNode(
-        0,
-        KET01,
-        [LoccNode(1, KET01), LoccNode(1, [h0, h1])],
-    )
-    tree = Locc1Tree((2, 2), (0, 1), root)
+    tree = Locc1Tree((2, 2), (0, 1), [KET01, KET01 + [h0, h1]], [[0, 0], [0, 0, 1, 1]])
     assert verify_locc1(tree)
     p = flatten_locc1(tree)
     assert len(p) == 4
@@ -192,20 +195,49 @@ def test_flatten_respects_party_order():
 
 
 def test_flatten_rejects_incomplete_family():
-    bad = Locc1Tree((2,), (0,), LoccNode(0, [np.diag([1.0, 0.0])]))
+    bad = Locc1Tree((2,), (0,), [[np.diag([1.0, 0.0])]], [[0]])
     with pytest.raises(ValueError):
         flatten_locc1(bad)
 
 
 def test_locc1_structure_validation():
-    with pytest.raises(ValueError):
-        Locc1Tree((2, 2), (0, 0), LoccNode(0, KET01))
-    with pytest.raises(ValueError):
-        Locc1Tree((2, 2), (0, 1), LoccNode(1, KET01))
-    with pytest.raises(ValueError):
-        Locc1Tree((2, 2), (0, 1), LoccNode(0, KET01))  # missing children
-    with pytest.raises(ValueError):
-        LoccNode(0, KET01, [])
+    two_levels = [KET01, KET01 + KET01]
+    assert Locc1Tree((2, 2), (0, 1), two_levels, [[0, 0], [0, 0, 1, 1]]).parents[1].tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError):  # repeated party
+        Locc1Tree((2, 2), (0, 0), two_levels, [[0, 0], [0, 0, 1, 1]])
+    with pytest.raises(ValueError):  # wrong first party: its level has the other party's dimension
+        Locc1Tree((2, 3), (0, 1), [np.eye(3)[None], KET01], [[0], [0, 0]])
+    swapped = {"party": 0, "outcomes": [{"element": matrix_to_json(np.eye(2))}]}
+    root = {"party": 1, "outcomes": [{"element": matrix_to_json(np.eye(2)), "children": swapped}]}
+    with pytest.raises(ValueError):  # wrong first party, as read from JSON
+        locc1_from_json({"dims": [2, 2], "party_order": [0, 1], "root": root})
+    assert locc1_from_json({"dims": [2, 2], "party_order": [1, 0], "root": root}).party_order == (1, 0)
+    with pytest.raises(ValueError):  # missing level below the root
+        Locc1Tree((2, 2), (0, 1), [KET01], [[0, 0]])
+    with pytest.raises(ValueError):  # missing family under root outcome 1
+        Locc1Tree((2, 2), (0, 1), [KET01, KET01], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError):  # empty family
+        Locc1Tree((2, 2), (0, 1), [KET01, np.zeros((0, 2, 2))], [[0, 0], []])
+    empty = {"party": 1, "outcomes": []}
+    root = {"party": 0, "outcomes": [{"element": matrix_to_json(np.eye(2)), "children": empty}]}
+    with pytest.raises(ValueError):  # empty family, as read from JSON
+        locc1_from_json({"dims": [2, 2], "party_order": [0, 1], "root": root})
+    with pytest.raises(ValueError):  # parents out of order
+        Locc1Tree((2, 2), (0, 1), two_levels, [[0, 0], [1, 1, 0, 0]])
+    with pytest.raises(ValueError):  # one parent index per outcome
+        Locc1Tree((2, 2), (0, 1), two_levels, [[0, 0], [0, 0, 1]])
+
+
+def test_sep_witness_structure_validation():
+    assert len(SepDecomposition([KET01 + KET01, KET01 + KET01], [0, 0, 1, 1])) == 2
+    with pytest.raises(ValueError):  # owner out of order
+        SepDecomposition([KET01 + KET01, KET01 + KET01], [1, 1, 0, 0])
+    with pytest.raises(ValueError):  # owner skips element 1
+        SepDecomposition([KET01, KET01], [0, 2])
+    with pytest.raises(ValueError):  # a party with fewer terms than the others
+        SepDecomposition([KET01 + KET01, KET01], [0, 0, 1, 1])
+    with pytest.raises(ValueError):  # no party at all
+        SepDecomposition([], [0])
 
 
 def test_restrict_povm_identity_cases():
@@ -270,7 +302,7 @@ def test_random_sep_povm_has_multiterm_witness():
     assert verify_povm(p, 1e-9).passed
     assert verify_sep(p, 1e-9)
     assert isinstance(p.witness, SepDecomposition)
-    assert sum(len(et) for et in p.witness.terms) > len(p)
+    assert len(p.witness.owner) > len(p)
 
 
 def test_random_locc1_flatten_is_sep_and_ppt():
@@ -319,25 +351,80 @@ def test_povm_with_tree_witness_verifies_sep():
     assert verify_sep(p)
 
 
-def tree_elements(node):
-    """Every conditional family of a tree, depth first in outcome order."""
-    yield node.elements
-    for child in node.children or ():
-        yield from tree_elements(child)
+def reference_levels(root):
+    """The conditional families of a recursive tree, level by level, and each family's parent outcome."""
+    levels, parents, nodes = [], [], [root]
+    while nodes:
+        levels.append(np.concatenate([node.elements for node in nodes]))
+        parents.append(np.repeat(np.arange(len(nodes)), [len(node.elements) for node in nodes]))
+        nodes = [child for node in nodes for child in node.children or ()]
+    return levels, parents
+
+
+def assert_tree_matches_reference(tree, root):
+    levels, parents = reference_levels(root)
+    for got, want in zip(tree.levels, levels, strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(tree.parents, parents, strict=True):
+        assert np.array_equal(got, want)
+    flat = flatten_locc1(tree)
+    elements, terms = reference_flatten_locc1(root, len(tree.dims))
+    assert np.array_equal(flat.elements, np.array(elements))
+    assert np.array_equal(flat.witness.owner, np.arange(len(terms)))
+    for k, factor in enumerate(flat.witness.factors):
+        assert np.array_equal(factor, np.array([term[0][k] for term in terms]))
+    reference_json = {"dims": list(tree.dims), "party_order": list(tree.party_order)}
+    reference_json["root"] = reference_node_to_json(root)
+    assert json.dumps(locc1_to_json(tree)) == json.dumps(reference_json)
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 2), (3, 2, 3)])
 @pytest.mark.parametrize("seed", [0, 7, 301, 2024])
-def test_samplers_reproduce_the_per_element_reference_stream(dims, seed, monkeypatch):
+def test_samplers_reproduce_the_per_element_reference_stream(dims, seed):
     # bit for bit: a seeded sample, and so every fuzz report, must not change
     assert np.array_equal(random_povm(dims, 4, seed).elements, reference_random_povm(dims, 4, seed))
     assert np.array_equal(random_ppt_povm(dims, 4, seed).elements, reference_random_ppt_povm(dims, 4, seed))
-    sep, tree = random_sep_povm(dims, 4, seed), random_locc1(dims, 2, seed)
-    monkeypatch.setattr(distlab.povm, "_random_povm_elements", reference_povm_elements)
-    ref_sep, ref_tree = random_sep_povm(dims, 4, seed), random_locc1(dims, 2, seed)
-    assert np.array_equal(sep.elements, np.array(ref_sep.elements))
-    for terms, ref_terms in zip(sep.witness.terms, ref_sep.witness.terms, strict=True):
-        for term, ref_term in zip(terms, ref_terms, strict=True):
-            assert all(np.array_equal(f, g) for f, g in zip(term, ref_term, strict=True))
-    for family, ref_family in zip(tree_elements(tree.root), tree_elements(ref_tree.root), strict=True):
-        assert np.array_equal(family, ref_family)
+    sep = random_sep_povm(dims, 4, seed)
+    elements, groups = reference_random_sep_povm(dims, 4, seed)
+    assert np.array_equal(sep.elements, np.array(elements))
+    terms = [term for group in groups for term in group]
+    assert sep.witness.owner.tolist() == [g for g, group in enumerate(groups) for _ in group]
+    for k, factor in enumerate(sep.witness.factors):
+        assert np.array_equal(factor, np.array([term[k] for term in terms]))
+    # the flat witness, regrouped per element, rebuilds the elements by the original running sums
+    owner, factors = sep.witness.owner, sep.witness.factors
+    nested = [[tuple(f[t] for f in factors) for t in np.flatnonzero(owner == e)] for e in range(4)]
+    assert np.array_equal(np.array(reference_sep_elements(nested, sep.elements)), sep.elements)
+    order = tuple(reversed(range(len(dims))))
+    for party_order in (None, order):
+        tree = random_locc1(dims, 2, seed, party_order)
+        assert_tree_matches_reference(tree, reference_random_locc1(dims, 2, seed, party_order))
+
+
+def test_ragged_tree_matches_the_recursive_reference():
+    # families of 1, 2 and 3 outcomes on (2, 3, 2)
+    comp3 = np.eye(3)[:, :, None] * np.eye(3)[:, None, :]
+    h0 = np.array([[0.5, 0.5], [0.5, 0.5]])
+    root = ReferenceNode(
+        0,
+        KET01,
+        [
+            ReferenceNode(1, [np.eye(3)], [ReferenceNode(2, KET01)]),
+            ReferenceNode(
+                1,
+                comp3,
+                [ReferenceNode(2, [np.eye(2)]), ReferenceNode(2, [h0, np.eye(2) - h0]), ReferenceNode(2, KET01)],
+            ),
+        ],
+    )
+    obj = {"dims": [2, 3, 2], "party_order": [0, 1, 2], "root": reference_node_to_json(root)}
+    tree = locc1_from_json(json.loads(json.dumps(obj)))
+    assert [len(level) for level in tree.levels] == [2, 4, 7]
+    assert tree.parents[2].tolist() == [0, 0, 1, 2, 2, 3, 3]
+    assert verify_locc1(tree)
+    assert_tree_matches_reference(tree, root)
+    assert verify_povm(flatten_locc1(tree)).passed
+    small = restrict_locc1(tree, (2, 2, 2))
+    assert [len(level) for level in small.levels] == [2, 4, 7]
+    assert verify_locc1(small)  # restriction keeps every family complete
+    assert np.array_equal(flatten_locc1(small).elements, restrict_povm(flatten_locc1(tree), (2, 2, 2)).elements)
