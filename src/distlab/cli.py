@@ -392,6 +392,21 @@ def _jsonable(obj):
     return obj
 
 
+def _write_report(report: dict) -> dict:
+    """Print ``report`` to stdout as one line of strict JSON and return the report as printed.
+
+    The strict encoder rejects only a non-finite float, so ``_jsonable`` copies
+    the payload, writing those floats as null, only after that has happened.
+    """
+    try:
+        text = json.dumps(report, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        report = {**report, "payload": _jsonable(report["payload"])}
+        text = json.dumps(report, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text + "\n")
+    return report
+
+
 def run(argv: list[str]) -> int:
     """Execute one subcommand; print the JSON report to stdout, summary to stderr."""
     parser = build_parser()
@@ -411,11 +426,10 @@ def run(argv: list[str]) -> int:
         args.command,
         argv,
         payload_kind,
-        _jsonable(payload),
+        payload,
         {"started_at": started, "seed": seed, "input_digests": digests},
     )
-    sys.stdout.write(json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n")
-    print(summarize(report), file=sys.stderr)
+    print(summarize(_write_report(report)), file=sys.stderr)
     return code
 
 

@@ -201,7 +201,8 @@ def restrict_matrix(m: np.ndarray, dims: Sequence[int], sub_dims: Sequence[int])
 
 def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs tr(A_i B_j) of two ``(n, side, side)`` stacks, as an ``(n, m)`` array."""
-    return np.einsum("iab,jba->ij", a, b, optimize=True)
+    n, m = len(a), len(b)
+    return (b.reshape(m, -1) @ np.ascontiguousarray(a.transpose(2, 1, 0)).reshape(-1, n)).T
 
 
 def embed_vector(v: np.ndarray, dims: Sequence[int], new_dims: Sequence[int]) -> np.ndarray:
@@ -224,8 +225,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": [float(x) for x in a.real.ravel()],
-        "im": [float(x) for x in a.imag.ravel()],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 

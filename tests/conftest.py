@@ -6,6 +6,7 @@ import numpy as np
 
 from distlab.discrimination import _sample_of_kind
 from distlab.povm import (
+    Locc1Tree,
     flatten_locc1,
     is_ppt_povm,
     ppt_min_eigenvalue,
@@ -26,6 +27,17 @@ def bell_pair_three_party():
     return StateSet(out)
 
 
+def with_scaled_root(restrict, factor=1.01):
+    """``restrict`` made faulty: each restricted tree has its root level scaled by ``factor``,
+    so the root family no longer sums to I."""
+
+    def broken(tree, sub_dims):
+        sub = restrict(tree, sub_dims)
+        return Locc1Tree(sub.dims, sub.party_order, [factor * sub.levels[0], *sub.levels[1:]], sub.parents)
+
+    return broken
+
+
 FUZZ_DIM_CONFIGS = [
     ((3, 3), (2, 2)),
     ((4, 2), (2, 2)),
@@ -44,8 +56,8 @@ def restriction_defects(kind, big_dims, sub_dims, seed, tol=1e-9):
 
     if kind == "locc1":
         sub_tree = restrict_locc1(obj, sub_dims)
-        if not verify_locc1(sub_tree, tol):
-            defects.append(("locc1-tree-validity", np.nan))
+        if not verify_locc1(sub_tree, tol):  # flattening needs complete families: nothing more to check
+            return [("locc1-tree-validity", np.nan)]
         flat_then_restrict = restrict_povm(flatten_locc1(obj), sub_dims)
         restrict_then_flat = flatten_locc1(sub_tree)
         commute = max(

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import with_scaled_root
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from report_reference import reference_encode, reference_report
 
 import distlab
 from distlab.cli import parse_report, run, summarize
@@ -709,3 +711,83 @@ def test_mutated_reports_parse_or_raise_value_error(valid_reports, data):
         parse_report(mutated)
     except ValueError:
         pass
+
+
+def reject_constant(token):
+    raise AssertionError(f"report holds the non-standard JSON token {token}")
+
+
+@pytest.fixture
+def built_reports(monkeypatch):
+    """Every report ``run`` builds, recorded before it is written."""
+    built = []
+    build = distlab.cli._report
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(distlab.cli, "_report", record)
+    return built
+
+
+def run_against_reference(capsys, built_reports, argv):
+    """Run ``argv``; assert it printed what the always-walking encoder prints for the same report."""
+    built_reports.clear()
+    code = run(argv)
+    captured = capsys.readouterr()
+    (report,) = built_reports
+    assert captured.out == reference_encode(report)
+    assert captured.err == summarize(reference_report(report)) + "\n"
+    json.loads(captured.out, parse_constant=reject_constant)
+    return code, captured.out, captured.err
+
+
+def test_reports_match_the_always_walking_encoder(tmp_path, capsys, monkeypatch, built_reports):
+    code, out, _ = run_against_reference(capsys, built_reports, ["gen", "--family", "domino-ext", "--dims", "3,3"])
+    assert code == 0
+    assert "-0.0," in out
+
+    tree_path = write_json(tmp_path / "badtree.json", incomplete_tree())
+    code, out, err = run_against_reference(capsys, built_reports, ["verify", "--povm", tree_path, "--kind", "locc1"])
+    assert code == 1
+    assert '"completeness_residual":null,"min_eigenvalue":null' in out
+    assert "VERIFY locc1: FAIL (completeness n/a)" in err
+
+    monkeypatch.setattr(distlab.discrimination, "restrict_locc1", with_scaled_root(distlab.discrimination.restrict_locc1))
+    argv = ["fuzz", "--kinds", "general,locc1", "--trials", "3", "--seed", "4"]
+    code, out, _ = run_against_reference(capsys, built_reports, argv)
+    assert code == 1
+    failures = json.loads(out)["payload"]["failures"]
+    assert [(f["check"], f["residual"]) for f in failures] == [("locc1-tree", None)] * 3
+
+
+def test_report_writer_nulls_non_finite_matrix_entries(capsys):
+    matrix = {"rows": 1, "cols": 4, "re": [np.nan, np.inf, -np.inf, -0.0], "im": [0.0, np.float64(np.nan), 1.0, 2.0]}
+    report = report_of("verification", {"kind": "general", "passed": False, "details": {"matrix": matrix}})
+    report["manifest"] = {"command": "verify", "arguments": ("--kind", "general"), "seed": None}
+    written = distlab.cli._write_report(report)
+    out = capsys.readouterr().out
+    assert out == reference_encode(report)
+    assert written == reference_report(report)
+    assert json.loads(out, parse_constant=reject_constant)["payload"]["details"]["matrix"] == {
+        "rows": 1, "cols": 4, "re": [None, None, None, -0.0], "im": [0.0, None, 1.0, 2.0]
+    }
+
+
+def test_finite_reports_are_encoded_without_the_walk(tmp_path, capsys, monkeypatch):
+    def no_walk(obj):
+        raise AssertionError("a finite report was walked")
+
+    monkeypatch.setattr(distlab.cli, "_jsonable", no_walk)
+    dominoes = domino_states()
+    states_path = write_json(tmp_path / "domino.json", state_set_to_json(dominoes))
+    povm_path = write_json(tmp_path / "proj.json", povm_to_json(Povm(dominoes.rhos, (3, 3), kind="projective")))
+    for argv in (
+        ["gen", "--family", "domino-ext", "--dims", "3,3"],
+        ["verify", "--povm", povm_path, "--kind", "projective"],
+        ["discriminate", "--states", states_path, "--povm", povm_path],
+    ):
+        code, report, _ = run_captured(capsys, argv)
+        assert code == 0
+        assert report["payload_kind"] in ("state_set", "verification", "verdict")

@@ -19,6 +19,7 @@ from distlab.linalg import (
     partial_transpose,
     restrict_matrix,
     tensor,
+    trace_products,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -288,8 +289,14 @@ def test_embed_vector_matches_matrix_embedding():
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(43)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m[0, 1] = -0.0 + 0.5j
+    m[2, 0] = 1.5 - 0.0j
     obj = matrix_to_json(m)
     assert obj["rows"] == obj["cols"] == 3
+    # the same Python floats as the per-entry float(x), signed zeros included
+    for part, entries in (("re", m.real.ravel()), ("im", m.imag.ravel())):
+        assert all(type(x) is float for x in obj[part])
+        assert [(x, np.signbit(x)) for x in obj[part]] == [(float(x), np.signbit(x)) for x in entries]
     back = matrix_from_json(obj)
     assert np.array_equal(back, m)
     with pytest.raises(ValueError):
@@ -301,3 +308,20 @@ def test_matrix_json_roundtrip():
             matrix_from_json({"rows": 1, "cols": 1, "re": [bad], "im": [0.0]})
         with pytest.raises(ValueError, match="finite"):
             matrix_from_json({"rows": 1, "cols": 1, "re": [0.0], "im": [bad]})
+
+
+def random_stack(rng, n, side, real):
+    g = rng.standard_normal((n, side, side))
+    return g if real else g + 1j * rng.standard_normal((n, side, side))
+
+
+@pytest.mark.parametrize("n,m,side", [(1, 1, 2), (4, 3, 9), (3, 5, 6), (2, 2, 25)])
+@pytest.mark.parametrize("real_a,real_b", [(True, True), (False, False), (True, False), (False, True)])
+def test_trace_products_match_the_planned_einsum_bit_for_bit(n, m, side, real_a, real_b):
+    rng = np.random.default_rng(side * 100 + n * 10 + m)
+    a = random_stack(rng, n, side, real_a)
+    b = random_stack(rng, m, side, real_b)
+    got = trace_products(a, b)
+    want = np.einsum("iab,jba->ij", a, b, optimize=True)
+    assert got.shape == (n, m) and got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -2,9 +2,10 @@
 
 import json
 
+import conftest
 import numpy as np
 import pytest
-from conftest import FUZZ_DIM_CONFIGS, restriction_defects
+from conftest import FUZZ_DIM_CONFIGS, restriction_defects, with_scaled_root
 from sampler_reference import (
     ReferenceNode,
     reference_flatten_locc1,
@@ -320,6 +321,14 @@ def test_random_locc1_flatten_is_sep_and_ppt():
 def test_restriction_kind_preservation_smoke(kind, big, sub):
     for seed in range(25):
         assert restriction_defects(kind, big, sub, seed) == []
+
+
+def test_restriction_defects_reports_a_broken_restricted_tree(monkeypatch):
+    monkeypatch.setattr(conftest, "restrict_locc1", with_scaled_root(conftest.restrict_locc1))
+    for big, sub in FUZZ_DIM_CONFIGS:
+        defects = restriction_defects("locc1", big, sub, seed=0)
+        assert [name for name, _ in defects] == ["locc1-tree-validity"]
+        assert np.isnan(defects[0][1])
 
 
 def test_povm_json_roundtrip():
