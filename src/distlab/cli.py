@@ -33,8 +33,9 @@ from .linalg import DEFAULT_TOL, strict_object
 from .povm import (
     Locc1Tree,
     counterexample_c4,
+    _partition_min_eigenvalue,
+    _projective,
     flatten_locc1,
-    is_ppt_povm,
     is_projective,
     locc1_from_json,
     povm_from_json,
@@ -233,13 +234,15 @@ def _cmd_verify(args, digests):
         povm = loaded
     report = verify_povm(povm, tol)
     passed = report.passed
+    # report.passed is the validity that is_projective and is_ppt_povm would check again
     if args.kind == "projective":
-        details["projective"] = passed and is_projective(povm, tol)
+        details["projective"] = passed and _projective(povm.elements, tol)
         passed = details["projective"]
     elif args.kind == "ppt":
         cut = _parse_dims(args.cut) if args.cut else None
-        details["ppt"] = passed and is_ppt_povm(povm, partition=cut, tol=tol)
-        details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if passed else float("nan")
+        cut_min = _partition_min_eigenvalue(povm, cut) if passed else float("nan")
+        details["ppt"] = cut_min >= -tol
+        details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if passed and cut else cut_min
         passed = details["ppt"]
     elif args.kind == "sep":
         details["sep_witness_ok"] = passed and verify_sep(povm, tol)

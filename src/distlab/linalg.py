@@ -136,7 +136,9 @@ def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of ``m``: a float for one matrix,
     an array of shape ``m.shape[:-2]`` for a stack (one batched ``eigvalsh``)."""
     m = as_stack(m)
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    h = m + dagger(m)
+    h /= 2  # in place: one stack-sized temporary fewer
+    w = np.linalg.eigvalsh(h)[..., 0]
     return float(w) if m.ndim == 2 else w
 
 

@@ -189,12 +189,53 @@ def _require_valid(p: Povm, tol: float):
 
 
 def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all elements are idempotent and mutually annihilating."""
+    """True iff all elements are idempotent and mutually annihilating:
+    ``max|M_j M_j - M_j| <= tol`` and ``max|M_j M_k| <= tol`` for every j < k.
+
+    The cross products are not all formed.  With R_j the eigenvectors of M_j
+    whose eigenvalue exceeds 1/2, E_j = M_j - R_j R_j^H and G = R^H R the Gram
+    matrix of every R_j side by side (blocks G_jk = R_j^H R_k),
+
+        max|M_j M_k| <= ||M_j M_k||_2
+                     <= ||R_j|| ||G_jk|| ||R_k|| + ||R_j||^2 ||E_k|| + ||E_j|| ||M_k||,
+
+    taken with Frobenius norms, plus side * eps * ||M_j||_F ||M_k||_F for the
+    rounding of the product the exact test would form.  A pair whose bound is
+    at most tol/2 passes (the other half of tol covers the rounding of R, G and
+    E); only the other pairs are multiplied out and tested against tol, so the
+    answer is that of testing every pair.
+    """
     _require_valid(p, tol)
-    e = p.elements
+    return _projective(p.elements, tol)
+
+
+def _projective(e: np.ndarray, tol: float) -> bool:
+    """:func:`is_projective` on a stack already known to be a valid POVM."""
     if np.max(np.abs(e @ e - e)) > tol:
         return False
-    return all(np.max(np.abs(e[j] @ e[j + 1 :])) <= tol for j in range(len(e) - 1))
+    j, k = np.nonzero(np.triu(_cross_product_bounds(e) > tol / 2, 1))
+    return _cross_products_vanish(e, j, k, tol)
+
+
+def _cross_product_bounds(e: np.ndarray) -> np.ndarray:
+    """(n, n) table of the bound on max|M_j M_k| stated in :func:`is_projective`."""
+    w, v = np.linalg.eigh(e)
+    keep = w > 0.5
+    v *= keep[:, None, :]  # the columns of v[j] left nonzero are R_j
+    rr = v @ dagger(v)
+    norm_e = np.linalg.norm(np.subtract(e, rr, out=rr), axis=(1, 2))
+    cols = np.swapaxes(v, 1, 2)[keep]  # every R_j's columns as rows, element by element
+    owner = np.eye(len(e))[np.nonzero(keep)[0]]  # (columns, n): which element each column is from
+    norm_g = np.sqrt(owner.T @ np.abs(cols.conj() @ cols.T) ** 2 @ owner)
+    norm_r = np.sqrt(owner.T @ np.sum(np.abs(cols) ** 2, axis=1))
+    norm_m = np.linalg.norm(e, axis=(1, 2))
+    rounding = e.shape[-1] * np.finfo(float).eps * np.outer(norm_m, norm_m)
+    return np.outer(norm_r, norm_r) * norm_g + np.outer(norm_r**2, norm_e) + np.outer(norm_e, norm_m) + rounding
+
+
+def _cross_products_vanish(e: np.ndarray, j: np.ndarray, k: np.ndarray, tol: float) -> bool:
+    """Exact test ``max|M_j M_k| <= tol`` of the listed pairs, one batched product per j."""
+    return all(np.max(np.abs(e[a] @ e[k[j == a]])) <= tol for a in np.unique(j))
 
 
 def canonical_cuts(dims: Sequence[int]) -> list[tuple[int, ...]]:
@@ -232,14 +273,17 @@ def is_ppt_povm(
     when omitted, every nontrivial bipartition is required.
     """
     _require_valid(p, tol)
+    return _partition_min_eigenvalue(p, partition) >= -tol
+
+
+def _partition_min_eigenvalue(p: Povm, partition) -> float:
+    """:func:`ppt_min_eigenvalue` on the one cut ``partition`` selects, or on every cut when it is None."""
     if partition is None:
-        cuts = None
-    else:
-        cut = (partition,) if isinstance(partition, (int, np.integer)) else tuple(partition)
-        if not 0 < len(set(cut)) < len(p.dims):
-            raise ValueError(f"partition {cut} is trivial for {len(p.dims)} parties")
-        cuts = [cut]
-    return ppt_min_eigenvalue(p, cuts) >= -tol
+        return ppt_min_eigenvalue(p)
+    cut = (partition,) if isinstance(partition, (int, np.integer)) else tuple(partition)
+    if not 0 < len(set(cut)) < len(p.dims):
+        raise ValueError(f"partition {cut} is trivial for {len(p.dims)} parties")
+    return ppt_min_eigenvalue(p, [cut])
 
 
 def _sep_witness(p: Povm, tol: float) -> SepDecomposition:

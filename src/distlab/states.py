@@ -19,6 +19,7 @@ from .linalg import (
     HERMITIAN_TOL,
     as_matrix,
     check_dims,
+    dagger,
     embed_matrix,
     hermiticity_defect,
     matrices_from_json,
@@ -30,6 +31,7 @@ from .linalg import (
 )
 
 STATE_TOL = 1e-9
+_CHECK_BYTES = 1 << 22  # StateSet.from_stack checks its stack in blocks of about this size, to bound the temporaries
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,23 @@ class StateSet:
 
     @classmethod
     def from_stack(cls, rhos, dims: Sequence[int], labels: Sequence[str], label: str = "") -> "StateSet":
-        """Adopt a stack without copying it; each matrix must pass ``State``'s checks in turn."""
+        """Adopt a stack without copying it; every matrix must pass ``State``'s checks,
+        which run a block of matrices at a time and raise ``State``'s error for the
+        first matrix that fails."""
         rhos, labels = np.asarray(rhos, dtype=complex), tuple(str(x) for x in labels)
         if rhos.ndim != 3 or not len(rhos) or len(labels) != len(rhos):
             raise ValueError(f"bad state stack: shape {rhos.shape} with {len(labels)} labels")
         dims = check_dims(dims, rhos.shape[-1])
-        for rho, lab in zip(rhos, labels):
-            State(rho, dims, label=lab)
+        step = max(1, _CHECK_BYTES // rhos[0].nbytes)
+        for lo in range(0, len(rhos), step):
+            block = rhos[lo : lo + step]
+            bad = (
+                (np.max(np.abs(block - dagger(block)), axis=(1, 2)) > HERMITIAN_TOL)
+                | (np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0) > STATE_TOL)
+                | (min_eigenvalue(block) < -STATE_TOL)
+            )
+            for i in lo + np.flatnonzero(bad):
+                State(rhos[i], dims, label=labels[i])  # raises the message of the first failing check
         out = cls.__new__(cls)
         out.__dict__.update(rhos=rhos, dims=dims, labels=labels, label=label)
         return out

@@ -109,6 +109,49 @@ def test_verify_ppt_rejects_entangled_projector(tmp_path, capsys):
     assert report["payload"]["details"]["ppt"] is False
 
 
+def test_verify_validates_once_with_the_public_answers(tmp_path, capsys, monkeypatch):
+    """verify gives the payload the validating public checks give, with one validity check per run."""
+    from distlab.povm import is_ppt_povm, is_projective, ppt_min_eigenvalue, verify_povm
+
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    tri = Povm([np.kron(phi, ket0), np.kron(phi, ket1), np.kron(np.eye(4) - phi, np.eye(2))], (2, 2, 2))
+    invalid = Povm(1.01 * tri.elements, tri.dims)
+    monkeypatch.delenv("DISTLAB_TOL", raising=False)
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cases = [  # (povm, kind, cut, eigvalsh calls: one validity check plus one per PT cut)
+        (tri, "projective", None, 1),
+        (tri, "ppt", None, 1 + 3),
+        (tri, "ppt", (2,), 1 + 1 + 3),
+        (tri, "ppt", (1, 2), 1 + 1 + 3),
+        (invalid, "projective", None, 1),
+        (invalid, "ppt", (2,), 1),
+    ]
+    for povm, kind, cut, eigvalsh_calls in cases:
+        path = write_json(tmp_path / "povm.json", povm_to_json(povm))
+        argv = ["verify", "--povm", path, "--kind", kind] + (["--cut", ",".join(map(str, cut))] if cut else [])
+        calls.update(eigvalsh=0, eigh=0)
+        code, report, _ = run_captured(capsys, argv)
+        assert (calls["eigvalsh"], calls["eigh"]) == (eigvalsh_calls, int(kind == "projective" and povm is tri))
+        valid = verify_povm(povm).passed
+        if kind == "projective":
+            expected = {"projective": valid and is_projective(povm)}
+        else:
+            expected = {
+                "ppt": valid and is_ppt_povm(povm, partition=cut),
+                "min_pt_eigenvalue": ppt_min_eigenvalue(povm) if valid else None,
+            }
+        assert report["payload"]["details"] == expected
+        assert code == (0 if report["payload"]["passed"] else 1)
+    assert report["payload"]["details"]["ppt"] is False
+
+
 def test_verify_locc1_tree_file(tmp_path, capsys):
     tree = random_locc1((2, 2), 2, seed=5)
     path = write_json(tmp_path / "tree.json", locc1_to_json(tree))

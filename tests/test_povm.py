@@ -6,6 +6,9 @@ import conftest
 import numpy as np
 import pytest
 from conftest import FUZZ_DIM_CONFIGS, restriction_defects, with_scaled_root
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from projective_reference import reference_is_projective
 from sampler_reference import (
     ReferenceNode,
     reference_flatten_locc1,
@@ -17,6 +20,7 @@ from sampler_reference import (
     reference_sep_elements,
 )
 
+import distlab.povm
 from distlab.linalg import matrix_to_json, tensor
 from distlab.povm import (
     Locc1Tree,
@@ -41,6 +45,7 @@ from distlab.povm import (
     verify_povm,
     verify_sep,
 )
+from distlab.states import extended_domino_basis
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -123,6 +128,122 @@ def test_is_projective_cases():
     assert not is_projective(halves, 1e-9)
     with pytest.raises(ValueError):
         is_projective(Povm([np.eye(2) * 0.5], (2,)), 1e-9)
+
+
+def agrees_with_reference(p, tol):
+    """Assert ``is_projective`` answers as the pairwise oracle (or both reject the POVM); return the answer."""
+    try:
+        expected = reference_is_projective(p, tol)
+    except ValueError:
+        with pytest.raises(ValueError, match="invalid POVM"):
+            is_projective(p, tol)
+        return None
+    assert is_projective(p, tol) is expected
+    return expected
+
+
+@pytest.fixture
+def exact_pairs(monkeypatch):
+    """The (j, k) pairs ``is_projective`` multiplies out, one list per call."""
+    seen = []
+    exact = distlab.povm._cross_products_vanish
+
+    def spy(e, j, k, tol):
+        seen.append(list(zip(j.tolist(), k.tolist())))
+        return exact(e, j, k, tol)
+
+    monkeypatch.setattr(distlab.povm, "_cross_products_vanish", spy)
+    return seen
+
+
+def rotated_pair(product, alpha=0.3):
+    """Rank-1 projectors onto u and v = c u + s u_perp (u at angle alpha) plus |2><2| on C^3,
+    with c chosen so that max|P_u P_v| is about ``product``.  At alpha = 0.3 the completeness
+    residual is about 0.9 times the product, so the POVM stays valid a little past the point
+    where the pair fails."""
+    u = np.array([np.cos(alpha), np.sin(alpha), 0.0])
+    u_perp = np.array([-np.sin(alpha), np.cos(alpha), 0.0])
+    c = product / np.max(np.abs(np.outer(u, u_perp)))  # P_u P_v = c |u><v|, to first order in c
+    v = c * u + np.sqrt(1 - c * c) * u_perp
+    return Povm([np.outer(u, u), np.outer(v, v), np.diag([0.0, 0.0, 1.0])], (3,))
+
+
+def test_certified_domino_ext_takes_no_exact_product(exact_pairs):
+    p = Povm(extended_domino_basis(10, 10).rhos, (10, 10))
+    assert agrees_with_reference(p, 1e-9) is True
+    assert exact_pairs == [[]]
+
+
+def test_counterexample_and_its_restriction_agree_with_reference(exact_pairs):
+    p = counterexample_c4()
+    for povm in (p, restrict_povm(p, (3,))):
+        for tol in (1e-12, 1e-9):
+            agrees_with_reference(povm, tol)
+    assert is_projective(p, 1e-12) and not is_projective(restrict_povm(p, (3,)), 1e-9)
+    assert exact_pairs[0] == []  # the exact dyadic projectors are certified at 1e-12
+
+
+def test_idempotent_but_not_orthogonal_falls_back_and_fails(exact_pairs):
+    tol = 1e-9
+    p = rotated_pair(1.05 * tol)
+    assert verify_povm(p, tol).passed
+    assert np.max(np.abs(p.elements @ p.elements - p.elements)) <= tol
+    assert agrees_with_reference(p, tol) is False
+    assert exact_pairs[-1] == [(0, 1)]
+
+
+def test_rotated_pair_sweep_across_the_tolerance():
+    tol = 1e-9
+    answers = [agrees_with_reference(rotated_pair(f * tol), tol) for f in np.geomspace(1 / 8, 2, 33)]
+    assert {True, False, None} <= set(answers)  # certified and exact passes, fallback failures, invalid POVMs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cross_product_bound_holds_for_any_stack(seed):
+    """The bound behind ``is_projective`` holds for matrices far from projectors, where every term counts."""
+    rng = np.random.default_rng(seed)
+    n, side = rng.integers(2, 6), rng.integers(1, 9)
+    g = rng.standard_normal((n, side, side)) + 1j * rng.standard_normal((n, side, side)) * (seed % 2)
+    e = g @ np.conj(np.swapaxes(g, 1, 2)) / side + 0.05 * rng.standard_normal((n, side, side))
+    products = np.max(np.abs(e[:, None] @ e[None, :]), axis=(2, 3))
+    assert np.all(products <= distlab.povm._cross_product_bounds(e.astype(complex)))
+
+
+def random_projective(rng, dims, ranks, real):
+    """Projectors onto consecutive column blocks (of the given sizes) of a random orthogonal or unitary matrix."""
+    side = int(np.prod(dims))
+    g = rng.standard_normal((side, side))
+    if not real:
+        g = g + 1j * rng.standard_normal((side, side))
+    q = np.linalg.qr(g)[0]
+    edges = np.concatenate([[0], np.cumsum(ranks)])
+    return [q[:, a:b] @ q[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    dims=st.sampled_from([(1,), (2,), (5,), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (4, 4)]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    noise=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+    cuts=st.lists(st.integers(0, 100), max_size=11),
+)
+@example(dims=(2, 2, 2), real=False, seed=1, tol=1e-9, noise=0.0, cuts=[])
+@example(dims=(2, 3, 2), real=True, seed=2, tol=1e-9, noise=0.0, cuts=[0, 3, 3, 7])
+@example(dims=(10, 10), real=False, seed=3, tol=1e-9, noise=0.0, cuts=[1, 2, 40, 40, 41, 99])
+def test_random_projective_povms_agree_with_reference(dims, real, seed, tol, noise, cuts):
+    side = int(np.prod(dims))
+    cuts = [c % (side + 1) for c in cuts]
+    ranks = np.diff(np.sort([0, *cuts, side]))  # ragged, zeros allowed; one element when cuts is empty
+    rng = np.random.default_rng(seed)
+    elements = np.array(random_projective(rng, dims, ranks, real), dtype=complex)
+    if noise:
+        kick = rng.standard_normal(elements.shape) + 1j * rng.standard_normal(elements.shape)
+        elements += noise * tol * kick / np.max(np.abs(kick))
+    answer = agrees_with_reference(Povm(elements, dims), tol)
+    if not noise:
+        assert answer is True
 
 
 def test_is_ppt_povm():

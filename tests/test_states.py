@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distlab.states as states_module
 from distlab.linalg import partial_trace
 from distlab.states import (
     State,
@@ -223,6 +224,45 @@ def test_stack_constructor_rejects_with_the_state_message(bad, message):
     stack = np.stack([np.diag([1.0, 0.0]), bad])
     with pytest.raises(ValueError, match=f"state 'second' {message}"):
         StateSet.from_stack(stack, (2,), ["first", "second"])
+
+
+def per_state_error(stack, dims, labels):
+    """The message of the first ``State`` that rejects its matrix, checking one matrix at a time."""
+    for rho, lab in zip(stack, labels):
+        try:
+            State(rho, dims, label=lab)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("block_bytes", [None, 2 * 16 * 4 * 4], ids=["one-block", "two-per-block"])
+@pytest.mark.parametrize("position", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.diag([0.5, 0.5, 0, 0]) + 1e-9 * np.eye(4, k=1),
+        np.diag([0.5, 0.5, 0.5, 0]),
+        np.diag([0.5 + 1e-7, 0.5, 0, -1e-7]),
+    ],
+    ids=["non-hermitian", "wrong-trace", "negative-eigenvalue"],
+)
+def test_stack_constructor_raises_the_per_state_error(monkeypatch, bad, position, block_bytes):
+    if block_bytes:
+        monkeypatch.setattr(states_module, "_CHECK_BYTES", block_bytes)
+    good = [np.diag(np.roll([1.0, 0, 0, 0], k)) for k in range(7)]
+    labels = [f"s{k}" for k in range(7)]
+    stack = np.array(good[:position] + [bad] + good[position + 1 :], dtype=complex)
+    expected = per_state_error(stack, (2, 2), labels)
+    assert expected is not None and expected.startswith(f"state 's{position}' ")
+    with pytest.raises(ValueError) as exc:
+        StateSet.from_stack(stack, (2, 2), labels)
+    assert str(exc.value) == expected
+    if position < 6:  # a later failure of another kind does not mask the first one
+        stack[6] = np.eye(4)
+        with pytest.raises(ValueError) as exc:
+            StateSet.from_stack(stack, (2, 2), labels)
+        assert str(exc.value) == expected
 
 
 def test_stack_constructor_adopts_the_stack():
