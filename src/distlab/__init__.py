@@ -35,6 +35,7 @@ from .povm import (
     Locc1Tree,
     Povm,
     SepDecomposition,
+    check_kind,
     counterexample_c4,
     flatten_locc1,
     is_ppt_povm,
@@ -87,6 +88,7 @@ __all__ = [
     "schmidt_rank",
     "mutually_orthogonal",
     "verify_povm",
+    "check_kind",
     "is_projective",
     "is_ppt_povm",
     "verify_sep",

@@ -31,10 +31,8 @@ from .discrimination import (
 )
 from .linalg import DEFAULT_TOL, strict_object
 from .povm import (
-    Locc1Tree,
+    check_kind,
     counterexample_c4,
-    _partition_min_eigenvalue,
-    _projective,
     flatten_locc1,
     is_projective,
     locc1_from_json,
@@ -42,9 +40,7 @@ from .povm import (
     povm_to_json,
     ppt_min_eigenvalue,
     restrict_povm,
-    verify_locc1,
     verify_povm,
-    verify_sep,
 )
 from .sdp import SolveOptions, problem_from_json, solution_from_json, solution_to_json, solve
 from .states import (
@@ -67,6 +63,14 @@ PAYLOAD_PARSERS = {
     "verification": dict,
     "theorem1": dict,
     "counterexample": dict,
+}
+
+# per kind: the name of its own check in check_kind and the verify detail that reports it
+KIND_CHECKS = {
+    "locc1": ("locc1-tree", "tree_valid"),
+    "projective": ("projective", "projective"),
+    "ppt": ("ppt", "ppt"),
+    "sep": ("sep-witness", "sep_witness_ok"),
 }
 
 
@@ -98,6 +102,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if not dims or any(d < 1 for d in dims):
         raise CliError(f"bad dimension list {text!r}")
     return dims
+
+
+def party_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _load(path: str, parse, digests: dict):
@@ -212,49 +220,23 @@ def _povm_or_tree(obj):
 def _cmd_verify(args, digests):
     tol = args.tol if args.tol is not None else _default_tol()
     loaded = _load(args.povm, _povm_or_tree, digests)
+    checks, povm = check_kind(loaded, args.kind, tol, args.cut)
+    ran = {name: (residual, ok) for name, residual, ok in checks}
+    skipped = (float("nan"), False)
     details: dict = {}
-    if args.kind == "locc1":
-        if not isinstance(loaded, Locc1Tree):
-            raise CliError("kind locc1 expects a measurement-tree JSON file")
-        tree_valid = verify_locc1(loaded, tol)
-        povm = flatten_locc1(loaded, tol) if tree_valid else None
-        details["tree_valid"] = tree_valid
-        if povm is None:
-            payload = {
-                "kind": args.kind,
-                "passed": False,
-                "completeness_residual": float("nan"),
-                "min_eigenvalue": float("nan"),
-                "details": details,
-            }
-            return 1, "verification", payload
-    else:
-        if not hasattr(loaded, "elements"):
-            raise CliError(f"kind {args.kind} expects a POVM JSON file")
-        povm = loaded
-    report = verify_povm(povm, tol)
-    passed = report.passed
-    # report.passed is the validity that is_projective and is_ppt_povm would check again
-    if args.kind == "projective":
-        details["projective"] = passed and _projective(povm.elements, tol)
-        passed = details["projective"]
-    elif args.kind == "ppt":
-        cut = _parse_dims(args.cut) if args.cut else None
-        cut_min = _partition_min_eigenvalue(povm, cut) if passed else float("nan")
-        details["ppt"] = cut_min >= -tol
-        details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if passed and cut else cut_min
-        passed = details["ppt"]
-    elif args.kind == "sep":
-        details["sep_witness_ok"] = passed and verify_sep(povm, tol)
-        passed = details["sep_witness_ok"]
+    if args.kind in KIND_CHECKS:
+        name, key = KIND_CHECKS[args.kind]
+        residual, details[key] = ran.get(name, skipped)
+        if args.kind == "ppt":  # the verdict is on the chosen cut, the reported minimum on every cut
+            details["min_pt_eigenvalue"] = ppt_min_eigenvalue(povm) if args.cut and name in ran else residual
     payload = {
         "kind": args.kind,
-        "passed": bool(passed),
-        "completeness_residual": report.completeness_residual,
-        "min_eigenvalue": min(report.element_min_eigs),
+        "passed": all(ok for _, _, ok in checks),
+        "completeness_residual": ran.get("completeness", skipped)[0],
+        "min_eigenvalue": ran.get("element-psd", skipped)[0],
         "details": details,
     }
-    return (0 if passed else 1), "verification", payload
+    return (0 if payload["passed"] else 1), "verification", payload
 
 
 def _cmd_discriminate(args, digests):
@@ -345,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a POVM file against a kind")
     p.add_argument("--povm", required=True)
     p.add_argument("--kind", default="general", choices=["general", "projective", "ppt", "sep", "locc1"])
-    p.add_argument("--cut", help="party subset for PPT, e.g. 0 or 0,2")
+    p.add_argument("--cut", type=party_list, help="party subset for PPT, e.g. 0 or 0,2")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_verify)
 

@@ -25,19 +25,18 @@ from .linalg import restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
-    _require_valid,
     canonical_cuts,
+    check_kind,
     flatten_locc1,
     ppt_min_eigenvalue,
     random_locc1,
     random_povm,
     random_ppt_povm,
     random_sep_povm,
+    require_valid,
     restrict_locc1,
     restrict_povm,
-    verify_locc1,
     verify_povm,
-    verify_sep,
 )
 from .sdp import PtCone, SdpProblem, SdpSolution, SolveOptions, solve
 from .states import StateSet, embed_set, mutually_orthogonal
@@ -105,10 +104,9 @@ def hit_table(povm: Povm, states: StateSet) -> np.ndarray:
 
 
 def _assign_hits(povm: Povm, states: StateSet, skip: set[int], ambiguous: str, tol: float):
-    """Hit table of a valid POVM, and each state's total probability from the outcomes
-    outside ``skip`` that hit it alone; an outcome hitting several states is an
-    ``ambiguous`` violation.  Null outcomes are allowed in a POVM and skipped."""
-    _require_valid(povm, tol)
+    """Hit table of a POVM already known to be valid, and each state's total probability
+    from the outcomes outside ``skip`` that hit it alone; an outcome hitting several
+    states is an ``ambiguous`` violation.  Null outcomes are allowed in a POVM and skipped."""
     table = hit_table(povm, states)
     live = np.trace(povm.elements, axis1=1, axis2=2).real > tol
     totals = np.zeros(table.shape[0])
@@ -130,6 +128,12 @@ def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> Dis
     An outcome is assigned to the single state it hits above ``tol``; every
     state must collect total assigned probability 1 within ``tol``.
     """
+    require_valid(povm, tol)
+    return _perfect(povm, states, tol)
+
+
+def _perfect(povm: Povm, states: StateSet, tol: float) -> DiscriminationVerdict:
+    """:func:`check_perfect` of a POVM already known to be valid."""
     table, totals, violations = _assign_hits(povm, states, set(), "outcome-hits-multiple-states", tol)
     for i, total in enumerate(totals):
         if abs(total - 1.0) > tol:
@@ -160,6 +164,7 @@ def check_unambiguous(
     inconclusive = set(int(j) for j in inconclusive)
     if not set(range(len(povm))) - inconclusive:
         raise ValueError("at least one outcome must be conclusive")
+    require_valid(povm, tol)
     table, totals, violations = _assign_hits(povm, states, inconclusive, "conclusive-outcome-ambiguous", tol)
     for i, total in enumerate(totals):
         if total <= tol:
@@ -326,20 +331,20 @@ def _sample_of_kind(kind: str, dims, seed: int):
     raise ValueError(f"no sampler for kind {kind!r}")
 
 
-def _restriction_kind_defect(kind: str, small_povm: Povm, tol: float):
-    """Residual of the worst violated kind property of the restriction, if any."""
-    report = verify_povm(small_povm, tol)
-    if report.completeness_residual > tol:
-        return "completeness", report.completeness_residual
-    worst = min(report.element_min_eigs)
-    if worst < -tol:
-        return "element-psd", worst
-    if kind == "ppt":
-        pt_worst = ppt_min_eigenvalue(small_povm)
-        if pt_worst < -tol:
-            return "ppt", pt_worst
-    if kind == "sep" and not verify_sep(small_povm, tol):
-        return "sep-witness", float("nan")
+def _first_failure(obj, kind: str, states: StateSet, embedded: StateSet, tol: float):
+    """One fuzz trial on the sample ``obj``: its first failed check as ``(check, residual)``, or None."""
+    tree = isinstance(obj, Locc1Tree)
+    checks, small_povm = check_kind((restrict_locc1 if tree else restrict_povm)(obj, states.dims), kind, tol)
+    failed = [(name, residual) for name, residual, ok in checks if not ok]
+    if failed:
+        return failed[0]
+    big_povm = flatten_locc1(obj, tol) if tree else obj
+    residual = theorem1_trace_identity(states, big_povm, states.dims)
+    if residual > ALGEBRA_TOL:
+        return "trace-identity", residual
+    big_verdict = check_perfect(big_povm, embedded, tol)  # the sample's one validity check
+    if _perfect(small_povm, states, tol).passes and not big_verdict.passes:
+        return "discrimination-gained", float("nan")
     return None
 
 
@@ -364,46 +369,10 @@ def local_global_fuzz(
     failures: list[dict] = []
     for kind_index, kind in enumerate(kinds):
         for offset in range(trials):
-            trial = _trial_seed(seed, kind_index, offset)
-            obj = _sample_of_kind(kind, new_dims, trial)
-            if isinstance(obj, Locc1Tree):
-                small_tree = restrict_locc1(obj, states.dims)
-                if not verify_locc1(small_tree, tol):
-                    failures.append(
-                        {"seed_offset": offset, "kind": kind, "check": "locc1-tree", "residual": float("nan")}
-                    )
-                    continue
-                big_povm = flatten_locc1(obj, tol)
-                small_povm = flatten_locc1(small_tree, tol)
-            else:
-                big_povm = obj
-                small_povm = restrict_povm(obj, states.dims)
-
-            defect = _restriction_kind_defect(kind, small_povm, tol)
-            if defect is not None:
-                failures.append(
-                    {"seed_offset": offset, "kind": kind, "check": defect[0], "residual": defect[1]}
-                )
-                continue
-
-            residual = theorem1_trace_identity(states, big_povm, states.dims)
-            if residual > ALGEBRA_TOL:
-                failures.append(
-                    {"seed_offset": offset, "kind": kind, "check": "trace-identity", "residual": residual}
-                )
-                continue
-
-            big_verdict = check_perfect(big_povm, embedded, tol)
-            small_verdict = check_perfect(small_povm, states, tol)
-            if small_verdict.passes and not big_verdict.passes:
-                failures.append(
-                    {
-                        "seed_offset": offset,
-                        "kind": kind,
-                        "check": "discrimination-gained",
-                        "residual": float("nan"),
-                    }
-                )
+            obj = _sample_of_kind(kind, new_dims, _trial_seed(seed, kind_index, offset))
+            failed = _first_failure(obj, kind, states, embedded, tol)
+            if failed is not None:
+                failures.append({"seed_offset": offset, "kind": kind, "check": failed[0], "residual": failed[1]})
     return HarnessReport(
         trials=trials,
         seed=seed,

@@ -23,6 +23,7 @@ from .linalg import (
     as_stack,
     check_dims,
     dagger,
+    group_sums,
     hermiticity_defect,
     matrices_from_json,
     matrix_to_json,
@@ -48,12 +49,10 @@ def _segment_index(index, what: str) -> np.ndarray:
     return index
 
 
-def _segment_sums(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Sum the matrices of ``stack`` into the groups named by a :func:`_segment_index`;
-    each group adds its members in stack order."""
-    out = np.zeros((int(index[-1]) + 1,) + stack.shape[1:], dtype=stack.dtype)
-    np.add.at(out, index, stack)
-    return out
+def _index_sums(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """:func:`group_sums` over the groups a :func:`_segment_index` names."""
+    counts = np.bincount(index)
+    return group_sums(stack, np.cumsum(counts) - counts, counts)
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,8 @@ def verify_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmReport:
     return PovmReport(residual, min_eigs, hermiticity_defect(p.elements), tol)
 
 
-def _require_valid(p: Povm, tol: float):
+def require_valid(p: Povm, tol: float):
+    """Raise ``ValueError`` unless :func:`verify_povm` passes ``p``."""
     report = verify_povm(p, tol)
     if not report.passed:
         raise ValueError(
@@ -205,7 +205,7 @@ def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
     E); only the other pairs are multiplied out and tested against tol, so the
     answer is that of testing every pair.
     """
-    _require_valid(p, tol)
+    require_valid(p, tol)
     return _projective(p.elements, tol)
 
 
@@ -272,18 +272,16 @@ def is_ppt_povm(
     ``partition`` selects one bipartition (a party index or a party subset);
     when omitted, every nontrivial bipartition is required.
     """
-    _require_valid(p, tol)
-    return _partition_min_eigenvalue(p, partition) >= -tol
+    require_valid(p, tol)
+    return ppt_min_eigenvalue(p, None if partition is None else [_cut(partition, p.dims)]) >= -tol
 
 
-def _partition_min_eigenvalue(p: Povm, partition) -> float:
-    """:func:`ppt_min_eigenvalue` on the one cut ``partition`` selects, or on every cut when it is None."""
-    if partition is None:
-        return ppt_min_eigenvalue(p)
-    cut = (partition,) if isinstance(partition, (int, np.integer)) else tuple(partition)
-    if not 0 < len(set(cut)) < len(p.dims):
-        raise ValueError(f"partition {cut} is trivial for {len(p.dims)} parties")
-    return ppt_min_eigenvalue(p, [cut])
+def _cut(partition, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The parties ``partition`` names (one index or several), checked to be a nontrivial cut of ``dims``."""
+    cut = (int(partition),) if isinstance(partition, (int, np.integer)) else tuple(int(q) for q in partition)
+    if not 0 < len(set(cut)) == len(cut) < len(dims) or not all(0 <= q < len(dims) for q in cut):
+        raise ValueError(f"partition {cut} does not name a nontrivial cut of parties 0..{len(dims) - 1} once each")
+    return cut
 
 
 def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
@@ -307,14 +305,14 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL) -> bool:
             raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
         if hermiticity_defect(f) > tol or np.min(min_eigenvalue(f)) < -tol:
             return False
-    recon = _segment_sums(tensor(*witness.factors), witness.owner)
+    recon = _index_sums(tensor(*witness.factors), witness.owner)
     return bool(np.max(np.abs(recon - p.elements)) <= tol)
 
 
 def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> bool:
     """True iff every conditional family is a complete local POVM on its party."""
     for level, parents in zip(tree.levels, tree.parents):
-        residual = np.max(np.abs(_segment_sums(level, parents) - np.eye(level.shape[-1])))
+        residual = np.max(np.abs(_index_sums(level, parents) - np.eye(level.shape[-1])))
         if residual > tol or hermiticity_defect(level) > tol or np.min(min_eigenvalue(level)) < -tol:
             return False
     return True
@@ -329,6 +327,11 @@ def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
     """
     if not verify_locc1(tree, tol):
         raise ValueError("incomplete conditional family in measurement tree")
+    return _flatten(tree)
+
+
+def _flatten(tree: Locc1Tree) -> Povm:
+    """:func:`flatten_locc1` of a tree already known to be valid."""
     factors: list = [None] * len(tree.dims)
     path = np.arange(len(tree.levels[-1]))  # each leaf's outcome at the current depth
     for depth in reversed(range(len(tree.levels))):
@@ -336,6 +339,48 @@ def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
         path = tree.parents[depth][path]
     witness = SepDecomposition(factors, np.arange(len(tree.levels[-1])))
     return Povm(tensor(*factors), tree.dims, kind="locc1", witness=witness)
+
+
+def check_kind(
+    measurement: Povm | Locc1Tree,
+    kind: str,
+    tol: float = DEFAULT_TOL,
+    partition: int | Iterable[int] | None = None,
+) -> tuple[list[tuple[str, float, bool]], Povm | None]:
+    """Check that ``measurement`` is of ``kind``, running each check once.
+
+    Returns the checks that ran, in order, as ``(name, residual, ok)``, and the
+    POVM they checked (None when a tree fails).  A tree (kind locc1) gets
+    ``locc1-tree`` and is flattened only when valid; a POVM gets ``completeness``
+    and ``element-psd`` (which a non-Hermitian element fails), then, if valid,
+    its kind's ``projective``, ``ppt`` (on the cut ``partition`` names, else on
+    every cut) or ``sep-witness``.  ``partition`` is checked first.
+    """
+    if kind not in POVM_KINDS:
+        raise ValueError(f"unknown POVM kind {kind!r}")
+    if (kind == "locc1") != isinstance(measurement, Locc1Tree):
+        raise ValueError("kind locc1 takes a measurement tree, every other kind a POVM")
+    cuts = None if partition is None else [_cut(partition, measurement.dims)]
+    checks = []
+    if isinstance(measurement, Locc1Tree):
+        checks.append(("locc1-tree", float("nan"), verify_locc1(measurement, tol)))
+        if not checks[-1][2]:
+            return checks, None
+        measurement = _flatten(measurement)
+    report = verify_povm(measurement, tol)
+    worst = min(report.element_min_eigs)
+    checks.append(("completeness", report.completeness_residual, report.completeness_residual <= tol))
+    checks.append(("element-psd", worst, worst >= -tol and report.hermiticity_defect <= tol))
+    if not report.passed:
+        return checks, measurement
+    if kind == "projective":
+        checks.append(("projective", float("nan"), _projective(measurement.elements, tol)))
+    elif kind == "ppt":
+        worst_pt = ppt_min_eigenvalue(measurement, cuts)
+        checks.append(("ppt", worst_pt, worst_pt >= -tol))
+    elif kind == "sep":
+        checks.append(("sep-witness", float("nan"), verify_sep(measurement, tol)))
+    return checks, measurement
 
 
 def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
@@ -447,7 +492,7 @@ def random_sep_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
         terms = np.argsort(group, kind="stable")  # positions grouped, in draw order within a group
         outcomes = np.unravel_index(order[terms], (n_local,) * k)
         witness = SepDecomposition([lp[i] for lp, i in zip(locals_, outcomes)], group[terms])
-        elements = _segment_sums(tensor(*witness.factors), witness.owner)
+        elements = _index_sums(tensor(*witness.factors), witness.owner)
         return Povm(elements, dims, kind="sep", witness=witness)
 
     return _rng_with_retries(seed, build)

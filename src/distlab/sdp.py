@@ -35,6 +35,7 @@ from .linalg import (
     as_matrix,
     check_dims,
     dagger,
+    group_sums,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
@@ -43,6 +44,10 @@ from .linalg import (
 )
 
 PROBLEM_HERMITIAN_TOL = 1e-12
+# ADMM penalty rho, over-relaxation weight alpha, and iterations between residual checkpoints
+PENALTY = 1.0
+OVER_RELAXATION = 1.6
+CHECK_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,10 @@ class SdpProblem:
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    penalty: float = 1.0
-    over_relaxation: float = 1.6
-    check_every: int = 25
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,6 @@ def _objective_value(c: np.ndarray, x: np.ndarray) -> float:
     return float(np.einsum("iab,iba->", c, x).real)
 
 
-def _block_sums(copies: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum each block's consecutive copies, adding them in copy order."""
-    total = copies[starts]
-    for j in range(1, int(counts.max())):
-        has = counts > j
-        total[has] += copies[starts[has] + j]
-    return total
-
-
 def _cone_violation(x: np.ndarray, owner: np.ndarray, groups) -> float:
     return max(float(np.max(_negative_parts(x[owner[idx]], cut))) for cut, idx in groups)
 
@@ -221,7 +212,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     groups = [(cut, np.array(idx)) for cut, idx in by_cut.items()]
     m = counts[:, None, None]
     inv_m_sum = sum(1.0 / mi for mi in counts.tolist())
-    rho, alpha = opts.penalty, opts.over_relaxation
+    rho, alpha = PENALTY, OVER_RELAXATION
 
     evidence = _infeasibility_evidence(problem)
     if evidence is not None:
@@ -250,12 +241,12 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     prev_obj = None
 
     for it in range(1, opts.max_iter + 1):
-        checkpoint = it % opts.check_every == 0 or it == opts.max_iter
+        checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
         z_prev = z.copy() if checkpoint else None
 
         # affine step: weighted projection of the shifted consensus targets
         np.subtract(z, u, out=work)
-        v = _block_sums(work, starts, counts) / m + shift
+        v = group_sums(work, starts, counts) / m + shift
         excess = (v.sum(axis=0) - f) / inv_m_sum
         x = _sym(v - excess / m)
 
@@ -278,7 +269,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         consensus = float(np.max(np.abs(x[owner] - z)))
         dual = rho * float(np.max(np.abs(z - z_prev)))
         obj = _objective_value(c, x)
-        zbar = _block_sums(z, starts, counts) / m
+        zbar = group_sums(z, starts, counts) / m
         gap = abs(obj - _objective_value(c, zbar))
         obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
         prev_obj = obj

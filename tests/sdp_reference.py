@@ -4,7 +4,9 @@ Kept as an oracle: it loops over single matrices, one copy per (block, cone),
 and always works in complex arithmetic.  ``tests/test_sdp.py`` asserts that
 the stacked solver reproduces its statuses, iteration counts, histories,
 optima and matrices.  The code is the earlier ``solve`` unchanged, except
-that the random-initialisation branch went with ``SolveOptions.seed``.
+that the random-initialisation branch went with ``SolveOptions.seed`` and the
+penalty (1.0), over-relaxation (1.6) and checkpoint interval (25) are literals
+here, as they are module constants there.
 """
 
 import numpy as np
@@ -65,7 +67,7 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
     cones = [[None, *problem.pt_cones[i]] for i in range(n)]
     m_counts = [len(cs) for cs in cones]
     inv_m_sum = sum(1.0 / mi for mi in m_counts)
-    rho, alpha = opts.penalty, opts.over_relaxation
+    rho, alpha = 1.0, 1.6
 
     evidence = _infeasibility_evidence(problem)
     if evidence is not None:
@@ -101,7 +103,7 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
     x = [f / n for _ in range(n)]
 
     for it in range(1, opts.max_iter + 1):
-        checkpoint = it % opts.check_every == 0 or it == opts.max_iter
+        checkpoint = it % 25 == 0 or it == opts.max_iter
         z_prev = [[zik.copy() for zik in zi] for zi in z] if checkpoint else None
 
         # affine step: weighted projection of the shifted consensus targets

@@ -109,6 +109,23 @@ def test_verify_ppt_rejects_entangled_projector(tmp_path, capsys):
     assert report["payload"]["details"]["ppt"] is False
 
 
+def test_verify_ppt_cut_is_a_party_list_checked_against_the_dims(tmp_path, capsys):
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    bell = write_json(tmp_path / "bellproj.json", povm_to_json(Povm([phi, np.eye(4) - phi], (2, 2))))
+    for cut in ("0", "1"):
+        code, report, _ = run_captured(capsys, ["verify", "--povm", bell, "--kind", "ppt", "--cut", cut])
+        assert code == 1
+        assert report["payload"]["details"]["ppt"] is False
+        assert report["payload"]["details"]["min_pt_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
+    invalid = write_json(tmp_path / "invalid.json", povm_to_json(Povm([1.01 * phi, np.eye(4) - phi], (2, 2))))
+    for path in (bell, invalid):
+        for cut in ("", "0,1", "1,0", "0,0", "2", "-1", "5", "a", "0,"):  # empty, trivial, repeated, out of range
+            code, report, err = run_captured(capsys, ["verify", "--povm", path, "--kind", "ppt", "--cut", cut])
+            assert (code, report) == (2, None), cut
+            assert "error: " in err
+
+
 def test_verify_validates_once_with_the_public_answers(tmp_path, capsys, monkeypatch):
     """verify gives the payload the validating public checks give, with one validity check per run."""
     from distlab.povm import is_ppt_povm, is_projective, ppt_min_eigenvalue, verify_povm

@@ -373,6 +373,94 @@ def test_local_global_fuzz_records_a_broken_restricted_tree(monkeypatch):
     assert all(np.isnan(f["residual"]) for f in report.failures)
 
 
+def _bell_projector_povm():
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    return Povm([phi, np.eye(4) - phi], (2, 2), kind="ppt")
+
+
+def _scaled(p):  # every element times 1.01: the elements sum to 1.01 I
+    return Povm(1.01 * p.elements, p.dims, p.kind, p.witness)
+
+
+def _shifted(p):  # 2|0><0| moves from element 1 to element 0: still complete, element 1 not PSD
+    e = p.elements.copy()
+    e[0, 0, 0] += 2
+    e[1, 0, 0] -= 2
+    return Povm(e, p.dims, p.kind, p.witness)
+
+
+def _reversed(p):  # elements in reverse order under the old witness
+    return Povm(p.elements[::-1].copy(), p.dims, p.kind, p.witness)
+
+
+@pytest.mark.parametrize(
+    "kind, breaks, check, expected_residual",
+    [
+        ("general", _scaled, "completeness", lambda e: np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[-1])))),
+        ("general", _shifted, "element-psd", lambda e: np.min(np.linalg.eigvalsh(e))),
+        ("general", lambda p: _shifted(_scaled(p)), "completeness", lambda e: 0.01),  # both fail: the first counts
+        ("ppt", lambda p: _bell_projector_povm(), "ppt", lambda e: -0.5),
+        ("sep", _reversed, "sep-witness", lambda e: np.nan),
+    ],
+)
+def test_local_global_fuzz_records_each_broken_restriction(monkeypatch, kind, breaks, check, expected_residual):
+    restrict = distlab.discrimination.restrict_povm
+    returned = []
+
+    def broken_restrict(p, sub_dims):
+        returned.append(breaks(restrict(p, sub_dims)))
+        return returned[-1]
+
+    monkeypatch.setattr(distlab.discrimination, "restrict_povm", broken_restrict)
+    three = bell_states().subset([0, 1, 2])
+    report = local_global_fuzz(three, [kind], (3, 3), trials=3, seed=11)
+    assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [(kind, k, check) for k in range(3)]
+    for failure, small in zip(report.failures, returned):
+        np.testing.assert_allclose(failure["residual"], expected_residual(small.elements), rtol=0, atol=1e-12)
+
+
+def test_local_global_fuzz_records_a_broken_trace_identity(monkeypatch):
+    # the restricted POVM does not enter the identity, so the restriction of its left side is broken
+    restrict = distlab.discrimination.restrict_matrix
+    monkeypatch.setattr(
+        distlab.discrimination, "restrict_matrix", lambda m, dims, sub: restrict(m, dims, sub) + 1e-6 * np.eye(4)
+    )
+    three = bell_states().subset([0, 1, 2])
+    report = local_global_fuzz(three, ["general", "sep"], (3, 3), trials=2, seed=11)
+    assert [f["kind"] for f in report.failures] == ["general", "general", "sep", "sep"]
+    assert {f["check"] for f in report.failures} == {"trace-identity"}
+    for failure in report.failures:
+        assert failure["residual"] == pytest.approx(1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, eigvalsh_calls", [("general", 2), ("ppt", 4), ("sep", 4), ("locc1", 6)])
+def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, eigvalsh_calls):
+    """One trial verifies the sample once and its restriction once (for a tree: the tree, then its POVM)."""
+    import distlab.povm
+
+    three = bell_states().subset([0, 1, 2])
+    calls = {"verify_povm": 0, "verify_locc1": 0, "eigvalsh": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("verify_povm", "verify_locc1"):
+        wrapper = counted(name, getattr(distlab.povm, name))
+        monkeypatch.setattr(distlab.povm, name, wrapper)
+        monkeypatch.setattr(distlab.discrimination, name, wrapper, raising=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    report = local_global_fuzz(three, [kind], (3, 3), trials=1, seed=7)
+    assert report.passes
+    assert calls["verify_povm"] == 2
+    assert calls["verify_locc1"] <= 2
+    assert calls["eigvalsh"] == eigvalsh_calls + 1  # one more for the embedded state set
+
+
 def test_local_global_fuzz_domino_sep():
     report = local_global_fuzz(domino_states(), ["sep"], (4, 4), trials=500, seed=42)
     assert report.passes

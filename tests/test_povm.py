@@ -27,6 +27,7 @@ from distlab.povm import (
     Povm,
     SepDecomposition,
     canonical_cuts,
+    check_kind,
     counterexample_c4,
     flatten_locc1,
     is_ppt_povm,
@@ -320,6 +321,45 @@ def test_flatten_rejects_incomplete_family():
     bad = Locc1Tree((2,), (0,), [[np.diag([1.0, 0.0])]], [[0]])
     with pytest.raises(ValueError):
         flatten_locc1(bad)
+
+
+def test_check_kind_runs_the_checks_in_order_and_stops_at_an_invalid_povm():
+    def summary(measurement, kind, **kwargs):
+        checks, povm = check_kind(measurement, kind, **kwargs)
+        return [(name, ok) for name, _, ok in checks], povm
+
+    bell = Povm([PHI_PLUS, np.eye(4) - PHI_PLUS], (2, 2))
+    checks, povm = check_kind(bell, "ppt")
+    assert povm is bell
+    assert [(name, ok) for name, _, ok in checks] == [("completeness", True), ("element-psd", True), ("ppt", False)]
+    assert checks[2][1] == pytest.approx(-0.5, abs=1e-12)
+    assert summary(bell, "ppt", partition=1)[0][2] == ("ppt", False)
+    assert summary(counterexample_c4(), "projective")[0][2] == ("projective", True)
+    assert summary(counterexample_c4(bipartite=True), "sep")[0][2] == ("sep-witness", True)
+    assert summary(Povm(1.01 * bell.elements, (2, 2)), "ppt")[0] == [("completeness", False), ("element-psd", True)]
+    skew = bell.elements.copy()
+    skew[:, [0, 1], [1, 0]] += [[1e-3, -1e-3], [-1e-3, 1e-3]]  # complete, same Hermitian parts, not Hermitian
+    assert summary(Povm(skew, (2, 2)), "sep")[0] == [("completeness", True), ("element-psd", False)]
+
+    tree = unconditional_tree((2, 2), {0: KET01, 1: KET01})
+    names, povm = summary(tree, "locc1")
+    assert names == [("locc1-tree", True), ("completeness", True), ("element-psd", True)]
+    assert np.array_equal(povm.elements, flatten_locc1(tree).elements)
+    incomplete = Locc1Tree((2,), (0,), [[np.diag([1.0, 0.0])]], [[0]])
+    assert summary(incomplete, "locc1") == ([("locc1-tree", False)], None)
+
+    invalid = Povm(1.01 * bell.elements, (2, 2))
+    for measurement, kind, partition in [
+        (tree, "general", None),
+        (bell, "locc1", None),
+        (bell, "magic", None),
+        (invalid, "ppt", (0, 1)),
+        (invalid, "ppt", 2),
+        (invalid, "ppt", (0, 0)),
+        (invalid, "ppt", ()),
+    ]:
+        with pytest.raises(ValueError):
+            check_kind(measurement, kind, partition=partition)
 
 
 def test_locc1_structure_validation():

@@ -225,8 +225,6 @@ def test_problem_and_solution_json_roundtrip():
 def test_solve_options_reject_empty_iteration():
     with pytest.raises(ValueError, match="max_iter"):
         SolveOptions(max_iter=0)
-    with pytest.raises(ValueError, match="check_every"):
-        SolveOptions(check_every=0)
 
 
 def unequal_cones_problem():
