@@ -11,9 +11,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     embed_matrix,
-    hermitian_eigen,
-    is_psd,
-    partial_trace,
     partial_transpose,
     restrict_matrix,
     tensor,
@@ -73,9 +70,6 @@ __all__ = [
     "PtCone",
     "tensor",
     "partial_transpose",
-    "partial_trace",
-    "hermitian_eigen",
-    "is_psd",
     "embed_matrix",
     "restrict_matrix",
     "pure_state",

@@ -78,16 +78,6 @@ class CliError(ValueError):
     """Usage or input problem; ``run`` maps it, like every ``ValueError``, to exit code 2."""
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("DISTLAB_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise CliError(f"DISTLAB_TOL is not a number: {raw!r}") from exc
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     moment = float(epoch) if epoch is not None else time.time()
@@ -118,7 +108,8 @@ def _load(path: str, parse, digests: dict):
     digests[path] = hashlib.sha256(raw).hexdigest()
     try:
         return parse(json.loads(raw))
-    except (ValueError, TypeError, OverflowError) as exc:  # foreign input: [] for a number, 1e400 for a count
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        # foreign input: [] for a number, 1e400 for a count, arrays nested too deep to decode
         raise CliError(f"bad input file {path}: {exc}") from exc
 
 
@@ -218,9 +209,8 @@ def _povm_or_tree(obj):
 
 
 def _cmd_verify(args, digests):
-    tol = args.tol if args.tol is not None else _default_tol()
     loaded = _load(args.povm, _povm_or_tree, digests)
-    checks, povm = check_kind(loaded, args.kind, tol, args.cut)
+    checks, povm = check_kind(loaded, args.kind, args.tol, args.cut)
     ran = {name: (residual, ok) for name, residual, ok in checks}
     skipped = (float("nan"), False)
     details: dict = {}
@@ -240,21 +230,20 @@ def _cmd_verify(args, digests):
 
 
 def _cmd_discriminate(args, digests):
-    tol = args.tol if args.tol is not None else _default_tol()
     states = _load(args.states, state_set_from_json, digests)
     loaded = _load(args.povm, _povm_or_tree, digests)
-    povm = flatten_locc1(loaded, tol) if not hasattr(loaded, "elements") else loaded
+    povm = flatten_locc1(loaded, args.tol) if not hasattr(loaded, "elements") else loaded
     if args.mode == "perfect":
-        verdict = check_perfect(povm, states, tol)
+        verdict = check_perfect(povm, states, args.tol)
     else:
         inconclusive = [int(x) for x in args.inconclusive.split(",")] if args.inconclusive else []
-        verdict = check_unambiguous(povm, states, inconclusive, tol)
+        verdict = check_unambiguous(povm, states, inconclusive, args.tol)
     return (0 if verdict.passes else 1), "verdict", verdict_to_json(verdict)
 
 
 def _cmd_sdp(args, digests):
     problem = _load(args.problem, problem_from_json, digests)
-    opts = SolveOptions(tol=args.tol if args.tol is not None else 1e-6, max_iter=args.max_iter)
+    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     sol = solve(problem, opts)
     return (0 if sol.status == "optimal" else 1), "sdp_solution", solution_to_json(sol)
 
@@ -281,7 +270,6 @@ def _cmd_theorem1(args, digests):
 
 
 def _cmd_fuzz(args, digests):
-    tol = args.tol if args.tol is not None else _default_tol()
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     if args.states:
@@ -292,7 +280,7 @@ def _cmd_fuzz(args, digests):
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise CliError("at least one kind required")
-    report = local_global_fuzz(states, kinds, new_dims, args.trials, args.seed, tol)
+    report = local_global_fuzz(states, kinds, new_dims, args.trials, args.seed, args.tol)
     return (0 if report.passes else 1), "harness", harness_to_json(report)
 
 
@@ -328,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--kind", default="general", choices=["general", "projective", "ppt", "sep", "locc1"])
     p.add_argument("--cut", type=party_list, help="party subset for PPT, e.g. 0 or 0,2")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("discriminate", help="check a POVM against a state set")
@@ -336,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--mode", default="perfect", choices=["perfect", "unambiguous"])
     p.add_argument("--inconclusive", help="comma-separated outcome indices")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_discriminate)
 
     p = sub.add_parser("sdp", help="solve an SDP problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=50000)
     p.set_defaults(func=_cmd_sdp)
 
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--states", help="state-set JSON (default: three Bell states)")
     p.add_argument("--new-dims", default="3,3")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("counterexample", help="the projectivity-breaking restriction fixture")

@@ -197,28 +197,20 @@ def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> Global
     return GlobalVerdict(True, witness)
 
 
-def ppt_discrimination_problem(
-    states: StateSet, cuts: Sequence[Sequence[int]] | None = None
-) -> SdpProblem:
-    """Average-success-probability SDP over POVMs PPT on the given cuts."""
-    dims = states.dims
-    cuts = canonical_cuts(dims) if cuts is None else [tuple(c) for c in cuts]
+def ppt_discrimination_problem(states: StateSet) -> SdpProblem:
+    """Average-success-probability SDP over POVMs PPT on every cut."""
     n = len(states)
-    cones = tuple(tuple(PtCone(dims, c) for c in cuts) for _ in range(n))
-    return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), cones)
+    cones = tuple(PtCone(states.dims, c) for c in canonical_cuts(states.dims))
+    return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), (cones,) * n)
 
 
-def ppt_distinguishability(
-    states: StateSet,
-    cuts: Sequence[Sequence[int]] | None = None,
-    opts: SolveOptions | None = None,
-) -> PptResult:
+def ppt_distinguishability(states: StateSet, opts: SolveOptions | None = None) -> PptResult:
     """Maximize the average success probability over PPT POVMs.
 
     The returned POVM is the optimizer; ``distinguishable`` holds when the
     optimum reaches 1 within the decision margin and the solver converged.
     """
-    problem = ppt_discrimination_problem(states, cuts)
+    problem = ppt_discrimination_problem(states)
     solution = solve(problem, opts or SolveOptions(tol=1e-7))
     povm = Povm(solution.matrices, states.dims, kind="ppt")
     return PptResult(

@@ -84,6 +84,15 @@ def _party_list(dims: tuple[int, ...], party: int | Iterable[int]) -> list[int]:
     return [int(p) for p in parties]
 
 
+def bipartition(dims: tuple[int, ...], party: int | Iterable[int]) -> tuple[int, ...]:
+    """The parties of one side of a cut of ``dims``, sorted: each in range, none
+    repeated, and at least one party left on each side."""
+    parties = _party_list(dims, party)
+    if not 0 < len(parties) < len(dims):
+        raise ValueError(f"cut {parties} leaves one side of the {len(dims)} parties empty")
+    return tuple(sorted(parties))
+
+
 def partial_transpose(m: np.ndarray, dims: Sequence[int], party: int | Iterable[int]) -> np.ndarray:
     """Transpose the indices of the chosen party (or parties) only.
 
@@ -106,32 +115,6 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], party: int | Iterable[
     return m.reshape(m.shape[:lead] + dims + dims).transpose(axes).reshape(m.shape)
 
 
-def partial_trace(m: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
-    """Trace out one party; the result acts on the remaining parties."""
-    m = as_matrix(m)
-    dims = check_dims(dims, m.shape[0])
-    (p,) = _party_list(dims, party)
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    t = np.trace(t, axis1=p, axis2=k + p)
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != p], dtype=np.int64))
-    return t.reshape(rest, rest)
-
-
-def hermitian_eigen(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues ascending and the unitary matrix of eigenvectors
-    (columns), satisfying ``V @ diag(w) @ V.conj().T == M`` to within 1e-9.
-    """
-    m = as_matrix(m)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w, v
-
-
 def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of ``m``: a float for one matrix,
     an array of shape ``m.shape[:-2]`` for a stack (one batched ``eigvalsh``)."""
@@ -140,15 +123,6 @@ def min_eigenvalue(m: np.ndarray):
     h /= 2  # in place: one stack-sized temporary fewer
     w = np.linalg.eigvalsh(h)[..., 0]
     return float(w) if m.ndim == 2 else w
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``m`` is Hermitian within ``tol`` and its minimum eigenvalue is >= -tol."""
-    m = as_matrix(m)
-    defect = hermiticity_defect(m)
-    if defect > max(tol, HERMITIAN_TOL):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return min_eigenvalue(m) >= -tol
 
 
 @lru_cache(maxsize=64)
@@ -215,18 +189,6 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs tr(A_i B_j) of two ``(n, side, side)`` stacks, as an ``(n, m)`` array."""
     n, m = len(a), len(b)
     return (b.reshape(m, -1) @ np.ascontiguousarray(a.transpose(2, 1, 0)).reshape(-1, n)).T
-
-
-def embed_vector(v: np.ndarray, dims: Sequence[int], new_dims: Sequence[int]) -> np.ndarray:
-    """Zero-pad a state vector onto the in-range multi-indices of the larger system."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    dims = check_dims(dims, v.size)
-    new_dims = check_dims(new_dims)
-    if len(new_dims) != len(dims) or any(n < d for d, n in zip(dims, new_dims)):
-        raise ValueError(f"cannot embed dims {dims} into {new_dims}")
-    out = np.zeros(int(np.prod(new_dims, dtype=np.int64)), dtype=complex)
-    out[_inrange_indices(new_dims, dims)] = v
-    return out
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

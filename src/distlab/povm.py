@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_stack,
+    bipartition,
     check_dims,
     dagger,
     group_sums,
@@ -35,6 +36,7 @@ from .linalg import (
 )
 
 POVM_KINDS = ("general", "projective", "ppt", "sep", "locc1")
+PPT_MARGIN = 1e-8  # smallest transposed eigenvalue of a random_ppt_povm element
 
 
 def _segment_index(index, what: str) -> np.ndarray:
@@ -273,15 +275,7 @@ def is_ppt_povm(
     when omitted, every nontrivial bipartition is required.
     """
     require_valid(p, tol)
-    return ppt_min_eigenvalue(p, None if partition is None else [_cut(partition, p.dims)]) >= -tol
-
-
-def _cut(partition, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The parties ``partition`` names (one index or several), checked to be a nontrivial cut of ``dims``."""
-    cut = (int(partition),) if isinstance(partition, (int, np.integer)) else tuple(int(q) for q in partition)
-    if not 0 < len(set(cut)) == len(cut) < len(dims) or not all(0 <= q < len(dims) for q in cut):
-        raise ValueError(f"partition {cut} does not name a nontrivial cut of parties 0..{len(dims) - 1} once each")
-    return cut
+    return ppt_min_eigenvalue(p, None if partition is None else [bipartition(p.dims, partition)]) >= -tol
 
 
 def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
@@ -360,7 +354,7 @@ def check_kind(
         raise ValueError(f"unknown POVM kind {kind!r}")
     if (kind == "locc1") != isinstance(measurement, Locc1Tree):
         raise ValueError("kind locc1 takes a measurement tree, every other kind a POVM")
-    cuts = None if partition is None else [_cut(partition, measurement.dims)]
+    cuts = None if partition is None else [bipartition(measurement.dims, partition)]
     checks = []
     if isinstance(measurement, Locc1Tree):
         checks.append(("locc1-tree", float("nan"), verify_locc1(measurement, tol)))
@@ -445,12 +439,12 @@ def random_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
     return Povm(elements, dims, kind="general")
 
 
-def random_ppt_povm(dims: Sequence[int], n_elements: int, seed: int, margin: float = 1e-8) -> Povm:
+def random_ppt_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
     """Seeded random POVM whose every element is PPT on every cut.
 
     A random POVM is mixed toward the trace-matched multiple of the identity;
     partial transposition fixes the identity, so the exact mixing weight that
-    lifts the most negative transposed eigenvalue to ``margin`` is available
+    lifts the most negative transposed eigenvalue to ``PPT_MARGIN`` is available
     in closed form.
     """
     dims = check_dims(dims)
@@ -460,7 +454,7 @@ def random_ppt_povm(dims: Sequence[int], n_elements: int, seed: int, margin: flo
     side = base.side
     c = np.trace(base.elements, axis1=1, axis2=2).real / side
     mu = _pt_min_eigenvalues(base.elements, dims, canonical_cuts(dims))
-    lam = float(np.max(((margin - mu) / (c - mu))[mu < margin], initial=0.0))
+    lam = float(np.max(((PPT_MARGIN - mu) / (c - mu))[mu < PPT_MARGIN], initial=0.0))
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"degenerate mixing weight {lam}")
     elements = (1 - lam) * base.elements + (lam * c)[:, None, None] * np.eye(side)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .linalg import (
     as_matrix,
+    bipartition,
     check_dims,
     dagger,
     group_sums,
@@ -59,11 +60,7 @@ class PtCone:
 
     def __init__(self, dims, parties):
         dims = check_dims(dims)
-        parties = tuple(sorted(int(p) for p in parties))
-        if not 0 < len(parties) < len(dims):
-            raise ValueError(f"trivial transposition cut {parties}")
-        if len(set(parties)) != len(parties) or any(not 0 <= p < len(dims) for p in parties):
-            raise ValueError(f"invalid transposition cut {parties} for {len(dims)} parties")
+        parties = bipartition(dims, tuple(parties))  # a cone takes a party list, never a bare index
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "parties", parties)
 

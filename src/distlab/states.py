@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_TOL,
     HERMITIAN_TOL,
     as_matrix,
+    bipartition,
     check_dims,
     dagger,
     embed_matrix,
@@ -25,7 +26,6 @@ from .linalg import (
     matrices_from_json,
     matrix_to_json,
     min_eigenvalue,
-    partial_trace,
     strict_object,
     trace_products,
 )
@@ -117,8 +117,8 @@ class StateSet:
         member.__dict__.update(rho=self.rhos[i], dims=self.dims, label=self.labels[i])
         return member
 
-    def subset(self, indices: Sequence[int], label: str = "") -> "StateSet":
-        return StateSet([self[i] for i in indices], label=label or self.label)
+    def subset(self, indices: Sequence[int]) -> "StateSet":
+        return StateSet([self[i] for i in indices], label=self.label)
 
 
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int], label: str = "") -> State:
@@ -216,28 +216,23 @@ def embed_set(states: StateSet, new_dims: Sequence[int]) -> StateSet:
     return StateSet.from_stack(rhos, new_dims, states.labels, label=states.label)
 
 
-def state_vector(s: State, tol: float = STATE_TOL) -> np.ndarray:
+def state_vector(s: State) -> np.ndarray:
     """Amplitude vector of a pure state; rejects mixed input."""
     w, v = np.linalg.eigh(s.rho)
-    if w[-1] < 1 - tol or (s.side > 1 and w[-2] > tol):
-        raise ValueError(f"state {s.label!r} is not pure within tol {tol:g}")
+    if w[-1] < 1 - STATE_TOL or (s.side > 1 and w[-2] > STATE_TOL):
+        raise ValueError(f"state {s.label!r} is not pure within tol {STATE_TOL:g}")
     return v[:, -1]
 
 
-def schmidt_rank(s: State, cut: Iterable[int] = (0,), tol: float = STATE_TOL) -> int:
+def schmidt_rank(s: State, cut: Iterable[int] = (0,)) -> int:
     """Number of Schmidt coefficients of a pure state across a bipartition.
 
     ``cut`` lists the parties forming one side; singular values of the
     reshaped amplitude vector above 1e-9 are counted.
     """
-    cut = sorted(set(int(p) for p in cut))
-    k = len(s.dims)
-    if any(p < 0 or p >= k for p in cut):
-        raise ValueError(f"cut {cut} out of range for {k} parties")
-    if not cut or len(cut) == k:
-        raise ValueError("cut must be a proper nonempty subset of the parties")
-    psi = state_vector(s, tol=tol)
-    rest = [p for p in range(k) if p not in cut]
+    cut = bipartition(s.dims, cut)
+    psi = state_vector(s)
+    rest = tuple(p for p in range(len(s.dims)) if p not in cut)
     t = psi.reshape(s.dims).transpose(cut + rest)
     a = t.reshape(int(np.prod([s.dims[p] for p in cut])), -1)
     return int(np.sum(np.linalg.svd(a, compute_uv=False) > 1e-9))
@@ -259,15 +254,6 @@ def mutually_orthogonal(states: StateSet, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(g) <= tol) if len(states) > 1 else True
 
 
-def mix(p: float, a: State, b: State, label: str = "") -> State:
-    """Convex mixture p*a + (1-p)*b."""
-    if a.dims != b.dims:
-        raise ValueError("mixing states of different dimension vectors")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight {p} outside [0, 1]")
-    return State(p * a.rho + (1 - p) * b.rho, a.dims, label=label)
-
-
 def state_set_to_json(states: StateSet) -> dict:
     return {
         "dims": list(states.dims),
@@ -285,21 +271,3 @@ def state_set_from_json(obj: dict) -> StateSet:
         strict_object(e, "state", ("matrix",), ("label",))
     rhos = matrices_from_json([e["matrix"] for e in entries], "state set")
     return StateSet.from_stack(rhos, dims, [e.get("label", "") for e in entries])
-
-
-def maximally_mixed(dims: Sequence[int]) -> State:
-    dims = check_dims(dims)
-    side = int(np.prod(dims))
-    return State(np.eye(side) / side, dims, label="maximally-mixed")
-
-
-def reduced_state(s: State, party: int) -> np.ndarray:
-    """Marginal of one party, tracing out all the others."""
-    rho, dims = s.rho, list(s.dims)
-    for _ in range(len(dims) - 1):
-        other = 1 if party == 0 else 0
-        rho = partial_trace(rho, dims, other)
-        dims.pop(other)
-        if other < party:
-            party -= 1
-    return rho

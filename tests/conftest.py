@@ -16,7 +16,13 @@ from distlab.povm import (
     verify_povm,
     verify_sep,
 )
-from distlab.states import StateSet, bell_states, pure_state, state_vector
+from distlab.states import State, StateSet, bell_states, pure_state, state_vector
+
+
+def maximally_mixed(dims):
+    side = int(np.prod(dims))
+    return State(np.eye(side) / side, dims)
+
 
 def bell_pair_three_party():
     """The Bell pair {0, 2} with a third qubit in |0>, on (2, 2, 2)."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from report_reference import reference_encode, reference_report
 
 import distlab
-from distlab.cli import parse_report, run, summarize
+from distlab.cli import build_parser, parse_report, run, summarize
 from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
 from distlab.linalg import matrix_to_json
 from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
@@ -135,7 +135,6 @@ def test_verify_validates_once_with_the_public_answers(tmp_path, capsys, monkeyp
     ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     tri = Povm([np.kron(phi, ket0), np.kron(phi, ket1), np.kron(np.eye(4) - phi, np.eye(2))], (2, 2, 2))
     invalid = Povm(1.01 * tri.elements, tri.dims)
-    monkeypatch.delenv("DISTLAB_TOL", raising=False)
     calls = {"eigvalsh": 0, "eigh": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
@@ -451,20 +450,6 @@ def test_installed_console_script_smoke():
     check_console_command([shutil.which("distlab")])
 
 
-def test_distlab_tol_env_override(tmp_path, capsys, monkeypatch):
-    # a POVM valid at 1e-6 but not at 1e-9: tiny completeness defect
-    from distlab.povm import Povm
-
-    eps = 1e-8
-    povm = Povm([np.eye(4) * (1 + eps)], (2, 2))
-    path = write_json(tmp_path / "loose.json", povm_to_json(povm))
-    code_strict, _, _ = run_captured(capsys, ["verify", "--povm", path])
-    monkeypatch.setenv("DISTLAB_TOL", "1e-6")
-    code_loose, _, _ = run_captured(capsys, ["verify", "--povm", path])
-    assert code_strict == 1
-    assert code_loose == 0
-
-
 def bell_pair_obj():
     return state_set_to_json(bell_states().subset([0, 2]))
 
@@ -528,6 +513,12 @@ def bell_pair_problem():
     return problem_to_json(ppt_discrimination_problem(bell_states().subset([0, 2])))
 
 
+def pt_cut_as_int():
+    obj = bell_pair_problem()
+    obj["blocks"][0]["pt_cuts"] = [0]  # each cut is a party list: [[0]]
+    return obj
+
+
 # (files to write, argv with {name} placeholders for their paths)
 CONTRACT_BREAKERS = {
     "state-file-without-states": (
@@ -564,6 +555,10 @@ CONTRACT_BREAKERS = {
     ),
     "sdp-blocks-is-3": (
         {"q": {**bell_pair_problem(), "blocks": 3}},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "sdp-pt-cut-is-a-party-not-a-list": (
+        {"q": pt_cut_as_int()},
         ["sdp", "--problem", "{q}"],
     ),
     "sep-witness-unknown-field": (
@@ -611,6 +606,31 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     if case in NON_FINITE:
         assert paths[NON_FINITE[case]] in captured.err
         assert "NaN or Infinity" in captured.err
+
+
+def test_deeply_nested_input_exits_2_without_traceback(tmp_path, capsys):
+    # in-process, so a RecursionError escaping run() fails the test
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run(["verify", "--povm", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"distlab: error: bad input file {path}: ")
+
+
+def test_tol_defaults_per_command(tmp_path, capsys):
+    # complete within 1e-6 but not within the default 1e-9
+    loose = write_json(tmp_path / "loose.json", povm_to_json(Povm([np.eye(4) * (1 + 1e-8)], (2, 2))))
+    assert run_captured(capsys, ["verify", "--povm", loose])[0] == 1
+    assert run_captured(capsys, ["verify", "--povm", loose, "--tol", "1e-6"])[0] == 0
+    parser = build_parser()
+    for argv, tol in [
+        (["verify", "--povm", "p"], 1e-9),
+        (["discriminate", "--states", "s", "--povm", "p"], 1e-9),
+        (["fuzz", "--kinds", "general", "--trials", "1", "--seed", "1"], 1e-9),
+        (["sdp", "--problem", "q"], 1e-6),
+    ]:
+        assert parser.parse_args(argv).tol == tol, argv[0]
 
 
 def test_fuzz_single_trial_still_runs(capsys):

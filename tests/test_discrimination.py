@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import bell_pair_three_party
+from conftest import bell_pair_three_party, maximally_mixed
 
 import distlab.discrimination
 from distlab.povm import Povm, locc1_from_json, locc1_to_json, random_povm, verify_povm
@@ -15,7 +15,6 @@ from distlab.states import (
     domino_states,
     embed_set,
     generalized_bell_states,
-    maximally_mixed,
     pure_state,
 )
 from distlab.discrimination import (

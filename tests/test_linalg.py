@@ -7,15 +7,12 @@ import pytest
 
 from distlab.linalg import (
     _inrange_indices,
+    bipartition,
     embed_matrix,
-    embed_vector,
-    hermitian_eigen,
     hermiticity_defect,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     restrict_matrix,
     tensor,
@@ -111,68 +108,13 @@ def test_partial_transpose_party_subset():
     assert np.max(np.abs(partial_transpose(m, dims, (0, 1, 2)) - m.T)) == 0.0
 
 
-def test_partial_trace_trivial_cases():
-    assert np.array_equal(partial_trace(np.eye(4), (2, 2), 0), 2 * np.eye(2))
-    rng = np.random.default_rng(3)
-    rho = random_psd(rng, 2)
-    rho /= np.trace(rho)
-    sigma = random_psd(rng, 3)
-    assert np.max(np.abs(partial_trace(tensor(rho, sigma), (2, 3), 1) - np.trace(sigma) * rho)) <= 1e-12
-
-
-def test_partial_trace_phi_plus_direct_summation():
-    # independent oracle: explicit index summation of the 4x4 matrix
-    def trace_out(m, dims, party):
-        da, db = dims
-        if party == 0:
-            out = np.zeros((db, db), dtype=complex)
-            for j, l in itertools.product(range(db), repeat=2):
-                out[j, l] = sum(m[i * db + j, i * db + l] for i in range(da))
-        else:
-            out = np.zeros((da, da), dtype=complex)
-            for i, k in itertools.product(range(da), repeat=2):
-                out[i, k] = sum(m[i * db + j, k * db + j] for j in range(db))
-        return out
-
-    for party in (0, 1):
-        expected = trace_out(PHI_PLUS, (2, 2), party)
-        assert np.max(np.abs(expected - np.eye(2) / 2)) <= 1e-15
-        got = partial_trace(PHI_PLUS, (2, 2), party)
-        assert np.max(np.abs(got - expected)) <= 1e-15
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), (2, 3), 0)
-
-
-def test_hermitian_eigen_small_cases():
-    w, _ = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1, 2, 3], atol=1e-12)
-    w, _ = hermitian_eigen(np.full((3, 3), 0.25))
-    assert np.allclose(w, [0, 0, 0.75], atol=1e-12)
-
-
-def test_hermitian_eigen_reconstruction_residual():
-    rng = np.random.default_rng(17)
-    m = random_hermitian(rng, 8)
-    w, v = hermitian_eigen(m)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) <= 1e-9
-    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-9
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_is_psd():
-    assert is_psd(np.eye(3), 1e-9)
-    assert not is_psd(np.diag([1.0, -0.1]), 1e-9)
-    assert not is_psd(partial_transpose(PHI_PLUS, (2, 2), 0), 1e-9)
-    with pytest.raises(ValueError):
-        is_psd(np.array([[0, 1], [0, 0]], dtype=complex), 1e-9)
+def test_bipartition():
+    assert bipartition((2, 3), 1) == (1,)
+    assert bipartition((2, 3, 2), np.int64(0)) == (0,)
+    assert bipartition((2, 3, 2), [2, 0]) == (0, 2)
+    for dims, cut in [((2, 2), (0, 1)), ((2, 2), ()), ((2,), 0), ((2, 2), 2), ((2, 2), -1), ((2, 2, 2), (1, 1))]:
+        with pytest.raises(ValueError):
+            bipartition(dims, cut)
 
 
 def test_embed_matrix_identity_and_trace():
@@ -278,12 +220,6 @@ def test_cached_index_map_is_read_only():
     with pytest.raises(ValueError):
         idx[0] = 1
     assert idx.tolist() == [0, 1, 3, 4]
-
-
-def test_embed_vector_matches_matrix_embedding():
-    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    big = embed_vector(v, (2, 2), (3, 3))
-    assert np.max(np.abs(np.outer(big, big.conj()) - embed_matrix(PHI_PLUS, (2, 2), (3, 3)))) <= 1e-15
 
 
 def test_matrix_json_roundtrip():

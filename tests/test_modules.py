@@ -38,3 +38,60 @@ def test_no_module_imports_a_private_name_of_another():
     modules = sorted(SOURCE.rglob("*.py"))
     assert len(modules) >= 6
     assert {str(m.relative_to(SOURCE)): private_imports(m) for m in modules if private_imports(m)} == {}
+
+
+# the package's functions and classes that nothing in it uses or exports, each kept on purpose
+KEPT_UNREFERENCED = {
+    "cli.parse_report": "the strict reader of the reports every command writes; schema-version checks will extend it",
+    "sdp.problem_to_json": "writes the problem format that `distlab sdp --problem` reads",
+}
+
+
+def used_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def unreferenced(paths: list[Path]) -> list[str]:
+    """``module.name`` for every module-level function and class of ``paths`` that no
+    file among them uses (loads, reads as an attribute or imports) outside its own definition."""
+    defined, used = [], set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((path.stem, own))
+            used.update(name for node in ast.walk(top) if (name := used_name(node)) and name != own)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_unreferenced_scan_counts_uses_across_files_but_not_self_reference(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text(
+        "def imported():\n    pass\n\n"
+        "def helper():\n    pass\n\n"
+        "def caller():\n    return helper()\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Read:\n    pass\n\n"
+        "class Assigned:\n    pass\n\n"
+        "Assigned = None\n"
+    )
+    b = tmp_path / "b.py"
+    b.write_text("from .a import imported\nfrom . import a\n\nx = a.Read\n")
+    assert unreferenced([a, b]) == ["a.caller", "a.recursive", "a.Assigned"]
+
+
+def test_every_function_and_class_is_used_or_exported():
+    modules = [m for m in sorted(SOURCE.rglob("*.py")) if m.name != "__init__.py"]  # its imports are __all__'s
+    unused = [name for name in unreferenced(modules) if name.split(".")[-1] not in distlab.__all__]
+    assert sorted(unused) == sorted(KEPT_UNREFERENCED)
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(distlab.__all__)) == len(distlab.__all__)
+    assert [name for name in distlab.__all__ if not hasattr(distlab, name)] == []

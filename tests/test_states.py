@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import maximally_mixed
 
 import distlab.states as states_module
-from distlab.linalg import partial_trace
 from distlab.states import (
     State,
     StateSet,
@@ -16,12 +16,9 @@ from distlab.states import (
     embed_state,
     extended_domino_basis,
     generalized_bell_states,
-    maximally_mixed,
-    mix,
     mutually_orthogonal,
     pairwise_overlaps,
     pure_state,
-    reduced_state,
     schmidt_rank,
     state_set_from_json,
     state_set_to_json,
@@ -77,8 +74,8 @@ def test_generalized_bell_maximally_mixed_marginals():
     assert len(s) == 9
     assert np.max(np.abs(pairwise_overlaps(s) - np.eye(9))) <= 1e-12
     for st_ in s:
-        for party in (0, 1):
-            marg = partial_trace(st_.rho, (3, 3), party)
+        t = st_.rho.reshape(3, 3, 3, 3)  # (a, b, a', b')
+        for marg in (np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)):
             assert np.max(np.abs(marg - np.eye(3) / 3)) <= 1e-12
 
 
@@ -132,7 +129,7 @@ def test_embed_commutes_with_mixing_exactly():
     a = pure_state([1, 0, 0, 1], (2, 2))
     b = pure_state([0, 1, 1, 0], (2, 2))
     p = 0.3
-    lhs = embed_state(mix(p, a, b), (3, 3)).rho
+    lhs = embed_state(State(p * a.rho + (1 - p) * b.rho, (2, 2)), (3, 3)).rho
     rhs = p * embed_state(a, (3, 3)).rho + (1 - p) * embed_state(b, (3, 3)).rho
     assert np.array_equal(lhs, rhs)
 
@@ -177,12 +174,6 @@ def test_mutually_orthogonal():
     zero_plus = StateSet([pure_state([1, 0], (2,)), pure_state([1, 1], (2,))])
     assert not mutually_orthogonal(zero_plus, 1e-9)
     assert mutually_orthogonal(StateSet([pure_state([1, 1], (2,))]), 1e-12)
-
-
-def test_reduced_state_of_bell_is_maximally_mixed():
-    for party in (0, 1):
-        marg = reduced_state(bell_states()[0], party)
-        assert np.max(np.abs(marg - np.eye(2) / 2)) <= 1e-12
 
 
 def test_state_set_json_roundtrip():
