@@ -98,6 +98,14 @@ def party_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def tolerance(text: str) -> float:
+    """A tolerance option's value: a finite number above 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 def _load(path: str, parse, digests: dict):
     """Read, decode and parse one input file; any defect in it is an input error naming the path."""
     try:
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--kind", default="general", choices=["general", "projective", "ppt", "sep", "locc1"])
     p.add_argument("--cut", type=party_list, help="party subset for PPT, e.g. 0 or 0,2")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("discriminate", help="check a POVM against a state set")
@@ -324,28 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--mode", default="perfect", choices=["perfect", "unambiguous"])
     p.add_argument("--inconclusive", help="comma-separated outcome indices")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_discriminate)
 
     p = sub.add_parser("sdp", help="solve an SDP problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tolerance, default=1e-6)
     p.add_argument("--max-iter", type=int, default=50000)
     p.set_defaults(func=_cmd_sdp)
 
     p = sub.add_parser("theorem1", help="PPT optimum before and after embedding")
     p.add_argument("--states", required=True)
     p.add_argument("--new-dims", required=True)
-    p.add_argument("--delta-tol", type=float, default=2e-3)
+    p.add_argument("--delta-tol", type=tolerance, default=2e-3)
     p.set_defaults(func=_cmd_theorem1)
 
     p = sub.add_parser("fuzz", help="sampled restriction harness")
-    p.add_argument("--kinds", required=True, help="comma-separated kinds, e.g. locc1,sep,ppt")
+    p.add_argument("--kinds", required=True, help="comma-separated kinds, each once: general, ppt, sep, locc1")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--states", help="state-set JSON (default: three Bell states)")
     p.add_argument("--new-dims", default="3,3")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("counterexample", help="the projectivity-breaking restriction fixture")

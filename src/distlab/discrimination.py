@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
+from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
 from .linalg import restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
@@ -36,6 +36,8 @@ from .povm import (
     require_valid,
     restrict_locc1,
     restrict_povm,
+    stack_batch,
+    take_batch,
     verify_povm,
 )
 from .sdp import PtCone, SdpProblem, SdpSolution, SolveOptions, solve
@@ -44,6 +46,9 @@ from .states import StateSet, embed_set, mutually_orthogonal
 # a state set counts as PPT-distinguishable when the optimal average success
 # probability reaches 1 - 1e-4
 DISTINGUISHABLE_MARGIN = 1e-4
+
+# the kinds local_global_fuzz samples (see _sample_of_kind)
+FUZZ_KINDS = ("general", "ppt", "sep", "locc1")
 
 
 @dataclass(frozen=True)
@@ -97,29 +102,26 @@ class HarnessReport:
 
 
 def hit_table(povm: Povm, states: StateSet) -> np.ndarray:
-    """p(j|i) = tr(M_j rho_i); rows are states, columns outcomes."""
+    """p(j|i) = tr(M_j rho_i); rows are states, columns outcomes (one table per member of a batch)."""
     if povm.dims != states.dims:
         raise ValueError(f"POVM dims {povm.dims} do not match state dims {states.dims}")
-    return trace_products(states.rhos, povm.elements).real
+    e = povm.elements
+    table = trace_products(states.rhos, e.reshape((-1,) + e.shape[-2:])).real
+    return np.moveaxis(table.reshape((len(states),) + e.shape[:-2]), 0, -2)
 
 
-def _assign_hits(povm: Povm, states: StateSet, skip: set[int], ambiguous: str, tol: float):
-    """Hit table of a POVM already known to be valid, and each state's total probability
-    from the outcomes outside ``skip`` that hit it alone; an outcome hitting several
-    states is an ``ambiguous`` violation.  Null outcomes are allowed in a POVM and skipped."""
+def _assign_hits(povm: Povm, states: StateSet, skip: Sequence[int], tol: float):
+    """Hit table of POVMs already known to be valid (any batch axes lead), the hits
+    above ``tol`` of each outcome outside ``skip``, the outcomes hitting several
+    states, and each state's total probability from the outcomes that hit it alone,
+    summed outcome by outcome.  Null outcomes are allowed in a POVM and skipped."""
     table = hit_table(povm, states)
-    live = np.trace(povm.elements, axis1=1, axis2=2).real > tol
-    totals = np.zeros(table.shape[0])
-    violations: list[dict] = []
-    for j in np.flatnonzero(live).tolist():
-        if j in skip:
-            continue
-        hits = [i for i in range(table.shape[0]) if table[i, j] > tol]
-        if len(hits) > 1:
-            violations.append({"kind": ambiguous, "outcome": j, "states": hits})
-        elif len(hits) == 1:
-            totals[hits[0]] += table[hits[0], j]
-    return table, totals, violations
+    live = np.trace(povm.elements, axis1=-2, axis2=-1).real > tol
+    live &= ~np.isin(np.arange(live.shape[-1]), list(skip))
+    hits = (table > tol) & live[..., None, :]
+    count = hits.sum(axis=-2)
+    alone = np.where(hits & (count == 1)[..., None, :], table, 0.0)
+    return table, hits, count > 1, np.cumsum(alone, axis=-1)[..., -1]
 
 
 def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> DiscriminationVerdict:
@@ -129,15 +131,10 @@ def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> Dis
     state must collect total assigned probability 1 within ``tol``.
     """
     require_valid(povm, tol)
-    return _perfect(povm, states, tol)
-
-
-def _perfect(povm: Povm, states: StateSet, tol: float) -> DiscriminationVerdict:
-    """:func:`check_perfect` of a POVM already known to be valid."""
-    table, totals, violations = _assign_hits(povm, states, set(), "outcome-hits-multiple-states", tol)
-    for i, total in enumerate(totals):
-        if abs(total - 1.0) > tol:
-            violations.append({"kind": "state-not-identified", "state": i, "probability": float(total)})
+    table, hits, ambiguous, totals = _assign_hits(povm, states, (), tol)
+    violations = _violations(hits, ambiguous, "outcome-hits-multiple-states")
+    for i in np.flatnonzero(np.abs(totals - 1.0) > tol).tolist():
+        violations.append({"kind": "state-not-identified", "state": i, "probability": float(totals[i])})
     return DiscriminationVerdict(
         mode="perfect",
         povm_kind=povm.kind,
@@ -165,10 +162,10 @@ def check_unambiguous(
     if not set(range(len(povm))) - inconclusive:
         raise ValueError("at least one outcome must be conclusive")
     require_valid(povm, tol)
-    table, totals, violations = _assign_hits(povm, states, inconclusive, "conclusive-outcome-ambiguous", tol)
-    for i, total in enumerate(totals):
-        if total <= tol:
-            violations.append({"kind": "state-never-detected", "state": i, "probability": float(total)})
+    table, hits, ambiguous, totals = _assign_hits(povm, states, sorted(inconclusive), tol)
+    violations = _violations(hits, ambiguous, "conclusive-outcome-ambiguous")
+    for i in np.flatnonzero(totals <= tol).tolist():
+        violations.append({"kind": "state-never-detected", "state": i, "probability": float(totals[i])})
     return DiscriminationVerdict(
         mode="unambiguous",
         povm_kind=povm.kind,
@@ -178,6 +175,14 @@ def check_unambiguous(
         violations=tuple(violations),
         tol=tol,
     )
+
+
+def _violations(hits: np.ndarray, ambiguous: np.ndarray, kind: str) -> list[dict]:
+    """One ``kind`` violation per outcome of one POVM hitting several states, naming them."""
+    return [
+        {"kind": kind, "outcome": j, "states": np.flatnonzero(hits[:, j]).tolist()}
+        for j in np.flatnonzero(ambiguous).tolist()
+    ]
 
 
 def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> GlobalVerdict:
@@ -225,8 +230,9 @@ def _distinguishable(solution: SdpSolution) -> bool:
     return solution.status == "optimal" and solution.objective_value >= 1 - DISTINGUISHABLE_MARGIN
 
 
-def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence[int]) -> float:
-    """Max residual between tr(restrict(M_j) rho_i) and tr(M_j embed(rho_i)).
+def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence[int]):
+    """Max residual between tr(restrict(M_j) rho_i) and tr(M_j embed(rho_i)), a float
+    (for a batch of POVMs, an array over its members).
 
     Both sides are computed through independent routes; they agree exactly in
     exact arithmetic because the embedded state is supported on the in-range
@@ -235,9 +241,12 @@ def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence
     sub_dims = tuple(int(d) for d in sub_dims)
     if states.dims != sub_dims:
         raise ValueError(f"states live in {states.dims}, expected {sub_dims}")
-    lhs = trace_products(states.rhos, restrict_matrix(povm_big.elements, povm_big.dims, sub_dims))
-    rhs = trace_products(embed_matrix(states.rhos, sub_dims, povm_big.dims), povm_big.elements)
-    return float(np.max(np.abs(lhs - rhs)))
+    e = povm_big.elements
+    small = restrict_matrix(e, povm_big.dims, sub_dims)
+    lhs = trace_products(states.rhos, small.reshape((-1,) + small.shape[-2:]))
+    rhs = trace_products(embed_matrix(states.rhos, sub_dims, povm_big.dims), e.reshape((-1,) + e.shape[-2:]))
+    worst = np.max(np.abs(lhs - rhs).reshape((len(states),) + e.shape[:-3] + (-1,)), axis=(0, -1))
+    return worst if worst.ndim else float(worst)
 
 
 def _transfer(small: PptResult, embedded: StateSet, tol: float) -> PptResult:
@@ -323,21 +332,59 @@ def _sample_of_kind(kind: str, dims, seed: int):
     raise ValueError(f"no sampler for kind {kind!r}")
 
 
-def _first_failure(obj, kind: str, states: StateSet, embedded: StateSet, tol: float):
-    """One fuzz trial on the sample ``obj``: its first failed check as ``(check, residual)``, or None."""
-    tree = isinstance(obj, Locc1Tree)
-    checks, small_povm = check_kind((restrict_locc1 if tree else restrict_povm)(obj, states.dims), kind, tol)
-    failed = [(name, residual) for name, residual, ok in checks if not ok]
-    if failed:
-        return failed[0]
-    big_povm = flatten_locc1(obj, tol) if tree else obj
-    residual = theorem1_trace_identity(states, big_povm, states.dims)
-    if residual > ALGEBRA_TOL:
-        return "trace-identity", residual
-    big_verdict = check_perfect(big_povm, embedded, tol)  # the sample's one validity check
-    if _perfect(small_povm, states, tol).passes and not big_verdict.passes:
-        return "discrimination-gained", float("nan")
-    return None
+def _sample_bytes(sample: Povm | Locc1Tree) -> int:
+    """Bytes of a sample's POVM elements (a tree's once flattened)."""
+    outcomes = sample.levels[-1].shape[-3] if isinstance(sample, Locc1Tree) else len(sample)
+    return outcomes * int(np.prod(sample.dims)) ** 2 * np.dtype(complex).itemsize
+
+
+def _perfect_passes(povm: Povm, states: StateSet, tol: float) -> np.ndarray:
+    """Per member of a batch of valid POVMs: whether it passes :func:`check_perfect` on ``states``."""
+    _, _, ambiguous, totals = _assign_hits(povm, states, (), tol)
+    return ~(ambiguous.any(axis=-1) | (np.abs(totals - 1.0) > tol).any(axis=-1))
+
+
+def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: StateSet, tol: float) -> dict:
+    """The first failed check of each trial in a batch of samples, as ``{position: (check, residual)}``.
+
+    Each check runs once for the block, on the trials that passed every check
+    before it in one trial's chain: the restriction's kind checks, the trace
+    identity, the two perfect-discrimination verdicts.  The sample's own
+    validity (its families, then its POVM) is an error rather than a failure,
+    raised for the first trial whose chain reaches an invalid sample.
+    """
+    tree = isinstance(big, Locc1Tree)
+    checks, small = check_kind((restrict_locc1 if tree else restrict_povm)(big, states.dims), kind, tol)
+    found: dict[int, tuple[str, float]] = {}
+    for name, residual, ok in checks:
+        for p in np.flatnonzero(~ok).tolist():
+            found.setdefault(p, (name, float(residual[p])))
+    alive = np.ones(len(checks[0][2]), dtype=bool)  # the trials that passed their kind checks
+    alive[list(found)] = False
+    if not alive.any():
+        return found
+    positions = np.flatnonzero(alive)
+    # the samples' own checks (a tree's families, then the POVM), and the samples as POVMs
+    own, flat = check_kind(take_batch(big, alive), "locc1" if tree else "general", tol)
+    families = own[0][2] if tree else np.ones(len(positions), dtype=bool)
+    residual = np.full(len(positions), np.nan)  # the trace identity needs complete families
+    if families.any():
+        residual[families] = theorem1_trace_identity(states, take_batch(flat, families), states.dims)
+    broken = residual > ALGEBRA_TOL
+    for p, value in zip(positions[broken].tolist(), residual[broken].tolist()):
+        found[p] = ("trace-identity", value)
+    valid = np.logical_and.reduce([ok for _, _, ok in own])
+    if not np.all(valid | broken):  # raise the error a lone trial on the first invalid sample raises
+        sample = take_batch(big, positions[~(valid | broken)][0])
+        require_valid(flatten_locc1(sample, tol) if tree else sample, tol)
+    keep = valid & ~broken
+    alive[positions[~keep]] = False
+    if keep.any():
+        small, flat = take_batch(small, alive), take_batch(flat, keep)
+        gained = _perfect_passes(small, states, tol) & ~_perfect_passes(flat, embedded, tol)
+        for p in positions[keep][gained].tolist():
+            found[p] = ("discrimination-gained", float("nan"))
+    return found
 
 
 def local_global_fuzz(
@@ -354,21 +401,36 @@ def local_global_fuzz(
     enlarged system, restricts it, and checks that (a) the restriction keeps
     its kind, (b) the hit-table trace identity holds to 1e-12, and (c) the
     restriction never discriminates the set when the original fails to
-    discriminate the embedded set.  Failures are data, not exceptions.
+    discriminate the embedded set.  Failures are data, not exceptions; each
+    trial records its first failed check.  The kinds are those of
+    ``FUZZ_KINDS``, each at most once, and are checked before any trial.
+
+    Trials are drawn one at a time, each from its own seed, and checked in
+    blocks: a block collects samples until their POVM elements fill
+    ``BLOCK_BYTES``, and then runs every check once for the whole block.
     """
     new_dims = tuple(int(d) for d in new_dims)
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in FUZZ_KINDS:
+            raise ValueError(f"no sampler for kind {kind!r}; the fuzz samples {', '.join(FUZZ_KINDS)}")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"each kind may be fuzzed once, got {', '.join(kinds)}")
     embedded = embed_set(states, new_dims)
     failures: list[dict] = []
     for kind_index, kind in enumerate(kinds):
+        block: list = []
         for offset in range(trials):
-            obj = _sample_of_kind(kind, new_dims, _trial_seed(seed, kind_index, offset))
-            failed = _first_failure(obj, kind, states, embedded, tol)
-            if failed is not None:
-                failures.append({"seed_offset": offset, "kind": kind, "check": failed[0], "residual": failed[1]})
+            block.append(_sample_of_kind(kind, new_dims, _trial_seed(seed, kind_index, offset)))
+            if len(block) * _sample_bytes(block[0]) < BLOCK_BYTES and offset < trials - 1:
+                continue
+            start, batch, block = offset + 1 - len(block), stack_batch(block), []
+            for position, (check, residual) in _fuzz_block(batch, kind, states, embedded, tol).items():
+                failures.append({"seed_offset": start + position, "kind": kind, "check": check, "residual": residual})
     return HarnessReport(
         trials=trials,
         seed=seed,
-        kinds=tuple(kinds),
+        kinds=kinds,
         dims=new_dims,
         sub_dims=states.dims,
         failures=tuple(sorted(failures, key=lambda f: (f["kind"], f["seed_offset"]))),

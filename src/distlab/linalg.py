@@ -18,6 +18,9 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
+# Batched checks take their stacks in blocks of about this many bytes, which bounds
+# their temporaries: StateSet.from_stack, and the fuzz per block of samples.
+BLOCK_BYTES = 1 << 18
 
 
 def as_matrix(m) -> np.ndarray:
@@ -51,10 +54,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max entrywise |M - M^dagger| over one matrix or every matrix of a stack."""
+def hermiticity_defect(m: np.ndarray):
+    """Max entrywise |M - M^dagger|: a float for one matrix, an array of shape
+    ``m.shape[:-2]`` for a stack (one defect per matrix)."""
     m = as_stack(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1), initial=0.0)
+    return float(defect) if m.ndim == 2 else defect
 
 
 def tensor(*matrices: np.ndarray) -> np.ndarray:
@@ -75,8 +80,10 @@ def tensor(*matrices: np.ndarray) -> np.ndarray:
 
 
 def _party_list(dims: tuple[int, ...], party: int | Iterable[int]) -> list[int]:
-    parties = [party] if isinstance(party, (int, np.integer)) else list(party)
+    parties = list(party) if isinstance(party, Iterable) else [party]
     for p in parties:
+        if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"party {p!r} is not an integer")
         if not 0 <= p < len(dims):
             raise ValueError(f"party {p} out of range for {len(dims)} parties")
     if len(set(parties)) != len(parties):

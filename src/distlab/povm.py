@@ -9,6 +9,10 @@ measurement trees whose leaves are tensor products along outcome paths.
 Restriction extracts the sub-block supported on the in-range local indices of
 a smaller system; it maps each class to itself, which is the numerical surface
 the fuzz tests exercise.  Projectivity is the documented exception.
+
+A POVM or a tree may also hold a batch of measurements of one shape along a
+leading axis (see :func:`stack_batch`); verification, restriction and
+:func:`check_kind` then run once for the whole batch and answer per member.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class Locc1Tree:
     of level ``l - 1`` whose conditional family holds outcome ``j``.  Level 0
     is one family, so ``parents[0]`` is all zeros.  Each ``parents[l]`` is
     nondecreasing and covers every outcome of the level above, so families
-    are contiguous and may differ in size.
+    are contiguous and may differ in size.  Levels of shape ``(b, N_l, d, d)``
+    hold a batch of ``b`` trees sharing ``parents``.
     """
 
     dims: tuple[int, ...]
@@ -109,11 +114,11 @@ class Locc1Tree:
         checked = []
         for depth, (level, party) in enumerate(zip(levels, party_order)):
             d = dims[party]
-            if level.ndim != 3 or level.shape[1:] != (d, d):
-                raise ValueError(f"level {depth} has shape {level.shape}, expected (outcomes, {d}, {d})")
+            if level.ndim not in (3, 4) or level.shape[-2:] != (d, d) or level.shape[:-3] != levels[0].shape[:-3]:
+                raise ValueError(f"level {depth} has shape {level.shape}, expected ([batch,] outcomes, {d}, {d})")
             parent = _segment_index(parents[depth], f"parents of level {depth}")
-            above = len(levels[depth - 1]) if depth else 1
-            if len(parent) != len(level) or parent[-1] != above - 1:
+            above = levels[depth - 1].shape[-3] if depth else 1
+            if len(parent) != level.shape[-3] or parent[-1] != above - 1:
                 raise ValueError(f"level {depth} needs a parent per outcome and a family under all {above}")
             checked.append(parent)
         object.__setattr__(self, "dims", dims)
@@ -125,7 +130,11 @@ class Locc1Tree:
 @dataclass(frozen=True)
 class Povm:
     """Measurement given by PSD elements summing to the identity, held as one
-    ``(n, side, side)`` complex stack (a stack passed in is not copied)."""
+    ``(n, side, side)`` complex stack (a stack passed in is not copied).
+
+    A ``(b, n, side, side)`` stack holds a batch of ``b`` POVMs; a separability
+    witness of a batch covers its ``b * n`` elements in order.
+    """
 
     elements: np.ndarray
     dims: tuple[int, ...]
@@ -134,12 +143,12 @@ class Povm:
 
     def __init__(self, elements, dims, kind="general", witness=None):
         elements = np.asarray(elements, dtype=complex)
-        if not len(elements):
+        if not elements.size:
             raise ValueError("a POVM needs at least one element")
         dims = check_dims(dims)
         side = int(np.prod(dims))
-        if elements.shape[1:] != (side, side):
-            raise ValueError(f"element shape {elements.shape[1:]} does not match system side {side}")
+        if elements.ndim not in (3, 4) or elements.shape[-2:] != (side, side):
+            raise ValueError(f"element stack shape {elements.shape} does not match system side {side}")
         if kind not in POVM_KINDS:
             raise ValueError(f"unknown POVM kind {kind!r}")
         object.__setattr__(self, "elements", elements)
@@ -148,7 +157,7 @@ class Povm:
         object.__setattr__(self, "witness", witness)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[-3]
 
     @property
     def side(self) -> int:
@@ -157,27 +166,32 @@ class Povm:
 
 @dataclass(frozen=True)
 class PovmReport:
-    """Outcome of completeness/positivity verification."""
+    """Outcome of completeness/positivity verification; for a batch, every field
+    is an array over the batch (``element_min_eigs`` one row per member)."""
 
-    completeness_residual: float
-    element_min_eigs: tuple[float, ...]
-    hermiticity_defect: float
+    completeness_residual: float | np.ndarray
+    element_min_eigs: tuple[float, ...] | np.ndarray
+    hermiticity_defect: float | np.ndarray
     tol: float
 
     @property
-    def passed(self) -> bool:
-        return (
-            self.completeness_residual <= self.tol
-            and self.hermiticity_defect <= self.tol
-            and all(w >= -self.tol for w in self.element_min_eigs)
+    def passed(self):
+        ok = (
+            (np.asarray(self.completeness_residual) <= self.tol)
+            & (np.asarray(self.hermiticity_defect) <= self.tol)
+            & np.all(np.asarray(self.element_min_eigs) >= -self.tol, axis=-1)
         )
+        return ok if ok.ndim else bool(ok)
 
 
 def verify_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmReport:
-    """Measure completeness residual and per-element minimum eigenvalues."""
-    residual = float(np.max(np.abs(p.elements.sum(axis=0) - np.eye(p.side))))
-    min_eigs = tuple(min_eigenvalue(p.elements).tolist())
-    return PovmReport(residual, min_eigs, hermiticity_defect(p.elements), tol)
+    """Measure completeness residual and per-element minimum eigenvalues (per member of a batch)."""
+    e = p.elements
+    residual = np.max(np.abs(e.sum(axis=-3) - np.eye(p.side)), axis=(-2, -1))
+    min_eigs, defect = min_eigenvalue(e), np.max(hermiticity_defect(e), axis=-1)
+    if e.ndim == 3:
+        return PovmReport(float(residual), tuple(min_eigs.tolist()), float(defect), tol)
+    return PovmReport(residual, min_eigs, defect, tol)
 
 
 def require_valid(p: Povm, tol: float):
@@ -252,16 +266,18 @@ def canonical_cuts(dims: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _pt_min_eigenvalues(elements: np.ndarray, dims: tuple[int, ...], cuts) -> np.ndarray:
-    """(cuts, n) table: smallest eigenvalue of each element transposed on each cut."""
+    """(cuts, ..., n) table: smallest eigenvalue of each element transposed on each cut."""
     return np.array([min_eigenvalue(partial_transpose(elements, dims, cut)) for cut in cuts])
 
 
-def ppt_min_eigenvalue(p: Povm, cuts: Iterable[tuple[int, ...]] | None = None) -> float:
-    """Smallest eigenvalue over all elements and partial-transposition cuts."""
+def ppt_min_eigenvalue(p: Povm, cuts: Iterable[tuple[int, ...]] | None = None):
+    """Smallest eigenvalue over all elements and partial-transposition cuts
+    (for a batch, an array over its members)."""
     cuts = canonical_cuts(p.dims) if cuts is None else [tuple(c) for c in cuts]
     if not cuts:
         raise ValueError("PPT needs a nontrivial bipartition")
-    return float(np.min(_pt_min_eigenvalues(p.elements, p.dims, cuts)))
+    worst = np.min(_pt_min_eigenvalues(p.elements, p.dims, cuts), axis=(0, -1))
+    return worst if worst.ndim else float(worst)
 
 
 def is_ppt_povm(
@@ -284,32 +300,40 @@ def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
         w = flatten_locc1(w, tol).witness
     if not isinstance(w, SepDecomposition):
         raise ValueError("POVM carries no separability witness")
-    if len(w) != len(p.elements):
-        raise ValueError(f"witness covers {len(w)} elements, POVM has {len(p.elements)}")
+    elements = int(np.prod(p.elements.shape[:-2]))
+    if len(w) != elements:
+        raise ValueError(f"witness covers {len(w)} elements, POVM has {elements}")
     return w
 
 
-def verify_sep(p: Povm, tol: float = DEFAULT_TOL) -> bool:
-    """Check the separability witness: PSD local factors reconstructing each element."""
+def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
+    """Check the separability witness: PSD local factors reconstructing each element
+    (for a batch, one answer per member)."""
     witness = _sep_witness(p, tol)
     if len(witness.factors) != len(p.dims):
         raise ValueError("witness term does not have one factor per party")
+    member = witness.owner // len(p)  # the batch member of each term
+    bad = np.zeros(len(member), dtype=bool)
     for k, f in enumerate(witness.factors):
         if f.shape[1:] != (p.dims[k], p.dims[k]):
             raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
-        if hermiticity_defect(f) > tol or np.min(min_eigenvalue(f)) < -tol:
-            return False
-    recon = _index_sums(tensor(*witness.factors), witness.owner)
-    return bool(np.max(np.abs(recon - p.elements)) <= tol)
+        bad |= (hermiticity_defect(f) > tol) | (min_eigenvalue(f) < -tol)
+    recon = _index_sums(tensor(*witness.factors), witness.owner).reshape(-1, len(p), p.side, p.side)
+    ok = np.max(np.abs(recon - p.elements.reshape(recon.shape)), axis=(1, 2, 3)) <= tol
+    ok &= np.bincount(member[bad], minlength=len(ok)) == 0
+    return ok if p.elements.ndim == 4 else bool(ok[0])
 
 
-def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every conditional family is a complete local POVM on its party."""
+def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL):
+    """True iff every conditional family is a complete local POVM on its party
+    (for a batch, one answer per tree)."""
+    ok = True
     for level, parents in zip(tree.levels, tree.parents):
-        residual = np.max(np.abs(_index_sums(level, parents) - np.eye(level.shape[-1])))
-        if residual > tol or hermiticity_defect(level) > tol or np.min(min_eigenvalue(level)) < -tol:
-            return False
-    return True
+        sums = _index_sums(np.moveaxis(level, -3, 0), parents)  # (families, [batch,] d, d)
+        residual = np.max(np.abs(sums - np.eye(level.shape[-1])), axis=(0, -2, -1))
+        defect, worst = np.max(hermiticity_defect(level), axis=-1), np.min(min_eigenvalue(level), axis=-1)
+        ok = ok & (residual <= tol) & (defect <= tol) & (worst >= -tol)
+    return ok if ok.ndim else bool(ok)
 
 
 def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
@@ -327,11 +351,12 @@ def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
 def _flatten(tree: Locc1Tree) -> Povm:
     """:func:`flatten_locc1` of a tree already known to be valid."""
     factors: list = [None] * len(tree.dims)
-    path = np.arange(len(tree.levels[-1]))  # each leaf's outcome at the current depth
+    path = np.arange(tree.levels[-1].shape[-3])  # each leaf's outcome at the current depth
     for depth in reversed(range(len(tree.levels))):
-        factors[tree.party_order[depth]] = tree.levels[depth][path]
+        factors[tree.party_order[depth]] = tree.levels[depth][..., path, :, :]
         path = tree.parents[depth][path]
-    witness = SepDecomposition(factors, np.arange(len(tree.levels[-1])))
+    flat = [f.reshape((-1,) + f.shape[-2:]) for f in factors]  # a batch's leaves one after another
+    witness = SepDecomposition(flat, np.arange(len(flat[0])))
     return Povm(tensor(*factors), tree.dims, kind="locc1", witness=witness)
 
 
@@ -340,41 +365,111 @@ def check_kind(
     kind: str,
     tol: float = DEFAULT_TOL,
     partition: int | Iterable[int] | None = None,
-) -> tuple[list[tuple[str, float, bool]], Povm | None]:
+) -> tuple[list, Povm | None]:
     """Check that ``measurement`` is of ``kind``, running each check once.
 
     Returns the checks that ran, in order, as ``(name, residual, ok)``, and the
     POVM they checked (None when a tree fails).  A tree (kind locc1) gets
-    ``locc1-tree`` and is flattened only when valid; a POVM gets ``completeness``
+    ``locc1-tree`` and, when valid, is flattened; a POVM gets ``completeness``
     and ``element-psd`` (which a non-Hermitian element fails), then, if valid,
     its kind's ``projective``, ``ppt`` (on the cut ``partition`` names, else on
     every cut) or ``sep-witness``.  ``partition`` is checked first.
+
+    A batch is checked as a whole: each check runs once, on the members that
+    reached it, and its residual and ok are arrays over the batch (NaN and True
+    where it did not run); a check is listed when any member reached it, and the
+    POVM returned is the whole batch, every tree flattened.  One measurement is
+    checked as a batch of one.
     """
     if kind not in POVM_KINDS:
         raise ValueError(f"unknown POVM kind {kind!r}")
-    if (kind == "locc1") != isinstance(measurement, Locc1Tree):
+    tree = isinstance(measurement, Locc1Tree)
+    if (kind == "locc1") != tree:
         raise ValueError("kind locc1 takes a measurement tree, every other kind a POVM")
     cuts = None if partition is None else [bipartition(measurement.dims, partition)]
-    checks = []
-    if isinstance(measurement, Locc1Tree):
-        checks.append(("locc1-tree", float("nan"), verify_locc1(measurement, tol)))
-        if not checks[-1][2]:
-            return checks, None
-        measurement = _flatten(measurement)
-    report = verify_povm(measurement, tol)
-    worst = min(report.element_min_eigs)
-    checks.append(("completeness", report.completeness_residual, report.completeness_residual <= tol))
-    checks.append(("element-psd", worst, worst >= -tol and report.hermiticity_defect <= tol))
-    if not report.passed:
-        return checks, measurement
-    if kind == "projective":
-        checks.append(("projective", float("nan"), _projective(measurement.elements, tol)))
-    elif kind == "ppt":
-        worst_pt = ppt_min_eigenvalue(measurement, cuts)
-        checks.append(("ppt", worst_pt, worst_pt >= -tol))
-    elif kind == "sep":
-        checks.append(("sep-witness", float("nan"), verify_sep(measurement, tol)))
+    single = (measurement.levels[0] if tree else measurement.elements).ndim == 3
+    checks, povm = _check_batch(stack_batch([measurement]) if single else measurement, kind, tol, cuts)
+    if not single:
+        return checks, povm
+    checks = [(name, float(residual[0]), bool(ok[0])) for name, residual, ok in checks]
+    if tree:
+        return checks, take_batch(povm, 0) if checks[0][2] else None
     return checks, measurement
+
+
+def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[list, Povm]:
+    """:func:`check_kind` of a batch."""
+    size = len(batch.levels[0]) if isinstance(batch, Locc1Tree) else len(batch.elements)
+    alive = np.ones(size, dtype=bool)  # the members every check so far has passed
+    checks: list = []
+
+    def record(name, residual, ok):  # values of the members alive when the check ran
+        values, oks = np.full(size, np.nan), np.ones(size, dtype=bool)
+        values[alive], oks[alive] = residual, ok
+        checks.append((name, values, oks))
+
+    povm = batch
+    if isinstance(batch, Locc1Tree):
+        record("locc1-tree", np.nan, verify_locc1(batch, tol))
+        alive &= checks[-1][2]
+        povm = _flatten(batch)
+    if alive.any():
+        report = verify_povm(take_batch(povm, alive), tol)
+        worst = np.min(report.element_min_eigs, axis=-1)
+        record("completeness", report.completeness_residual, report.completeness_residual <= tol)
+        record("element-psd", worst, (worst >= -tol) & (report.hermiticity_defect <= tol))
+        alive[alive] = report.passed
+    if alive.any() and kind in ("projective", "ppt", "sep"):
+        valid = take_batch(povm, alive)
+        if kind == "projective":
+            record("projective", np.nan, [_projective(e, tol) for e in valid.elements])
+        elif kind == "ppt":
+            worst_pt = ppt_min_eigenvalue(valid, cuts)
+            record("ppt", worst_pt, worst_pt >= -tol)
+        else:
+            record("sep-witness", np.nan, verify_sep(valid, tol))
+    return checks, povm
+
+
+def stack_batch(measurements: Sequence[Povm | Locc1Tree]) -> Povm | Locc1Tree:
+    """One batch of measurements of one shape: POVM elements ``(b, n, side, side)``
+    under the kind of the first, whose separability witnesses are concatenated with
+    each member's owners offset by ``n`` times its position; or tree levels
+    ``(b, N_l, d, d)`` under the parents of the first tree.  A batch of one views
+    its member's stacks instead of copying them."""
+    first = measurements[0]
+
+    def stacked(arrays):
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    if isinstance(first, Locc1Tree):
+        levels = [stacked(level) for level in zip(*(t.levels for t in measurements))]
+        return Locc1Tree(first.dims, first.party_order, levels, first.parents)
+    witness = first.witness
+    if isinstance(witness, SepDecomposition) and len(measurements) > 1:
+        factors = [np.concatenate(f) for f in zip(*(m.witness.factors for m in measurements))]
+        owner = np.concatenate([m.witness.owner + k * len(first) for k, m in enumerate(measurements)])
+        witness = SepDecomposition(factors, owner)
+    return Povm(stacked([m.elements for m in measurements]), first.dims, first.kind, witness)
+
+
+def take_batch(batch: Povm | Locc1Tree, index) -> Povm | Locc1Tree:
+    """The members of a batch at ``index``: a boolean mask gives a batch (``batch``
+    itself when it keeps every member), an integer one measurement."""
+    if not np.isscalar(index) and np.all(index):
+        return batch
+    if isinstance(batch, Locc1Tree):
+        return Locc1Tree(batch.dims, batch.party_order, [level[index] for level in batch.levels], batch.parents)
+    witness, n = batch.witness, len(batch)
+    if isinstance(witness, SepDecomposition):
+        kept = np.zeros(len(batch.elements), dtype=bool)
+        kept[index] = True
+        member = witness.owner // n
+        terms = kept[member]
+        position = np.cumsum(kept) - 1  # each kept member's place in the result
+        owner = position[member[terms]] * n + witness.owner[terms] % n
+        witness = SepDecomposition([f[terms] for f in witness.factors], owner)
+    return Povm(batch.elements[index], batch.dims, batch.kind, witness)
 
 
 def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
@@ -399,7 +494,7 @@ def restrict_locc1(tree: Locc1Tree, sub_dims: Sequence[int]) -> Locc1Tree:
     sub_dims = check_dims(sub_dims)
     if len(sub_dims) != len(tree.dims) or any(s > d for s, d in zip(sub_dims, tree.dims)):
         raise ValueError(f"cannot restrict dims {tree.dims} to {sub_dims}")
-    levels = [level[:, : sub_dims[p], : sub_dims[p]] for level, p in zip(tree.levels, tree.party_order)]
+    levels = [level[..., : sub_dims[p], : sub_dims[p]] for level, p in zip(tree.levels, tree.party_order)]
     return Locc1Tree(sub_dims, tree.party_order, levels, tree.parents)
 
 

@@ -15,12 +15,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    BLOCK_BYTES,
     DEFAULT_TOL,
     HERMITIAN_TOL,
     as_matrix,
     bipartition,
     check_dims,
-    dagger,
     embed_matrix,
     hermiticity_defect,
     matrices_from_json,
@@ -31,7 +31,6 @@ from .linalg import (
 )
 
 STATE_TOL = 1e-9
-_CHECK_BYTES = 1 << 22  # StateSet.from_stack checks its stack in blocks of about this size, to bound the temporaries
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,11 @@ class StateSet:
         if rhos.ndim != 3 or not len(rhos) or len(labels) != len(rhos):
             raise ValueError(f"bad state stack: shape {rhos.shape} with {len(labels)} labels")
         dims = check_dims(dims, rhos.shape[-1])
-        step = max(1, _CHECK_BYTES // rhos[0].nbytes)
+        step = max(1, BLOCK_BYTES // rhos[0].nbytes)
         for lo in range(0, len(rhos), step):
             block = rhos[lo : lo + step]
             bad = (
-                (np.max(np.abs(block - dagger(block)), axis=(1, 2)) > HERMITIAN_TOL)
+                (hermiticity_defect(block) > HERMITIAN_TOL)
                 | (np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0) > STATE_TOL)
                 | (min_eigenvalue(block) < -STATE_TOL)
             )

@@ -519,6 +519,12 @@ def pt_cut_as_int():
     return obj
 
 
+def pt_cut_with_party(party):
+    obj = bell_pair_problem()
+    obj["blocks"][0]["pt_cuts"] = [[party]]
+    return obj
+
+
 # (files to write, argv with {name} placeholders for their paths)
 CONTRACT_BREAKERS = {
     "state-file-without-states": (
@@ -585,6 +591,22 @@ CONTRACT_BREAKERS = {
         {},
         ["fuzz", "--kinds", "general", "--trials", "0", "--seed", "1"],
     ),
+    "fuzz-kind-without-sampler": (
+        {},
+        ["fuzz", "--kinds", "general,projective", "--trials", "1", "--seed", "1"],
+    ),
+    "fuzz-repeated-kind": (
+        {},
+        ["fuzz", "--kinds", "general,general", "--trials", "1", "--seed", "1"],
+    ),
+    "sdp-fractional-party": (
+        {"q": pt_cut_with_party(0.7)},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "sdp-boolean-party": (
+        {"q": pt_cut_with_party(True)},
+        ["sdp", "--problem", "{q}"],
+    ),
 }
 
 
@@ -631,6 +653,27 @@ def test_tol_defaults_per_command(tmp_path, capsys):
         (["sdp", "--problem", "q"], 1e-6),
     ]:
         assert parser.parse_args(argv).tol == tol, argv[0]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "1e-400", "tiny"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--povm", "p.json", "--kind", "ppt", "--tol"],
+        ["discriminate", "--states", "s.json", "--povm", "p.json", "--tol"],
+        ["fuzz", "--kinds", "general", "--trials", "1", "--seed", "1", "--tol"],
+        ["sdp", "--problem", "q.json", "--tol"],
+        ["theorem1", "--states", "s.json", "--new-dims", "3,3", "--delta-tol"],
+    ],
+    ids=["verify", "discriminate", "fuzz", "sdp", "theorem1"],
+)
+def test_tolerances_must_be_finite_and_positive(capsys, argv, value):
+    # the files do not exist: the option is rejected before any input is read
+    code = run(argv + [value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"argument {argv[-1]}: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_fuzz_single_trial_still_runs(capsys):

@@ -1,13 +1,16 @@
 """Tests for the distinguishability semantics layer."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import bell_pair_three_party, maximally_mixed
+from fuzz_reference import reference_fuzz
 
 import distlab.discrimination
-from distlab.povm import Povm, locc1_from_json, locc1_to_json, random_povm, verify_povm
+from distlab.linalg import BLOCK_BYTES
+from distlab.povm import Locc1Tree, Povm, random_povm, verify_povm
 from distlab.sdp import SolveOptions
 from distlab.states import (
     StateSet,
@@ -352,18 +355,15 @@ def test_local_global_fuzz_bell_locc1():
     assert report.trials == 500
 
 
+def _scaled_root(tree):  # the root family's first element times 1.01: the family no longer sums to I
+    root = tree.levels[0].copy()
+    root[..., 0, :, :] *= 1.01
+    return Locc1Tree(tree.dims, tree.party_order, [root, *tree.levels[1:]], tree.parents)
+
+
 def test_local_global_fuzz_records_a_broken_restricted_tree(monkeypatch):
     restrict = distlab.discrimination.restrict_locc1
-
-    def broken_restrict(tree, sub_dims):
-        # the restricted root family no longer sums to I: its first element is scaled by 1.01
-        obj = locc1_to_json(restrict(tree, sub_dims))
-        element = obj["root"]["outcomes"][0]["element"]
-        element["re"] = [1.01 * x for x in element["re"]]
-        element["im"] = [1.01 * x for x in element["im"]]
-        return locc1_from_json(obj)
-
-    monkeypatch.setattr(distlab.discrimination, "restrict_locc1", broken_restrict)
+    monkeypatch.setattr(distlab.discrimination, "restrict_locc1", lambda tree, sub: _scaled_root(restrict(tree, sub)))
     three = bell_states().subset([0, 1, 2])
     report = local_global_fuzz(three, ["general", "locc1"], (3, 3), trials=6, seed=4)
     assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [
@@ -378,31 +378,38 @@ def _bell_projector_povm():
     return Povm([phi, np.eye(4) - phi], (2, 2), kind="ppt")
 
 
+# Faults of a restricted POVM, trial by trial: each takes one POVM or a batch of them.
+
+
+def _each(p, elements):  # ``elements`` in place of every POVM of ``p``
+    return Povm(np.broadcast_to(elements, p.elements.shape[:-3] + elements.shape), p.dims, p.kind)
+
+
 def _scaled(p):  # every element times 1.01: the elements sum to 1.01 I
     return Povm(1.01 * p.elements, p.dims, p.kind, p.witness)
 
 
 def _shifted(p):  # 2|0><0| moves from element 1 to element 0: still complete, element 1 not PSD
     e = p.elements.copy()
-    e[0, 0, 0] += 2
-    e[1, 0, 0] -= 2
+    e[..., 0, 0, 0] += 2
+    e[..., 1, 0, 0] -= 2
     return Povm(e, p.dims, p.kind, p.witness)
 
 
 def _reversed(p):  # elements in reverse order under the old witness
-    return Povm(p.elements[::-1].copy(), p.dims, p.kind, p.witness)
+    return Povm(p.elements[..., ::-1, :, :].copy(), p.dims, p.kind, p.witness)
 
 
-@pytest.mark.parametrize(
-    "kind, breaks, check, expected_residual",
-    [
-        ("general", _scaled, "completeness", lambda e: np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[-1])))),
-        ("general", _shifted, "element-psd", lambda e: np.min(np.linalg.eigvalsh(e))),
-        ("general", lambda p: _shifted(_scaled(p)), "completeness", lambda e: 0.01),  # both fail: the first counts
-        ("ppt", lambda p: _bell_projector_povm(), "ppt", lambda e: -0.5),
-        ("sep", _reversed, "sep-witness", lambda e: np.nan),
-    ],
-)
+RESTRICTION_FAULTS = [
+    ("general", _scaled, "completeness", lambda e: np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[-1])))),
+    ("general", _shifted, "element-psd", lambda e: np.min(np.linalg.eigvalsh(e))),
+    ("general", lambda p: _shifted(_scaled(p)), "completeness", lambda e: 0.01),  # both fail: the first counts
+    ("ppt", lambda p: _each(p, _bell_projector_povm().elements), "ppt", lambda e: -0.5),
+    ("sep", _reversed, "sep-witness", lambda e: np.nan),
+]
+
+
+@pytest.mark.parametrize("kind, breaks, check, expected_residual", RESTRICTION_FAULTS)
 def test_local_global_fuzz_records_each_broken_restriction(monkeypatch, kind, breaks, check, expected_residual):
     restrict = distlab.discrimination.restrict_povm
     returned = []
@@ -415,8 +422,10 @@ def test_local_global_fuzz_records_each_broken_restriction(monkeypatch, kind, br
     three = bell_states().subset([0, 1, 2])
     report = local_global_fuzz(three, [kind], (3, 3), trials=3, seed=11)
     assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [(kind, k, check) for k in range(3)]
-    for failure, small in zip(report.failures, returned):
-        np.testing.assert_allclose(failure["residual"], expected_residual(small.elements), rtol=0, atol=1e-12)
+    smalls = [e for small in returned for e in small.elements]  # each trial's restriction
+    assert len(smalls) == 3
+    for failure, small in zip(report.failures, smalls):
+        np.testing.assert_allclose(failure["residual"], expected_residual(small), rtol=0, atol=1e-12)
 
 
 def test_local_global_fuzz_records_a_broken_trace_identity(monkeypatch):
@@ -431,6 +440,39 @@ def test_local_global_fuzz_records_a_broken_trace_identity(monkeypatch):
     assert {f["check"] for f in report.failures} == {"trace-identity"}
     for failure in report.failures:
         assert failure["residual"] == pytest.approx(1e-6, abs=1e-12)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the povm functions and numpy eigensolvers in ``names`` made outside the fuzz's sampler."""
+    import distlab.povm
+
+    calls = dict.fromkeys(names, 0)
+    sampling = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += not sampling
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    def sample(*args):
+        sampling.append(True)
+        try:
+            return sample_of_kind(*args)
+        finally:
+            sampling.pop()
+
+    sample_of_kind = distlab.discrimination._sample_of_kind
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", sample)
+    for name in names:
+        if name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        else:
+            wrapper = counted(name, getattr(distlab.povm, name))
+            monkeypatch.setattr(distlab.povm, name, wrapper)
+            monkeypatch.setattr(distlab.discrimination, name, wrapper, raising=False)
+    return calls
 
 
 @pytest.mark.parametrize("kind, eigvalsh_calls", [("general", 2), ("ppt", 4), ("sep", 4), ("locc1", 6)])
@@ -458,6 +500,155 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, eigvalsh_c
     assert calls["verify_povm"] == 2
     assert calls["verify_locc1"] <= 2
     assert calls["eigvalsh"] == eigvalsh_calls + 1  # one more for the embedded state set
+
+
+@pytest.mark.parametrize("kind", ["general", "ppt", "sep", "locc1"])
+def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
+    """Outside the sampler, a block of 30 trials makes the calls one trial makes; three blocks, three times as many."""
+    three = bell_states().subset([0, 1, 2])
+    names = ("verify_povm", "verify_locc1", "eigvalsh", "eigh")
+
+    def counts(trials):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, names)
+            assert local_global_fuzz(three, [kind], (3, 3), trials=trials, seed=7).passes
+        return calls
+
+    one = counts(1)
+    assert one["verify_povm"] == 2
+    assert counts(30) == one
+    trial_bytes = 4 * 9 * 9 * 16  # every sample here has four outcomes on (3, 3)
+    monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 10 * trial_bytes)
+    once = {"eigvalsh": 1}  # the embedded state set's check
+    assert counts(30) == {name: once.get(name, 0) + 3 * (one[name] - once.get(name, 0)) for name in names}
+
+
+def _assert_matches_reference(states, kinds, new_dims, trials, seed):
+    report = local_global_fuzz(states, kinds, new_dims, trials, seed)
+    expected = reference_fuzz(states, kinds, new_dims, trials, seed)
+    assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [
+        (f["kind"], f["seed_offset"], f["check"]) for f in expected
+    ]
+    got = [f["residual"] for f in report.failures]
+    np.testing.assert_allclose(got, [f["residual"] for f in expected], rtol=0, atol=1e-12)  # NaN matches NaN
+    return report
+
+
+def test_local_global_fuzz_matches_the_per_trial_loop_across_blocks():
+    report = _assert_matches_reference(domino_states(), ["general", "ppt", "sep", "locc1"], (6, 6), 120, 5)
+    assert report.passes
+    assert 120 * 4 * 36 * 36 * 16 > 2 * BLOCK_BYTES  # each kind spans at least three blocks
+
+
+def _scaled_some(p):  # every member whose first element starts above 1/4 is scaled by 1.01
+    factor = np.where(p.elements[..., 0, 0, 0].real > 0.25, 1.01, 1.0)
+    return Povm(p.elements * factor[..., None, None, None], p.dims, p.kind, p.witness)
+
+
+def _scaled_some_roots(tree):  # every member whose root family starts above 1/2 is scaled by 1.01
+    factor = np.where(tree.levels[0][..., 0, 0, 0].real > 0.5, 1.01, 1.0)
+    root = tree.levels[0] * factor[..., None, None, None]
+    return Locc1Tree(tree.dims, tree.party_order, [root, *tree.levels[1:]], tree.parents)
+
+
+def _bell_basis_for_some(p):  # members whose first element starts above 1/4 measure the Bell basis instead
+    some = (p.elements[..., 0, 0, 0].real > 0.25)[..., None, None, None]
+    return Povm(np.where(some, bell_states().rhos, p.elements), p.dims, p.kind, p.witness)
+
+
+def _perturbed_outside(sample_of_kind):
+    """``sample_of_kind`` whose samples with an even seed are no longer valid outside the (2, 2) block of (3, 3)."""
+
+    def sample(kind, dims, seed):
+        obj = sample_of_kind(kind, dims, seed)
+        if seed % 2:
+            return obj
+        if isinstance(obj, Locc1Tree):  # the root family no longer sums to I on party 0's third level
+            root = obj.levels[0].copy()
+            root[0, 2, 2] += 0.5
+            return Locc1Tree(obj.dims, obj.party_order, [root, *obj.levels[1:]], obj.parents)
+        e = obj.elements.copy()
+        e[0, -1, -1] += 1.0  # complete still, but element 1 is no longer PSD
+        e[1, -1, -1] -= 1.0
+        return Povm(e, obj.dims, obj.kind, obj.witness)
+
+    return sample
+
+
+def _breaking(breaks):  # restrict_povm or restrict_locc1 made faulty by ``breaks``
+    return lambda restrict: lambda m, sub_dims: breaks(restrict(m, sub_dims))
+
+
+FUZZ_FAULTS = {
+    **{
+        f"{kind}-{check}-{k}": ("restrict_povm", _breaking(breaks), [kind])
+        for k, (kind, breaks, check, _) in enumerate(RESTRICTION_FAULTS)
+    },
+    "scaled-root": ("restrict_locc1", _breaking(_scaled_root), ["general", "locc1"]),
+    "trace-identity": (
+        "restrict_matrix",
+        lambda restrict: lambda m, dims, sub: restrict(m, dims, sub) + 1e-6 * np.eye(4),
+        ["general", "sep"],
+    ),
+    "some-scaled": ("restrict_povm", _breaking(_scaled_some), ["general", "ppt", "sep"]),
+    "some-roots-scaled": ("restrict_locc1", _breaking(_scaled_some_roots), ["locc1"]),
+    "some-gain-discrimination": ("restrict_povm", _breaking(_bell_basis_for_some), ["general"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FUZZ_FAULTS))
+def test_local_global_fuzz_matches_the_per_trial_loop_under_each_fault(monkeypatch, fault):
+    name, wrap, kinds = FUZZ_FAULTS[fault]
+    monkeypatch.setattr(distlab.discrimination, name, wrap(getattr(distlab.discrimination, name)))
+    monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # blocks of 7 trials
+    report = _assert_matches_reference(bell_states().subset([0, 1, 2]), kinds, (3, 3), 20, 11)
+    assert report.failures
+    if fault.startswith("some-"):  # these break some trials of a block, not all
+        assert len(report.failures) < 20 * len(kinds)
+    if fault == "some-gain-discrimination":
+        assert {f["check"] for f in report.failures} == {"discrimination-gained"}
+
+
+@pytest.mark.parametrize("kinds", [["general"], ["ppt", "sep"], ["locc1"]])
+def test_local_global_fuzz_raises_for_the_first_invalid_sample_it_reaches(monkeypatch, kinds):
+    fuzz = distlab.discrimination
+    monkeypatch.setattr(fuzz, "_sample_of_kind", _perturbed_outside(fuzz._sample_of_kind))
+    monkeypatch.setattr(fuzz, "restrict_povm", _breaking(_scaled_some)(fuzz.restrict_povm))
+    monkeypatch.setattr(fuzz, "restrict_locc1", _breaking(_scaled_some_roots)(fuzz.restrict_locc1))
+    monkeypatch.setattr(fuzz, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)
+    three = bell_states().subset([0, 1, 2])
+    with pytest.raises(ValueError) as expected:
+        reference_fuzz(three, kinds, (3, 3), 20, 11)
+    with pytest.raises(ValueError) as raised:
+        local_global_fuzz(three, kinds, (3, 3), 20, 11)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("incomplete conditional family" if kinds == ["locc1"] else "invalid POVM")
+
+
+def test_local_global_fuzz_memory_grows_by_a_few_blocks_at_most():
+    dominoes = domino_states()
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert local_global_fuzz(dominoes, ["sep"], (6, 6), trials, 3).passes
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 400 samples' elements take 400 * 4 * 36**2 * 16 bytes, 33 MB, per kind
+    assert peak(400) - peak(1) <= 4 * BLOCK_BYTES
+
+
+def test_local_global_fuzz_rejects_unknown_and_repeated_kinds_before_any_trial(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", no_sample)
+    three = bell_states().subset([0, 1, 2])
+    for kinds in (["general", "projective"], ["general", "general"], ["sep", "magic", "sep"]):
+        with pytest.raises(ValueError):
+            local_global_fuzz(three, kinds, (3, 3), trials=5, seed=1)
 
 
 def test_local_global_fuzz_domino_sep():

@@ -112,9 +112,19 @@ def test_bipartition():
     assert bipartition((2, 3), 1) == (1,)
     assert bipartition((2, 3, 2), np.int64(0)) == (0,)
     assert bipartition((2, 3, 2), [2, 0]) == (0, 2)
-    for dims, cut in [((2, 2), (0, 1)), ((2, 2), ()), ((2,), 0), ((2, 2), 2), ((2, 2), -1), ((2, 2, 2), (1, 1))]:
+    for dims, cut in [
+        ((2, 2), (0, 1)), ((2, 2), ()), ((2,), 0), ((2, 2), 2), ((2, 2), -1), ((2, 2, 2), (1, 1)),
+        ((2, 2), (0.7,)), ((2, 2), True), ((2, 2, 2), [np.True_]),  # a party is an integer, never a float or bool
+    ]:
         with pytest.raises(ValueError):
             bipartition(dims, cut)
+
+
+def test_partial_transpose_rejects_a_party_that_is_not_an_integer():
+    m = np.arange(16.0).reshape(4, 4)
+    for party in (0.5, 1.0, (0, 0.5), False):
+        with pytest.raises(ValueError, match="is not an integer"):
+            partial_transpose(m, (2, 2), party)
 
 
 def test_embed_matrix_identity_and_trace():

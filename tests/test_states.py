@@ -240,7 +240,7 @@ def per_state_error(stack, dims, labels):
 )
 def test_stack_constructor_raises_the_per_state_error(monkeypatch, bad, position, block_bytes):
     if block_bytes:
-        monkeypatch.setattr(states_module, "_CHECK_BYTES", block_bytes)
+        monkeypatch.setattr(states_module, "BLOCK_BYTES", block_bytes)
     good = [np.diag(np.roll([1.0, 0, 0, 0], k)) for k in range(7)]
     labels = [f"s{k}" for k in range(7)]
     stack = np.array(good[:position] + [bad] + good[position + 1 :], dtype=complex)
