@@ -36,7 +36,6 @@ from .povm import (
     require_valid,
     restrict_locc1,
     restrict_povm,
-    stack_batch,
     take_batch,
     verify_povm,
 )
@@ -47,8 +46,11 @@ from .states import StateSet, embed_set, mutually_orthogonal
 # probability reaches 1 - 1e-4
 DISTINGUISHABLE_MARGIN = 1e-4
 
-# the kinds local_global_fuzz samples (see _sample_of_kind)
+# the kinds local_global_fuzz samples (see _sample_of_kind): POVMs of four
+# elements, and trees of two outcomes per family
 FUZZ_KINDS = ("general", "ppt", "sep", "locc1")
+FUZZ_ELEMENTS = 4
+FUZZ_BRANCHING = 2
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,13 @@ def check_unambiguous(
 
     Every conclusive outcome may hit at most one state and every state needs
     conclusive detection probability above ``tol``; the reported success
-    probability is the worst conclusive probability over the states.
+    probability is the worst conclusive probability over the states.  Each
+    index in ``inconclusive`` must name an outcome of ``povm``.
     """
     inconclusive = set(int(j) for j in inconclusive)
+    for j in sorted(inconclusive):
+        if not 0 <= j < len(povm):
+            raise ValueError(f"inconclusive outcome {j} is not an outcome of a {len(povm)}-outcome POVM")
     if not set(range(len(povm))) - inconclusive:
         raise ValueError("at least one outcome must be conclusive")
     require_valid(povm, tol)
@@ -320,22 +326,23 @@ def _trial_seed(seed: int, kind_index: int, offset: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sample_of_kind(kind: str, dims, seed: int):
+def _sample_of_kind(kind: str, dims, seed):
+    """One sample of ``kind`` for an int seed, a batch of them for a sequence of seeds."""
     if kind == "general":
-        return random_povm(dims, 4, seed)
+        return random_povm(dims, FUZZ_ELEMENTS, seed)
     if kind == "ppt":
-        return random_ppt_povm(dims, 4, seed)
+        return random_ppt_povm(dims, FUZZ_ELEMENTS, seed)
     if kind == "sep":
-        return random_sep_povm(dims, 4, seed)
+        return random_sep_povm(dims, FUZZ_ELEMENTS, seed)
     if kind == "locc1":
-        return random_locc1(dims, 2, seed)
+        return random_locc1(dims, FUZZ_BRANCHING, seed)
     raise ValueError(f"no sampler for kind {kind!r}")
 
 
-def _sample_bytes(sample: Povm | Locc1Tree) -> int:
-    """Bytes of a sample's POVM elements (a tree's once flattened)."""
-    outcomes = sample.levels[-1].shape[-3] if isinstance(sample, Locc1Tree) else len(sample)
-    return outcomes * int(np.prod(sample.dims)) ** 2 * np.dtype(complex).itemsize
+def _sample_bytes(kind: str, dims: tuple[int, ...]) -> int:
+    """Bytes of the POVM elements of one sample of ``kind`` on ``dims`` (a tree's once flattened)."""
+    outcomes = FUZZ_BRANCHING ** len(dims) if kind == "locc1" else FUZZ_ELEMENTS
+    return outcomes * int(np.prod(dims)) ** 2 * np.dtype(complex).itemsize
 
 
 def _perfect_passes(povm: Povm, states: StateSet, tol: float) -> np.ndarray:
@@ -405,9 +412,11 @@ def local_global_fuzz(
     trial records its first failed check.  The kinds are those of
     ``FUZZ_KINDS``, each at most once, and are checked before any trial.
 
-    Trials are drawn one at a time, each from its own seed, and checked in
-    blocks: a block collects samples until their POVM elements fill
-    ``BLOCK_BYTES``, and then runs every check once for the whole block.
+    Trials run in blocks: a block holds as many trials as it takes for their
+    POVM elements to fill ``BLOCK_BYTES``.  Each trial draws from its own
+    seed, so its sample does not depend on the blocks; the block's samples
+    are drawn in one sampler call, which normalizes them as one batch, and
+    every check runs once for the whole block.
     """
     new_dims = tuple(int(d) for d in new_dims)
     kinds = tuple(kinds)
@@ -416,16 +425,16 @@ def local_global_fuzz(
             raise ValueError(f"no sampler for kind {kind!r}; the fuzz samples {', '.join(FUZZ_KINDS)}")
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"each kind may be fuzzed once, got {', '.join(kinds)}")
+    if "ppt" in kinds and len(new_dims) < 2:
+        raise ValueError("PPT needs at least two parties")
     embedded = embed_set(states, new_dims)
     failures: list[dict] = []
     for kind_index, kind in enumerate(kinds):
-        block: list = []
-        for offset in range(trials):
-            block.append(_sample_of_kind(kind, new_dims, _trial_seed(seed, kind_index, offset)))
-            if len(block) * _sample_bytes(block[0]) < BLOCK_BYTES and offset < trials - 1:
-                continue
-            start, batch, block = offset + 1 - len(block), stack_batch(block), []
-            for position, (check, residual) in _fuzz_block(batch, kind, states, embedded, tol).items():
+        size = -(-BLOCK_BYTES // _sample_bytes(kind, new_dims))  # trials per block
+        for start in range(0, trials, size):
+            seeds = [_trial_seed(seed, kind_index, offset) for offset in range(start, min(start + size, trials))]
+            found = _fuzz_block(_sample_of_kind(kind, new_dims, seeds), kind, states, embedded, tol)
+            for position, (check, residual) in found.items():
                 failures.append({"seed_offset": start + position, "kind": kind, "check": check, "residual": residual})
     return HarnessReport(
         trials=trials,

@@ -61,6 +61,19 @@ def _index_sums(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     return group_sums(stack, np.cumsum(counts) - counts, counts)
 
 
+def _product_sums(factors: Sequence[np.ndarray], owner: np.ndarray) -> np.ndarray:
+    """The tensor products of witness terms summed per owner, as :func:`_index_sums`
+    sums them; the products are formed one rank of terms at a time, so at most one
+    product per element is held."""
+    counts = np.bincount(owner)
+    starts = np.cumsum(counts) - counts
+    total = tensor(*(f[starts] for f in factors))
+    for j in range(1, int(counts.max())):
+        has = counts > j
+        total[has] += tensor(*(f[starts[has] + j] for f in factors))
+    return total
+
+
 @dataclass(frozen=True)
 class SepDecomposition:
     """Separability witness as flat stacks: term ``t`` is the product of
@@ -318,7 +331,7 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
         if f.shape[1:] != (p.dims[k], p.dims[k]):
             raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
         bad |= (hermiticity_defect(f) > tol) | (min_eigenvalue(f) < -tol)
-    recon = _index_sums(tensor(*witness.factors), witness.owner).reshape(-1, len(p), p.side, p.side)
+    recon = _product_sums(witness.factors, witness.owner).reshape(-1, len(p), p.side, p.side)
     ok = np.max(np.abs(recon - p.elements.reshape(recon.shape)), axis=(1, 2, 3)) <= tol
     ok &= np.bincount(member[bad], minlength=len(ok)) == 0
     return ok if p.elements.ndim == 4 else bool(ok[0])
@@ -498,66 +511,112 @@ def restrict_locc1(tree: Locc1Tree, sub_dims: Sequence[int]) -> Locc1Tree:
     return Locc1Tree(sub_dims, tree.party_order, levels, tree.parents)
 
 
-def _random_povm_elements(rng: np.random.Generator, side: int, n: int) -> np.ndarray:
-    """(n, side, side) PSD matrices normalized symmetrically into a complete POVM;
-    element by element, the real part is drawn from ``rng`` before the imaginary part."""
-    g = rng.standard_normal((n, 2, side, side))
-    g = g[:, 0] + 1j * g[:, 1]
+def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Families of Gram matrices normalized symmetrically into complete POVMs.
+
+    ``raw`` is ``(..., n, 2, d, d)``: the real then the imaginary part of each
+    of a family's n complex draws G_j.  Returns the ``(..., n, d, d)`` stack of
+    S G_j G_j^H S, S the inverse square root of the family's sum, and whether
+    each family's sum is singular (such a family holds no POVM and is drawn again).
+    """
+    g = raw[..., 0, :, :].astype(complex)
+    g.imag = raw[..., 1, :, :]
     gram = g @ dagger(g)
-    total = gram.sum(axis=0)
-    w, v = np.linalg.eigh((total + total.conj().T) / 2)
-    if w[0] <= side * 1e-12 * max(w[-1], 1.0):
-        raise ArithmeticError("singular normalization")
-    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
-    m = inv_sqrt @ gram @ inv_sqrt
-    return (m + dagger(m)) / 2
+    total = gram.sum(axis=-3)
+    w, v = np.linalg.eigh((total + dagger(total)) / 2)
+    singular = w[..., 0] <= g.shape[-1] * 1e-12 * np.maximum(w[..., -1], 1.0)
+    w[singular] = 1.0  # keeps the arithmetic finite until those families are drawn again
+    inv_sqrt = ((v * w[..., None, :] ** -0.5) @ dagger(v))[..., None, :, :]
+    # S G S and then its Hermitian part reuse the buffers of g and gram: a block's sampling holds fewer stacks
+    m = np.matmul(inv_sqrt @ gram, inv_sqrt, out=g)
+    out = np.conjugate(np.swapaxes(m, -1, -2), out=gram)
+    out += m
+    out /= 2
+    return out, singular
 
 
-def _rng_with_retries(seed: int, build):
-    last = None
-    for attempt in range(4):
-        rng = np.random.default_rng((int(seed), attempt) if attempt else int(seed))
-        try:
-            return build(rng)
-        except ArithmeticError as exc:
-            last = exc
-    raise ValueError(f"random generation failed after 3 retries: {last}")
+def _sample(seed, draw, families: int) -> list[np.ndarray]:
+    """The arrays a batch of samples is built from, one member per seed of ``seed``
+    (an int seed is a batch of one), each stacked over the batch.
+
+    ``draw(rng)`` makes one member's draws from its own generator,
+    ``default_rng(seed)``: first ``families`` arrays of raw families for
+    :func:`_normalized`, which normalizes each over the whole batch at once,
+    then any other draws, returned as drawn.  A member with a singular family
+    draws again alone, from ``default_rng((seed, attempt))``, up to three times.
+    """
+    seeds = [int(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    if not seeds:
+        raise ValueError("need at least one seed")
+
+    def normalized(rngs):
+        stacked = [np.stack(a) for a in zip(*(draw(rng) for rng in rngs))]
+        done = [_normalized(raw) for raw in stacked[:families]]
+        singular = np.logical_or.reduce([s.reshape(len(s), -1).any(axis=1) for _, s in done])
+        return [m for m, _ in done] + stacked[families:], singular
+
+    arrays, singular = normalized(np.random.default_rng(s) for s in seeds)
+    for attempt in range(1, 4):
+        again = np.flatnonzero(singular)
+        if not len(again):
+            break
+        redrawn, singular[again] = normalized(np.random.default_rng((seeds[i], attempt)) for i in again)
+        for array, new in zip(arrays, redrawn):
+            array[again] = new
+    if singular.any():
+        raise ValueError("random generation failed after 3 retries: singular normalization")
+    return arrays
 
 
-def random_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
-    """Seeded random POVM: normalized complex Wishart matrices."""
+def _one_or_batch(seed, batch: Povm | Locc1Tree) -> Povm | Locc1Tree:
+    """``batch`` for a sequence of seeds, its one member for an int seed."""
+    return take_batch(batch, 0) if np.ndim(seed) == 0 else batch
+
+
+def random_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
+    """Seeded random POVM: normalized complex Wishart matrices.
+
+    ``seed`` is an int, or a sequence of them for a batch that equals
+    :func:`stack_batch` of the samples of each seed.  Every sampler takes its
+    seeds so: each member draws from its own generator in the order of one
+    sample, and the batch is normalized at once.
+    """
     dims = check_dims(dims)
     if n_elements < 1:
         raise ValueError("need at least one element")
     side = int(np.prod(dims))
-    elements = _rng_with_retries(seed, lambda rng: _random_povm_elements(rng, side, n_elements))
-    return Povm(elements, dims, kind="general")
+    # element by element, the real part is drawn before the imaginary part
+    (elements,) = _sample(seed, lambda rng: (rng.standard_normal((n_elements, 2, side, side)),), 1)
+    return _one_or_batch(seed, Povm(elements, dims, kind="general"))
 
 
-def random_ppt_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
-    """Seeded random POVM whose every element is PPT on every cut.
+def random_ppt_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
+    """Seeded random POVM whose every element is PPT on every cut (a batch for a
+    sequence of seeds, as in :func:`random_povm`).
 
     A random POVM is mixed toward the trace-matched multiple of the identity;
     partial transposition fixes the identity, so the exact mixing weight that
     lifts the most negative transposed eigenvalue to ``PPT_MARGIN`` is available
-    in closed form.
+    in closed form.  A degenerate weight raises for the first member it occurs in.
     """
     dims = check_dims(dims)
     if len(dims) < 2:
         raise ValueError("PPT needs at least two parties")
-    base = random_povm(dims, n_elements, seed)
-    side = base.side
-    c = np.trace(base.elements, axis1=1, axis2=2).real / side
-    mu = _pt_min_eigenvalues(base.elements, dims, canonical_cuts(dims))
-    lam = float(np.max(((PPT_MARGIN - mu) / (c - mu))[mu < PPT_MARGIN], initial=0.0))
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"degenerate mixing weight {lam}")
-    elements = (1 - lam) * base.elements + (lam * c)[:, None, None] * np.eye(side)
-    return Povm(elements, dims, kind="ppt")
+    base = random_povm(dims, n_elements, [seed] if np.ndim(seed) == 0 else seed).elements
+    side = base.shape[-1]
+    c = np.trace(base, axis1=-2, axis2=-1).real / side
+    mu = _pt_min_eigenvalues(base, dims, canonical_cuts(dims))
+    lam = np.max(np.where(mu < PPT_MARGIN, (PPT_MARGIN - mu) / (c - mu), 0.0), axis=(0, -1))
+    bad = ~((lam >= 0.0) & (lam < 1.0))
+    if bad.any():
+        raise ValueError(f"degenerate mixing weight {float(lam[np.argmax(bad)])}")
+    elements = (1 - lam)[:, None, None, None] * base + (lam[:, None] * c)[..., None, None] * np.eye(side)
+    return _one_or_batch(seed, Povm(elements, dims, kind="ppt"))
 
 
-def random_sep_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
-    """Seeded random SEP POVM with witness: a coarse-grained product POVM.
+def random_sep_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
+    """Seeded random SEP POVM with witness: a coarse-grained product POVM (a batch
+    for a sequence of seeds, as in :func:`random_povm`).
 
     Tensor products of local random POVMs are partitioned into ``n_elements``
     groups and summed; sums of product PSD terms stay separable and the
@@ -566,53 +625,56 @@ def random_sep_povm(dims: Sequence[int], n_elements: int, seed: int) -> Povm:
     dims = check_dims(dims)
     if n_elements < 1:
         raise ValueError("need at least one element")
-    k = len(dims)
+    k, side = len(dims), int(np.prod(dims))
     n_local = max(2, int(np.ceil((2 * n_elements) ** (1 / k))))
+    n_products = n_local**k  # products enumerated with party 0's outcome slowest
 
-    def build(rng: np.random.Generator) -> Povm:
-        locals_ = [_random_povm_elements(rng, d, n_local) for d in dims]
-        n_products = n_local**k  # products enumerated with party 0's outcome slowest
-        if n_products < n_elements:
-            raise ArithmeticError("not enough product terms to fill the groups")
-        order = rng.permutation(n_products)
-        # the first n_elements positions seed every group, the remainder lands at random
-        drawn = rng.integers(n_elements, size=n_products - n_elements)
-        group = np.concatenate([np.arange(n_elements), drawn])
-        terms = np.argsort(group, kind="stable")  # positions grouped, in draw order within a group
-        outcomes = np.unravel_index(order[terms], (n_local,) * k)
-        witness = SepDecomposition([lp[i] for lp, i in zip(locals_, outcomes)], group[terms])
-        elements = _index_sums(tensor(*witness.factors), witness.owner)
-        return Povm(elements, dims, kind="sep", witness=witness)
+    def draw(rng: np.random.Generator):  # every party's local draws, then the grouping
+        normals = [rng.standard_normal((n_local, 2, d, d)) for d in dims]
+        return (*normals, rng.permutation(n_products), rng.integers(n_elements, size=n_products - n_elements))
 
-    return _rng_with_retries(seed, build)
+    *locals_, order, drawn = _sample(seed, draw, k)  # one normalization per party
+    member = np.arange(len(order))[:, None]
+    # the first n_elements positions seed every group, the remainder lands at random
+    group = np.concatenate([np.broadcast_to(np.arange(n_elements), (len(order), n_elements)), drawn], axis=1)
+    terms = np.argsort(group, axis=1, kind="stable")  # positions grouped, in draw order within a group
+    outcomes = np.unravel_index(np.take_along_axis(order, terms, axis=1), (n_local,) * k)
+    factors = [lp[member, i].reshape((-1,) + lp.shape[-2:]) for lp, i in zip(locals_, outcomes)]
+    owner = np.ravel(np.take_along_axis(group, terms, axis=1) + n_elements * member)
+    elements = _product_sums(factors, owner).reshape(-1, n_elements, side, side)
+    return _one_or_batch(seed, Povm(elements, dims, kind="sep", witness=SepDecomposition(factors, owner)))
 
 
 def random_locc1(
     dims: Sequence[int],
     branching: int,
-    seed: int,
+    seed,
     party_order: Sequence[int] | None = None,
 ) -> Locc1Tree:
-    """Seeded random one-round tree: fresh conditional local POVMs per prefix."""
+    """Seeded random one-round tree: fresh conditional local POVMs per prefix (a
+    batch for a sequence of seeds, as in :func:`random_povm`)."""
     dims = check_dims(dims)
     if branching < 1:
         raise ValueError("branching must be at least 1")
     order = tuple(range(len(dims))) if party_order is None else tuple(party_order)
 
-    def build(rng: np.random.Generator) -> Locc1Tree:
+    def draw(rng: np.random.Generator):  # each level's families, left to right
         levels: list[list[np.ndarray]] = [[] for _ in dims]
 
-        def draw(depth: int):  # preorder: a family, then the subtree below each of its outcomes
-            levels[depth].append(_random_povm_elements(rng, dims[order[depth]], branching))
+        def visit(depth: int):  # preorder: a family, then the subtree below each of its outcomes
+            d = dims[order[depth]]
+            levels[depth].append(rng.standard_normal((branching, 2, d, d)))
             if depth + 1 < len(dims):
                 for _ in range(branching):
-                    draw(depth + 1)
+                    visit(depth + 1)
 
-        draw(0)
-        parents = [np.arange(branching ** (depth + 1)) // branching for depth in range(len(dims))]
-        return Locc1Tree(dims, order, [np.concatenate(families) for families in levels], parents)
+        visit(0)
+        return tuple(np.stack(families) for families in levels)
 
-    return _rng_with_retries(seed, build)
+    levels = _sample(seed, draw, len(dims))  # one normalization per level
+    levels = [level.reshape((len(level), -1) + level.shape[-2:]) for level in levels]
+    parents = [np.arange(branching ** (depth + 1)) // branching for depth in range(len(dims))]
+    return _one_or_batch(seed, Locc1Tree(dims, order, levels, parents))
 
 
 def counterexample_c4(bipartite: bool = False) -> Povm:

@@ -2,12 +2,14 @@
 
 ``reference_povm_elements`` is the original ``povm._random_povm_elements``
 loop verbatim: one element at a time, its real part drawn before its
-imaginary part, and a list of matrices returned.  ``reference_random_povm``
+imaginary part, and a list of matrices returned.  ``_rng_with_retries`` is
+the original retry loop verbatim: a fresh generator per attempt, the sample
+of the first attempt whose draws normalize.  ``reference_random_povm``
 and ``reference_random_ppt_povm`` are the original ``random_povm`` and
 ``random_ppt_povm`` on top of it, with the per-(element, cut) mixing-weight
 loop; they return lists of matrices.  The stacked samplers must reproduce
-these streams bit for bit, so every seeded sample and fuzz report stays the
-same.
+these streams bit for bit, one seed at a time or a block of seeds at once,
+so every seeded sample and fuzz report stays the same.
 
 The nested witnesses are the original ones too: ``ReferenceNode`` is the
 recursive tree node, a separability witness is a list per element of
@@ -24,7 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from distlab.linalg import as_matrix, as_stack, matrix_to_json, partial_transpose
-from distlab.povm import _rng_with_retries, canonical_cuts
+from distlab.povm import canonical_cuts
+
+
+def _rng_with_retries(seed: int, build):
+    last = None
+    for attempt in range(4):
+        rng = np.random.default_rng((int(seed), attempt) if attempt else int(seed))
+        try:
+            return build(rng)
+        except ArithmeticError as exc:
+            last = exc
+    raise ValueError(f"random generation failed after 3 retries: {last}")
 
 
 def reference_povm_elements(rng: np.random.Generator, side: int, n: int) -> list[np.ndarray]:

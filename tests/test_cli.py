@@ -22,7 +22,7 @@ from distlab.discrimination import check_perfect, harness_to_json, local_global_
 from distlab.linalg import matrix_to_json
 from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
 from distlab.sdp import PtCone, SdpProblem, SdpSolution, problem_to_json, solution_to_json
-from distlab.states import bell_states, domino_states, state_set_to_json
+from distlab.states import StateSet, bell_states, domino_states, pure_state, state_set_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -458,6 +458,15 @@ def identity_povm_obj():
     return povm_to_json(Povm([np.eye(4)], (2, 2)))
 
 
+def one_party_pair_obj():
+    return state_set_to_json(StateSet([pure_state([1, 0], (2,)), pure_state([0, 1], (2,))]))
+
+
+def bell_projector_povm_obj():
+    p = bell_states().rhos[0]
+    return povm_to_json(Povm([p, np.eye(4) - p], (2, 2)))
+
+
 def sep_c4_obj():
     return povm_to_json(counterexample_c4(bipartite=True))
 
@@ -598,6 +607,18 @@ CONTRACT_BREAKERS = {
     "fuzz-repeated-kind": (
         {},
         ["fuzz", "--kinds", "general,general", "--trials", "1", "--seed", "1"],
+    ),
+    "fuzz-ppt-on-one-party": (
+        {"s": one_party_pair_obj()},
+        ["fuzz", "--kinds", "general,ppt", "--trials", "200", "--seed", "1", "--states", "{s}", "--new-dims", "3"],
+    ),
+    "unambiguous-inconclusive-7": (
+        {"s": bell_pair_obj(), "p": bell_projector_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}", "--mode", "unambiguous", "--inconclusive", "7"],
+    ),
+    "unambiguous-inconclusive-minus-1": (
+        {"s": bell_pair_obj(), "p": bell_projector_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}", "--mode", "unambiguous", "--inconclusive=-1"],
     ),
     "sdp-fractional-party": (
         {"q": pt_cut_with_party(0.7)},

@@ -129,6 +129,17 @@ def test_check_unambiguous_requires_a_conclusive_outcome():
         check_unambiguous(povm, states, inconclusive={0})
 
 
+@pytest.mark.parametrize("index", [7, -1, 2])
+def test_check_unambiguous_rejects_an_inconclusive_index_that_is_no_outcome(index):
+    p = bell_states().rhos[0]
+    povm = Povm([p, np.eye(4) - p], (2, 2))
+    states = bell_states().subset([0, 3])
+    with pytest.raises(ValueError, match=f"inconclusive outcome {index} "):
+        check_unambiguous(povm, states, inconclusive=[index])
+    with pytest.raises(ValueError, match=f"inconclusive outcome {index} "):
+        check_unambiguous(povm, states, inconclusive=[1, index])
+
+
 def test_check_unambiguous_fails_without_detection():
     # conclusive outcome is null, everything lands in the inconclusive one
     povm = Povm([np.zeros((2, 2), dtype=complex), np.eye(2)], (2,))
@@ -557,19 +568,20 @@ def _bell_basis_for_some(p):  # members whose first element starts above 1/4 mea
 
 
 def _perturbed_outside(sample_of_kind):
-    """``sample_of_kind`` whose samples with an even seed are no longer valid outside the (2, 2) block of (3, 3)."""
+    """``sample_of_kind`` whose samples with an even seed are no longer valid outside the (2, 2) block of (3, 3);
+    for a sequence of seeds, the members of the batch with an even seed."""
 
     def sample(kind, dims, seed):
         obj = sample_of_kind(kind, dims, seed)
-        if seed % 2:
-            return obj
+        even = [s % 2 == 0 for s in ([seed] if np.ndim(seed) == 0 else seed)]
         if isinstance(obj, Locc1Tree):  # the root family no longer sums to I on party 0's third level
             root = obj.levels[0].copy()
-            root[0, 2, 2] += 0.5
+            root.reshape((-1,) + root.shape[-3:])[even, 0, 2, 2] += 0.5
             return Locc1Tree(obj.dims, obj.party_order, [root, *obj.levels[1:]], obj.parents)
         e = obj.elements.copy()
-        e[0, -1, -1] += 1.0  # complete still, but element 1 is no longer PSD
-        e[1, -1, -1] -= 1.0
+        members = e.reshape((-1,) + e.shape[-3:])
+        members[even, 0, -1, -1] += 1.0  # complete still, but element 1 is no longer PSD
+        members[even, 1, -1, -1] -= 1.0
         return Povm(e, obj.dims, obj.kind, obj.witness)
 
     return sample
@@ -640,15 +652,43 @@ def test_local_global_fuzz_memory_grows_by_a_few_blocks_at_most():
     assert peak(400) - peak(1) <= 4 * BLOCK_BYTES
 
 
-def test_local_global_fuzz_rejects_unknown_and_repeated_kinds_before_any_trial(monkeypatch):
-    def no_sample(*args):
-        raise AssertionError("a trial ran")
+def _no_sample(kind, dims, seed):
+    raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", no_sample)
+
+def test_local_global_fuzz_rejects_unknown_and_repeated_kinds_before_any_trial(monkeypatch):
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
     three = bell_states().subset([0, 1, 2])
     for kinds in (["general", "projective"], ["general", "general"], ["sep", "magic", "sep"]):
         with pytest.raises(ValueError):
             local_global_fuzz(three, kinds, (3, 3), trials=5, seed=1)
+
+
+def test_local_global_fuzz_rejects_ppt_on_one_party_before_any_trial(monkeypatch):
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
+    two = StateSet([pure_state([1, 0], (2,)), pure_state([0, 1], (2,))])
+    for kinds in (["general", "ppt"], ["ppt"], ["locc1", "sep", "ppt"]):
+        with pytest.raises(ValueError, match="PPT needs at least two parties"):
+            local_global_fuzz(two, kinds, (3,), trials=5, seed=1)
+
+
+def test_the_fuzz_draws_a_block_per_call_and_its_reference_a_trial_per_call(monkeypatch):
+    drawn = []
+    sample_of_kind = distlab.discrimination._sample_of_kind
+
+    def recorded(kind, dims, seed):
+        drawn.append(seed)
+        return sample_of_kind(kind, dims, seed)
+
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", recorded)
+    monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # blocks of 7 trials
+    three = bell_states().subset([0, 1, 2])
+    reference_fuzz(three, ["general", "locc1"], (3, 3), 20, 11)
+    assert len(drawn) == 40 and all(isinstance(seed, int) for seed in drawn)
+    reference_seeds, drawn[:] = drawn[:], []
+    local_global_fuzz(three, ["general", "locc1"], (3, 3), 20, 11)
+    assert [len(seeds) for seeds in drawn] == [7, 7, 6, 7, 7, 6]
+    assert [seed for seeds in drawn for seed in seeds] == reference_seeds
 
 
 def test_local_global_fuzz_domino_sep():

@@ -21,7 +21,8 @@ from sampler_reference import (
 )
 
 import distlab.povm
-from distlab.linalg import matrix_to_json, tensor
+from distlab.discrimination import _trial_seed
+from distlab.linalg import BLOCK_BYTES, matrix_to_json, tensor
 from distlab.povm import (
     Locc1Tree,
     Povm,
@@ -42,6 +43,7 @@ from distlab.povm import (
     random_sep_povm,
     restrict_locc1,
     restrict_povm,
+    stack_batch,
     verify_locc1,
     verify_povm,
     verify_sep,
@@ -569,6 +571,134 @@ def test_samplers_reproduce_the_per_element_reference_stream(dims, seed):
     for party_order in (None, order):
         tree = random_locc1(dims, 2, seed, party_order)
         assert_tree_matches_reference(tree, reference_random_locc1(dims, 2, seed, party_order))
+
+
+SAMPLERS = {
+    "general": lambda dims, seed: random_povm(dims, 4, seed),
+    "ppt": lambda dims, seed: random_ppt_povm(dims, 4, seed),
+    "sep": lambda dims, seed: random_sep_povm(dims, 4, seed),
+    "locc1": lambda dims, seed: random_locc1(dims, 2, seed),
+}
+
+
+def assert_block_matches_reference(block, kind, dims, seeds):
+    """``block`` is the oracle's samples of ``seeds``, one after another, bit for bit."""
+    if kind in ("general", "ppt"):
+        reference = reference_random_povm if kind == "general" else reference_random_ppt_povm
+        assert np.array_equal(block.elements, np.array([reference(dims, 4, seed) for seed in seeds]))
+    elif kind == "sep":
+        samples = [reference_random_sep_povm(dims, 4, seed) for seed in seeds]
+        assert np.array_equal(block.elements, np.array([elements for elements, _ in samples]))
+        # member b's element g owns witness terms as element 4 b + g of the block
+        groups = [(b, g, group) for b, (_, sample) in enumerate(samples) for g, group in enumerate(sample)]
+        terms = [(4 * b + g, term) for b, g, group in groups for term in group]
+        assert block.witness.owner.tolist() == [owner for owner, _ in terms]
+        for k, factor in enumerate(block.witness.factors):
+            assert np.array_equal(factor, np.array([term[k] for _, term in terms]))
+    else:
+        trees = [reference_levels(reference_random_locc1(dims, 2, seed)) for seed in seeds]
+        for depth, level in enumerate(block.levels):
+            assert np.array_equal(level, np.array([levels[depth] for levels, _ in trees]))
+        for depth, parents in enumerate(block.parents):
+            assert np.array_equal(parents, trees[0][1][depth])
+
+
+def fuzz_block_size(kind, dims):
+    """Trials in one of the fuzz's blocks: their elements (a tree's once flattened) fill BLOCK_BYTES."""
+    outcomes = 2 ** len(dims) if kind == "locc1" else 4
+    return -(-BLOCK_BYTES // (outcomes * int(np.prod(dims)) ** 2 * 16))
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("dims", [(3, 3), (3, 2, 3), (6, 6)])
+@pytest.mark.parametrize("size", [1, 7, "fuzz"])
+def test_sampler_blocks_reproduce_the_per_element_reference(kind, dims, size):
+    size = fuzz_block_size(kind, dims) if size == "fuzz" else size
+    seeds = [_trial_seed(9, 2, offset) for offset in range(size)]
+    block = SAMPLERS[kind](dims, seeds)
+    assert_block_matches_reference(block, kind, dims, seeds)
+    alone = stack_batch([SAMPLERS[kind](dims, seed) for seed in seeds])
+    for got, want in zip(*(tree.levels if kind == "locc1" else (tree.elements,) for tree in (block, alone))):
+        assert np.array_equal(got, want)
+
+
+class _ZeroDraws:
+    """A generator whose normal draws all come out 0, so they cannot be normalized; it draws the rest as given."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size):
+        return np.zeros_like(self.rng.standard_normal(size))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _singular_for(monkeypatch, keys):
+    """Make the generators of ``keys`` (a seed for attempt 0, ``(seed, attempt)`` after it) draw zeros."""
+    default_rng = np.random.default_rng
+
+    def rng(key):
+        return _ZeroDraws(default_rng(key)) if (key if np.ndim(key) == 0 else tuple(key)) in keys else default_rng(key)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("attempts", [1, 3])
+def test_a_singular_member_alone_draws_again(monkeypatch, kind, attempts):
+    dims, seeds = (3, 2, 3), [_trial_seed(4, 0, offset) for offset in range(7)]
+    before = SAMPLERS[kind](dims, seeds)
+    bad = seeds[3]
+    _singular_for(monkeypatch, {bad} | {(bad, attempt) for attempt in range(1, attempts)})
+    block = SAMPLERS[kind](dims, seeds)
+    assert_block_matches_reference(block, kind, dims, seeds)
+    # the other members keep their samples, member 3 has a new one
+    for got, was in zip(*(b.levels if kind == "locc1" else (b.elements,) for b in (block, before))):
+        assert np.array_equal(np.delete(got, 3, axis=0), np.delete(was, 3, axis=0))
+        assert not np.array_equal(got[3], was[3])
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_a_member_out_of_retries_raises_as_one_sample_does(monkeypatch, kind):
+    dims, seeds = (3, 3), [_trial_seed(4, 1, offset) for offset in range(7)]
+    _singular_for(monkeypatch, {seeds[5]} | {(seeds[5], attempt) for attempt in range(1, 4)})
+    reference = {
+        "general": reference_random_povm,
+        "ppt": reference_random_ppt_povm,
+        "sep": reference_random_sep_povm,
+        "locc1": reference_random_locc1,
+    }[kind]
+    with pytest.raises(ValueError) as expected:
+        reference(dims, 2 if kind == "locc1" else 4, seeds[5])
+    with pytest.raises(ValueError) as raised:
+        SAMPLERS[kind](dims, seeds)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "random generation failed after 3 retries: singular normalization"
+
+
+def test_a_degenerate_ppt_weight_raises_for_the_first_member_it_occurs_in(monkeypatch):
+    dims, seeds = (3, 3), list(range(20, 27))
+    c = np.trace(random_povm(dims, 4, seeds).elements, axis1=-2, axis2=-1).real / 9
+    # a margin at the second least trace of the members after member 0: two members weigh at least 1, member 0 less
+    margin = float(np.sort(c[1:].min(axis=1))[1])
+    assert c[0].min() > margin
+    monkeypatch.setattr(distlab.povm, "PPT_MARGIN", margin)
+    errors = []
+    for seed in seeds:
+        try:
+            random_ppt_povm(dims, 4, seed)
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    raised_by = [error for error in errors if error]
+    assert errors[0] is None and len(set(raised_by)) >= 2
+    first = raised_by[0]
+    assert first.startswith("degenerate mixing weight")
+    with pytest.raises(ValueError) as raised:
+        random_ppt_povm(dims, 4, seeds)
+    assert str(raised.value) == first
 
 
 def test_ragged_tree_matches_the_recursive_reference():
