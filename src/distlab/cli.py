@@ -35,12 +35,12 @@ from .povm import (
     counterexample_c4,
     flatten_locc1,
     is_projective,
+    is_valid,
     locc1_from_json,
     povm_from_json,
     povm_to_json,
     ppt_min_eigenvalue,
     restrict_povm,
-    verify_povm,
 )
 from .sdp import SolveOptions, problem_from_json, solution_from_json, solution_to_json, solve
 from .states import (
@@ -280,6 +280,8 @@ def _cmd_theorem1(args, digests):
 def _cmd_fuzz(args, digests):
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.states:
         states = _load(args.states, state_set_from_json, digests)
     else:
@@ -296,7 +298,7 @@ def _cmd_counterexample(args, digests):
     povm = counterexample_c4()
     projective = is_projective(povm, 1e-12)
     restriction = restrict_povm(povm, (3,))
-    restriction_valid = verify_povm(restriction, 1e-12).passed
+    restriction_valid = is_valid(restriction, 1e-12)
     restriction_projective = is_projective(restriction, 1e-9)
     b1 = sorted(float(x) for x in np.linalg.eigvalsh(restriction.elements[0]))
     payload = {

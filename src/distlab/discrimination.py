@@ -28,6 +28,7 @@ from .povm import (
     canonical_cuts,
     check_kind,
     flatten_locc1,
+    is_valid,
     ppt_min_eigenvalue,
     random_locc1,
     random_povm,
@@ -37,6 +38,8 @@ from .povm import (
     restrict_locc1,
     restrict_povm,
     take_batch,
+    tree_povm,
+    verify_locc1,
     verify_povm,
 )
 from .sdp import PtCone, SdpProblem, SdpSolution, SolveOptions, solve
@@ -357,8 +360,9 @@ def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: St
     Each check runs once for the block, on the trials that passed every check
     before it in one trial's chain: the restriction's kind checks, the trace
     identity, the two perfect-discrimination verdicts.  The sample's own
-    validity (its families, then its POVM) is an error rather than a failure,
-    raised for the first trial whose chain reaches an invalid sample.
+    validity (its families, then its POVM, decided by :func:`verify_locc1` and
+    :func:`is_valid`) is an error rather than a failure, raised for the first
+    trial whose chain reaches an invalid sample.
     """
     tree = isinstance(big, Locc1Tree)
     checks, small = check_kind((restrict_locc1 if tree else restrict_povm)(big, states.dims), kind, tol)
@@ -371,19 +375,19 @@ def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: St
     if not alive.any():
         return found
     positions = np.flatnonzero(alive)
-    # the samples' own checks (a tree's families, then the POVM), and the samples as POVMs
-    own, flat = check_kind(take_batch(big, alive), "locc1" if tree else "general", tol)
-    families = own[0][2] if tree else np.ones(len(positions), dtype=bool)
+    sample = take_batch(big, alive)
+    families = verify_locc1(sample, tol) if tree else np.ones(len(positions), dtype=bool)
+    flat = tree_povm(sample) if tree else sample
     residual = np.full(len(positions), np.nan)  # the trace identity needs complete families
     if families.any():
         residual[families] = theorem1_trace_identity(states, take_batch(flat, families), states.dims)
     broken = residual > ALGEBRA_TOL
     for p, value in zip(positions[broken].tolist(), residual[broken].tolist()):
         found[p] = ("trace-identity", value)
-    valid = np.logical_and.reduce([ok for _, _, ok in own])
+    valid = families & is_valid(flat, tol)
     if not np.all(valid | broken):  # raise the error a lone trial on the first invalid sample raises
-        sample = take_batch(big, positions[~(valid | broken)][0])
-        require_valid(flatten_locc1(sample, tol) if tree else sample, tol)
+        first = take_batch(big, positions[~(valid | broken)][0])
+        require_valid(flatten_locc1(first, tol) if tree else first, tol)
     keep = valid & ~broken
     alive[positions[~keep]] = False
     if keep.any():

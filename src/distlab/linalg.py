@@ -132,6 +132,45 @@ def min_eigenvalue(m: np.ndarray):
     return float(w) if m.ndim == 2 else w
 
 
+def psd_certified(m: np.ndarray, tol: float):
+    """Whether ``min_eigenvalue(m) >= -tol``: a bool for one matrix, an array of
+    shape ``m.shape[:-2]`` for a stack, decided in blocks of one to two ``BLOCK_BYTES``
+    (a stack just over the budget, such as a block of fuzz samples, stays one block).
+
+    A block is first given one batched Cholesky factorization of H + (tol - c) I,
+    H the Hermitian part as in :func:`min_eigenvalue` and, per matrix,
+    c = 4 gamma_{n+1} (sum_i |h_ii| + n tol) + n eta, with gamma_k = k u / (1 - k u),
+    u the unit roundoff and eta the smallest normal float.  When it completes,
+    the rounding bound of a completed Cholesky (Demmel 1989; Rump, BIT 46, 2006)
+    proves lambda_min(H) >= -tol for every member.  Otherwise (a member that
+    fails or lies near the bound, or a non-finite entry) the block is decided by
+    ``min_eigenvalue(block) >= -tol``.  The two answers can differ only on a
+    matrix whose exact lambda_min lies within about n eps ||H|| above -tol.
+    """
+    m = as_stack(m)
+    side = m.shape[-1]
+    flat = m.reshape((-1, side, side))
+    ok, idx = np.empty(len(flat), dtype=bool), np.arange(side)
+    u = np.finfo(float).eps / 2
+    gamma = (side + 1) * u / (1 - (side + 1) * u)
+    step = -(-len(flat) // max(1, flat.nbytes // BLOCK_BYTES))
+    for lo in range(0, len(flat), step):
+        block = flat[lo : lo + step]
+        h = block + dagger(block)
+        h /= 2
+        c = 4 * gamma * (np.abs(h[:, idx, idx]).sum(axis=-1) + side * tol) + side * np.finfo(float).tiny
+        h[:, idx, idx] += (tol - c)[:, None]
+        if np.isfinite(h).all():  # numpy's Cholesky can complete on NaN entries
+            try:
+                np.linalg.cholesky(h)
+                ok[lo : lo + step] = True
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        ok[lo : lo + step] = min_eigenvalue(block) >= -tol
+    return ok.reshape(m.shape[:-2]) if m.ndim > 2 else bool(ok[0])
+
+
 @lru_cache(maxsize=64)
 def _inrange_indices(dims: tuple[int, ...], sub_dims: tuple[int, ...]) -> np.ndarray:
     """Global indices in a ``dims`` system whose multi-index is componentwise < sub_dims.

@@ -34,6 +34,7 @@ from .linalg import (
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
+    psd_certified,
     restrict_matrix,
     strict_object,
     tensor,
@@ -197,20 +198,37 @@ class PovmReport:
         return ok if ok.ndim else bool(ok)
 
 
+def _completeness_residual(e: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])), axis=(-2, -1))
+
+
 def verify_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmReport:
     """Measure completeness residual and per-element minimum eigenvalues (per member of a batch)."""
     e = p.elements
-    residual = np.max(np.abs(e.sum(axis=-3) - np.eye(p.side)), axis=(-2, -1))
+    residual = _completeness_residual(e)
     min_eigs, defect = min_eigenvalue(e), np.max(hermiticity_defect(e), axis=-1)
     if e.ndim == 3:
         return PovmReport(float(residual), tuple(min_eigs.tolist()), float(defect), tol)
     return PovmReport(residual, min_eigs, defect, tol)
 
 
+def is_valid(p: Povm, tol: float = DEFAULT_TOL):
+    """``verify_povm(p, tol).passed`` (per member of a batch), with each element's
+    positivity decided by :func:`~distlab.linalg.psd_certified` instead of measured."""
+    e = p.elements
+    ok = (
+        (_completeness_residual(e) <= tol)
+        & (np.max(hermiticity_defect(e), axis=-1) <= tol)
+        & np.all(psd_certified(e, tol), axis=-1)
+    )
+    return ok if ok.ndim else bool(ok)
+
+
 def require_valid(p: Povm, tol: float):
-    """Raise ``ValueError`` unless :func:`verify_povm` passes ``p``."""
-    report = verify_povm(p, tol)
-    if not report.passed:
+    """Raise ``ValueError`` unless :func:`is_valid` passes ``p``; only then is
+    :func:`verify_povm` run, for the values the message reports."""
+    if not is_valid(p, tol):
+        report = verify_povm(p, tol)
         raise ValueError(
             f"invalid POVM: completeness residual {report.completeness_residual:.3e}, "
             f"min eigenvalue {min(report.element_min_eigs):.3e}"
@@ -221,15 +239,19 @@ def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
     """True iff all elements are idempotent and mutually annihilating:
     ``max|M_j M_j - M_j| <= tol`` and ``max|M_j M_k| <= tol`` for every j < k.
 
-    The cross products are not all formed.  With R_j the eigenvectors of M_j
-    whose eigenvalue exceeds 1/2, E_j = M_j - R_j R_j^H and G = R^H R the Gram
-    matrix of every R_j side by side (blocks G_jk = R_j^H R_k),
+    The cross products are not all formed.  One batched ``eigh`` gives
+    M_j = V_j W_j V_j^H + D_j.  With R_j the columns of V_j whose eigenvalue
+    exceeds 1/2, E_j = M_j - R_j R_j^H and G = R^H R the Gram matrix of every
+    R_j side by side (blocks G_jk = R_j^H R_k),
 
         max|M_j M_k| <= ||M_j M_k||_2
-                     <= ||R_j|| ||G_jk|| ||R_k|| + ||R_j||^2 ||E_k|| + ||E_j|| ||M_k||,
+                     <= ||R_j|| ||G_jk||_F ||R_k|| + ||R_j||^2 ||E_k|| + ||E_j|| ||M_k||
 
-    taken with Frobenius norms, plus side * eps * ||M_j||_F ||M_k||_F for the
-    rounding of the product the exact test would form.  A pair whose bound is
+    in spectral norms, each bounded from the ``eigh``: with
+    s_j = 1 + ||V_j^H V_j - I||_F >= ||V_j||^2, ||R_j||^2 <= s_j,
+    ||E_j|| <= s_j max_i |w_i - [w_i > 1/2]| + ||D_j||_F and
+    ||M_j|| <= s_j max_i |w_i| + ||D_j||_F.  Add side * eps * ||M_j|| ||M_k||
+    for the rounding of the product the exact test would form.  A pair whose bound is
     at most tol/2 passes (the other half of tol covers the rounding of R, G and
     E); only the other pairs are multiplied out and tested against tol, so the
     answer is that of testing every pair.
@@ -250,14 +272,18 @@ def _cross_product_bounds(e: np.ndarray) -> np.ndarray:
     """(n, n) table of the bound on max|M_j M_k| stated in :func:`is_projective`."""
     w, v = np.linalg.eigh(e)
     keep = w > 0.5
+    residual = (v * w[:, None, :]) @ dagger(v)
+    residual = np.linalg.norm(np.subtract(e, residual, out=residual), axis=(1, 2))  # ||D_j||_F
+    gram = dagger(v) @ v
+    gram -= np.eye(e.shape[-1])
+    square = 1 + np.linalg.norm(gram, axis=(1, 2))  # s_j
+    norm_e = square * np.max(np.abs(w - keep), axis=1) + residual
+    norm_m = square * np.max(np.abs(w), axis=1) + residual
+    norm_r = np.sqrt(square) * keep.any(axis=1)
     v *= keep[:, None, :]  # the columns of v[j] left nonzero are R_j
-    rr = v @ dagger(v)
-    norm_e = np.linalg.norm(np.subtract(e, rr, out=rr), axis=(1, 2))
     cols = np.swapaxes(v, 1, 2)[keep]  # every R_j's columns as rows, element by element
     owner = np.eye(len(e))[np.nonzero(keep)[0]]  # (columns, n): which element each column is from
     norm_g = np.sqrt(owner.T @ np.abs(cols.conj() @ cols.T) ** 2 @ owner)
-    norm_r = np.sqrt(owner.T @ np.sum(np.abs(cols) ** 2, axis=1))
-    norm_m = np.linalg.norm(e, axis=(1, 2))
     rounding = e.shape[-1] * np.finfo(float).eps * np.outer(norm_m, norm_m)
     return np.outer(norm_r, norm_r) * norm_g + np.outer(norm_r**2, norm_e) + np.outer(norm_e, norm_m) + rounding
 
@@ -298,13 +324,17 @@ def is_ppt_povm(
     partition: int | Iterable[int] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """True iff every element stays PSD after partial transposition.
+    """True iff every element stays PSD after partial transposition, each
+    transposed element decided by :func:`~distlab.linalg.psd_certified`.
 
     ``partition`` selects one bipartition (a party index or a party subset);
     when omitted, every nontrivial bipartition is required.
     """
     require_valid(p, tol)
-    return ppt_min_eigenvalue(p, None if partition is None else [bipartition(p.dims, partition)]) >= -tol
+    cuts = canonical_cuts(p.dims) if partition is None else [bipartition(p.dims, partition)]
+    if not cuts:
+        raise ValueError("PPT needs a nontrivial bipartition")
+    return all(np.all(psd_certified(partial_transpose(p.elements, p.dims, cut), tol)) for cut in cuts)
 
 
 def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
@@ -320,8 +350,9 @@ def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
 
 
 def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
-    """Check the separability witness: PSD local factors reconstructing each element
-    (for a batch, one answer per member)."""
+    """Check the separability witness: Hermitian local factors whose PSD-ness
+    :func:`~distlab.linalg.psd_certified` decides, reconstructing each element
+    within ``tol`` (for a batch, one answer per member)."""
     witness = _sep_witness(p, tol)
     if len(witness.factors) != len(p.dims):
         raise ValueError("witness term does not have one factor per party")
@@ -330,7 +361,7 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
     for k, f in enumerate(witness.factors):
         if f.shape[1:] != (p.dims[k], p.dims[k]):
             raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
-        bad |= (hermiticity_defect(f) > tol) | (min_eigenvalue(f) < -tol)
+        bad |= (hermiticity_defect(f) > tol) | ~psd_certified(f, tol)
     recon = _product_sums(witness.factors, witness.owner).reshape(-1, len(p), p.side, p.side)
     ok = np.max(np.abs(recon - p.elements.reshape(recon.shape)), axis=(1, 2, 3)) <= tol
     ok &= np.bincount(member[bad], minlength=len(ok)) == 0
@@ -339,13 +370,15 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
 
 def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL):
     """True iff every conditional family is a complete local POVM on its party
-    (for a batch, one answer per tree)."""
+    (for a batch, one answer per tree): each sums to I within ``tol``, and each
+    element is Hermitian within ``tol`` and PSD as :func:`~distlab.linalg.psd_certified`
+    decides."""
     ok = True
     for level, parents in zip(tree.levels, tree.parents):
         sums = _index_sums(np.moveaxis(level, -3, 0), parents)  # (families, [batch,] d, d)
         residual = np.max(np.abs(sums - np.eye(level.shape[-1])), axis=(0, -2, -1))
-        defect, worst = np.max(hermiticity_defect(level), axis=-1), np.min(min_eigenvalue(level), axis=-1)
-        ok = ok & (residual <= tol) & (defect <= tol) & (worst >= -tol)
+        defect, psd = np.max(hermiticity_defect(level), axis=-1), np.all(psd_certified(level, tol), axis=-1)
+        ok = ok & (residual <= tol) & (defect <= tol) & psd
     return ok if ok.ndim else bool(ok)
 
 
@@ -358,11 +391,12 @@ def flatten_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL) -> Povm:
     """
     if not verify_locc1(tree, tol):
         raise ValueError("incomplete conditional family in measurement tree")
-    return _flatten(tree)
+    return tree_povm(tree)
 
 
-def _flatten(tree: Locc1Tree) -> Povm:
-    """:func:`flatten_locc1` of a tree already known to be valid."""
+def tree_povm(tree: Locc1Tree) -> Povm:
+    """:func:`flatten_locc1` without the check of the families (a batch of trees
+    gives a batch of POVMs)."""
     factors: list = [None] * len(tree.dims)
     path = np.arange(tree.levels[-1].shape[-3])  # each leaf's outcome at the current depth
     for depth in reversed(range(len(tree.levels))):
@@ -425,7 +459,7 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
     if isinstance(batch, Locc1Tree):
         record("locc1-tree", np.nan, verify_locc1(batch, tol))
         alive &= checks[-1][2]
-        povm = _flatten(batch)
+        povm = tree_povm(batch)
     if alive.any():
         report = verify_povm(take_batch(povm, alive), tol)
         worst = np.min(report.element_min_eigs, axis=-1)

@@ -26,6 +26,7 @@ from .linalg import (
     matrices_from_json,
     matrix_to_json,
     min_eigenvalue,
+    psd_certified,
     strict_object,
     trace_products,
 )
@@ -35,7 +36,13 @@ STATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class State:
-    """Unit-trace PSD matrix over a composite system."""
+    """Unit-trace PSD matrix over a composite system.
+
+    Checked in turn: Hermitian within ``HERMITIAN_TOL``, trace 1 within
+    ``STATE_TOL``, and lambda_min >= -STATE_TOL, decided by
+    :func:`~distlab.linalg.psd_certified`; the eigenvalue itself is computed
+    only for the message of a state that fails.
+    """
 
     rho: np.ndarray
     dims: tuple[int, ...]
@@ -52,9 +59,8 @@ class State:
         tr = np.trace(rho).real
         if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"state {self.label!r} has trace {tr}, expected 1")
-        mineig = min_eigenvalue(rho)
-        if mineig < -STATE_TOL:
-            raise ValueError(f"state {self.label!r} has negative eigenvalue {mineig:.3e}")
+        if not psd_certified(rho, STATE_TOL):
+            raise ValueError(f"state {self.label!r} has negative eigenvalue {min_eigenvalue(rho):.3e}")
 
     @property
     def side(self) -> int:
@@ -99,7 +105,7 @@ class StateSet:
             bad = (
                 (hermiticity_defect(block) > HERMITIAN_TOL)
                 | (np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0) > STATE_TOL)
-                | (min_eigenvalue(block) < -STATE_TOL)
+                | ~psd_certified(block, STATE_TOL)
             )
             for i in lo + np.flatnonzero(bad):
                 State(rhos[i], dims, label=labels[i])  # raises the message of the first failing check

@@ -600,6 +600,10 @@ CONTRACT_BREAKERS = {
         {},
         ["fuzz", "--kinds", "general", "--trials", "0", "--seed", "1"],
     ),
+    "fuzz-negative-seed": (
+        {},
+        ["fuzz", "--kinds", "general", "--trials", "1", "--seed", "-1"],
+    ),
     "fuzz-kind-without-sampler": (
         {},
         ["fuzz", "--kinds", "general,projective", "--trials", "1", "--seed", "1"],
@@ -649,6 +653,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     if case in NON_FINITE:
         assert paths[NON_FINITE[case]] in captured.err
         assert "NaN or Infinity" in captured.err
+    if case == "fuzz-negative-seed":
+        assert "--seed" in captured.err
 
 
 def test_deeply_nested_input_exits_2_without_traceback(tmp_path, capsys):

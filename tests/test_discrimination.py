@@ -477,7 +477,7 @@ def _count_calls(monkeypatch, names):
     sample_of_kind = distlab.discrimination._sample_of_kind
     monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", sample)
     for name in names:
-        if name in ("eigvalsh", "eigh"):
+        if name in ("eigvalsh", "eigh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         else:
             wrapper = counted(name, getattr(distlab.povm, name))
@@ -486,13 +486,17 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("kind, eigvalsh_calls", [("general", 2), ("ppt", 4), ("sep", 4), ("locc1", 6)])
-def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, eigvalsh_calls):
-    """One trial verifies the sample once and its restriction once (for a tree: the tree, then its POVM)."""
+@pytest.mark.parametrize("kind, positivity_calls", [("general", 2), ("ppt", 4), ("sep", 4), ("locc1", 6)])
+def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity_calls):
+    """One trial decides the sample's validity once and measures its restriction once (for a tree: the
+    tree's families first, each once).  Of its positivity checks, those that only decide (the sample's,
+    the witness factors and tree levels of the restriction) are Cholesky certificates; the rest, whose
+    values are reported or used (the ppt sampler's mixing weight), are eigvalsh calls."""
+    cholesky_calls = {"general": 1, "ppt": 1, "sep": 3, "locc1": 5}[kind]
     import distlab.povm
 
     three = bell_states().subset([0, 1, 2])
-    calls = {"verify_povm": 0, "verify_locc1": 0, "eigvalsh": 0}
+    calls = {"verify_povm": 0, "is_valid": 0, "verify_locc1": 0, "eigvalsh": 0, "cholesky": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -501,23 +505,26 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, eigvalsh_c
 
         return wrapper
 
-    for name in ("verify_povm", "verify_locc1"):
+    for name in ("verify_povm", "is_valid", "verify_locc1"):
         wrapper = counted(name, getattr(distlab.povm, name))
         monkeypatch.setattr(distlab.povm, name, wrapper)
         monkeypatch.setattr(distlab.discrimination, name, wrapper, raising=False)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     report = local_global_fuzz(three, [kind], (3, 3), trials=1, seed=7)
     assert report.passes
-    assert calls["verify_povm"] == 2
-    assert calls["verify_locc1"] <= 2
-    assert calls["eigvalsh"] == eigvalsh_calls + 1  # one more for the embedded state set
+    assert calls["verify_povm"] == 1  # the restriction
+    assert calls["is_valid"] == 1  # the sample
+    assert calls["verify_locc1"] == (2 if kind == "locc1" else 0)  # the restricted tree, then the sample
+    assert calls["eigvalsh"] == positivity_calls - cholesky_calls
+    assert calls["cholesky"] == cholesky_calls + 1  # one more for the embedded state set
 
 
 @pytest.mark.parametrize("kind", ["general", "ppt", "sep", "locc1"])
 def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
     """Outside the sampler, a block of 30 trials makes the calls one trial makes; three blocks, three times as many."""
     three = bell_states().subset([0, 1, 2])
-    names = ("verify_povm", "verify_locc1", "eigvalsh", "eigh")
+    names = ("verify_povm", "is_valid", "verify_locc1", "eigvalsh", "eigh", "cholesky")
 
     def counts(trials):
         with monkeypatch.context() as patch:
@@ -526,11 +533,11 @@ def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
         return calls
 
     one = counts(1)
-    assert one["verify_povm"] == 2
+    assert (one["verify_povm"], one["is_valid"]) == (1, 1)  # the restriction, the sample
     assert counts(30) == one
     trial_bytes = 4 * 9 * 9 * 16  # every sample here has four outcomes on (3, 3)
     monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 10 * trial_bytes)
-    once = {"eigvalsh": 1}  # the embedded state set's check
+    once = {"cholesky": 1}  # the embedded state set's check
     assert counts(30) == {name: once.get(name, 0) + 3 * (one[name] - once.get(name, 0)) for name in names}
 
 

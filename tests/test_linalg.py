@@ -1,10 +1,12 @@
 """Tests for the multipartite matrix operations."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import distlab.linalg
 from distlab.linalg import (
     _inrange_indices,
     bipartition,
@@ -14,6 +16,7 @@ from distlab.linalg import (
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
+    psd_certified,
     restrict_matrix,
     tensor,
     trace_products,
@@ -271,3 +274,119 @@ def test_trace_products_match_the_planned_einsum_bit_for_bit(n, m, side, real_a,
     want = np.einsum("iab,jba->ij", a, b, optimize=True)
     assert got.shape == (n, m) and got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def hermitian_with_spectrum(rng, spectrum, real):
+    """U diag(spectrum) U^H for a random unitary U (orthogonal when ``real``)."""
+    n = len(spectrum)
+    g = rng.standard_normal((n, n)) if real else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = np.linalg.qr(g)[0]
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+def eigvalsh_verdict(stack, tol):
+    """The oracle: numpy's smallest eigenvalue of each Hermitian part, as a complex matrix, is at least -tol."""
+    stack = np.asarray(stack, dtype=complex)
+    h = (stack + np.swapaxes(stack.conj(), -1, -2)) / 2
+    return np.linalg.eigvalsh(h)[..., 0] >= -tol
+
+
+def boundary_stack(rng, side, real, tol):
+    """lambda_min = -1.01 tol, -0.99 tol and 0 (other eigenvalues in (0, 1]), then a rank-deficient projector."""
+    members = [hermitian_with_spectrum(rng, [f * tol, 1.0, *rng.uniform(0, 1, side - 2)], real) for f in (-1.01, -0.99, 0)]
+    members.append(hermitian_with_spectrum(rng, np.arange(side) % 2, real))
+    return np.array(members, dtype=complex), np.array([False, True, True, True])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("side", [2, 3, 9, 36, 100])
+def test_psd_certificate_agrees_with_eigvalsh(tol, real, side):
+    rng = np.random.default_rng([side, real, int(-np.log10(tol))])
+    stack, expected = boundary_stack(rng, side, real, tol)
+    assert np.array_equal(eigvalsh_verdict(stack, tol), expected)  # the test data is where it should be
+    for m, ok in zip(stack, expected):
+        assert psd_certified(m, tol) is bool(ok)
+    assert np.array_equal(psd_certified(stack, tol), expected)  # one member fails: the batch falls back
+    assert np.array_equal(psd_certified(stack[1:], tol), expected[1:])
+    assert np.array_equal(psd_certified(stack[None, :, :, :], tol), expected[None])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("side", [2, 9, 36])
+def test_psd_certificate_accepts_without_an_eigensolver(monkeypatch, real, side):
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("the certificate fell back to eigvalsh")
+
+    rng = np.random.default_rng([side, real])
+    for tol in (1e-9, 1e-6):
+        stack = boundary_stack(rng, side, real, tol)[0][1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+            assert psd_certified(stack, tol).all()
+
+
+def test_psd_certificate_falls_back_for_the_block_that_fails(monkeypatch):
+    rng = np.random.default_rng(14)
+    tol = 1e-9
+    stack = np.array([hermitian_with_spectrum(rng, [f * tol, *rng.uniform(0, 1, 8)], False) for f in [0.5] * 7 + [-1.01]])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
+    monkeypatch.setattr(distlab.linalg, "BLOCK_BYTES", 2 * stack[0].nbytes)
+    got = psd_certified(stack, tol)
+    assert got.tolist() == [True] * 7 + [False]
+    assert calls == [2]  # four blocks of 2: only the last is decided by eigvalsh, and for both its members
+    monkeypatch.setattr(distlab.linalg, "BLOCK_BYTES", 3 * stack[0].nbytes)
+    calls.clear()
+    assert psd_certified(stack, tol).tolist() == [True] * 7 + [False]
+    assert calls == [4]  # 8 matrices over a budget of 3 make two blocks of 4, not 3, 3 and 2
+    monkeypatch.setattr(distlab.linalg, "BLOCK_BYTES", 1 << 18)
+    expected = eigvalsh_verdict(stack, tol)
+    calls.clear()
+    assert np.array_equal(psd_certified(stack, tol), expected)
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+def test_psd_certificate_of_non_finite_entries_is_the_eigvalsh_answer(value, entry):
+    m = np.eye(3, dtype=complex)
+    m[entry] = m[entry[::-1]] = value
+    stack = np.array([np.eye(3), m, np.eye(3)], dtype=complex)
+    try:
+        expected = min_eigenvalue(stack) >= -1e-9
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            psd_certified(stack, 1e-9)
+    else:
+        assert np.array_equal(psd_certified(stack, 1e-9), expected)
+        assert not expected[1]
+
+
+def exactly_positive_definite(h, shift):
+    """Whether h + shift I is positive definite, by an LDL^T factorization in exact rationals."""
+    n = len(h)
+    a = [[Fraction(float(h[i, j].real)) + (Fraction(shift) if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, i + 1):
+                a[i][j] -= f * a[j][k]
+    return True
+
+
+def test_psd_certificate_accepts_only_what_eigvalsh_or_exact_arithmetic_accepts():
+    # real matrices whose lambda_min lies within rounding of -tol, with a large spread of the spectrum
+    rng = np.random.default_rng(2)
+    tol = 1e-6
+    for _ in range(600):
+        spectrum = np.concatenate([[0.0], rng.uniform(0.5, 1, 2) * 1e4])
+        spectrum[0] = -tol - rng.uniform(-1, 1) * 3 * np.finfo(float).eps / 2 * spectrum.max()
+        h = hermitian_with_spectrum(rng, spectrum, real=True)
+        h = (h + h.T) / 2
+        got, oracle = psd_certified(h, tol), bool(eigvalsh_verdict(h, tol))
+        if got != oracle:  # only a pass that exact arithmetic confirms may differ from eigvalsh
+            assert got and exactly_positive_definite(h, tol)

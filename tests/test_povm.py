@@ -728,3 +728,22 @@ def test_ragged_tree_matches_the_recursive_reference():
     assert [len(level) for level in small.levels] == [2, 4, 7]
     assert verify_locc1(small)  # restriction keeps every family complete
     assert np.array_equal(flatten_locc1(small).elements, restrict_povm(flatten_locc1(tree), (2, 2, 2)).elements)
+
+
+def test_noisy_projective_povms_are_certified_without_exact_products(exact_pairs):
+    """Random projective POVMs on sides up to 100 with entrywise noise of 1e-3 tol: every pair
+    is cleared by the spectral-norm bound (Frobenius norms of E_j, R_j and M_j left 21 of them
+    with pairs to multiply), and every verdict is the pairwise one."""
+    systems = [(2,), (3, 3), (2, 3, 2), (4, 4), (5, 5), (6, 6), (8, 8), (10, 10)]
+    for seed in range(100):
+        rng = np.random.default_rng([14, seed])
+        dims, real, tol = systems[seed % 8], bool(seed % 2), [1e-12, 1e-9, 1e-6][seed % 3]
+        side = int(np.prod(dims))
+        n = int(rng.integers(1, min(side, 10) + 1))  # at most 10 elements keep the noisy sum complete
+        ranks = np.diff(np.sort(np.concatenate([[0, side], rng.integers(0, side + 1, n - 1)])))
+        elements = np.array(random_projective(rng, dims, ranks, real), dtype=complex)
+        kick = rng.standard_normal(elements.shape) + 1j * rng.standard_normal(elements.shape)
+        elements += 1e-3 * tol * kick / np.max(np.abs(kick))
+        assert agrees_with_reference(Povm(elements, dims), tol) is True
+        assert exact_pairs.pop() == []
+    assert exact_pairs == []

@@ -284,3 +284,30 @@ def test_members_and_subsets_are_not_checked_again(monkeypatch):
         assert s.dims == dominoes.dims
     assert np.array_equal(part.rhos, dominoes.rhos[[8, 0, 3]])
     assert part.labels == tuple(dominoes.labels[k] for k in (8, 0, 3))
+
+
+@pytest.mark.parametrize("lam", [-1.01e-9, -2e-9, -0.3])
+def test_negative_state_reports_its_eigvalsh_minimum(lam):
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    rho = (u * np.array([1 - lam, lam, 0, 0])) @ u.conj().T
+    expected = f"state 'neg' has negative eigenvalue {np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]:.3e}"
+    with pytest.raises(ValueError) as exc:
+        State(rho, (2, 2), label="neg")
+    assert str(exc.value) == expected
+    with pytest.raises(ValueError) as exc:
+        StateSet.from_stack([np.eye(4) / 4, rho, np.eye(4) / 4], (2, 2), ["mixed", "neg", "mixed"])
+    assert str(exc.value) == expected
+
+
+def test_valid_states_are_certified_without_an_eigensolver(monkeypatch):
+    dominoes, phi = domino_states(), pure_state([1, 0, 0, 1], (2, 2)).rho
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("a valid state was checked by an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    assert State(phi, (2, 2)).side == 4
+    assert len(StateSet.from_stack(dominoes.rhos, (3, 3), dominoes.labels)) == 9
+    assert embed_set(dominoes, (5, 4)).dims == (5, 4)
