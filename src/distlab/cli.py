@@ -193,15 +193,15 @@ def summarize(report: dict) -> str:
 
 def _cmd_gen(args, digests):
     family = args.family
-    if family == "bell":
-        states = bell_states()
+    if family in ("bell", "domino"):
+        states = bell_states() if family == "bell" else domino_states()
+        if args.dims is not None and _parse_dims(args.dims) != states.dims:
+            raise CliError(f"{family} lives in dims {','.join(map(str, states.dims))}, got --dims {args.dims}")
     elif family == "gbell":
         dims = _parse_dims(args.dims or "")
         if len(dims) != 2 or dims[0] != dims[1]:
             raise CliError("gbell needs square dims d,d")
         states = generalized_bell_states(dims[0])
-    elif family == "domino":
-        states = domino_states()
     elif family == "domino-ext":
         dims = _parse_dims(args.dims or "")
         if len(dims) != 2:
@@ -242,6 +242,8 @@ def _cmd_discriminate(args, digests):
     loaded = _load(args.povm, _povm_or_tree, digests)
     povm = flatten_locc1(loaded, args.tol) if not hasattr(loaded, "elements") else loaded
     if args.mode == "perfect":
+        if args.inconclusive is not None:
+            raise CliError("--inconclusive applies to --mode unambiguous only")
         verdict = check_perfect(povm, states, args.tol)
     else:
         inconclusive = [int(x) for x in args.inconclusive.split(",")] if args.inconclusive else []

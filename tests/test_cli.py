@@ -75,6 +75,17 @@ def test_gen_domino(capsys):
     assert states.dims == (3, 3)
 
 
+@pytest.mark.parametrize("family, dims", [("bell", (2, 2)), ("domino", (3, 3))])
+def test_gen_fixed_family_takes_only_its_own_dims(capsys, family, dims):
+    code, report, _ = run_captured(capsys, ["gen", "--family", family, "--dims", ",".join(map(str, dims))])
+    assert code == 0
+    assert parse_report(report)[1].dims == dims
+    for other in ("7,7", "2,2,2", "3,2") if family == "domino" else ("7,7", "2", "3,3"):
+        code, report, err = run_captured(capsys, ["gen", "--family", family, "--dims", other])
+        assert (code, report) == (2, None), other
+        assert err.startswith("distlab: error:") and "--dims" in err
+
+
 def test_gen_gbell_needs_square_dims(capsys):
     code, _, err = run_captured(capsys, ["gen", "--family", "gbell", "--dims", "2,3"])
     assert code == 2
@@ -623,6 +634,22 @@ CONTRACT_BREAKERS = {
     "unambiguous-inconclusive-minus-1": (
         {"s": bell_pair_obj(), "p": bell_projector_povm_obj()},
         ["discriminate", "--states", "{s}", "--povm", "{p}", "--mode", "unambiguous", "--inconclusive=-1"],
+    ),
+    "gen-bell-in-7x7": (
+        {},
+        ["gen", "--family", "bell", "--dims", "7,7"],
+    ),
+    "gen-domino-in-2x2": (
+        {},
+        ["gen", "--family", "domino", "--dims", "2,2"],
+    ),
+    "perfect-with-inconclusive": (
+        {"s": bell_pair_obj(), "p": bell_projector_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}", "--mode", "perfect", "--inconclusive", "1"],
+    ),
+    "default-mode-with-inconclusive": (
+        {"s": bell_pair_obj(), "p": bell_projector_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}", "--inconclusive", "1"],
     ),
     "sdp-fractional-party": (
         {"q": pt_cut_with_party(0.7)},

@@ -1,6 +1,11 @@
 """Tests for the distinguishability semantics layer."""
 
 import dataclasses
+import json
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -453,6 +458,11 @@ def test_local_global_fuzz_records_a_broken_trace_identity(monkeypatch):
         assert failure["residual"] == pytest.approx(1e-6, abs=1e-12)
 
 
+def _pin_workers(monkeypatch, workers):
+    """Run the fuzz's blocks in ``workers`` processes, whatever the CPU count; 1 keeps every call in this one."""
+    monkeypatch.setattr(distlab.discrimination, "_worker_count", lambda blocks: workers)
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of the povm functions and numpy eigensolvers in ``names`` made outside the fuzz's sampler."""
     import distlab.povm
@@ -511,6 +521,7 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity
         monkeypatch.setattr(distlab.discrimination, name, wrapper, raising=False)
     for name in ("eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _pin_workers(monkeypatch, 1)  # calls made in a forked child are not counted here
     report = local_global_fuzz(three, [kind], (3, 3), trials=1, seed=7)
     assert report.passes
     assert calls["verify_povm"] == 1  # the restriction
@@ -525,6 +536,7 @@ def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
     """Outside the sampler, a block of 30 trials makes the calls one trial makes; three blocks, three times as many."""
     three = bell_states().subset([0, 1, 2])
     names = ("verify_povm", "is_valid", "verify_locc1", "eigvalsh", "eigh", "cholesky")
+    _pin_workers(monkeypatch, 1)  # calls made in a forked child are not counted here
 
     def counts(trials):
         with monkeypatch.context() as patch:
@@ -541,8 +553,19 @@ def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
     assert counts(30) == {name: once.get(name, 0) + 3 * (one[name] - once.get(name, 0)) for name in names}
 
 
-def _assert_matches_reference(states, kinds, new_dims, trials, seed):
-    report = local_global_fuzz(states, kinds, new_dims, trials, seed)
+def _fuzz_in_workers(monkeypatch, *args):
+    """The fuzz's report with its blocks in one, two and three processes; the three must print the same."""
+    reports = []
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers)
+        reports.append(local_global_fuzz(*args))
+    printed = [json.dumps(harness_to_json(r)) for r in reports]
+    assert printed[1:] == printed[:1] * 2
+    return reports[0]
+
+
+def _assert_matches_reference(monkeypatch, states, kinds, new_dims, trials, seed):
+    report = _fuzz_in_workers(monkeypatch, states, kinds, new_dims, trials, seed)
     expected = reference_fuzz(states, kinds, new_dims, trials, seed)
     assert [(f["kind"], f["seed_offset"], f["check"]) for f in report.failures] == [
         (f["kind"], f["seed_offset"], f["check"]) for f in expected
@@ -552,8 +575,8 @@ def _assert_matches_reference(states, kinds, new_dims, trials, seed):
     return report
 
 
-def test_local_global_fuzz_matches_the_per_trial_loop_across_blocks():
-    report = _assert_matches_reference(domino_states(), ["general", "ppt", "sep", "locc1"], (6, 6), 120, 5)
+def test_local_global_fuzz_matches_the_per_trial_loop_across_blocks(monkeypatch):
+    report = _assert_matches_reference(monkeypatch, domino_states(), ["general", "ppt", "sep", "locc1"], (6, 6), 120, 5)
     assert report.passes
     assert 120 * 4 * 36 * 36 * 16 > 2 * BLOCK_BYTES  # each kind spans at least three blocks
 
@@ -620,7 +643,7 @@ def test_local_global_fuzz_matches_the_per_trial_loop_under_each_fault(monkeypat
     name, wrap, kinds = FUZZ_FAULTS[fault]
     monkeypatch.setattr(distlab.discrimination, name, wrap(getattr(distlab.discrimination, name)))
     monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # blocks of 7 trials
-    report = _assert_matches_reference(bell_states().subset([0, 1, 2]), kinds, (3, 3), 20, 11)
+    report = _assert_matches_reference(monkeypatch, bell_states().subset([0, 1, 2]), kinds, (3, 3), 20, 11)
     assert report.failures
     if fault.startswith("some-"):  # these break some trials of a block, not all
         assert len(report.failures) < 20 * len(kinds)
@@ -638,10 +661,96 @@ def test_local_global_fuzz_raises_for_the_first_invalid_sample_it_reaches(monkey
     three = bell_states().subset([0, 1, 2])
     with pytest.raises(ValueError) as expected:
         reference_fuzz(three, kinds, (3, 3), 20, 11)
-    with pytest.raises(ValueError) as raised:
-        local_global_fuzz(three, kinds, (3, 3), 20, 11)
-    assert str(raised.value) == str(expected.value)
-    assert str(raised.value).startswith("incomplete conditional family" if kinds == ["locc1"] else "invalid POVM")
+    assert str(expected.value).startswith("incomplete conditional family" if kinds == ["locc1"] else "invalid POVM")
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers)
+        with pytest.raises(ValueError) as raised:
+            local_global_fuzz(three, kinds, (3, 3), 20, 11)
+        assert str(raised.value) == str(expected.value), workers
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child of this process, running or a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_local_global_fuzz_leaves_no_process_behind(monkeypatch):
+    """A run that passes, one that raises at an invalid sample, one whose block raises only in a child and
+    one whose child is killed while another hangs: none leaves a child process behind, and an error raised
+    in a child reaches the caller with its type and message."""
+    fuzz = distlab.discrimination
+    monkeypatch.setattr(fuzz, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # blocks of 7 trials: three per kind
+    three = bell_states().subset([0, 1, 2])
+    _pin_workers(monkeypatch, 3)
+    _assert_no_child_left()
+    assert local_global_fuzz(three, ["general", "sep"], (3, 3), 20, 11).passes
+    _assert_no_child_left()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz, "_sample_of_kind", _perturbed_outside(fuzz._sample_of_kind))
+        with pytest.raises(ValueError, match="^invalid POVM"):
+            local_global_fuzz(three, ["general"], (3, 3), 20, 11)
+    _assert_no_child_left()
+
+    parent, fuzz_block = os.getpid(), fuzz._fuzz_block
+
+    def raising_in_a_child(big, kind, *args):
+        if os.getpid() != parent and kind == "sep":
+            raise ArithmeticError(f"{kind} block raised in a child")
+        return fuzz_block(big, kind, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz, "_fuzz_block", raising_in_a_child)
+        with pytest.raises(ArithmeticError, match="^sep block raised in a child$"):
+            local_global_fuzz(three, ["general", "sep"], (3, 3), 20, 11)
+    _assert_no_child_left()
+
+    # of the general blocks 0, 1 and 2 (trials 0, 7 and 14 on), the first child runs 1 and the second 2
+    fates = {fuzz._trial_seed(11, 0, 7): "killed", fuzz._trial_seed(11, 0, 14): "hangs"}
+    sample_of_kind = fuzz._sample_of_kind
+
+    def killed_or_hung_in_a_child(kind, dims, seeds):
+        fate = fates.get(seeds[0]) if os.getpid() != parent else None
+        if fate == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fate == "hangs":
+            time.sleep(60)
+        return sample_of_kind(kind, dims, seeds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz, "_sample_of_kind", killed_or_hung_in_a_child)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"killed by signal {signal.SIGKILL.value} without a result"):
+            local_global_fuzz(three, ["general"], (3, 3), 20, 11)
+        assert time.monotonic() - started < 30  # the hung child was killed, not waited for
+    _assert_no_child_left()
+
+
+def test_the_fuzz_runs_a_process_per_cpu_but_one_beside_another_thread():
+    count = distlab.discrimination._worker_count
+    cpus = len(os.sched_getaffinity(0))
+    assert [count(1), count(2), count(1000)] == [1, min(2, cpus), cpus]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert count(1000) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_local_global_fuzz_forks_nothing_in_one_worker(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    three = bell_states().subset([0, 1, 2])
+    assert local_global_fuzz(three, ["general"], (3, 3), 20, 11).passes  # one block, so one worker
+    _pin_workers(monkeypatch, 1)
+    monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # three blocks
+    assert local_global_fuzz(three, ["general", "sep"], (3, 3), 20, 11).passes
 
 
 def test_local_global_fuzz_memory_grows_by_a_few_blocks_at_most():
@@ -689,6 +798,7 @@ def test_the_fuzz_draws_a_block_per_call_and_its_reference_a_trial_per_call(monk
 
     monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", recorded)
     monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 7 * 4 * 9 * 9 * 16)  # blocks of 7 trials
+    _pin_workers(monkeypatch, 1)  # draws made in a forked child are not recorded here
     three = bell_states().subset([0, 1, 2])
     reference_fuzz(three, ["general", "locc1"], (3, 3), 20, 11)
     assert len(drawn) == 40 and all(isinstance(seed, int) for seed in drawn)
