@@ -9,7 +9,6 @@ byte-identical.  Exit codes: 0 pass, 1 failed check, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -19,51 +18,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .discrimination import (
-    check_perfect,
-    check_unambiguous,
-    harness_from_json,
-    harness_to_json,
-    local_global_fuzz,
-    theorem1_ppt_invariance,
-    verdict_from_json,
-    verdict_to_json,
-)
-from .linalg import DEFAULT_TOL, strict_object
-from .povm import (
-    check_kind,
-    counterexample_c4,
-    flatten_locc1,
-    is_projective,
-    is_valid,
-    locc1_from_json,
-    povm_from_json,
-    povm_to_json,
-    ppt_min_eigenvalue,
-    restrict_povm,
-)
-from .sdp import SolveOptions, problem_from_json, solution_from_json, solution_to_json, solve
-from .states import (
-    bell_states,
-    domino_states,
-    extended_domino_basis,
-    generalized_bell_states,
-    state_set_from_json,
-    state_set_to_json,
-)
+
+# Each command imports the modules it runs inside its handler, so that one
+# short-lived process loads and compiles only those (README, "Layout").
 
 SCHEMA_VERSION = "1"
-
-PAYLOAD_PARSERS = {
-    "state_set": state_set_from_json,
-    "povm": povm_from_json,
-    "verdict": verdict_from_json,
-    "harness": harness_from_json,
-    "sdp_solution": solution_from_json,
-    "verification": dict,
-    "theorem1": dict,
-    "counterexample": dict,
-}
 
 # per kind: the name of its own check in check_kind and the verify detail that reports it
 KIND_CHECKS = {
@@ -108,6 +67,8 @@ def tolerance(text: str) -> float:
 
 def _load(path: str, parse, digests: dict):
     """Read, decode and parse one input file; any defect in it is an input error naming the path."""
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -141,14 +102,30 @@ def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_
 
 def parse_report(obj: dict):
     """Validate a report and parse the payload back into its domain type; any defect raises ``ValueError``."""
+    from .discrimination import harness_from_json, verdict_from_json
+    from .linalg import strict_object
+    from .povm import povm_from_json
+    from .sdp import solution_from_json
+    from .states import state_set_from_json
+
+    parsers = {
+        "state_set": state_set_from_json,
+        "povm": povm_from_json,
+        "verdict": verdict_from_json,
+        "harness": harness_from_json,
+        "sdp_solution": solution_from_json,
+        "verification": dict,
+        "theorem1": dict,
+        "counterexample": dict,
+    }
     strict_object(obj, "report", ("schema_version", "payload_kind", "payload"), ("manifest",))
     if obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unknown schema version {obj['schema_version']!r}")
     kind = obj["payload_kind"]
-    if not isinstance(kind, str) or kind not in PAYLOAD_PARSERS:
+    if not isinstance(kind, str) or kind not in parsers:
         raise ValueError(f"unknown payload kind {kind!r}")
     try:
-        return kind, PAYLOAD_PARSERS[kind](obj["payload"])
+        return kind, parsers[kind](obj["payload"])
     except (TypeError, OverflowError) as exc:  # a wrong JSON type where a parser expects a number or list
         raise ValueError(f"malformed {kind} payload: {exc}") from exc
 
@@ -192,6 +169,8 @@ def summarize(report: dict) -> str:
 
 
 def _cmd_gen(args, digests):
+    from .states import bell_states, domino_states, extended_domino_basis, generalized_bell_states, state_set_to_json
+
     family = args.family
     if family in ("bell", "domino"):
         states = bell_states() if family == "bell" else domino_states()
@@ -213,10 +192,14 @@ def _cmd_gen(args, digests):
 
 
 def _povm_or_tree(obj):
+    from .povm import locc1_from_json, povm_from_json
+
     return locc1_from_json(obj) if isinstance(obj, dict) and "root" in obj else povm_from_json(obj)
 
 
 def _cmd_verify(args, digests):
+    from .povm import check_kind, ppt_min_eigenvalue
+
     loaded = _load(args.povm, _povm_or_tree, digests)
     checks, povm = check_kind(loaded, args.kind, args.tol, args.cut)
     ran = {name: (residual, ok) for name, residual, ok in checks}
@@ -238,6 +221,10 @@ def _cmd_verify(args, digests):
 
 
 def _cmd_discriminate(args, digests):
+    from .discrimination import check_perfect, check_unambiguous, verdict_to_json
+    from .povm import flatten_locc1
+    from .states import state_set_from_json
+
     states = _load(args.states, state_set_from_json, digests)
     loaded = _load(args.povm, _povm_or_tree, digests)
     povm = flatten_locc1(loaded, args.tol) if not hasattr(loaded, "elements") else loaded
@@ -252,6 +239,8 @@ def _cmd_discriminate(args, digests):
 
 
 def _cmd_sdp(args, digests):
+    from .sdp import SolveOptions, problem_from_json, solution_to_json, solve
+
     problem = _load(args.problem, problem_from_json, digests)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     sol = solve(problem, opts)
@@ -259,6 +248,9 @@ def _cmd_sdp(args, digests):
 
 
 def _cmd_theorem1(args, digests):
+    from .discrimination import theorem1_ppt_invariance
+    from .states import state_set_from_json
+
     states = _load(args.states, state_set_from_json, digests)
     result = theorem1_ppt_invariance(states, _parse_dims(args.new_dims))
     ok = (
@@ -280,6 +272,9 @@ def _cmd_theorem1(args, digests):
 
 
 def _cmd_fuzz(args, digests):
+    from .discrimination import harness_to_json, local_global_fuzz
+    from .states import bell_states, state_set_from_json
+
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
@@ -297,6 +292,8 @@ def _cmd_fuzz(args, digests):
 
 
 def _cmd_counterexample(args, digests):
+    from .povm import counterexample_c4, is_projective, is_valid, povm_to_json, restrict_povm
+
     povm = counterexample_c4()
     projective = is_projective(povm, 1e-12)
     restriction = restrict_povm(povm, (3,))
@@ -316,6 +313,8 @@ def _cmd_counterexample(args, digests):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .linalg import DEFAULT_TOL
+
     parser = argparse.ArgumentParser(prog="distlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,7 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from .povm import (
     verify_locc1,
     verify_povm,
 )
-from .sdp import PtCone, SdpProblem, SdpSolution, SolveOptions, solve
 from .states import StateSet, embed_set, mutually_orthogonal
+
+if TYPE_CHECKING:  # the PPT functions import sdp when they run, so the other checks never load it
+    from .sdp import SdpProblem, SdpSolution, SolveOptions
 
 # a state set counts as PPT-distinguishable when the optimal average success
 # probability reaches 1 - 1e-4
@@ -216,6 +218,8 @@ def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> Global
 
 def ppt_discrimination_problem(states: StateSet) -> SdpProblem:
     """Average-success-probability SDP over POVMs PPT on every cut."""
+    from .sdp import PtCone, SdpProblem
+
     n = len(states)
     cones = tuple(PtCone(states.dims, c) for c in canonical_cuts(states.dims))
     return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), (cones,) * n)
@@ -227,6 +231,8 @@ def ppt_distinguishability(states: StateSet, opts: SolveOptions | None = None) -
     The returned POVM is the optimizer; ``distinguishable`` holds when the
     optimum reaches 1 within the decision margin and the solver converged.
     """
+    from .sdp import SolveOptions, solve
+
     problem = ppt_discrimination_problem(states)
     solution = solve(problem, opts or SolveOptions(tol=1e-7))
     povm = Povm(solution.matrices, states.dims, kind="ppt")
@@ -269,6 +275,8 @@ def _transfer(small: PptResult, embedded: StateSet, tol: float) -> PptResult:
     embedded states are all computed in the enlarged space; the status is the
     small one, downgraded from optimal when either enlarged residual exceeds ``tol``.
     """
+    from .sdp import SdpSolution
+
     n, dims, new_dims = len(embedded), small.povm.dims, embedded.dims
     pi = embed_matrix(np.eye(small.povm.side), dims, new_dims)
     elements = embed_matrix(small.povm.elements, dims, new_dims) + (np.eye(len(pi)) - pi) / n
@@ -314,6 +322,8 @@ def theorem1_ppt_invariance(
     from ``optimal`` to ``max-iterations`` when an enlarged residual exceeds
     the solve tolerance.
     """
+    from .sdp import SolveOptions
+
     opts = opts or SolveOptions(tol=1e-7)
     embedded = embed_set(states, new_dims)  # rejects bad new_dims before the solve
     small = ppt_distinguishability(states, opts=opts)

@@ -126,8 +126,9 @@ def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of ``m``: a float for one matrix,
     an array of shape ``m.shape[:-2]`` for a stack (one batched ``eigvalsh``)."""
     m = as_stack(m)
-    h = m + dagger(m)
-    h /= 2  # in place: one stack-sized temporary fewer
+    with np.errstate(invalid="ignore"):  # complex arithmetic on an infinite entry makes NaNs, left to eigvalsh
+        h = m + dagger(m)
+        h /= 2  # in place: one stack-sized temporary fewer
     w = np.linalg.eigvalsh(h)[..., 0]
     return float(w) if m.ndim == 2 else w
 
@@ -156,10 +157,11 @@ def psd_certified(m: np.ndarray, tol: float):
     step = -(-len(flat) // max(1, flat.nbytes // BLOCK_BYTES))
     for lo in range(0, len(flat), step):
         block = flat[lo : lo + step]
-        h = block + dagger(block)
-        h /= 2
-        c = 4 * gamma * (np.abs(h[:, idx, idx]).sum(axis=-1) + side * tol) + side * np.finfo(float).tiny
-        h[:, idx, idx] += (tol - c)[:, None]
+        with np.errstate(invalid="ignore"):  # a block with a non-finite entry is left to min_eigenvalue below
+            h = block + dagger(block)
+            h /= 2
+            c = 4 * gamma * (np.abs(h[:, idx, idx]).sum(axis=-1) + side * tol) + side * np.finfo(float).tiny
+            h[:, idx, idx] += (tol - c)[:, None]
         if np.isfinite(h).all():  # numpy's Cholesky can complete on NaN entries
             try:
                 np.linalg.cholesky(h)

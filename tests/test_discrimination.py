@@ -290,12 +290,12 @@ def test_transfer_downgrades_a_small_optimum_that_fails_in_the_enlarged_space():
 
 
 def test_theorem1_rejects_bad_new_dims_before_solving(monkeypatch):
-    import distlab.discrimination as discrimination
+    import distlab.sdp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the new dims were checked")
 
-    monkeypatch.setattr(discrimination, "solve", no_solve)
+    monkeypatch.setattr(distlab.sdp, "solve", no_solve)  # the PPT functions import it when they run
     with pytest.raises(ValueError, match="must dominate"):
         theorem1_ppt_invariance(domino_states(), (2, 2))
     with pytest.raises(ValueError, match="party count mismatch"):
@@ -753,8 +753,9 @@ def test_local_global_fuzz_forks_nothing_in_one_worker(monkeypatch):
     assert local_global_fuzz(three, ["general", "sep"], (3, 3), 20, 11).passes
 
 
-def test_local_global_fuzz_memory_grows_by_a_few_blocks_at_most():
+def test_local_global_fuzz_memory_grows_by_a_few_blocks_at_most(monkeypatch):
     dominoes = domino_states()
+    _pin_workers(monkeypatch, 1)  # tracemalloc sees only this process, so every block runs here
 
     def peak(trials):
         tracemalloc.start()

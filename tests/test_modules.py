@@ -1,9 +1,20 @@
 """Module boundaries of the package source."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import distlab
+from distlab.discrimination import global_distinguishable, ppt_discrimination_problem
+from distlab.povm import povm_to_json
+from distlab.sdp import problem_to_json
+from distlab.states import bell_states, state_set_to_json
 
 SOURCE = Path(distlab.__file__).parent
 
@@ -95,3 +106,63 @@ def test_every_function_and_class_is_used_or_exported():
 def test_every_exported_name_resolves_once():
     assert len(set(distlab.__all__)) == len(distlab.__all__)
     assert [name for name in distlab.__all__ if not hasattr(distlab, name)] == []
+
+
+def test_exported_names_resolve_lazily_to_their_home_modules():
+    for name in distlab.__all__:
+        value = getattr(distlab, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("distlab.") and getattr(home, name) is value, name
+    assert set(distlab.__all__) <= set(dir(distlab))
+    assert {"linalg", "states", "povm", "sdp", "discrimination"} <= set(dir(distlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        distlab.no_such_name
+
+
+# the distlab modules each case leaves loaded in a fresh interpreter, besides distlab and distlab.cli
+LOADED = {
+    "import": set(),
+    "gen": {"linalg", "states"},
+    "verify": {"linalg", "povm"},
+    "discriminate": {"linalg", "povm", "states", "discrimination"},
+    "fuzz": {"linalg", "povm", "states", "discrimination"},
+    "counterexample": {"linalg", "povm"},
+    "sdp": {"linalg", "sdp"},
+    "theorem1": {"linalg", "povm", "states", "discrimination", "sdp"},
+}
+
+MODULES_AFTER = """
+import json, sys
+from distlab.cli import run
+argv = sys.argv[1:]
+code = run(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "distlab")]))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(LOADED))
+def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
+    def write(name, obj):
+        (tmp_path / name).write_text(json.dumps(obj))
+        return str(tmp_path / name)
+
+    pair = bell_states().subset([0, 2])
+    states = write("states.json", state_set_to_json(pair))
+    povm = write("povm.json", povm_to_json(global_distinguishable(pair).witness))
+    argv = {
+        "import": [],
+        "gen": ["gen", "--family", "gbell", "--dims", "3,3"],
+        "verify": ["verify", "--povm", povm],
+        "discriminate": ["discriminate", "--states", states, "--povm", povm],
+        "fuzz": ["fuzz", "--kinds", "general,sep", "--trials", "2", "--seed", "1", "--states", states],
+        "counterexample": ["counterexample"],
+        "sdp": ["sdp", "--problem", write("problem.json", problem_to_json(ppt_discrimination_problem(pair)))],
+        "theorem1": ["theorem1", "--states", states, "--new-dims", "3,3"],
+    }[case]
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", MODULES_AFTER, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted({"distlab", "distlab.cli"} | {f"distlab.{m}" for m in LOADED[case]})
