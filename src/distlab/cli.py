@@ -65,21 +65,40 @@ def tolerance(text: str) -> float:
     return value
 
 
-def _load(path: str, parse, digests: dict):
-    """Read, decode and parse one input file; any defect in it is an input error naming the path."""
+def _load(digests: dict, *inputs):
+    """Read, hash, decode and parse each ``(path, parse)`` input; return the parsed objects in order.
+
+    Any defect in a file is an input error naming its path, raised for the first such input.  When there
+    are two inputs or more and each is at least ``FORK_BYTES`` long, each is loaded in a block of
+    :func:`~distlab.linalg.in_workers`, so on two CPUs they load at once; otherwise they load one by one
+    in this process.  ``digests`` gets each path's SHA-256 digest, in the order of ``inputs``.
+    """
     import hashlib
 
+    from .linalg import FORK_BYTES, in_workers
+
+    def load(g):
+        path, parse = inputs[g]
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}") from exc
+        digest = hashlib.sha256(raw).hexdigest()
+        try:
+            return digest, parse(json.loads(raw))
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            # foreign input: [] for a number, 1e400 for a count, arrays nested too deep to decode
+            raise CliError(f"bad input file {path}: {exc}") from exc
+
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    digests[path] = hashlib.sha256(raw).hexdigest()
-    try:
-        return parse(json.loads(raw))
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-        # foreign input: [] for a number, 1e400 for a count, arrays nested too deep to decode
-        raise CliError(f"bad input file {path}: {exc}") from exc
+        fork = len(inputs) > 1 and min(os.path.getsize(path) for path, _ in inputs) >= FORK_BYTES
+    except OSError:  # a file that cannot be read: its load reports it
+        fork = False
+    loaded = in_workers(load, len(inputs), fork)
+    for g, (path, _) in enumerate(inputs):
+        digests[path] = loaded[g][0]
+    return [loaded[g][1] for g in range(len(inputs))]
 
 
 def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_extra: dict) -> dict:
@@ -200,7 +219,7 @@ def _povm_or_tree(obj):
 def _cmd_verify(args, digests):
     from .povm import check_kind, ppt_min_eigenvalue
 
-    loaded = _load(args.povm, _povm_or_tree, digests)
+    (loaded,) = _load(digests, (args.povm, _povm_or_tree))
     checks, povm = check_kind(loaded, args.kind, args.tol, args.cut)
     ran = {name: (residual, ok) for name, residual, ok in checks}
     skipped = (float("nan"), False)
@@ -225,8 +244,7 @@ def _cmd_discriminate(args, digests):
     from .povm import flatten_locc1
     from .states import state_set_from_json
 
-    states = _load(args.states, state_set_from_json, digests)
-    loaded = _load(args.povm, _povm_or_tree, digests)
+    states, loaded = _load(digests, (args.states, state_set_from_json), (args.povm, _povm_or_tree))
     povm = flatten_locc1(loaded, args.tol) if not hasattr(loaded, "elements") else loaded
     if args.mode == "perfect":
         if args.inconclusive is not None:
@@ -241,7 +259,7 @@ def _cmd_discriminate(args, digests):
 def _cmd_sdp(args, digests):
     from .sdp import SolveOptions, problem_from_json, solution_to_json, solve
 
-    problem = _load(args.problem, problem_from_json, digests)
+    (problem,) = _load(digests, (args.problem, problem_from_json))
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     sol = solve(problem, opts)
     return (0 if sol.status == "optimal" else 1), "sdp_solution", solution_to_json(sol)
@@ -251,7 +269,7 @@ def _cmd_theorem1(args, digests):
     from .discrimination import theorem1_ppt_invariance
     from .states import state_set_from_json
 
-    states = _load(args.states, state_set_from_json, digests)
+    (states,) = _load(digests, (args.states, state_set_from_json))
     result = theorem1_ppt_invariance(states, _parse_dims(args.new_dims))
     ok = (
         result.small.solution.status == "optimal"
@@ -280,7 +298,7 @@ def _cmd_fuzz(args, digests):
     if args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.states:
-        states = _load(args.states, state_set_from_json, digests)
+        (states,) = _load(digests, (args.states, state_set_from_json))
     else:
         states = bell_states().subset([0, 1, 2])
     new_dims = _parse_dims(args.new_dims)
@@ -376,6 +394,43 @@ def _jsonable(obj):
     return obj
 
 
+def _around(obj: dict, key: str, encode) -> tuple[str, str]:
+    """The JSON text of ``obj`` before and after its value at ``key``."""
+    keys = list(obj)
+    at = keys.index(key)
+    head = encode({k: obj[k] for k in keys[:at]} | {key: 0})[:-2]  # through '"key":'
+    tail = encode({key: 0} | {k: obj[k] for k in keys[at + 1 :]})
+    return head, tail[len(encode({key: 0})) - 1 :]  # from the ',' or '}' after the value
+
+
+def _encoded(report: dict) -> list[str]:
+    """The strict one-line JSON text of ``report``, in pieces that are written in order.
+
+    The items of the payload's longest list, after its first, are encoded in W contiguous shares,
+    one block of :func:`~distlab.linalg.in_workers` each: W = ``worker_count`` when the list's
+    encoded size, estimated as its length times its first item's, is at least ``FORK_BYTES``, else 1.
+    """
+    from .linalg import FORK_BYTES, in_workers, worker_count
+
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    payload = report["payload"]
+    lists = [k for k, v in payload.items() if isinstance(v, list)]
+    if not lists:
+        return [encode(report)]
+    key = max(lists, key=lambda k: len(payload[k]))
+    report_head, report_tail = _around(report, "payload", encode)
+    payload_head, payload_tail = _around(payload, key, encode)
+    items = payload[key]
+    first, rest = (encode(items[0]) if items else ""), items[1:]
+    shares = worker_count(len(rest)) if len(first) * len(items) >= FORK_BYTES else 1
+    bounds = [len(rest) * w // shares for w in range(shares + 1)]
+    encoded = in_workers(lambda w: encode(rest[bounds[w] : bounds[w + 1]])[1:-1], shares)
+    pieces = [report_head + payload_head + "[" + first]
+    for w in sorted(encoded):
+        pieces += [",", encoded[w]]
+    return pieces + ["]" + payload_tail + report_tail]
+
+
 def _write_report(report: dict) -> dict:
     """Print ``report`` to stdout as one line of strict JSON and return the report as printed.
 
@@ -383,11 +438,12 @@ def _write_report(report: dict) -> dict:
     the payload, writing those floats as null, only after that has happened.
     """
     try:
-        text = json.dumps(report, separators=(",", ":"), allow_nan=False)
+        pieces = _encoded(report)
     except ValueError:
         report = {**report, "payload": _jsonable(report["payload"])}
-        text = json.dumps(report, separators=(",", ":"), allow_nan=False)
-    sys.stdout.write(text + "\n")
+        pieces = _encoded(report)
+    for piece in pieces + ["\n"]:
+        sys.stdout.write(piece)
     return report
 
 

@@ -15,16 +15,13 @@ cannot be gained by enlarging local dimensions.
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
-from .linalg import restrict_matrix, strict_object, trace_products
+from .linalg import in_workers, restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -411,90 +408,6 @@ def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: St
     return found
 
 
-def _worker_count(blocks: int) -> int:
-    """Processes that run ``blocks`` fuzz blocks: one per CPU this process may run on, at most one per block.
-
-    One where the platform has no ``os.fork`` or ``os.sched_getaffinity``, or where another thread runs:
-    a forked child would hold that thread's locks in whatever state the fork caught them.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), blocks))
-
-
-def _in_workers(run_block, blocks: int) -> dict:
-    """``{g: run_block(g)}`` over the blocks g < ``blocks`` whose result is not empty.
-
-    The blocks run in W = :func:`_worker_count` processes, process w running the blocks g ≡ w (mod W):
-    share 0 runs in the calling process, each other share in a child forked for it, which pickles its
-    results, or its first exception with its g, into a pipe and leaves by ``os._exit`` (so it never flushes
-    the inherited stdio or runs exit handlers).  The exception raised is that of the smallest failing g, the
-    one a loop over the blocks raises first.  Every child is killed if still running and reaped before this
-    returns or raises; a child that ends without a result raises a ``RuntimeError`` naming its exit status.
-    With W = 1 nothing is forked.
-    """
-    workers = _worker_count(blocks)
-
-    def share(w):  # (results, None), or (results so far, (g, exception)) at the first block that raised
-        results = {}
-        for g in range(w, blocks, workers):
-            try:
-                found = run_block(g)
-            except Exception as exc:
-                return results, (g, exc)
-            if found:
-                results[g] = found
-        return results, None
-
-    pipes: dict[int, int | None] = {}  # child pid -> read end of its pipe (None once closed), until reaped
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:  # the child: never returns into the caller
-                code = 1
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(share(w), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            pipes[pid] = read
-        results, error = share(0)
-        errors = [error] if error else []
-        for pid in list(pipes):
-            with os.fdopen(pipes[pid], "rb") as pipe:
-                pipes[pid] = None
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pipes[pid]
-            if status:
-                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-                raise RuntimeError(f"fuzz worker process {pid} {how} without a result")
-            found, error = pickle.loads(data)  # written by the child above
-            results.update(found)
-            errors += [error] if error else []
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-        return results
-    finally:
-        if pipes:  # only after an error: the signal module is loaded here, not on every import
-            from signal import SIGKILL
-
-            for pid, read in pipes.items():
-                os.kill(pid, SIGKILL)
-                if read is not None:
-                    os.close(read)
-                os.waitpid(pid, 0)
-
-
 def local_global_fuzz(
     states: StateSet,
     kinds: Sequence[str],
@@ -520,7 +433,7 @@ def local_global_fuzz(
     every check runs once for the whole block.
 
     The blocks, numbered kind by kind and then by first trial, run in up to
-    W processes on POSIX (see :func:`_in_workers`), W the number of CPUs
+    W processes on POSIX (see :func:`in_workers`), W the number of CPUs
     this process may run on: block g runs in process g mod W, the calling
     process and W - 1 forked children.  Since each block depends only on its
     seeds, the report, and the error raised for an invalid sample, are those
@@ -555,7 +468,9 @@ def local_global_fuzz(
             for position, (check, residual) in found.items()
         ]
 
-    failures = [f for found in _in_workers(block, sum(counts)).values() for f in found]
+    import numpy.random  # noqa: F401 - numpy loads it on first use: here once, not in every forked worker
+
+    failures = [f for found in in_workers(block, sum(counts)).values() for f in found]
     return HarnessReport(
         trials=trials,
         seed=seed,

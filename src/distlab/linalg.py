@@ -8,6 +8,9 @@ which is exactly the ordering produced by ``numpy.kron``.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -21,6 +24,10 @@ HERMITIAN_TOL = 1e-10
 # Batched checks take their stacks in blocks of about this many bytes, which bounds
 # their temporaries: StateSet.from_stack, and the fuzz per block of samples.
 BLOCK_BYTES = 1 << 18
+# A command hands its input files, or the items of a report's longest list, to forked workers
+# (see in_workers) only from this much JSON on: a fork round trip costs a few milliseconds, and
+# decoding or encoding 1 MiB of JSON some tens of them.
+FORK_BYTES = 4 * BLOCK_BYTES
 
 
 def as_matrix(m) -> np.ndarray:
@@ -294,3 +301,87 @@ def matrices_from_json(objs, what: str) -> np.ndarray:
             raise ValueError(f"{what} matrix {k} has shape {m.shape}, expected {out.shape[1:]}")
         out[k] = m
     return out
+
+
+def worker_count(blocks: int) -> int:
+    """Processes that run ``blocks`` blocks of work: one per CPU this process may run on, at most one per block.
+
+    One where the platform has no ``os.fork`` or ``os.sched_getaffinity``, or where another thread runs:
+    a forked child would hold that thread's locks in whatever state the fork caught them.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), blocks))
+
+
+def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
+    """``{g: run_block(g)}`` over the blocks g < ``blocks`` whose result is not empty.
+
+    The blocks run in W = :func:`worker_count` processes (W = 1 when ``fork`` is false), process w running
+    the blocks g ≡ w (mod W): share 0 runs in the calling process, each other share in a child forked for
+    it, which pickles its results, or its first exception with its g, into a pipe and leaves by ``os._exit``
+    (so it never flushes the inherited stdio or runs exit handlers).  The exception raised is that of the smallest failing g, the
+    one a loop over the blocks raises first.  Every child is killed if still running and reaped before this
+    returns or raises; a child that ends without a result raises a ``RuntimeError`` naming its exit status.
+    With W = 1 nothing is forked.
+    """
+    workers = worker_count(blocks) if fork else 1
+
+    def share(w):  # (results, None), or (results so far, (g, exception)) at the first block that raised
+        results = {}
+        for g in range(w, blocks, workers):
+            try:
+                found = run_block(g)
+            except Exception as exc:
+                return results, (g, exc)
+            if found:
+                results[g] = found
+        return results, None
+
+    pipes: dict[int, int | None] = {}  # child pid -> read end of its pipe (None once closed), until reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: never returns into the caller
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(share(w), pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pipes[pid] = read
+        results, error = share(0)
+        errors = [error] if error else []
+        for pid in list(pipes):
+            with os.fdopen(pipes[pid], "rb") as pipe:
+                pipes[pid] = None
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            if status:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+                raise RuntimeError(f"worker process {pid} {how} without a result")
+            found, error = pickle.loads(data)  # written by the child above
+            results.update(found)
+            errors += [error] if error else []
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        return results
+    finally:
+        if pipes:  # only after an error: the signal module is loaded here, not on every import
+            from signal import SIGKILL
+
+            for pid, read in pipes.items():
+                os.kill(pid, SIGKILL)
+                if read is not None:
+                    os.close(read)
+                os.waitpid(pid, 0)

@@ -1,6 +1,7 @@
 """Tests for the command-line reporter."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from report_reference import reference_encode, reference_report
 
 import distlab
+import distlab.linalg
 from distlab.cli import build_parser, parse_report, run, summarize
 from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
 from distlab.linalg import matrix_to_json
@@ -968,3 +970,131 @@ def test_finite_reports_are_encoded_without_the_walk(tmp_path, capsys, monkeypat
         code, report, _ = run_captured(capsys, argv)
         assert code == 0
         assert report["payload_kind"] in ("state_set", "verification", "verdict")
+
+
+def _in_parallel(monkeypatch, workers):
+    """Run the blocks of ``in_workers`` as on ``workers`` CPUs and hand every input file and report list that
+    is not empty to them; return the list of the pids forked from here."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(distlab.linalg, "worker_count", lambda blocks: max(1, min(workers, blocks)))
+    monkeypatch.setattr(distlab.linalg, "FORK_BYTES", 1)
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _matrix(value):
+    return {"rows": 1, "cols": 2, "re": [value, -0.0], "im": [0.0, 1e-300]}
+
+
+LABELS = ['say "hi"\\', "\u0000\u001f\n", "ψ⊗φ — naïve ☃ \U0001d53c"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+def test_shared_encoder_prints_what_one_strict_encoding_prints(capsys, monkeypatch, workers, count):
+    forked = _in_parallel(monkeypatch, workers)
+    states = [{"label": LABELS[k % 3] * k, "matrix": _matrix(k / 3)} for k in range(count)]
+    report = report_of("state_set", {"dims": [2], "states": states, "note": "a list, a key: [\"]"})
+    report["manifest"] = {"command": "gen", "arguments": ["--family", 'q"uote'], "input_digests": {"ψ": "0"}}
+    written = distlab.cli._write_report(report)
+    assert capsys.readouterr().out == json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
+    assert written is report
+    assert len(forked) == max(1, min(workers, count - 1)) - 1  # the items after the first are shared
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_shared_encoder_writes_a_non_finite_entry_as_null(capsys, monkeypatch, workers):
+    _in_parallel(monkeypatch, workers)
+    failures = [{"seed_offset": k, "check": "x", "residual": float("nan") if k == 4 else k / 7} for k in range(6)]
+    report = report_of("harness", {"kinds": ["general"], "failures": failures, "passes": False})
+    report["manifest"] = {"command": "fuzz", "arguments": []}
+    written = distlab.cli._write_report(report)
+    out = capsys.readouterr().out
+    assert out == reference_encode(report)
+    assert written == reference_report(report)
+    assert json.loads(out)["payload"]["failures"][4]["residual"] is None
+
+
+def _bad_files(tmp_path):
+    paths = {
+        "s": write_json(tmp_path / "s.json", bell_pair_obj()),
+        "p": write_json(tmp_path / "p.json", bell_projector_povm_obj()),
+        "bad_s": str(tmp_path / "bad_s.json"),
+        "bad_p": write_json(tmp_path / "bad_p.json", {**bell_projector_povm_obj(), "dims": "2,2"}),
+    }
+    Path(paths["bad_s"]).write_text('{"dims": [2, 2], "states": ')
+    return paths
+
+
+def _usage_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("distlab: error:") and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_parallel_loads_keep_the_cli_contract(tmp_path, capsys, monkeypatch):
+    forked = _in_parallel(monkeypatch, 2)
+    paths = _bad_files(tmp_path)
+    err = _usage_error(capsys, ["discriminate", "--states", paths["bad_s"], "--povm", paths["bad_p"]])
+    assert err.startswith(f"distlab: error: bad input file {paths['bad_s']}: ")
+    err = _usage_error(capsys, ["discriminate", "--states", paths["s"], "--povm", paths["bad_p"]])
+    assert err.startswith(f"distlab: error: bad input file {paths['bad_p']}: ")
+    missing = str(tmp_path / "missing.json")
+    err = _usage_error(capsys, ["discriminate", "--states", missing, "--povm", paths["bad_p"]])
+    assert err.startswith(f"distlab: error: cannot read {missing}: ")
+    assert len(forked) == 2  # a missing file has no size: that pair loads in this process
+
+    code, report, _ = run_captured(capsys, ["discriminate", "--states", paths["s"], "--povm", paths["p"]])
+    assert code == 0 and len(forked) == 3
+    digests = report["manifest"]["input_digests"]
+    assert list(digests) == [paths["s"], paths["p"]]
+    for path, digest in digests.items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    tree = write_json(tmp_path / "tree.json", locc1_to_json(random_locc1((2, 2), 2, seed=5)))
+    argv = ["discriminate", "--states", paths["s"], "--povm", tree, "--mode", "unambiguous"]
+    code, out = run(argv), capsys.readouterr().out
+    assert code == 1 and len(forked) > 3
+    _in_parallel(monkeypatch, 1)
+    assert (run(argv), capsys.readouterr().out) == (code, out)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CONTRACT_BREAKERS if CONTRACT_BREAKERS[c][1][0] == "discriminate"))
+def test_discriminate_breakers_read_alike_in_one_and_two_workers(tmp_path, capsys, monkeypatch, case):
+    files, argv = CONTRACT_BREAKERS[case]
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    errors = []
+    for workers in (1, 2):
+        _in_parallel(monkeypatch, workers)
+        errors.append(_usage_error(capsys, [arg.format(**paths) for arg in argv]))
+    assert errors[1] == errors[0]
+
+
+def test_small_runs_fork_nothing(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(distlab.linalg, "worker_count", lambda blocks: max(1, min(2, blocks)))  # as on two CPUs
+    monkeypatch.setattr(os, "fork", no_fork)
+    states = bell_pair_file(tmp_path)
+    povm = write_json(tmp_path / "p.json", bell_projector_povm_obj())
+    problem = write_json(tmp_path / "q.json", bell_pair_problem())
+    for argv in (
+        ["fuzz", "--kinds", "general", "--trials", "5", "--seed", "1"],
+        ["sdp", "--problem", problem],
+        ["theorem1", "--states", states, "--new-dims", "3,3"],
+        ["verify", "--povm", povm, "--kind", "projective"],
+        ["gen", "--family", "bell"],
+        ["gen", "--family", "gbell", "--dims", "3,3"],
+        ["discriminate", "--states", states, "--povm", povm],
+    ):
+        assert run_captured(capsys, argv)[0] == 0, argv

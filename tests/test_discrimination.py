@@ -4,9 +4,12 @@ import dataclasses
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from conftest import bell_pair_three_party, maximally_mixed
 from fuzz_reference import reference_fuzz
 
 import distlab.discrimination
+import distlab.linalg
 from distlab.linalg import BLOCK_BYTES
 from distlab.povm import Locc1Tree, Povm, random_povm, verify_povm
 from distlab.sdp import SolveOptions
@@ -459,8 +463,8 @@ def test_local_global_fuzz_records_a_broken_trace_identity(monkeypatch):
 
 
 def _pin_workers(monkeypatch, workers):
-    """Run the fuzz's blocks in ``workers`` processes, whatever the CPU count; 1 keeps every call in this one."""
-    monkeypatch.setattr(distlab.discrimination, "_worker_count", lambda blocks: workers)
+    """Run the blocks of ``in_workers`` in ``workers`` processes, whatever the CPU count; 1 keeps every call in this one."""
+    monkeypatch.setattr(distlab.linalg, "worker_count", lambda blocks: workers)
 
 
 def _count_calls(monkeypatch, names):
@@ -727,7 +731,7 @@ def test_local_global_fuzz_leaves_no_process_behind(monkeypatch):
 
 
 def test_the_fuzz_runs_a_process_per_cpu_but_one_beside_another_thread():
-    count = distlab.discrimination._worker_count
+    count = distlab.linalg.worker_count
     cpus = len(os.sched_getaffinity(0))
     assert [count(1), count(2), count(1000)] == [1, min(2, cpus), cpus]
     stop = threading.Event()
@@ -739,6 +743,34 @@ def test_the_fuzz_runs_a_process_per_cpu_but_one_beside_another_thread():
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+FORK_SPY = """
+import os, sys
+import distlab.linalg
+from distlab.discrimination import local_global_fuzz
+from distlab.states import bell_states
+
+loaded, fork = [], os.fork
+
+def spied():
+    loaded.append("numpy.random" in sys.modules)
+    return fork()
+
+os.fork = spied
+distlab.linalg.worker_count = lambda blocks: 2
+assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
+print(loaded)
+"""
+
+
+def test_the_fuzz_loads_numpy_random_before_it_forks():
+    """In a fresh interpreter, where nothing has loaded ``numpy.random`` yet, it is loaded when the fuzz forks,
+    so its workers do not each load it again."""
+    env = dict(os.environ, PYTHONPATH=str(Path(distlab.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", FORK_SPY], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[True]"]
 
 
 def test_local_global_fuzz_forks_nothing_in_one_worker(monkeypatch):
