@@ -3,7 +3,8 @@
 Every subcommand writes one JSON report to stdout (schema version "1") and a
 one-line human summary to stderr.  Reports embed a run manifest with content
 digests of the input files; with SOURCE_DATE_EPOCH set, repeated runs are
-byte-identical.  Exit codes: 0 pass, 1 failed check, 2 usage or input error.
+byte-identical.  Exit codes: 0 pass, 1 failed check, 2 usage or input error, or a
+worker process that died without a result.
 """
 
 from __future__ import annotations
@@ -459,17 +460,25 @@ def run(argv: list[str]) -> int:
     seed = getattr(args, "seed", None)
     try:
         code, payload_kind, payload = args.func(args, digests)
+        report = _report(
+            args.command,
+            argv,
+            payload_kind,
+            payload,
+            {"started_at": started, "seed": seed, "input_digests": digests},
+        )
+        printed = _write_report(report)  # writes nothing unless every piece was encoded
     except ValueError as exc:  # CliError and the domain checks: usage or input errors
         print(f"distlab: error: {exc}", file=sys.stderr)
         return 2
-    report = _report(
-        args.command,
-        argv,
-        payload_kind,
-        payload,
-        {"started_at": started, "seed": seed, "input_digests": digests},
-    )
-    print(summarize(_write_report(report)), file=sys.stderr)
+    except RuntimeError as exc:
+        from .linalg import WorkerLost  # loaded already by whatever ran the worker
+
+        if not isinstance(exc, WorkerLost):
+            raise
+        print(f"distlab: error: {exc}", file=sys.stderr)
+        return 2
+    print(summarize(printed), file=sys.stderr)
     return code
 
 

@@ -303,8 +303,13 @@ def matrices_from_json(objs, what: str) -> np.ndarray:
     return out
 
 
+class WorkerLost(RuntimeError):
+    """A worker process of :func:`in_workers` ended without a result, for example killed by a signal."""
+
+
 def worker_count(blocks: int) -> int:
-    """Processes that run ``blocks`` blocks of work: one per CPU this process may run on, at most one per block.
+    """Workers that run ``blocks`` blocks of work: one per CPU this process may run on, at most one per block.
+    :func:`in_workers` forks them as processes, ``sdp.solve`` starts them as threads.
 
     One where the platform has no ``os.fork`` or ``os.sched_getaffinity``, or where another thread runs:
     a forked child would hold that thread's locks in whatever state the fork caught them.
@@ -322,7 +327,7 @@ def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
     it, which pickles its results, or its first exception with its g, into a pipe and leaves by ``os._exit``
     (so it never flushes the inherited stdio or runs exit handlers).  The exception raised is that of the smallest failing g, the
     one a loop over the blocks raises first.  Every child is killed if still running and reaped before this
-    returns or raises; a child that ends without a result raises a ``RuntimeError`` naming its exit status.
+    returns or raises; a child that ends without a result raises a :class:`WorkerLost` naming its exit status.
     With W = 1 nothing is forked.
     """
     workers = worker_count(blocks) if fork else 1
@@ -369,7 +374,7 @@ def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
             del pipes[pid]
             if status:
                 how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-                raise RuntimeError(f"worker process {pid} {how} without a result")
+                raise WorkerLost(f"worker process {pid} {how} without a result")
             found, error = pickle.loads(data)  # written by the child above
             results.update(found)
             errors += [error] if error else []

@@ -15,17 +15,25 @@ tracked by their combined residual and the best one seen is returned, so the
 recorded residual trail never regresses.
 
 The iteration runs on stacks: all copies live in one ``(copies, side, side)``
-array, each block's ``x`` is one reduction over its copies, and each distinct
-cone is projected as one batch per iteration (partial transpose, one batched
-``eigh``, clipping, and reconstruction of only the matrices that had a
-negative eigenvalue).  When every objective block and the target have an
-identically zero imaginary part, the iteration runs in float64 instead of
-complex128; the input alone decides this, no option selects it.  Returned
-matrices are complex128 either way.
+array, and each block's ``x`` is one reduction over its copies.  The cone step
+is one stacked projection per iteration: every copy goes into its cone's frame
+(partially transposed for a PT cone) in a second such array, cut by cut; that
+array is split into W contiguous shares, and each share gets one batched
+``eigh``, clipping, and reconstruction of only the matrices that had a negative
+eigenvalue, in place; then each cut's copies are transposed back.  Share 0 runs
+in the calling thread, the others on W - 1 helper threads that live for one
+``solve`` (numpy's ``eigh`` releases the GIL).  W is
+``linalg.worker_count(copies)`` once the eigen work per iteration reaches
+``THREAD_WORK``, else 1.  Every matrix meets the same operations whatever W
+is, so the iterates do not depend on it.  When every objective block and the
+target have an identically zero imaginary part, the iteration runs in float64
+instead of complex128; the input alone decides this, no option selects it.
+Returned matrices are complex128 either way.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +50,7 @@ from .linalg import (
     matrix_to_json,
     partial_transpose,
     strict_object,
+    worker_count,
 )
 
 PROBLEM_HERMITIAN_TOL = 1e-12
@@ -49,6 +58,11 @@ PROBLEM_HERMITIAN_TOL = 1e-12
 PENALTY = 1.0
 OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
+# The cone step shares its projection with helper threads only from this much work per iteration on:
+# the sum of side**3 over the copies, a complex copy counted 4 times (its eigh costs about that much more).
+# A hand-off costs about 0.3 ms per iteration; on two CPUs threads paid from about 130,000 complex and
+# 600,000 real (README, "Layout").
+THREAD_WORK = 600_000
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,8 @@ class SolveOptions:
     max_iter: int = 50000
 
     def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number above 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -140,20 +156,92 @@ def _transposed(mats: np.ndarray, cut) -> np.ndarray:
     return mats if cut is None else partial_transpose(mats, *cut)
 
 
+def _in_frame(mats: np.ndarray, cut) -> np.ndarray:
+    """The Hermitian parts of ``mats`` in the cone's frame, where the cone is the PSD cone."""
+    return _sym(_transposed(mats, cut))
+
+
 def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
     """Per matrix, how far it sits outside the cone: max(0, -lambda_min)."""
-    w = np.linalg.eigvalsh(_sym(_transposed(mats, cut)))
+    w = np.linalg.eigvalsh(_in_frame(mats, cut))
     return np.maximum(0.0, -w[:, 0])
 
 
-def _project(mats: np.ndarray, cut) -> np.ndarray:
-    """Frobenius-nearest cone points: clip negative eigenvalues in the cone's frame."""
-    h = _sym(_transposed(mats, cut))
+def _clip(h: np.ndarray) -> None:
+    """Replace each Hermitian matrix of ``h`` by its Frobenius-nearest PSD matrix: clip negative eigenvalues."""
     w, v = np.linalg.eigh(h)
     neg = w[:, 0] < 0.0
     if neg.any():
         vn = v[neg]
         h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
+
+
+class _Shares:
+    """Runs :func:`_clip` on W contiguous shares of one stack, each call on the stack's current contents.
+
+    Share 0 runs in the calling thread, share w > 0 on helper thread w, started here and stopped by
+    :meth:`close`.  A call hands helper w its share with one release of its ``go`` lock and takes it
+    back with one acquire of its ``done`` lock, so between calls every helper waits on ``go``.
+    """
+
+    def __init__(self, stack: np.ndarray, workers: int):
+        bounds = [len(stack) * w // workers for w in range(workers + 1)]
+        self.shares = [stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.errors: list[BaseException | None] = [None] * workers
+        self.locks = [(threading.Lock(), threading.Lock()) for _ in range(1, workers)]
+        self.stopping = False
+        self.threads: list[threading.Thread] = []
+        for go, done in self.locks:
+            go.acquire()
+            done.acquire()
+        try:
+            for w in range(1, workers):
+                thread = threading.Thread(target=self._helper, args=(w,))
+                thread.start()
+                self.threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def _helper(self, w: int) -> None:
+        go, done = self.locks[w - 1]
+        while True:
+            go.acquire()
+            if self.stopping:
+                return
+            try:
+                _clip(self.shares[w])
+            except BaseException as exc:  # handed to the caller of __call__, which raises it
+                self.errors[w] = exc
+            done.release()
+
+    def __call__(self) -> None:
+        for go, _ in self.locks:
+            go.release()
+        try:
+            _clip(self.shares[0])
+        finally:
+            for _, done in self.locks:
+                done.acquire()
+        error = next((e for e in self.errors if e is not None), None)
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        """Stop and join the helpers.  A helper holds its ``go`` lock from one call to the next; a free one
+        belongs to a helper about to take it, which then sees ``stopping`` without a release from here."""
+        self.stopping = True
+        for go, _ in self.locks[: len(self.threads)]:
+            if go.locked():
+                go.release()
+        for thread in self.threads:
+            thread.join()
+
+
+def _project(mats: np.ndarray, cut) -> np.ndarray:
+    """Frobenius-nearest cone points: clip negative eigenvalues in the cone's frame."""
+    h = _in_frame(mats, cut)
+    _clip(h)
     # h is exactly Hermitian, and so is its partial transpose
     return _transposed(h, cut)
 
@@ -232,66 +320,78 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     u = np.zeros_like(z)
     xhat = np.empty_like(z)
     work = np.empty_like(z)
+    frame = np.empty_like(z)  # the cone step's stack: the copies cut by cut, each group at its slice
+    ends = np.cumsum([len(idx) for _, idx in groups]).tolist()
+    slices = [slice(end - len(idx), end) for (_, idx), end in zip(groups, ends)]
     shift = c / (rho * m)
     best: dict | None = None
     history: list[dict] = []
     prev_obj = None
 
-    for it in range(1, opts.max_iter + 1):
-        checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
-        z_prev = z.copy() if checkpoint else None
+    eigen_work = len(owner) * problem.side**3 * (4 if np.iscomplexobj(c) else 1)
+    workers = worker_count(len(owner)) if eigen_work >= THREAD_WORK else 1
+    project = _Shares(frame, workers)
+    try:
+        for it in range(1, opts.max_iter + 1):
+            checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
+            z_prev = z.copy() if checkpoint else None
 
-        # affine step: weighted projection of the shifted consensus targets
-        np.subtract(z, u, out=work)
-        v = group_sums(work, starts, counts) / m + shift
-        excess = (v.sum(axis=0) - f) / inv_m_sum
-        x = _sym(v - excess / m)
+            # affine step: weighted projection of the shifted consensus targets
+            np.subtract(z, u, out=work)
+            v = group_sums(work, starts, counts) / m + shift
+            excess = (v.sum(axis=0) - f) / inv_m_sum
+            x = _sym(v - excess / m)
 
-        # cone steps with over-relaxation, one batched projection per cut
-        np.take(x, owner, axis=0, out=xhat)
-        xhat *= alpha
-        np.multiply(z, 1 - alpha, out=work)
-        xhat += work
-        np.add(xhat, u, out=work)
-        for cut, idx in groups:
-            z[idx] = _project(work[idx], cut)
-        u += xhat
-        u -= z
+            # cone steps with over-relaxation, one stacked projection of every copy
+            np.take(x, owner, axis=0, out=xhat)
+            xhat *= alpha
+            np.multiply(z, 1 - alpha, out=work)
+            xhat += work
+            np.add(xhat, u, out=work)
+            for (cut, idx), at in zip(groups, slices):
+                frame[at] = _in_frame(work[idx], cut)
+            project()
+            for (cut, idx), at in zip(groups, slices):
+                z[idx] = _transposed(frame[at], cut)
+            u += xhat
+            u -= z
 
-        if not checkpoint:
-            continue
+            if not checkpoint:
+                continue
 
-        affine = float(np.max(np.abs(x.sum(axis=0) - f)))
-        cone = _cone_violation(x, owner, groups)
-        consensus = float(np.max(np.abs(x[owner] - z)))
-        dual = rho * float(np.max(np.abs(z - z_prev)))
-        obj = _objective_value(c, x)
-        zbar = group_sums(z, starts, counts) / m
-        gap = abs(obj - _objective_value(c, zbar))
-        obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
-        prev_obj = obj
-        combined = max(affine, cone, consensus, dual, gap)
+            affine = float(np.max(np.abs(x.sum(axis=0) - f)))
+            cone = _cone_violation(x, owner, groups)
+            consensus = float(np.max(np.abs(x[owner] - z)))
+            dual = rho * float(np.max(np.abs(z - z_prev)))
+            obj = _objective_value(c, x)
+            zbar = group_sums(z, starts, counts) / m
+            gap = abs(obj - _objective_value(c, zbar))
+            obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
+            prev_obj = obj
+            combined = max(affine, cone, consensus, dual, gap)
 
-        if best is None or combined < best["combined"]:
-            best = {
-                "combined": combined,
-                "matrices": x,
-                "affine": affine,
-                "cone": cone,
-                "gap": gap,
-                "iteration": it,
-            }
-        history.append(
-            {
-                "iteration": it,
-                "combined": best["combined"],
-                "affine": best["affine"],
-                "cone": best["cone"],
-                "gap_estimate": best["gap"],
-            }
-        )
-        if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
-            break
+            if best is None or combined < best["combined"]:
+                best = {
+                    "combined": combined,
+                    "matrices": x,
+                    "affine": affine,
+                    "cone": cone,
+                    "gap": gap,
+                    "iteration": it,
+                }
+            history.append(
+                {
+                    "iteration": it,
+                    "combined": best["combined"],
+                    "affine": best["affine"],
+                    "cone": best["cone"],
+                    "gap_estimate": best["gap"],
+                }
+            )
+            if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
+                break
+    finally:
+        project.close()
 
     if best is None:
         raise RuntimeError("the iteration ended before its first checkpoint")

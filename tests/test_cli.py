@@ -1098,3 +1098,54 @@ def test_small_runs_fork_nothing(tmp_path, capsys, monkeypatch):
         ["discriminate", "--states", states, "--povm", povm],
     ):
         assert run_captured(capsys, argv)[0] == 0, argv
+
+
+def _killed_in_a_child(monkeypatch, module, name):
+    """Make ``module.name`` SIGKILL the process that calls it, unless that is this one."""
+    import signal
+
+    parent, original = os.getpid(), getattr(module, name)
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, killed)
+    return f"distlab: error: worker process {{}} was killed by signal {signal.SIGKILL.value} without a result\n"
+
+
+def _worker_lost(capsys, argv, forked, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(forked) == 1 and captured.err == message.format(forked[0])
+
+
+def test_a_fuzz_worker_that_dies_is_one_error_line(capsys, monkeypatch):
+    forked = _in_parallel(monkeypatch, 2)
+    message = _killed_in_a_child(monkeypatch, distlab.discrimination, "_sample_of_kind")
+    _worker_lost(capsys, ["fuzz", "--kinds", "general,sep", "--trials", "2", "--seed", "1"], forked, message)
+
+
+def test_a_gen_encoding_child_that_dies_is_one_error_line(capsys, monkeypatch):
+    forked = _in_parallel(monkeypatch, 2)
+    message = _killed_in_a_child(monkeypatch, json.JSONEncoder, "encode")
+    _worker_lost(capsys, ["gen", "--family", "gbell", "--dims", "3,3"], forked, message)
+
+
+def test_a_discriminate_loading_child_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
+    forked = _in_parallel(monkeypatch, 2)
+    paths = _bad_files(tmp_path)
+    message = _killed_in_a_child(monkeypatch, distlab.povm, "povm_from_json")  # the --povm file loads in the child
+    _worker_lost(capsys, ["discriminate", "--states", paths["s"], "--povm", paths["p"]], forked, message)
+
+
+def test_an_unrelated_runtime_error_is_not_taken_for_a_lost_worker(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a worker")
+
+    monkeypatch.setattr(distlab.discrimination, "local_global_fuzz", broken)
+    with pytest.raises(RuntimeError, match="^not a worker$"):
+        run(["fuzz", "--kinds", "general", "--trials", "2", "--seed", "1"])
+    assert capsys.readouterr().out == ""

@@ -1,10 +1,18 @@
 """Tests for the splitting SDP engine."""
 
+import os
+import sys
+import threading
+import time
+from functools import cache
+
 import numpy as np
 import pytest
+from conftest import bell_pair_three_party
 from sdp_reference import reference_solve
 
-from distlab.discrimination import ppt_discrimination_problem
+import distlab.sdp
+from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -227,6 +235,13 @@ def test_solve_options_reject_empty_iteration():
         SolveOptions(max_iter=0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0], ids=["nan", "negative", "zero"])
+def test_solve_options_reject_a_tol_that_is_not_finite_and_positive(tol):
+    # unchecked, nan ran to max_iter, -1 reached np.sqrt(tol), and 0 called a feasible problem infeasible
+    with pytest.raises(ValueError, match="^tol must be a finite number above 0, got "):
+        SolveOptions(tol=tol)
+
+
 def unequal_cones_problem():
     # block 0 is PSD-only, the other two also carry the PT cone
     states = [PHI_PLUS, PSI_PLUS, PHI_MINUS]
@@ -301,3 +316,159 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
     for sol in (a, b):
         for mat in sol.matrices:
             assert mat.dtype == np.complex128 and mat.ndim == 2
+
+
+def forced_threads(monkeypatch, workers):
+    """Share every cone step among ``workers`` threads (at most one per copy), whatever its size."""
+    monkeypatch.setattr(distlab.sdp, "THREAD_WORK", 0)
+    monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(workers, blocks)))
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("started a thread")
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_threaded_solve_matches_per_matrix_reference(monkeypatch, name):
+    forced_threads(monkeypatch, 2)
+    test_stacked_solve_matches_per_matrix_reference(name)
+
+
+# the five ppt-sdp problems of the benchmark, the Bell pair with a third party (two blocks of four
+# copies, one per cone group: three shares split them 2, 3 and 3, across groups), and a PSD-only problem
+THREADED_CORPUS = {
+    "bell3": (lambda: ppt_discrimination_problem(bell_states().subset([0, 1, 2])), SolveOptions(tol=1e-7)),
+    "bell2": (lambda: ppt_discrimination_problem(bell_states().subset([0, 2])), SolveOptions(tol=1e-7)),
+    "gbell3-first-four": (
+        lambda: ppt_discrimination_problem(generalized_bell_states(3).subset([0, 1, 2, 3])),
+        SolveOptions(tol=1e-7),
+    ),
+    "domino": (lambda: ppt_discrimination_problem(domino_states()), SolveOptions(tol=1e-7)),
+    # the benchmark runs it to 1,225 iterations; 200 keep the test short
+    "gbell5-first-six": (
+        lambda: ppt_discrimination_problem(generalized_bell_states(5).subset(range(6))),
+        SolveOptions(max_iter=200),
+    ),
+    "bell2-ket0": (lambda: ppt_discrimination_problem(bell_pair_three_party()), SolveOptions(tol=1e-7)),
+    "psd-only": (lambda: operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions()),
+}
+
+
+@cache
+def one_thread_solution(name):
+    build, opts = THREADED_CORPUS[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distlab.sdp, "worker_count", lambda blocks: 1)
+        patch.setattr(threading, "Thread", no_thread)
+        return solve(build(), opts)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", list(THREADED_CORPUS))
+def test_threaded_solve_is_bit_identical(monkeypatch, name, workers):
+    want = one_thread_solution(name)
+    build, opts = THREADED_CORPUS[name]
+    forced_threads(monkeypatch, workers)
+    got = solve(build(), opts)
+    assert (got.status, got.iterations, got.objective_value) == (want.status, want.iterations, want.objective_value)
+    assert got.history == want.history and got.residuals == want.residuals
+    assert len(got.matrices) == len(want.matrices)
+    for a, b in zip(got.matrices, want.matrices):
+        assert np.array_equal(a, b)
+
+
+def test_more_threads_than_cpus_switching_often_stay_bit_identical(monkeypatch):
+    want = one_thread_solution("bell2-ket0")
+    build, opts = THREADED_CORPUS["bell2-ket0"]
+    problem = build()
+    forced_threads(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = in_a_thread(lambda: solve(problem, opts))["result"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.history == want.history
+    for a, b in zip(got.matrices, want.matrices, strict=True):
+        assert np.array_equal(a, b)
+
+
+def in_a_thread(fn, timeout=60):
+    """``fn()``'s result or exception, run in a thread that must end within ``timeout`` seconds."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    runner = threading.Thread(target=target)
+    started = time.monotonic()
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "solve hangs"
+    assert time.monotonic() - started < timeout
+    return box
+
+
+@pytest.mark.parametrize("raises_in", [None, "calling thread", "helpers"])
+def test_helper_threads_end_with_solve_and_hand_on_their_errors(monkeypatch, raises_in):
+    forced_threads(monkeypatch, 3)
+    build, opts = THREADED_CORPUS["bell2-ket0"]
+    problem, before = build(), threading.active_count()
+    eigh, calling = np.linalg.eigh, []
+
+    def eigh_or_raise(h):
+        where = "calling thread" if threading.current_thread() in calling else "helpers"
+        if where == raises_in:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge in the {where}")
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_or_raise)
+
+    def run():
+        calling.append(threading.current_thread())
+        return solve(problem, opts)
+
+    box = in_a_thread(run)
+    assert threading.active_count() == before
+    if raises_in is None:
+        assert box["result"].status == "optimal"
+    else:
+        assert type(box["error"]) is np.linalg.LinAlgError
+        assert str(box["error"]) == f"Eigenvalues did not converge in the {raises_in}"
+
+
+def test_the_theorem1_problems_start_no_thread(monkeypatch):
+    monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(2, blocks)))  # as on two CPUs
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    # the benchmark's theorem1 jobs: each solves the small problem and transfers its optimum
+    for states, new_dims in [
+        (bell_states().subset([0, 1, 2]), (3, 3)),
+        (bell_states().subset([0, 2]), (4, 3)),
+        (generalized_bell_states(3).subset([0, 1, 2, 3]), (4, 4)),
+        (domino_states(), (8, 8)),
+    ]:
+        assert theorem1_ppt_invariance(states, new_dims).small.solution.status == "optimal"
+    # while the benchmark's sdp job is above the size rule
+    with pytest.raises(AssertionError, match="started a thread"):
+        solve(THREADED_CORPUS["gbell5-first-six"][0](), SolveOptions(max_iter=1))
+
+
+def test_a_fuzz_after_a_threaded_solve_still_forks_as_on_two_cpus(monkeypatch):
+    forced_threads(monkeypatch, 2)
+    build, opts = THREADED_CORPUS["bell2"]
+    solve(build(), opts)
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
+    assert len(forked) == 1
