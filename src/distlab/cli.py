@@ -102,35 +102,31 @@ def _load(digests: dict, *inputs):
     return [loaded[g][1] for g in range(len(inputs))]
 
 
-def _report(command: str, argv: list[str], payload_kind: str, payload, manifest_extra: dict) -> dict:
-    started = manifest_extra.pop("started_at")
+def _report(args, argv: list[str], payload_kind: str, payload, digests: dict, started: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "payload_kind": payload_kind,
         "payload": payload,
         "manifest": {
-            "command": command,
+            "command": args.command,
             "arguments": list(argv),
-            "seed": manifest_extra.pop("seed", None),
+            "seed": getattr(args, "seed", None),
             "tool_version": __version__,
-            "input_digests": manifest_extra.pop("input_digests"),
+            "input_digests": digests,
             "started_at": started,
             "finished_at": _timestamp(),
         },
     }
 
 
-def parse_report(obj: dict):
-    """Validate a report and parse the payload back into its domain type; any defect raises ``ValueError``."""
+def _payload_parsers() -> dict:
+    """The parser of each payload kind, one per kind that a command writes."""
     from .discrimination import harness_from_json, verdict_from_json
-    from .linalg import strict_object
-    from .povm import povm_from_json
     from .sdp import solution_from_json
     from .states import state_set_from_json
 
-    parsers = {
+    return {
         "state_set": state_set_from_json,
-        "povm": povm_from_json,
         "verdict": verdict_from_json,
         "harness": harness_from_json,
         "sdp_solution": solution_from_json,
@@ -138,6 +134,13 @@ def parse_report(obj: dict):
         "theorem1": dict,
         "counterexample": dict,
     }
+
+
+def parse_report(obj: dict):
+    """Validate a report and parse the payload back into its domain type; any defect raises ``ValueError``."""
+    from .linalg import strict_object
+
+    parsers = _payload_parsers()
     strict_object(obj, "report", ("schema_version", "payload_kind", "payload"), ("manifest",))
     if obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unknown schema version {obj['schema_version']!r}")
@@ -158,8 +161,6 @@ def summarize(report: dict) -> str:
     p = report["payload"]
     if kind == "state_set":
         return f"STATES: {len(p['states'])} states in ({', '.join(str(d) for d in p['dims'])})"
-    if kind == "povm":
-        return f"POVM: {len(p['elements'])} elements in ({', '.join(str(d) for d in p['dims'])})"
     if kind == "verdict":
         status = "PASS" if p["passes"] else "FAIL"
         return f"{p['mode'].upper()} DISCRIMINATION: {status} (success {p['success_probability']:.6f})"
@@ -457,16 +458,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     digests: dict = {}
     started = _timestamp()
-    seed = getattr(args, "seed", None)
     try:
         code, payload_kind, payload = args.func(args, digests)
-        report = _report(
-            args.command,
-            argv,
-            payload_kind,
-            payload,
-            {"started_at": started, "seed": seed, "input_digests": digests},
-        )
+        report = _report(args, argv, payload_kind, payload, digests, started)
         printed = _write_report(report)  # writes nothing unless every piece was encoded
     except ValueError as exc:  # CliError and the domain checks: usage or input errors
         print(f"distlab: error: {exc}", file=sys.stderr)

@@ -14,6 +14,10 @@ Optimization and Statistical Learning via ADMM", section 7.1).  Iterates are
 tracked by their combined residual and the best one seen is returned, so the
 recorded residual trail never regresses.
 
+``SdpProblem`` holds the C_i as one ``(blocks, side, side)`` stack (a list of
+blocks is stacked, a complex stack is kept without a copy), and all its PT
+cones share one ``dims``.
+
 The iteration runs on stacks: all copies live in one ``(copies, side, side)``
 array, and each block's ``x`` is one reduction over its copies.  The cone step
 is one stacked projection per iteration: every copy goes into its cone's frame
@@ -40,7 +44,9 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     as_matrix,
+    as_stack,
     bipartition,
     check_dims,
     dagger,
@@ -83,21 +89,20 @@ class PtCone:
 class SdpProblem:
     """Block-diagonal conic program with a single completeness constraint."""
 
-    objective: tuple[np.ndarray, ...]
+    objective: np.ndarray
     target: np.ndarray
     pt_cones: tuple[tuple[PtCone, ...], ...]
 
     def __init__(self, objective, target, pt_cones=None):
-        objective = tuple(as_matrix(c) for c in objective)
-        if not objective:
-            raise ValueError("need at least one block")
+        objective = as_stack(objective)
         target = as_matrix(target)
         side = target.shape[0]
-        for c in objective:
-            if c.shape != (side, side):
-                raise ValueError(f"objective block shape {c.shape} mismatches target side {side}")
-            if hermiticity_defect(c) > PROBLEM_HERMITIAN_TOL:
-                raise ValueError("objective blocks must be Hermitian")
+        if objective.shape[1:] != (side, side):
+            raise ValueError(f"objective shape {objective.shape} is not (blocks, {side}, {side})")
+        if not len(objective):
+            raise ValueError("need at least one block")
+        if np.max(hermiticity_defect(objective)) > PROBLEM_HERMITIAN_TOL:
+            raise ValueError("objective blocks must be Hermitian")
         if hermiticity_defect(target) > PROBLEM_HERMITIAN_TOL:
             raise ValueError("constraint target must be Hermitian")
         if pt_cones is None:
@@ -105,10 +110,11 @@ class SdpProblem:
         pt_cones = tuple(tuple(cs) for cs in pt_cones)
         if len(pt_cones) != len(objective):
             raise ValueError("one cone list per block required")
-        for cs in pt_cones:
-            for cone in cs:
-                if int(np.prod(cone.dims)) != side:
-                    raise ValueError(f"cone dims {cone.dims} do not factor side {side}")
+        dims = {cone.dims for cs in pt_cones for cone in cs}
+        if len(dims) > 1:
+            raise ValueError(f"the PT cones of one problem share one dims, got {sorted(dims)}")
+        for d in dims:
+            check_dims(d, side)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "pt_cones", pt_cones)
@@ -130,8 +136,8 @@ class SolveOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number above 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,7 @@ def _project(mats: np.ndarray, cut) -> np.ndarray:
 def _checked_hermitian(m) -> np.ndarray:
     m = as_matrix(m)
     defect = hermiticity_defect(m)
-    if defect > 1e-10:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"projection needs Hermitian input (defect {defect:.3e})")
     return m
 
@@ -281,7 +287,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """
     opts = opts or SolveOptions()
     n = problem.n_blocks
-    c = np.stack(problem.objective)
+    c = problem.objective
     f = problem.target
     if not (np.any(c.imag) or np.any(f.imag)):  # real data: iterate in float64
         c, f = np.ascontiguousarray(c.real), np.ascontiguousarray(f.real)
@@ -324,7 +330,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     ends = np.cumsum([len(idx) for _, idx in groups]).tolist()
     slices = [slice(end - len(idx), end) for (_, idx), end in zip(groups, ends)]
     shift = c / (rho * m)
-    best: dict | None = None
+    best = best_x = None
     history: list[dict] = []
     prev_obj = None
 
@@ -371,30 +377,14 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             combined = max(affine, cone, consensus, dual, gap)
 
             if best is None or combined < best["combined"]:
-                best = {
-                    "combined": combined,
-                    "matrices": x,
-                    "affine": affine,
-                    "cone": cone,
-                    "gap": gap,
-                    "iteration": it,
-                }
-            history.append(
-                {
-                    "iteration": it,
-                    "combined": best["combined"],
-                    "affine": best["affine"],
-                    "cone": best["cone"],
-                    "gap_estimate": best["gap"],
-                }
-            )
+                best = {"combined": combined, "affine": affine, "cone": cone, "gap_estimate": gap}
+                best_x = x
+            history.append({"iteration": it, **best})
             if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
                 break
     finally:
         project.close()
 
-    if best is None:
-        raise RuntimeError("the iteration ended before its first checkpoint")
     status = "optimal" if best["combined"] <= opts.tol else "max-iterations"
     if status != "optimal" and best["combined"] > np.sqrt(opts.tol) and len(history) >= 8:
         # a residual plateau far above tolerance is the strongest evidence
@@ -403,15 +393,11 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if best["combined"] > 0.95 * halfway:
             status = "infeasible-evidence"
     return SdpSolution(
-        matrices=tuple(xi.astype(complex) for xi in best["matrices"]),
-        objective_value=_objective_value(c, best["matrices"]),
+        matrices=tuple(xi.astype(complex) for xi in best_x),
+        objective_value=_objective_value(c, best_x),
         status=status,
-        residuals={
-            "affine": best["affine"],
-            "cone": best["cone"],
-            "gap_estimate": best["gap"],
-        },
-        iterations=history[-1]["iteration"] if history else 0,
+        residuals={k: best[k] for k in ("affine", "cone", "gap_estimate")},
+        iterations=it,  # the last checkpoint: every run ends at one, it == max_iter being one
         history=tuple(history),
     )
 
@@ -422,9 +408,7 @@ def _infeasibility_evidence(problem: SdpProblem) -> str | None:
     neg = _negative_parts(target, None)[0]
     if neg > 1e-9:
         return f"constraint target has negative eigenvalue {-neg:.3e}"
-    shared = set(problem.pt_cones[0])
-    for cs in problem.pt_cones[1:]:
-        shared &= set(cs)
+    shared = set(problem.pt_cones[0]).intersection(*problem.pt_cones[1:])
     for cone in shared:
         neg = _negative_parts(target, (cone.dims, cone.parties))[0]
         if neg > 1e-9:

@@ -405,6 +405,29 @@ def test_report_round_trip_all_payloads(tmp_path, capsys):
         assert parsed is not None
 
 
+def test_the_commands_write_exactly_the_payload_kinds_parse_report_reads(tmp_path, capsys):
+    # parse_report also read a "povm" kind that no command writes
+    states = bell_pair_file(tmp_path)
+    povm = write_json(tmp_path / "sep.json", sep_c4_obj())
+    problem = write_json(tmp_path / "bell2-ppt.json", bell_pair_problem())
+    commands = {
+        "gen": ["--family", "bell"],
+        "verify": ["--povm", povm, "--kind", "sep"],
+        "discriminate": ["--states", states, "--povm", povm],
+        "sdp": ["--problem", problem, "--max-iter", "25"],
+        "theorem1": ["--states", states, "--new-dims", "3,3"],
+        "fuzz": ["--kinds", "general", "--trials", "2", "--seed", "3"],
+        "counterexample": [],
+    }
+    (subcommands,) = [action.choices for action in build_parser()._actions if action.dest == "command"]
+    assert set(commands) == set(subcommands)
+    written = set()
+    for command, rest in commands.items():
+        _, report, _ = run_captured(capsys, [command, *rest])
+        written.add(report["payload_kind"])
+    assert written == set(distlab.cli._payload_parsers())
+
+
 def test_parse_report_rejects_unknown_fields_and_versions(capsys):
     _, report, _ = run_captured(capsys, ["gen", "--family", "bell"])
     with pytest.raises(ValueError):

@@ -175,6 +175,39 @@ def test_problem_validation():
         SdpProblem([np.eye(4)], np.eye(4), [(PtCone((2, 3), (0,)),)])
 
 
+def test_problem_rejects_pt_cones_that_disagree_on_dims():
+    # problem_to_json writes one dims, so such a problem came back with every cone on the first one's dims
+    cones = (PtCone((2, 6), [0]), PtCone((3, 4), [0]))
+    with pytest.raises(ValueError, match="share one dims"):
+        SdpProblem([np.eye(12)], np.eye(12), [cones])
+    with pytest.raises(ValueError, match="share one dims"):
+        SdpProblem([np.eye(12), np.eye(12)], 2 * np.eye(12), [cones[:1], cones[1:]])
+
+
+def test_a_list_of_blocks_and_the_equal_stack_give_equal_problems_and_solutions():
+    blocks = [PHI_PLUS / 3, PSI_PLUS / 3, PHI_MINUS / 3]
+    cones = [(), (PtCone((2, 2), (0,)),), (PtCone((2, 2), (0,)),)]
+    from_list = SdpProblem(blocks, np.eye(4), cones)
+    from_stack = SdpProblem(np.stack(blocks), np.eye(4), cones)
+    assert from_list.objective.shape == (3, 4, 4) and from_list.n_blocks == 3
+    assert np.array_equal(from_list.objective, from_stack.objective)
+    assert np.array_equal(from_list.target, from_stack.target) and from_list.pt_cones == from_stack.pt_cones
+    a, b = (solve(p, SolveOptions(tol=1e-7)) for p in (from_list, from_stack))
+    assert (a.status, a.iterations, a.objective_value) == (b.status, b.iterations, b.objective_value)
+    assert a.history == b.history and a.residuals == b.residuals
+    assert len(a.matrices) == len(b.matrices) == 3
+    for x, y in zip(a.matrices, b.matrices):
+        assert np.array_equal(x, y)
+
+
+def test_a_complex_stack_is_kept_without_a_copy():
+    stack = np.stack([PHI_PLUS / 2, PSI_PLUS / 2])
+    problem = SdpProblem(stack, np.eye(4))
+    assert np.shares_memory(problem.objective, stack)
+    real = SdpProblem(stack.real, np.eye(4))  # other data is converted to complex
+    assert real.objective.dtype == complex and np.array_equal(real.objective, stack)
+
+
 def test_project_psd():
     assert np.allclose(project_psd(np.diag([2.0, -1.0])), np.diag([2.0, 0.0]), atol=1e-15)
     rng = np.random.default_rng(6)
@@ -233,6 +266,18 @@ def test_problem_and_solution_json_roundtrip():
 def test_solve_options_reject_empty_iteration():
     with pytest.raises(ValueError, match="max_iter"):
         SolveOptions(max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, "3", 0], ids=["float", "bool", "str", "zero"])
+def test_solve_options_reject_a_max_iter_that_is_not_a_positive_integer(max_iter):
+    # unchecked, 2.5 raised TypeError from range, True ran one iteration and "3" raised TypeError from <
+    with pytest.raises(ValueError, match="^max_iter must be an integer of at least 1, got "):
+        SolveOptions(max_iter=max_iter)
+
+
+def test_solve_options_take_a_numpy_integer_max_iter():
+    sol = solve(operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions(max_iter=np.int64(3)))
+    assert (sol.iterations, len(sol.history), sol.history[-1]["iteration"]) == (3, 1, 3)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0], ids=["nan", "negative", "zero"])
