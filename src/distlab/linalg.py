@@ -304,12 +304,18 @@ def matrices_from_json(objs, what: str) -> np.ndarray:
 
 
 class WorkerLost(RuntimeError):
-    """A worker process of :func:`in_workers` ended without a result, for example killed by a signal."""
+    """A worker process ended without a result, for example killed by a signal."""
+
+
+def worker_lost(pid: int, status: int) -> WorkerLost:
+    """The :class:`WorkerLost` for worker process ``pid``, reaped with exit code ``status`` (below 0: a signal)."""
+    how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+    return WorkerLost(f"worker process {pid} {how} without a result")
 
 
 def worker_count(blocks: int) -> int:
     """Workers that run ``blocks`` blocks of work: one per CPU this process may run on, at most one per block.
-    :func:`in_workers` forks them as processes, ``sdp.solve`` starts them as threads.
+    :func:`in_workers` and ``sdp.solve`` fork them as processes.
 
     One where the platform has no ``os.fork`` or ``os.sched_getaffinity``, or where another thread runs:
     a forked child would hold that thread's locks in whatever state the fork caught them.
@@ -373,8 +379,7 @@ def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pipes[pid]
             if status:
-                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-                raise WorkerLost(f"worker process {pid} {how} without a result")
+                raise worker_lost(pid, status)
             found, error = pickle.loads(data)  # written by the child above
             results.update(found)
             errors += [error] if error else []

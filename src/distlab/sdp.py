@@ -19,25 +19,31 @@ blocks is stacked, a complex stack is kept without a copy), and all its PT
 cones share one ``dims``.
 
 The iteration runs on stacks: all copies live in one ``(copies, side, side)``
-array, and each block's ``x`` is one reduction over its copies.  The cone step
-is one stacked projection per iteration: every copy goes into its cone's frame
-(partially transposed for a PT cone) in a second such array, cut by cut; that
-array is split into W contiguous shares, and each share gets one batched
-``eigh``, clipping, and reconstruction of only the matrices that had a negative
-eigenvalue, in place; then each cut's copies are transposed back.  Share 0 runs
-in the calling thread, the others on W - 1 helper threads that live for one
-``solve`` (numpy's ``eigh`` releases the GIL).  W is
-``linalg.worker_count(copies)`` once the eigen work per iteration reaches
-``THREAD_WORK``, else 1.  Every matrix meets the same operations whatever W
-is, so the iterates do not depend on it.  When every objective block and the
-target have an identically zero imaginary part, the iteration runs in float64
-instead of complex128; the input alone decides this, no option selects it.
-Returned matrices are complex128 either way.
+array, held cut by cut so that each cone group is one contiguous slice, and
+each block's ``x`` is one reduction over its copies in cone order.  The cone
+step is one stacked projection per iteration, split into W contiguous shares
+of the copies.  Each share gets over-relaxation, its copies' cone frames (a
+partial transpose through an index map made once per cut, then the Hermitian
+part), one batched ``eigh`` with clipping and reconstruction of only the
+matrices that had a negative eigenvalue, the way back, and the dual update,
+all in place.  Share 0 runs in the calling process, the others in W - 1
+helper processes forked for one ``solve``; the iterates live in one anonymous
+shared mapping made before the fork, and each iteration hands every helper
+its share with one byte down a pipe and takes it back with one byte up
+another.  W is ``linalg.worker_count(copies)`` once the eigen work per
+iteration reaches ``FORK_WORK``, else 1, and then nothing is forked.  Every
+matrix meets the same operations whatever W is, so the iterates do not
+depend on it.  When every objective block and the target have an identically
+zero imaginary part, the iteration runs in float64 instead of complex128; the
+input alone decides this, no option selects it.  Returned matrices are
+complex128 either way.
 """
 
 from __future__ import annotations
 
-import threading
+import mmap
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,13 +56,13 @@ from .linalg import (
     bipartition,
     check_dims,
     dagger,
-    group_sums,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
     partial_transpose,
     strict_object,
     worker_count,
+    worker_lost,
 )
 
 PROBLEM_HERMITIAN_TOL = 1e-12
@@ -64,11 +70,12 @@ PROBLEM_HERMITIAN_TOL = 1e-12
 PENALTY = 1.0
 OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
-# The cone step shares its projection with helper threads only from this much work per iteration on:
+# The cone step is shared with forked helper processes only from this much work per iteration on:
 # the sum of side**3 over the copies, a complex copy counted 4 times (its eigh costs about that much more).
-# A hand-off costs about 0.3 ms per iteration; on two CPUs threads paid from about 130,000 complex and
-# 600,000 real (README, "Layout").
-THREAD_WORK = 600_000
+# On two CPUs an empty hand-off costs about 20-26 us per iteration and the fork about 2-2.6 ms per solve;
+# the value was set for helper threads, and two processes already gain on some problems from about
+# 160,000 (README, "Layout").
+FORK_WORK = 600_000
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,10 @@ class SdpProblem:
             raise ValueError(f"objective shape {objective.shape} is not (blocks, {side}, {side})")
         if not len(objective):
             raise ValueError("need at least one block")
+        if not np.isfinite(objective).all():
+            raise ValueError("objective blocks must be finite, not NaN or Infinity")
+        if not np.isfinite(target).all():
+            raise ValueError("constraint target must be finite, not NaN or Infinity")
         if np.max(hermiticity_defect(objective)) > PROBLEM_HERMITIAN_TOL:
             raise ValueError("objective blocks must be Hermitian")
         if hermiticity_defect(target) > PROBLEM_HERMITIAN_TOL:
@@ -154,8 +165,10 @@ class SdpSolution:
 # partial transposition; every helper below works on (count, side, side) stacks.
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + dagger(m)) / 2
+def _sym(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.add(m, dagger(m), out=out)
+    out /= 2
+    return out
 
 
 def _transposed(mats: np.ndarray, cut) -> np.ndarray:
@@ -182,66 +195,110 @@ def _clip(h: np.ndarray) -> None:
         h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
 
 
-class _Shares:
-    """Runs :func:`_clip` on W contiguous shares of one stack, each call on the stack's current contents.
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice where it is a run of consecutive integers, which indexes a stack without a copy."""
+    lo = int(idx[0])
+    return slice(lo, lo + len(idx)) if np.array_equal(idx, np.arange(lo, lo + len(idx))) else idx
 
-    Share 0 runs in the calling thread, share w > 0 on helper thread w, started here and stopped by
-    :meth:`close`.  A call hands helper w its share with one release of its ``go`` lock and takes it
-    back with one acquire of its ``done`` lock, so between calls every helper waits on ``go``.
+
+def _moved(src: np.ndarray, perm, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the matrices of ``src``, each with its entries taken at the flat positions ``perm``
+    (a partial transpose's index map), or unmoved for ``perm`` None; both stacks are contiguous."""
+    if perm is None:
+        out[...] = src
+    else:
+        np.take(src.reshape(len(src), -1), perm, axis=1, out=out.reshape(len(out), -1))
+    return out
+
+
+class _Helpers:
+    """Runs ``step(w)`` for the W shares w of one cone step per call, each on the shared arrays' current contents.
+
+    Share 0 runs in the calling process, share w > 0 in helper process w, forked here and killed and
+    reaped by :meth:`close`.  A call sends each helper one byte down its ``go`` pipe and reads one byte
+    back from its ``done`` pipe.  A helper whose share raises sends the exception back pickled instead,
+    and leaves; one that ends without a reply is reported as :class:`~distlab.linalg.WorkerLost`.  A
+    helper leaves by ``os._exit``, so it never flushes the inherited stdio or runs exit handlers.
     """
 
-    def __init__(self, stack: np.ndarray, workers: int):
-        bounds = [len(stack) * w // workers for w in range(workers + 1)]
-        self.shares = [stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self.errors: list[BaseException | None] = [None] * workers
-        self.locks = [(threading.Lock(), threading.Lock()) for _ in range(1, workers)]
-        self.stopping = False
-        self.threads: list[threading.Thread] = []
-        for go, done in self.locks:
-            go.acquire()
-            done.acquire()
+    def __init__(self, step, workers: int):
+        self.step = step
+        self.pids: list[int | None] = []  # None once reaped
+        self.pipes: list = []  # per helper, this process's (go, done) ends as unbuffered files
         try:
             for w in range(1, workers):
-                thread = threading.Thread(target=self._helper, args=(w,))
-                thread.start()
-                self.threads.append(thread)
+                go, done = os.pipe(), os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in go + done:
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    self._serve(w, go, done)
+                self.pids.append(pid)
+                os.close(go[0])
+                os.close(done[1])
+                self.pipes.append((open(go[1], "wb", buffering=0), open(done[0], "rb", buffering=0)))
         except BaseException:
             self.close()
             raise
 
-    def _helper(self, w: int) -> None:
-        go, done = self.locks[w - 1]
-        while True:
-            go.acquire()
-            if self.stopping:
-                return
-            try:
-                _clip(self.shares[w])
-            except BaseException as exc:  # handed to the caller of __call__, which raises it
-                self.errors[w] = exc
-            done.release()
+    def _serve(self, w: int, go: tuple[int, int], done: tuple[int, int]) -> None:
+        """Helper w's loop, run in the forked child: never returns into the caller.  It closes every pipe end
+        of the calling process, so its ``go`` pipe reads empty, and it leaves, once that process is gone."""
+        code = 1
+        try:
+            for ends in self.pipes:  # the earlier helpers'
+                for end in ends:
+                    end.close()
+            os.close(go[1])
+            os.close(done[0])
+            with open(go[0], "rb", buffering=0) as orders, open(done[1], "wb") as replies:
+                while orders.read(1):
+                    try:
+                        self.step(w)
+                    except Exception as exc:  # raised by the caller of __call__
+                        pickle.dump(exc, replies, pickle.HIGHEST_PROTOCOL)
+                        break
+                    replies.write(b"\0")
+                    replies.flush()
+            code = 0
+        finally:
+            os._exit(code)
 
     def __call__(self) -> None:
-        for go, _ in self.locks:
-            go.release()
-        try:
-            _clip(self.shares[0])
-        finally:
-            for _, done in self.locks:
-                done.acquire()
-        error = next((e for e in self.errors if e is not None), None)
-        if error is not None:
-            raise error
+        for go, _ in self.pipes:
+            try:
+                go.write(b"\0")
+            except BrokenPipeError:  # a helper that has died since the last call: its reply reads empty
+                pass
+        self.step(0)
+        for w, (_, done) in enumerate(self.pipes, 1):
+            reply = done.read(1)
+            if reply != b"\0":
+                raise self._failure(w, reply)
+
+    def _failure(self, w: int, reply: bytes) -> BaseException:
+        """The error to raise for helper w's ``reply``: its pickled exception, or a ``WorkerLost``."""
+        if reply:  # the exception written by _serve
+            return pickle.loads(reply + self.pipes[w - 1][1].readall())
+        pid, self.pids[w - 1] = self.pids[w - 1], None
+        return worker_lost(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
     def close(self) -> None:
-        """Stop and join the helpers.  A helper holds its ``go`` lock from one call to the next; a free one
-        belongs to a helper about to take it, which then sees ``stopping`` without a release from here."""
-        self.stopping = True
-        for go, _ in self.locks[: len(self.threads)]:
-            if go.locked():
-                go.release()
-        for thread in self.threads:
-            thread.join()
+        """Close the pipes, then kill and reap every helper not reaped yet."""
+        for ends in self.pipes:
+            for end in ends:
+                end.close()
+        live = [pid for pid in self.pids if pid is not None]
+        if live:
+            from signal import SIGKILL
+
+            for pid in live:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        self.pids = []
 
 
 def _project(mats: np.ndarray, cut) -> np.ndarray:
@@ -275,7 +332,7 @@ def _objective_value(c: np.ndarray, x: np.ndarray) -> float:
 
 
 def _cone_violation(x: np.ndarray, owner: np.ndarray, groups) -> float:
-    return max(float(np.max(_negative_parts(x[owner[idx]], cut))) for cut, idx in groups)
+    return max(float(np.max(_negative_parts(x[owner[at]], cut))) for cut, at in groups)
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
@@ -287,23 +344,40 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """
     opts = opts or SolveOptions()
     n = problem.n_blocks
+    side = problem.side
     c = problem.objective
     f = problem.target
     if not (np.any(c.imag) or np.any(f.imag)):  # real data: iterate in float64
         c, f = np.ascontiguousarray(c.real), np.ascontiguousarray(f.real)
-    # copies run block by block: block i owns one copy for the PSD cone and
-    # one per PT cone; each distinct cut is projected as one group of copies
+    # block i owns one copy for the PSD cone and one per PT cone; the copies are held cut by cut,
+    # block by block within a cut, so each distinct cut's group of copies is one contiguous slice
     cuts = [[None, *((cone.dims, cone.parties) for cone in cs)] for cs in problem.pt_cones]
     counts = np.array([len(cs) for cs in cuts])
-    owner = np.repeat(np.arange(n), counts)
     starts = np.cumsum(counts) - counts
     by_cut: dict = {}
     for k, cut in enumerate(cut for cs in cuts for cut in cs):
         by_cut.setdefault(cut, []).append(k)
-    groups = [(cut, np.array(idx)) for cut, idx in by_cut.items()]
+    held = np.concatenate([np.array(ks) for ks in by_cut.values()])  # the copy held at each place, block by block
+    order = np.argsort(held)  # the place of each copy, block by block
+    owner = np.repeat(np.arange(n), counts)[held]
+    ends = np.cumsum([len(ks) for ks in by_cut.values()]).tolist()
+    groups = [(cut, slice(end - len(ks), end)) for (cut, ks), end in zip(by_cut.items(), ends)]
     m = counts[:, None, None]
     inv_m_sum = sum(1.0 / mi for mi in counts.tolist())
     rho, alpha = PENALTY, OVER_RELAXATION
+
+    # per cone rank j >= 1, the blocks that have a j-th copy and the places of those copies
+    ranks = []
+    for j in range(1, counts.max()):
+        has = counts > j
+        ranks.append((_as_slice(np.flatnonzero(has)), _as_slice(order[starts[has] + j])))
+
+    def block_sums(stack: np.ndarray) -> np.ndarray:
+        """Each block's copies summed in its cone order, as ``linalg.group_sums`` sums them."""
+        total = stack[:n].copy()  # the PSD group comes first: one copy per block, in block order
+        for blocks, places in ranks:
+            total[blocks] += stack[places]
+        return total
 
     evidence = _infeasibility_evidence(problem)
     if evidence is not None:
@@ -322,45 +396,61 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             history=(),
         )
 
-    z = np.repeat((f / n)[None], len(owner), axis=0)
-    u = np.zeros_like(z)
-    xhat = np.empty_like(z)
-    work = np.empty_like(z)
-    frame = np.empty_like(z)  # the cone step's stack: the copies cut by cut, each group at its slice
-    ends = np.cumsum([len(idx) for _, idx in groups]).tolist()
-    slices = [slice(end - len(idx), end) for (_, idx), end in zip(groups, ends)]
+    # the iterates live in one anonymous shared mapping, so that forked helpers update them in place;
+    # frame is the cone step's stack: every copy in its cone's frame
+    copies, size = len(owner), side * side
+    shared = np.frombuffer(mmap.mmap(-1, (5 * copies + n) * size * c.itemsize), c.dtype)
+    z, u, xhat, work, frame = shared[: 5 * copies * size].reshape(5, copies, side, side)
+    x = shared[5 * copies * size :].reshape(n, side, side)
+    z[...] = f / n
     shift = c / (rho * m)
     best = best_x = None
     history: list[dict] = []
     prev_obj = None
 
-    eigen_work = len(owner) * problem.side**3 * (4 if np.iscomplexobj(c) else 1)
-    workers = worker_count(len(owner)) if eigen_work >= THREAD_WORK else 1
-    project = _Shares(frame, workers)
+    # a partial transpose's index map per cut; per share its copies, their blocks and its pieces of the groups
+    square = np.arange(size, dtype=float).reshape(side, side)
+    maps = {cut: None if cut is None else partial_transpose(square, *cut).ravel().astype(np.intp) for cut in by_cut}
+    eigen_work = copies * side**3 * (4 if np.iscomplexobj(c) else 1)
+    workers = worker_count(copies) if eigen_work >= FORK_WORK else 1
+    bounds = [copies * w // workers for w in range(workers + 1)]
+    shares = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        pieces = [(maps[cut], slice(max(lo, at.start), min(hi, at.stop))) for cut, at in groups]
+        shares.append((slice(lo, hi), owner[lo:hi], [(perm, part) for perm, part in pieces if part.start < part.stop]))
+
+    def cone_step(w: int) -> None:
+        """Share w of the cone step, in place: over-relaxation, the cone frame (partial transpose, then
+        the Hermitian part), clipping, the way back into ``z``, and the dual update."""
+        at, owners, pieces = shares[w]
+        np.take(x, owners, axis=0, out=xhat[at])
+        xhat[at] *= alpha
+        np.multiply(z[at], 1 - alpha, out=work[at])
+        xhat[at] += work[at]
+        np.add(xhat[at], u[at], out=work[at])
+        for perm, part in pieces:  # z is free until the way back, and holds the transposed copies
+            _sym(work[part] if perm is None else _moved(work[part], perm, z[part]), out=frame[part])
+        _clip(frame[at])
+        for perm, part in pieces:  # frame is exactly Hermitian, and so is its partial transpose
+            _moved(frame[part], perm, z[part])
+        u[at] += xhat[at]
+        u[at] -= z[at]
+        np.subtract(z[at], u[at], out=work[at])  # the next affine step's input
+
+    np.subtract(z, u, out=work)
+    project = _Helpers(cone_step, workers)
     try:
         for it in range(1, opts.max_iter + 1):
             checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
             z_prev = z.copy() if checkpoint else None
 
-            # affine step: weighted projection of the shifted consensus targets
-            np.subtract(z, u, out=work)
-            v = group_sums(work, starts, counts) / m + shift
+            # affine step: weighted projection of the shifted consensus targets, work holding z - u
+            v = block_sums(work) / m + shift
             excess = (v.sum(axis=0) - f) / inv_m_sum
-            x = _sym(v - excess / m)
+            _sym(v - excess / m, out=x)
 
-            # cone steps with over-relaxation, one stacked projection of every copy
-            np.take(x, owner, axis=0, out=xhat)
-            xhat *= alpha
-            np.multiply(z, 1 - alpha, out=work)
-            xhat += work
-            np.add(xhat, u, out=work)
-            for (cut, idx), at in zip(groups, slices):
-                frame[at] = _in_frame(work[idx], cut)
+            # cone steps with over-relaxation, one stacked projection of every copy, share by share
             project()
-            for (cut, idx), at in zip(groups, slices):
-                z[idx] = _transposed(frame[at], cut)
-            u += xhat
-            u -= z
 
             if not checkpoint:
                 continue
@@ -370,7 +460,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             consensus = float(np.max(np.abs(x[owner] - z)))
             dual = rho * float(np.max(np.abs(z - z_prev)))
             obj = _objective_value(c, x)
-            zbar = group_sums(z, starts, counts) / m
+            zbar = block_sums(z) / m
             gap = abs(obj - _objective_value(c, zbar))
             obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
             prev_obj = obj
@@ -378,7 +468,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
             if best is None or combined < best["combined"]:
                 best = {"combined": combined, "affine": affine, "cone": cone, "gap_estimate": gap}
-                best_x = x
+                best_x = x.copy()
             history.append({"iteration": it, **best})
             if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
                 break

@@ -1,8 +1,10 @@
-"""Shared fuzz machinery and the acceptance-criteria reporting hook."""
+"""Shared fuzz machinery, the acceptance-criteria reporting hook, and a check that no test leaves a child process."""
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from distlab.discrimination import _sample_of_kind
 from distlab.povm import (
@@ -95,6 +97,17 @@ def restriction_defects(kind, big_dims, sub_dims, seed, tol=1e-9):
         if not verify_sep(small, tol):
             defects.append(("sep-witness", np.nan))
     return defects
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test after which this process still has a child, running or not yet reaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: waitpid(-1, WNOHANG) returned {left}")
 
 
 ACCEPTANCE_LINES = []

@@ -1,7 +1,7 @@
 """Tests for the splitting SDP engine."""
 
 import os
-import sys
+import signal
 import threading
 import time
 from functools import cache
@@ -13,6 +13,7 @@ from sdp_reference import reference_solve
 
 import distlab.sdp
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
+from distlab.linalg import WorkerLost
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -175,6 +176,22 @@ def test_problem_validation():
         SdpProblem([np.eye(4)], np.eye(4), [(PtCone((2, 3), (0,)),)])
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["objective", "target"])
+def test_problem_rejects_non_finite_data(where, value, part):
+    # unchecked, a NaN passed the Hermiticity checks (NaN > tol is false) and solve returned objective nan
+    objective, target = np.zeros((2, 2, 2), dtype=complex), np.eye(2, dtype=complex)
+    m = objective[1] if where == "objective" else target
+    if part == "re":
+        m[1, 1] = value
+    else:
+        m[0, 1] = complex(0.0, value)
+    what = "objective blocks" if where == "objective" else "constraint target"
+    with pytest.raises(ValueError, match=f"^{what} must be finite, not NaN or Infinity$"):
+        SdpProblem(objective, target)
+
+
 def test_problem_rejects_pt_cones_that_disagree_on_dims():
     # problem_to_json writes one dims, so such a problem came back with every cone on the first one's dims
     cones = (PtCone((2, 6), [0]), PtCone((3, 4), [0]))
@@ -302,6 +319,13 @@ def tripartite_two_cut_problem():
     return SdpProblem([r / 3 for r in rhos], np.eye(8), [cones] * 3)
 
 
+def mixed_cone_order_problem():
+    # the blocks list their cones in different orders, and one has none: the copies of a cone rank
+    # are not contiguous, and each block's copies are still summed in its own cone order
+    a, b, c = (PtCone((2, 2, 2), (p,)) for p in range(3))
+    return SdpProblem(tripartite_two_cut_problem().objective, np.eye(8), [(a, b), (b, a, c), ()])
+
+
 REFERENCE_CORPUS = {
     "operator-interval": (lambda: operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions()),
     "bell-pair": (
@@ -311,6 +335,7 @@ REFERENCE_CORPUS = {
     "ghz-plateau": (ghz_plateau_problem, SolveOptions(tol=1e-7, max_iter=3000)),
     "unequal-cones": (unequal_cones_problem, SolveOptions(tol=1e-7)),
     "tripartite-two-cuts": (tripartite_two_cut_problem, SolveOptions(tol=1e-7)),
+    "mixed-cone-order": (mixed_cone_order_problem, SolveOptions(tol=1e-7)),
     "gbell3-first-four": (
         lambda: ppt_discrimination_problem(generalized_bell_states(3).subset([0, 1, 2, 3])),
         SolveOptions(tol=1e-7),
@@ -363,9 +388,9 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
             assert mat.dtype == np.complex128 and mat.ndim == 2
 
 
-def forced_threads(monkeypatch, workers):
-    """Share every cone step among ``workers`` threads (at most one per copy), whatever its size."""
-    monkeypatch.setattr(distlab.sdp, "THREAD_WORK", 0)
+def forced_workers(monkeypatch, workers):
+    """Share every cone step among ``workers`` processes (at most one per copy), whatever its size."""
+    monkeypatch.setattr(distlab.sdp, "FORK_WORK", 0)
     monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(workers, blocks)))
 
 
@@ -373,14 +398,34 @@ def no_thread(*args, **kwargs):
     raise AssertionError("started a thread")
 
 
+def no_fork():
+    raise AssertionError("forked")
+
+
+def counted_forks(monkeypatch):
+    """The pids that ``os.fork`` returns in this process from now on."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
 def test_threaded_solve_matches_per_matrix_reference(monkeypatch, name):
-    forced_threads(monkeypatch, 2)
+    # the name is kept from the helper-thread solver: the cone step is shared with two helper processes
+    forced_workers(monkeypatch, 2)
     test_stacked_solve_matches_per_matrix_reference(name)
 
 
 # the five ppt-sdp problems of the benchmark, the Bell pair with a third party (two blocks of four
-# copies, one per cone group: three shares split them 2, 3 and 3, across groups), and a PSD-only problem
+# copies, held as one group of two per cone: three shares split them 2, 3 and 3, across groups), blocks
+# with their cones in different orders, and a PSD-only problem
 THREADED_CORPUS = {
     "bell3": (lambda: ppt_discrimination_problem(bell_states().subset([0, 1, 2])), SolveOptions(tol=1e-7)),
     "bell2": (lambda: ppt_discrimination_problem(bell_states().subset([0, 2])), SolveOptions(tol=1e-7)),
@@ -395,99 +440,132 @@ THREADED_CORPUS = {
         SolveOptions(max_iter=200),
     ),
     "bell2-ket0": (lambda: ppt_discrimination_problem(bell_pair_three_party()), SolveOptions(tol=1e-7)),
+    "mixed-cone-order": (mixed_cone_order_problem, SolveOptions(tol=1e-7)),
     "psd-only": (lambda: operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions()),
 }
 
 
 @cache
-def one_thread_solution(name):
+def one_process_solution(name):
     build, opts = THREADED_CORPUS[name]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distlab.sdp, "worker_count", lambda blocks: 1)
+        patch.setattr(os, "fork", no_fork)
         patch.setattr(threading, "Thread", no_thread)
         return solve(build(), opts)
+
+
+def assert_same_solution(got, want):
+    assert (got.status, got.iterations, got.objective_value) == (want.status, want.iterations, want.objective_value)
+    assert [list(h) for h in got.history] == [list(h) for h in want.history]  # the key order too
+    assert got.history == want.history and got.residuals == want.residuals
+    assert len(got.matrices) == len(want.matrices)
+    for a, b in zip(got.matrices, want.matrices):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", list(THREADED_CORPUS))
 def test_threaded_solve_is_bit_identical(monkeypatch, name, workers):
-    want = one_thread_solution(name)
+    # the name is kept from the helper-thread solver: W - 1 helper processes share the cone step
+    want = one_process_solution(name)
     build, opts = THREADED_CORPUS[name]
-    forced_threads(monkeypatch, workers)
-    got = solve(build(), opts)
-    assert (got.status, got.iterations, got.objective_value) == (want.status, want.iterations, want.objective_value)
-    assert got.history == want.history and got.residuals == want.residuals
-    assert len(got.matrices) == len(want.matrices)
-    for a, b in zip(got.matrices, want.matrices):
-        assert np.array_equal(a, b)
+    forced_workers(monkeypatch, workers)
+    forked = counted_forks(monkeypatch)
+    problem = build()
+    assert_same_solution(solve(problem, opts), want)
+    copies = sum(1 + len(cs) for cs in problem.pt_cones)
+    assert len(forked) == min(workers, copies) - 1
 
 
-def test_more_threads_than_cpus_switching_often_stay_bit_identical(monkeypatch):
-    want = one_thread_solution("bell2-ket0")
+def within(seconds, fn):
+    """``fn()``, interrupted by a ``TimeoutError`` once it has run for ``seconds`` seconds."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_more_helpers_than_cpus_stay_bit_identical(monkeypatch):
+    want = one_process_solution("bell2-ket0")
     build, opts = THREADED_CORPUS["bell2-ket0"]
     problem = build()
-    forced_threads(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = in_a_thread(lambda: solve(problem, opts))["result"]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got.history == want.history
-    for a, b in zip(got.matrices, want.matrices, strict=True):
-        assert np.array_equal(a, b)
+    forced_workers(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
+    forked = counted_forks(monkeypatch)
+    assert_same_solution(within(60, lambda: solve(problem, opts)), want)
+    assert len(forked) == min(2 * len(os.sched_getaffinity(0)) + 1, 8) - 1  # one share per copy at most
 
 
-def in_a_thread(fn, timeout=60):
-    """``fn()``'s result or exception, run in a thread that must end within ``timeout`` seconds."""
-    box = {}
-
-    def target():
-        try:
-            box["result"] = fn()
-        except BaseException as exc:
-            box["error"] = exc
-
-    runner = threading.Thread(target=target)
-    started = time.monotonic()
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "solve hangs"
-    assert time.monotonic() - started < timeout
-    return box
-
-
-@pytest.mark.parametrize("raises_in", [None, "calling thread", "helpers"])
-def test_helper_threads_end_with_solve_and_hand_on_their_errors(monkeypatch, raises_in):
-    forced_threads(monkeypatch, 3)
+@pytest.mark.parametrize("raises_in", [None, "calling process", "helpers"])
+def test_helpers_end_with_solve_and_hand_on_their_errors(monkeypatch, raises_in):
+    forced_workers(monkeypatch, 3)
     build, opts = THREADED_CORPUS["bell2-ket0"]
-    problem, before = build(), threading.active_count()
-    eigh, calling = np.linalg.eigh, []
+    problem, parent, eigh = build(), os.getpid(), np.linalg.eigh
 
     def eigh_or_raise(h):
-        where = "calling thread" if threading.current_thread() in calling else "helpers"
+        where = "calling process" if os.getpid() == parent else "helpers"
         if where == raises_in:
             raise np.linalg.LinAlgError(f"Eigenvalues did not converge in the {where}")
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_or_raise)
-
-    def run():
-        calling.append(threading.current_thread())
-        return solve(problem, opts)
-
-    box = in_a_thread(run)
-    assert threading.active_count() == before
+    forked = counted_forks(monkeypatch)
     if raises_in is None:
-        assert box["result"].status == "optimal"
+        assert within(60, lambda: solve(problem, opts)).status == "optimal"
     else:
-        assert type(box["error"]) is np.linalg.LinAlgError
-        assert str(box["error"]) == f"Eigenvalues did not converge in the {raises_in}"
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            within(60, lambda: solve(problem, opts))
+        assert type(raised.value) is np.linalg.LinAlgError
+        assert str(raised.value) == f"Eigenvalues did not converge in the {raises_in}"
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):  # every helper is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("when", ["in-its-share", "between-shares"])
+def test_a_helper_killed_mid_solve_is_a_lost_worker(monkeypatch, when):
+    forced_workers(monkeypatch, 2)
+    build, opts = THREADED_CORPUS["bell2"]
+    parent, calls, forked = os.getpid(), [], counted_forks(monkeypatch)
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def eigh_or_die(h):
+        calls.append(h)
+        if os.getpid() != parent and len(calls) == 10:  # the helper, in its tenth share
+            os.kill(os.getpid(), signal.SIGKILL)
+        return eigh(h)
+
+    def eigvalsh_killing_the_helper(h):  # solve's checkpoints call it, while the helper waits for its next share
+        if forked:
+            os.kill(forked[0], signal.SIGKILL)
+            while os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                time.sleep(0.001)  # until it has exited, left unreaped
+        return eigvalsh(h)
+
+    if when == "in-its-share":
+        monkeypatch.setattr(np.linalg, "eigh", eigh_or_die)
+    else:
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_killing_the_helper)
+    with pytest.raises(WorkerLost) as lost:
+        within(60, lambda: solve(build(), opts))
+    assert len(forked) == 1
+    assert str(lost.value) == f"worker process {forked[0]} was killed by signal {signal.SIGKILL.value} without a result"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_theorem1_problems_start_no_thread(monkeypatch):
+    # and fork nothing: they stay below the size rule
     monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(2, blocks)))  # as on two CPUs
     monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(os, "fork", no_fork)
     # the benchmark's theorem1 jobs: each solves the small problem and transfers its optimum
     for states, new_dims in [
         (bell_states().subset([0, 1, 2]), (3, 3)),
@@ -497,23 +575,26 @@ def test_the_theorem1_problems_start_no_thread(monkeypatch):
     ]:
         assert theorem1_ppt_invariance(states, new_dims).small.solution.status == "optimal"
     # while the benchmark's sdp job is above the size rule
-    with pytest.raises(AssertionError, match="started a thread"):
+    with pytest.raises(AssertionError, match="forked"):
         solve(THREADED_CORPUS["gbell5-first-six"][0](), SolveOptions(max_iter=1))
 
 
+def test_a_shared_solve_starts_no_thread(monkeypatch):
+    forced_workers(monkeypatch, 3)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    before = threading.active_count()
+    build, opts = THREADED_CORPUS["bell2-ket0"]
+    assert_same_solution(solve(build(), opts), one_process_solution("bell2-ket0"))
+    assert threading.active_count() == before
+
+
 def test_a_fuzz_after_a_threaded_solve_still_forks_as_on_two_cpus(monkeypatch):
-    forced_threads(monkeypatch, 2)
+    # the name is kept from the helper-thread solver: the solve before the fuzz forks a helper
+    forced_workers(monkeypatch, 2)
     build, opts = THREADED_CORPUS["bell2"]
+    forked = counted_forks(monkeypatch)
     solve(build(), opts)
-    forked, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counted)
-    assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
     assert len(forked) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
+    assert len(forked) == 2
