@@ -18,25 +18,43 @@ recorded residual trail never regresses.
 blocks is stacked, a complex stack is kept without a copy), and all its PT
 cones share one ``dims``.
 
-The iteration runs on stacks: all copies live in one ``(copies, side, side)``
-array, held cut by cut so that each cone group is one contiguous slice, and
-each block's ``x`` is one reduction over its copies in cone order.  The cone
-step is one stacked projection per iteration, split into W contiguous shares
-of the copies.  Each share gets over-relaxation, its copies' cone frames (a
+``solve`` first looks for the smallest *-algebra A that holds I, the C_i and
+F and whose partial transpose on every cut of the problem is an algebra too
+(de Klerk, Pasechnik & Schrijver 2007; Murota et al. 2010).  Every iterate
+then lies in A: the affine step combines members of A, and clipping is a
+function of a member of a cone's frame of A.  A is grown by products of its
+members, in chunks of ``linalg.BLOCK_BYTES``, and given up once its dimension
+passes ``ALGEBRA_SHARE`` of side**2.  Each cut's frame of A is split into
+blocks M_{n_j} (x) I_{m_j} by the eigenspaces of a generic member, and a
+frame is kept only if it passes its checks (sum m_j n_j = side, sum n_j**2 =
+dim A, and the coordinates rebuild every member and are an isometry under the
+weights m_j, all to ``FRAME_TOL``); otherwise ``solve`` runs unreduced.  No
+option selects any of it.
+
+The iteration runs on stacks of coordinates: real coordinates in an
+orthonormal basis of A's Hermitian part, or, unreduced, the matrices
+themselves.  All copies live in one ``(copies, ...)`` array, held cut by cut
+so that each cone group is one contiguous slice, and each block's ``x`` is
+one reduction over its copies in cone order.  The cone step is one stacked
+projection per iteration, split into W contiguous shares of the copies.  Each
+share gets over-relaxation, its copies' cone frames (in A, a matrix product
+that gives each copy's n_j x n_j blocks, one row per copy; unreduced, a
 partial transpose through an index map made once per cut, then the Hermitian
-part), one batched ``eigh`` with clipping and reconstruction of only the
-matrices that had a negative eigenvalue, the way back, and the dual update,
-all in place.  Share 0 runs in the calling process, the others in W - 1
-helper processes forked for one ``solve``; the iterates live in one anonymous
-shared mapping made before the fork, and each iteration hands every helper
-its share with one byte down a pipe and takes it back with one byte up
+part), one batched ``eigh`` per block size with clipping and reconstruction
+of only the blocks that had a negative eigenvalue, the way back, and the dual
+update, all in place.  Share 0 runs in the calling process, the others in
+W - 1 helper processes forked for one ``solve``; the iterates live in one
+anonymous shared mapping made before the fork, and each iteration hands every
+helper its share with one byte down a pipe and takes it back with one byte up
 another.  W is ``linalg.worker_count(copies)`` once the eigen work per
 iteration reaches ``FORK_WORK``, else 1, and then nothing is forked.  Every
-matrix meets the same operations whatever W is, so the iterates do not
-depend on it.  When every objective block and the target have an identically
-zero imaginary part, the iteration runs in float64 instead of complex128; the
-input alone decides this, no option selects it.  Returned matrices are
-complex128 either way.
+copy meets the same operations whatever W is, so the iterates do not depend
+on it.  Residuals, stopping and the returned matrices are computed on full
+``(side, side)`` matrices at checkpoints.  When every objective block and the
+target have an identically zero imaginary part, the iteration runs in float64
+instead of complex128, with a real basis and real frames; the input alone
+decides this, no option selects it.  Returned matrices are complex128 either
+way.
 """
 
 from __future__ import annotations
@@ -44,12 +62,14 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
+    BLOCK_BYTES,
     HERMITIAN_TOL,
     as_matrix,
     as_stack,
@@ -70,12 +90,25 @@ PROBLEM_HERMITIAN_TOL = 1e-12
 PENALTY = 1.0
 OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
-# The cone step is shared with forked helper processes only from this much work per iteration on:
-# the sum of side**3 over the copies, a complex copy counted 4 times (its eigh costs about that much more).
+# The cone step is shared with forked helper processes only from this much work per iteration on: the sum of n**3
+# over the blocks of every copy's frame (side**3 for a copy on full matrices), a complex block counted 4 times (its
+# eigh costs about that much more).
 # On two CPUs an empty hand-off costs about 20-26 us per iteration and the fork about 2-2.6 ms per solve;
 # the value was set for helper threads, and two processes already gain on some problems from about
 # 160,000 (README, "Layout").
 FORK_WORK = 600_000
+# The data's *-algebra is given up once its dimension passes this share of side**2: past it, finding and
+# splitting it costs more than its blocks save.
+ALGEBRA_SHARE = 0.25
+# Seeds the generic members that split each algebra into blocks (see _generic), so every interpreter finds the same
+# frames.
+ALGEBRA_SEED = 2007
+# A product of unit basis elements adds a direction to the algebra when its residual off the span exceeds SPAN_TOL,
+# at once when the residual exceeds NEW_SHARE (normalizing a smaller one magnifies its rounding); a frame, and the
+# data's coordinates, must rebuild their matrices to FRAME_TOL.
+SPAN_TOL = 1e-9
+NEW_SHARE = 1e-2
+FRAME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,7 +195,7 @@ class SdpSolution:
 
 
 # A cut is None for the plain PSD cone, else the (dims, parties) of a
-# partial transposition; every helper below works on (count, side, side) stacks.
+# partial transposition; the matrix helpers below work on (count, side, side) stacks.
 
 
 def _sym(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -189,7 +222,7 @@ def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
 def _clip(h: np.ndarray) -> None:
     """Replace each Hermitian matrix of ``h`` by its Frobenius-nearest PSD matrix: clip negative eigenvalues."""
     w, v = np.linalg.eigh(h)
-    neg = w[:, 0] < 0.0
+    neg = w[..., 0] < 0.0
     if neg.any():
         vn = v[neg]
         h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
@@ -209,6 +242,214 @@ def _moved(src: np.ndarray, perm, out: np.ndarray) -> np.ndarray:
     else:
         np.take(src.reshape(len(src), -1), perm, axis=1, out=out.reshape(len(out), -1))
     return out
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """A contiguous array as real numbers, a view: a complex entry becomes its real and imaginary parts."""
+    return a.view(np.float64) if np.iscomplexobj(a) else a
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A contiguous stack's matrices as rows of real numbers, a view: the dot product of two rows is Re tr(A^H B)."""
+    return _real(a.reshape(len(a), a.shape[-2] * a.shape[-1]))
+
+
+class _MatrixFrame:
+    """The cone of one cut on full-matrix coordinates: a copy's frame is the Hermitian part of its matrix (``perm``
+    None) or of its partial transpose through the index map ``perm``, one block of the full side."""
+
+    def __init__(self, perm, side: int):
+        self.perm, self.shape, self.sizes = perm, (side, side), ((side, 1),)
+
+    def views(self, frames: np.ndarray) -> list:
+        return [frames]
+
+    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
+        _sym(src if self.perm is None else _moved(src, self.perm, spare), out=frames)
+
+    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
+        _moved(frames, self.perm, out)
+
+
+class _AlgebraFrame:
+    """The cone of one cut on algebra coordinates a: in a unitary frame a copy's matrix is the block sum of
+    I_{m_j} (x) X_j, each n_j x n_j block X_j = sum_k a_k T_jk.  ``blocks`` lists the (n_j, m_j), smallest n_j first,
+    and ``sizes`` per block size how many blocks have it.  A copy's frame is one row of its blocks' entries, ``fwd``
+    takes a row of coordinates to it and ``bwd``, weighted by the m_j, back: both multiply row by row, so a copy's
+    frame does not depend on the rows it is stacked with."""
+
+    def __init__(self, blocks: tuple, fwd: np.ndarray, bwd: np.ndarray):
+        self.blocks, self.fwd, self.bwd = blocks, fwd, bwd
+        self.sizes = tuple(sorted(Counter(n for n, _ in blocks).items()))
+        self.shape = (sum(k * n * n for n, k in self.sizes),)
+
+    def views(self, frames: np.ndarray) -> list:
+        """Per block size n, the stack of the blocks of that size in ``frames``, shaped (copies, count, n, n)."""
+        ends = np.cumsum([k * n * n for n, k in self.sizes])
+        return [frames[:, end - k * n * n : end].reshape(len(frames), k, n, n) for (n, k), end in zip(self.sizes, ends)]
+
+    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
+        np.matmul(src[:, None], self.fwd, out=_real(frames)[:, None])
+
+    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(_real(frames)[:, None], self.bwd, out=out[:, None])
+
+
+def _extended(basis: np.ndarray, d: int, rows: np.ndarray, limit: int, floor: float):
+    """Extend the orthonormal basis[:d] by the directions ``rows`` (real rows, as :func:`_flat` gives, overwritten) add
+    to its span, the largest residual first, while one exceeds ``floor``.  Returns the new d, None once it would pass
+    ``limit``, and the rows whose residual is left between SPAN_TOL and ``floor``, orthogonal to the new span.  The
+    membership test, a projection onto the span, comes first."""
+    q = _flat(basis[:d])
+    rows -= (rows @ q.T) @ q
+    rows = rows[np.einsum("ij,ij->i", rows, rows) > SPAN_TOL**2]
+    rows -= (rows @ q.T) @ q  # twice is enough for orthogonality
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    while len(rows) and norms.max() > floor:
+        if d == limit:
+            return None, rows
+        new = _flat(basis[d : d + 1])[0]
+        new[...] = rows[np.argmax(norms)] / norms.max()
+        rows -= np.outer(rows @ new, new)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        d += 1
+    return d, rows[norms > SPAN_TOL]
+
+
+def _algebra(gens: np.ndarray, maps: list, limit: int) -> np.ndarray | None:
+    """An orthonormal basis of the smallest *-algebra A that holds I and the Hermitian ``gens`` and whose image under
+    each index map is an algebra too: of A's Hermitian part for complex data, of A itself for real data (symmetric and
+    antisymmetric members).  None once dim A would pass ``limit``.
+
+    A product ab of members is taken as its two Hermitian parts (ab + ba)/2 and (ab - ba)/2i (for real data its
+    symmetric and antisymmetric parts), and under a map P as P(P(a) P(b)).  Each member is multiplied, under every
+    map, with every member before it, in chunks of at most ``BLOCK_BYTES`` of candidates (each of norm at most 1).  A
+    candidate adds its new direction at once only where its residual exceeds NEW_SHARE; a smaller one waits until the
+    pass over the products ends, by when another candidate has often brought the same direction with less rounding."""
+    side = gens.shape[-1]
+    basis = np.empty((limit, side, side), gens.dtype)
+    d, _ = _extended(basis, 0, _flat(np.concatenate([np.eye(side, dtype=gens.dtype)[None], gens])), limit, SPAN_TOL)
+    done = [0] * len(maps)  # per map, the members whose products are in the span
+    chunk = max(1, BLOCK_BYTES // (4 * side * side * gens.itemsize))
+    prods, left, right = np.empty((3, chunk, side, side), gens.dtype)  # the buffers every chunk reuses
+    cands, moved = np.empty((2, 2 * chunk, side, side), gens.dtype)
+    while d is not None and min(done) < d:
+        k = done.index(min(done))
+        perm, lo, done[k] = maps[k], done[k], d
+        i, j = np.tril_indices(d)
+        i, j = i[i >= lo], j[i >= lo]
+        waiting = _flat(basis[:0])
+        for at in range(0, len(i), chunk):
+            n = len(i[at : at + chunk])
+            a, b = _moved(basis[i[at : at + n]], perm, left[:n]), _moved(basis[j[at : at + n]], perm, right[:n])
+            p, parts = np.matmul(a, b, out=prods[:n]), cands[: 2 * n]
+            np.conjugate(p.transpose(0, 2, 1), out=parts[n:])
+            np.add(p, parts[n:], out=parts[:n])
+            np.subtract(p, parts[n:], out=parts[n:])
+            parts[:n] /= 2
+            parts[n:] /= 2j if np.iscomplexobj(p) else 2
+            if perm is not None:
+                parts = _moved(parts, perm, moved[: 2 * n])
+            d, rest = _extended(basis, d, _flat(parts), limit, NEW_SHARE)
+            waiting = np.concatenate([waiting, rest])
+            if d is not None and (waiting.nbytes > BLOCK_BYTES or at + chunk >= len(i)):
+                d, waiting = _extended(basis, d, waiting, limit, SPAN_TOL)
+            if d is None:
+                break
+    return None if d is None else basis[:d]
+
+
+def _algebra_frame(v: np.ndarray) -> _AlgebraFrame | None:
+    """The frame of the algebra whose Hermitian (for real data: symmetric) part has the orthonormal basis ``v``, or
+    None where a check fails.
+
+    Two generic members G and Y, with the coefficients sin(ALGEBRA_SEED * k), k = 1, 2, ... (the same in every
+    interpreter, and no ``numpy.random`` to load), split the algebra.  G's eigenspaces are the weight spaces of its
+    simple blocks: each distinct eigenvalue of a block M_{n_j} (x) I_{m_j} has multiplicity m_j.  Y links the n_j
+    eigenspaces of one block and no others, and its compressions E_a^H Y E_0, scaled to unitaries, align each
+    eigenspace's basis with the block's first one (Murota et al. 2010).  In that frame U every member is the block sum
+    of I_{m_j} (x) X_j.  The frame is kept only if U is unitary, sum m_j n_j is the side, the blocks' Hermitian
+    (symmetric) parts have the dimension of the algebra's, rebuilding every basis member from its blocks misses by at
+    most FRAME_TOL, and so does the isometry of the coordinates under the weights m_j."""
+    dim, side = v.shape[:2]
+    g, y = np.tensordot(np.sin(ALGEBRA_SEED * np.arange(1.0, 2 * dim + 1)).reshape(2, dim), v, 1)
+    w, e = np.linalg.eigh(g)
+    label = np.concatenate([[0], np.cumsum(np.diff(w) > 1e-8 * max(1.0, np.abs(w).max()))])  # eigenspace per column
+    yt = dagger(e) @ y @ e
+    linked = np.zeros((label[-1] + 1,) * 2, bool)
+    np.logical_or.at(linked, (label[:, None], label[None, :]), np.abs(yt) > 1e-8)
+    rows, block_of = np.unique(linked, axis=0, return_inverse=True)  # one row per block: the eigenspaces it links
+    sizes, firsts = np.bincount(label), np.argmax(rows, axis=1)
+    same_block = block_of[:, None] == block_of[None, :]
+    if not (np.array_equal(linked, same_block) and np.all(sizes == sizes[firsts][block_of])):
+        return None
+    cols, blocks = [], []
+    for row, first in zip(rows, firsts):
+        m, at = sizes[first], label == first
+        aligned = [e[:, at]]
+        for a in np.flatnonzero(row)[1:]:
+            link = yt[np.ix_(label == a, at)]
+            aligned.append(e[:, label == a] @ (link * (np.sqrt(m) / np.linalg.norm(link))))
+        cols.append(np.stack(aligned, axis=2).reshape(side, -1))  # column t * n + a: copy t of basis vector a
+        blocks.append((len(aligned), int(m)))
+    u = np.concatenate(cols, axis=1)
+    if (
+        np.max(np.abs(dagger(u) @ u - np.eye(side))) > FRAME_TOL
+        or sum(n * m for n, m in blocks) != side
+        or sum(n * n if np.iscomplexobj(v) else n * (n + 1) // 2 for n, _ in blocks) != dim
+    ):
+        return None
+    # per block, its offset and its matrices X_jk, exactly Hermitian; members are rebuilt in chunks of BLOCK_BYTES
+    offsets = np.cumsum([0] + [n * m for n, m in blocks])
+    parts = [np.empty((dim, n, n), v.dtype) for n, _ in blocks]
+    step = max(1, BLOCK_BYTES // (4 * side * side * v.itemsize))
+    for lo in range(0, dim, step):
+        t = dagger(u) @ v[lo : lo + step] @ u
+        for (n, m), o, part in zip(blocks, offsets, parts):
+            _sym(t[:, o : o + n, o : o + n], out=part[lo : lo + step])
+            for c in range(o, o + n * m, n):
+                t[:, c : c + n, c : c + n] -= part[lo : lo + step]
+        if np.max(np.abs(t)) > FRAME_TOL:  # what the blocks do not rebuild
+            return None
+    order = sorted(range(len(blocks)), key=lambda k: blocks[k][0])
+    fwd = np.concatenate([_flat(parts[k]) for k in order], axis=1)
+    weights = np.concatenate([np.full(_flat(parts[k]).shape[1], float(blocks[k][1])) for k in order])
+    bwd = np.ascontiguousarray((fwd * weights).T)
+    if np.max(np.abs(fwd @ bwd - np.eye(dim))) > FRAME_TOL:
+        return None
+    return _AlgebraFrame(tuple(blocks[k] for k in order), fwd, bwd)
+
+
+def _reduction(c: np.ndarray, f: np.ndarray, maps: dict):
+    """``(basis, frames)`` for a problem whose data's *-algebra A is small, else None.
+
+    A is the smallest *-algebra holding I, the objective blocks ``c`` and the target ``f`` whose image under every
+    cut's partial transposition (``maps``, None for the PSD cone) is an algebra too.  Then every ADMM iterate lies in
+    A: the affine step combines members, clipping is a function of a member, and each cone's frame of A is an algebra.
+    ``basis`` is an orthonormal basis of the iterates' space, A's Hermitian part (symmetric part for real data), and
+    ``frames`` maps each cut to its :class:`_AlgebraFrame`.  None where dim A passes ALGEBRA_SHARE of side**2, where
+    a frame or the data's coordinates fail their checks, or where an eigensolver fails: the caller then runs
+    unreduced."""
+    side = f.shape[0]
+    data = np.concatenate([c, f[None]])
+    algebra = _algebra(data, list(maps.values()), int(ALGEBRA_SHARE * side * side))
+    if algebra is None:
+        return None
+    if not np.iscomplexobj(algebra):  # the symmetric members: the antisymmetric ones were only there to multiply
+        algebra = algebra[np.einsum("kab,kab->k", algebra, algebra.transpose(0, 2, 1)) > 0.5]
+    algebra = _sym(algebra, out=algebra)  # exactly Hermitian, as its members are to rounding
+    flat = _flat(algebra)
+    if np.max(np.abs((_flat(data) @ flat.T) @ flat - _flat(data))) > FRAME_TOL * max(1.0, np.max(np.abs(data))):
+        return None
+    frames = {}
+    for cut, perm in maps.items():
+        try:
+            frames[cut] = _algebra_frame(algebra if perm is None else _moved(algebra, perm, np.empty_like(algebra)))
+        except np.linalg.LinAlgError:  # an eigensolver that did not converge: no frame
+            return None
+        if frames[cut] is None:
+            return None
+    return algebra, frames
 
 
 class _Helpers:
@@ -396,43 +637,63 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             history=(),
         )
 
-    # the iterates live in one anonymous shared mapping, so that forked helpers update them in place;
-    # frame is the cone step's stack: every copy in its cone's frame
-    copies, size = len(owner), side * side
-    shared = np.frombuffer(mmap.mmap(-1, (5 * copies + n) * size * c.itemsize), c.dtype)
-    z, u, xhat, work, frame = shared[: 5 * copies * size].reshape(5, copies, side, side)
-    x = shared[5 * copies * size :].reshape(n, side, side)
-    z[...] = f / n
-    shift = c / (rho * m)
+    # the iteration's coordinates: the matrices themselves, or, where the data's *-algebra is small, real
+    # coordinates in an orthonormal basis of its Hermitian part; each cut's cone is a frame on them
+    square = np.arange(side * side, dtype=float).reshape(side, side)
+    maps = {cut: None if cut is None else partial_transpose(square, *cut).ravel().astype(np.intp) for cut in by_cut}
+    reduced = _reduction(c, f, maps)
+    if reduced is None:
+        basis, shape = None, (side, side)
+        frames = {cut: _MatrixFrame(perm, side) for cut, perm in maps.items()}
+        cs, fs, weights, hermitian = c, f, m, _sym
+    else:
+        basis, frames = reduced
+        shape = (len(basis),)
+        cs, fs = _flat(c) @ _flat(basis).T, (_flat(f[None]) @ _flat(basis).T)[0]
+        weights, hermitian = counts[:, None], lambda a, out: np.copyto(out, a)
+
+    def full(stack: np.ndarray) -> np.ndarray:
+        """The matrices of a stack of coordinates (exactly Hermitian when they are combinations of the basis)."""
+        return stack if basis is None else _sym((stack @ _flat(basis)).view(c.dtype).reshape(len(stack), side, side))
+
+    # the iterates live in one anonymous shared mapping, so that forked helpers update them in place
+    copies, size = len(owner), int(np.prod(shape))
+    dtype = c.dtype if basis is None else np.dtype(np.float64)
+    shared = np.frombuffer(mmap.mmap(-1, (4 * copies + n) * size * dtype.itemsize), dtype)
+    z, u, xhat, work = shared[: 4 * copies * size].reshape(4, copies, *shape)
+    x = shared[4 * copies * size :].reshape(n, *shape)
+    z[...] = fs / n
+    shift = cs / (rho * weights)
     best = best_x = None
     history: list[dict] = []
     prev_obj = None
 
-    # a partial transpose's index map per cut; per share its copies, their blocks and its pieces of the groups
-    square = np.arange(size, dtype=float).reshape(side, side)
-    maps = {cut: None if cut is None else partial_transpose(square, *cut).ravel().astype(np.intp) for cut in by_cut}
-    eigen_work = copies * side**3 * (4 if np.iscomplexobj(c) else 1)
+    # per share: its copies, their blocks, and its pieces of the groups, each with its frame and a stack for it
+    eigen_work = sum((at.stop - at.start) * sum(k * n_j**3 for n_j, k in frames[cut].sizes) for cut, at in groups)
+    eigen_work *= 4 if np.iscomplexobj(c) else 1
     workers = worker_count(copies) if eigen_work >= FORK_WORK else 1
     bounds = [copies * w // workers for w in range(workers + 1)]
     shares = []
     for lo, hi in zip(bounds, bounds[1:]):
-        pieces = [(maps[cut], slice(max(lo, at.start), min(hi, at.stop))) for cut, at in groups]
-        shares.append((slice(lo, hi), owner[lo:hi], [(perm, part) for perm, part in pieces if part.start < part.stop]))
+        pieces = [(frames[cut], slice(max(lo, at.start), min(hi, at.stop))) for cut, at in groups]
+        pieces = [(frame, part, np.empty((part.stop - part.start, *frame.shape), c.dtype)) for frame, part in pieces
+                  if part.start < part.stop]
+        shares.append((slice(lo, hi), owner[lo:hi], pieces))
 
     def cone_step(w: int) -> None:
-        """Share w of the cone step, in place: over-relaxation, the cone frame (partial transpose, then
-        the Hermitian part), clipping, the way back into ``z``, and the dual update."""
+        """Share w of the cone step, in place: over-relaxation, the cone frames (for full matrices a partial
+        transpose, then the Hermitian part), clipping, the way back into ``z``, and the dual update."""
         at, owners, pieces = shares[w]
         np.take(x, owners, axis=0, out=xhat[at])
         xhat[at] *= alpha
         np.multiply(z[at], 1 - alpha, out=work[at])
         xhat[at] += work[at]
         np.add(xhat[at], u[at], out=work[at])
-        for perm, part in pieces:  # z is free until the way back, and holds the transposed copies
-            _sym(work[part] if perm is None else _moved(work[part], perm, z[part]), out=frame[part])
-        _clip(frame[at])
-        for perm, part in pieces:  # frame is exactly Hermitian, and so is its partial transpose
-            _moved(frame[part], perm, z[part])
+        for frame, part, held in pieces:  # z is free until the way back, and holds the transposed copies
+            frame.into(work[part], z[part], held)
+            for stack in frame.views(held):
+                _clip(stack)
+            frame.back(held, z[part])  # a clipped frame is exactly Hermitian, and so is its partial transpose
         u[at] += xhat[at]
         u[at] -= z[at]
         np.subtract(z[at], u[at], out=work[at])  # the next affine step's input
@@ -445,9 +706,9 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             z_prev = z.copy() if checkpoint else None
 
             # affine step: weighted projection of the shifted consensus targets, work holding z - u
-            v = block_sums(work) / m + shift
-            excess = (v.sum(axis=0) - f) / inv_m_sum
-            _sym(v - excess / m, out=x)
+            v = block_sums(work) / weights + shift
+            excess = (v.sum(axis=0) - fs) / inv_m_sum
+            hermitian(v - excess / weights, out=x)
 
             # cone steps with over-relaxation, one stacked projection of every copy, share by share
             project()
@@ -455,12 +716,14 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             if not checkpoint:
                 continue
 
-            affine = float(np.max(np.abs(x.sum(axis=0) - f)))
-            cone = _cone_violation(x, owner, groups)
-            consensus = float(np.max(np.abs(x[owner] - z)))
-            dual = rho * float(np.max(np.abs(z - z_prev)))
-            obj = _objective_value(c, x)
-            zbar = block_sums(z) / m
+            # residuals on the matrices
+            xf, zf = full(x), full(z)
+            affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
+            cone = _cone_violation(xf, owner, groups)
+            consensus = float(np.max(np.abs(xf[owner] - zf)))
+            dual = rho * float(np.max(np.abs(zf - full(z_prev))))
+            obj = _objective_value(c, xf)
+            zbar = block_sums(zf) / m
             gap = abs(obj - _objective_value(c, zbar))
             obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
             prev_obj = obj
@@ -468,7 +731,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
             if best is None or combined < best["combined"]:
                 best = {"combined": combined, "affine": affine, "cone": cone, "gap_estimate": gap}
-                best_x = x.copy()
+                best_x = xf.copy()
             history.append({"iteration": it, **best})
             if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
                 break
@@ -525,8 +788,8 @@ def problem_to_json(problem: SdpProblem) -> dict:
 
 def problem_from_json(obj: dict) -> SdpProblem:
     strict_object(obj, "SDP problem", ("target", "dims", "blocks"))
-    dims = check_dims(obj["dims"])
     target = matrix_from_json(obj["target"])
+    dims = check_dims(obj["dims"], target.shape[0])  # whether or not a block has pt_cuts
     objective = []
     pt_cones = []
     for block in obj["blocks"]:

@@ -330,6 +330,20 @@ def test_sdp_nonpositive_max_iter_is_usage_error(tmp_path, max_iter):
     assert proc.stdout == ""
 
 
+def test_sdp_dims_that_do_not_factor_the_side_exit_2_without_pt_cuts(tmp_path, capsys):
+    # the dims were checked against the target's side only when some block had pt_cuts: this solved and exited 0
+    problem = {
+        "target": matrix_to_json(np.eye(2)),
+        "dims": [3],
+        "blocks": [{"objective": matrix_to_json(np.eye(2) / 2)}],
+    }
+    path = write_json(tmp_path / "q.json", problem)
+    code = run(["sdp", "--problem", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"distlab: error: bad input file {path}: dims (3,) do not factor matrix side 2\n"
+
+
 def test_theorem1_command(tmp_path, capsys):
     states_path = bell_pair_file(tmp_path)
     code, report, err = run_captured(

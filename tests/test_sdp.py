@@ -27,7 +27,7 @@ from distlab.sdp import (
     solution_to_json,
     solve,
 )
-from distlab.states import bell_states, domino_states, generalized_bell_states, pure_state
+from distlab.states import bell_states, domino_states, embed_set, generalized_bell_states, pure_state
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -423,9 +423,19 @@ def test_threaded_solve_matches_per_matrix_reference(monkeypatch, name):
     test_stacked_solve_matches_per_matrix_reference(name)
 
 
+def turned_bell2_ket0():
+    """The Bell pair with a third party, the third qubit of its first block turned by a random unitary."""
+    problem = ppt_discrimination_problem(bell_pair_three_party())
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((2, 2, 2)) @ [1, 1j])
+    turn = np.kron(np.eye(4), q)
+    objective = problem.objective.copy()
+    objective[0] = turn @ objective[0] @ turn.conj().T
+    return SdpProblem(objective, problem.target, problem.pt_cones)
+
+
 # the five ppt-sdp problems of the benchmark, the Bell pair with a third party (two blocks of four
 # copies, held as one group of two per cone: three shares split them 2, 3 and 3, across groups), blocks
-# with their cones in different orders, and a PSD-only problem
+# with their cones in different orders, a PSD-only problem, and three whose frames have blocks larger than 1 x 1
 THREADED_CORPUS = {
     "bell3": (lambda: ppt_discrimination_problem(bell_states().subset([0, 1, 2])), SolveOptions(tol=1e-7)),
     "bell2": (lambda: ppt_discrimination_problem(bell_states().subset([0, 2])), SolveOptions(tol=1e-7)),
@@ -442,6 +452,16 @@ THREADED_CORPUS = {
     "bell2-ket0": (lambda: ppt_discrimination_problem(bell_pair_three_party()), SolveOptions(tol=1e-7)),
     "mixed-cone-order": (mixed_cone_order_problem, SolveOptions(tol=1e-7)),
     "psd-only": (lambda: operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions()),
+    "gbell4-first-five": (
+        lambda: ppt_discrimination_problem(generalized_bell_states(4).subset(range(5))),
+        SolveOptions(max_iter=200),
+    ),
+    "bell2-ket0-turned": (turned_bell2_ket0, SolveOptions(tol=1e-7)),
+    # theorem1's enlarged problem, solved cold: one cut's frame has blocks of two sizes, 1 x 1 and 3 x 3
+    "gbell3-first-four-in-4x4": (
+        lambda: ppt_discrimination_problem(embed_set(generalized_bell_states(3).subset(range(4)), (4, 4))),
+        SolveOptions(max_iter=200),
+    ),
 }
 
 
@@ -574,9 +594,12 @@ def test_the_theorem1_problems_start_no_thread(monkeypatch):
         (domino_states(), (8, 8)),
     ]:
         assert theorem1_ppt_invariance(states, new_dims).small.solution.status == "optimal"
-    # while the benchmark's sdp job is above the size rule
+    # and so does the benchmark's sdp job, which runs in its data's algebra: per iteration 6 copies of 25 scalars
+    # and 6 of one 5 x 5 block, eigen work 3,600
+    assert solve(THREADED_CORPUS["gbell5-first-six"][0](), SolveOptions(max_iter=1)).iterations == 1
+    # while a problem with no symmetry to reduce is above the size rule
     with pytest.raises(AssertionError, match="forked"):
-        solve(THREADED_CORPUS["gbell5-first-six"][0](), SolveOptions(max_iter=1))
+        solve(random_mixed_problem((5, 5), 6, seed=3), SolveOptions(max_iter=1))
 
 
 def test_a_shared_solve_starts_no_thread(monkeypatch):
@@ -598,3 +621,147 @@ def test_a_fuzz_after_a_threaded_solve_still_forks_as_on_two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
     assert len(forked) == 2
+
+
+def random_mixed_problem(dims, count, seed):
+    """PPT discrimination of ``count`` random rank-2 states on ``dims``: data with no symmetry to reduce."""
+    rng = np.random.default_rng(seed)
+    side = int(np.prod(dims))
+    kets = rng.standard_normal((count, side, 2)) + 1j * rng.standard_normal((count, side, 2))
+    rhos = kets @ kets.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return SdpProblem(rhos / count, np.eye(side), [(PtCone(dims, (0,)),)] * count)
+
+
+def found_algebras(monkeypatch):
+    """Per solve from now on: the dimension of the algebra it runs in (None where it runs unreduced), each cut's
+    frame blocks (n_j, m_j), and the seconds spent finding them."""
+    found, find = [], distlab.sdp._reduction
+
+    def timed(c, f, maps):
+        start = time.perf_counter()
+        reduced = find(c, f, maps)
+        seconds = time.perf_counter() - start
+        if reduced is None:
+            found.append((None, None, seconds))
+        else:
+            found.append((len(reduced[0]), {cut: frame.blocks for cut, frame in reduced[1].items()}, seconds))
+        return reduced
+
+    monkeypatch.setattr(distlab.sdp, "_reduction", timed)
+    return found
+
+
+def unreduced(monkeypatch):
+    """Run every solve from now on on full matrices, as before the reduction."""
+    monkeypatch.setattr(distlab.sdp, "_reduction", lambda c, f, maps: None)
+
+
+# the dimension of the algebra each corpus problem runs in; the others run unreduced (their algebra passes a quarter
+# of side**2)
+REDUCED = {
+    "bell-pair": 3,
+    "ghz-plateau": 5,
+    "unequal-cones": 4,
+    "gbell3-first-four": 9,
+    "bell3": 4,
+    "bell2": 3,
+    "domino": 9,
+    "gbell5-first-six": 25,
+    "bell2-ket0": 4,
+    "gbell4-first-five": 16,
+    "bell2-ket0-turned": 12,
+    "gbell3-first-four-in-4x4": 10,
+}
+CORPORA = [("reference", name) for name in sorted(REFERENCE_CORPUS)] + [("threaded", name) for name in THREADED_CORPUS]
+
+
+@pytest.mark.parametrize("corpus, name", CORPORA, ids=[f"{c}-{n}" for c, n in CORPORA])
+def test_reduced_solve_agrees_with_the_unreduced_one(monkeypatch, corpus, name):
+    build, opts = (REFERENCE_CORPUS if corpus == "reference" else THREADED_CORPUS)[name]
+    found = found_algebras(monkeypatch)
+    got = solve(build(), opts)
+    assert [dim for dim, _, _ in found] == [REDUCED.get(name)]
+    unreduced(monkeypatch)
+    want = solve(build(), opts)
+    assert (got.status, got.iterations, len(got.history)) == (want.status, want.iterations, len(want.history))
+    assert abs(got.objective_value - want.objective_value) <= 1e-12
+    for a, b in zip(got.matrices, want.matrices, strict=True):
+        assert a.dtype == np.complex128 and np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_gbell3_first_four_in_4x4_mixes_block_sizes(monkeypatch):
+    found = found_algebras(monkeypatch)
+    solve(THREADED_CORPUS["gbell3-first-four-in-4x4"][0](), SolveOptions(max_iter=1))
+    [(dim, blocks, _)] = found
+    assert dim == 10
+    assert sorted(blocks[((4, 4), (0,))]) == [(1, 7), (3, 3)]  # the embedded M_3 (x) I_3, and 7 scalars beside it
+
+
+def test_gbell4_first_five_runs_in_four_two_by_two_blocks(monkeypatch):
+    found = found_algebras(monkeypatch)
+    solve(THREADED_CORPUS["gbell4-first-five"][0](), SolveOptions(max_iter=1))
+    [(dim, blocks, _)] = found
+    assert dim == 16
+    assert blocks[None] == ((1, 1),) * 16  # the algebra is diagonal in the Bell basis
+    assert blocks[((4, 4), (0,))] == ((2, 2),) * 4  # and its partial transpose is four M_2 (x) I_2
+
+
+def test_a_turned_block_reduces_less_and_still_agrees(monkeypatch):
+    found = found_algebras(monkeypatch)
+    solve(THREADED_CORPUS["bell2-ket0"][0](), SolveOptions(max_iter=1))
+    solve(turned_bell2_ket0(), SolveOptions(max_iter=1))
+    (plain, plain_blocks, _), (turned, turned_blocks, _) = found
+    assert (plain, turned) == (4, 12)
+    assert {tuple(sorted(blocks)) for blocks in plain_blocks.values()} == {((1, 1), (1, 1), (1, 2), (1, 4))}
+    # the turned qubit joins the Bell pair's scalars into 2 x 2 blocks, on every cut
+    assert {tuple(sorted(blocks)) for blocks in turned_blocks.values()} == {((2, 1), (2, 1), (2, 2))}
+    # and its agreement with the unreduced solve is in test_reduced_solve_agrees_with_the_unreduced_one
+
+
+def test_a_random_mixed_triple_stays_unreduced_and_finding_that_is_quick(monkeypatch):
+    problem = random_mixed_problem((3, 3), 3, seed=17)
+    found = found_algebras(monkeypatch)
+    for _ in range(5):
+        solve(problem, SolveOptions(max_iter=1))
+    assert [dim for dim, _, _ in found] == [None] * 5
+    assert min(seconds for _, _, seconds in found) <= 0.005  # the best of five, as the machine may be busy
+
+
+def eigh_that_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("failing", ["coordinates", "frame", "eigensolver"])
+def test_a_failed_check_leaves_the_solve_unreduced(monkeypatch, failing):
+    build, opts = THREADED_CORPUS["gbell3-first-four"]
+    if failing == "coordinates":
+        monkeypatch.setattr(distlab.sdp, "FRAME_TOL", 0.0)  # the coordinates of the data, or the frames, miss by more
+    elif failing == "frame":
+        monkeypatch.setattr(distlab.sdp, "_algebra_frame", lambda v: None)
+    else:
+        find = distlab.sdp._reduction
+
+        def without_eigh(c, f, maps):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", eigh_that_fails)
+                return find(c, f, maps)
+
+        monkeypatch.setattr(distlab.sdp, "_reduction", without_eigh)
+    found = found_algebras(monkeypatch)
+    got = solve(build(), opts)
+    assert [dim for dim, _, _ in found] == [None]
+    unreduced(monkeypatch)
+    assert_same_solution(got, solve(build(), opts))
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        np.diag([1.0, -1.0])[None],  # one Hermitian matrix, not an algebra: two 1 x 1 blocks, dimension 2
+        np.stack([np.eye(3), np.diag([1.0, 2.0, 4.0])]) / np.sqrt([[[3.0]], [[21.0]]]),  # polynomials need degree 2
+    ],
+    ids=["sign", "degree"],
+)
+def test_a_span_that_is_no_algebra_has_no_frame(span):
+    assert distlab.sdp._algebra_frame(span) is None
