@@ -19,17 +19,11 @@ blocks is stacked, a complex stack is kept without a copy), and all its PT
 cones share one ``dims``.
 
 ``solve`` first looks for the smallest *-algebra A that holds I, the C_i and
-F and whose partial transpose on every cut of the problem is an algebra too
-(de Klerk, Pasechnik & Schrijver 2007; Murota et al. 2010).  Every iterate
-then lies in A: the affine step combines members of A, and clipping is a
-function of a member of a cone's frame of A.  A is grown by products of its
-members, in chunks of ``linalg.BLOCK_BYTES``, and given up once its dimension
-passes ``ALGEBRA_SHARE`` of side**2.  Each cut's frame of A is split into
-blocks M_{n_j} (x) I_{m_j} by the eigenspaces of a generic member, and a
-frame is kept only if it passes its checks (sum m_j n_j = side, sum n_j**2 =
-dim A, and the coordinates rebuild every member and are an isometry under the
-weights m_j, all to ``FRAME_TOL``); otherwise ``solve`` runs unreduced.  No
-option selects any of it.
+F and whose partial transpose on every cut of the problem is an algebra too,
+and for each cut's frame of A: blocks M_{n_j} (x) I_{m_j}
+(``frames.reduction``; de Klerk, Pasechnik & Schrijver 2007; Murota et al.
+2010).  Every iterate then lies in A.  Where A is too large, or a frame fails
+its checks, ``solve`` runs unreduced.  No option selects any of it.
 
 The iteration runs on stacks of coordinates: real coordinates in an
 orthonormal basis of A's Hermitian part, or, unreduced, the matrices
@@ -62,14 +56,13 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .frames import MatrixFrame, coordinates, hermitian_part, matrices, reduction
 from .linalg import (
-    BLOCK_BYTES,
     HERMITIAN_TOL,
     as_matrix,
     as_stack,
@@ -93,22 +86,10 @@ CHECK_EVERY = 25
 # The cone step is shared with forked helper processes only from this much work per iteration on: the sum of n**3
 # over the blocks of every copy's frame (side**3 for a copy on full matrices), a complex block counted 4 times (its
 # eigh costs about that much more).
-# On two CPUs an empty hand-off costs about 20-26 us per iteration and the fork about 2-2.6 ms per solve;
-# the value was set for helper threads, and two processes already gain on some problems from about
-# 160,000 (README, "Layout").
+# On two CPUs an empty hand-off costs about 20-26 us per iteration and the fork about 2-2.6 ms per solve.
+# The value was set for helper threads: no reduced problem measured reaches it, but unreduced ones gain from two
+# processes from about 160,000 on (ten random rank-2 states in 4 (x) 4, 327,680: 2.3 -> 1.6 ms per iteration).
 FORK_WORK = 600_000
-# The data's *-algebra is given up once its dimension passes this share of side**2: past it, finding and
-# splitting it costs more than its blocks save.
-ALGEBRA_SHARE = 0.25
-# Seeds the generic members that split each algebra into blocks (see _generic), so every interpreter finds the same
-# frames.
-ALGEBRA_SEED = 2007
-# A product of unit basis elements adds a direction to the algebra when its residual off the span exceeds SPAN_TOL,
-# at once when the residual exceeds NEW_SHARE (normalizing a smaller one magnifies its rounding); a frame, and the
-# data's coordinates, must rebuild their matrices to FRAME_TOL.
-SPAN_TOL = 1e-9
-NEW_SHARE = 1e-2
-FRAME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,19 +179,13 @@ class SdpSolution:
 # partial transposition; the matrix helpers below work on (count, side, side) stacks.
 
 
-def _sym(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.add(m, dagger(m), out=out)
-    out /= 2
-    return out
-
-
 def _transposed(mats: np.ndarray, cut) -> np.ndarray:
     return mats if cut is None else partial_transpose(mats, *cut)
 
 
 def _in_frame(mats: np.ndarray, cut) -> np.ndarray:
     """The Hermitian parts of ``mats`` in the cone's frame, where the cone is the PSD cone."""
-    return _sym(_transposed(mats, cut))
+    return hermitian_part(_transposed(mats, cut))
 
 
 def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
@@ -220,236 +195,22 @@ def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
 
 
 def _clip(h: np.ndarray) -> None:
-    """Replace each Hermitian matrix of ``h`` by its Frobenius-nearest PSD matrix: clip negative eigenvalues."""
+    """Replace each Hermitian matrix of ``h`` by its Frobenius-nearest PSD matrix: clip negative eigenvalues (of a
+    1 x 1 matrix, its positive part, with no eigensolver)."""
+    if h.shape[-1] == 1:
+        np.maximum(h.real, 0.0, out=h.real)
+        return
     w, v = np.linalg.eigh(h)
     neg = w[..., 0] < 0.0
     if neg.any():
         vn = v[neg]
-        h[neg] = _sym((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
+        h[neg] = hermitian_part((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
 
 
 def _as_slice(idx: np.ndarray):
     """``idx`` as a slice where it is a run of consecutive integers, which indexes a stack without a copy."""
     lo = int(idx[0])
     return slice(lo, lo + len(idx)) if np.array_equal(idx, np.arange(lo, lo + len(idx))) else idx
-
-
-def _moved(src: np.ndarray, perm, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the matrices of ``src``, each with its entries taken at the flat positions ``perm``
-    (a partial transpose's index map), or unmoved for ``perm`` None; both stacks are contiguous."""
-    if perm is None:
-        out[...] = src
-    else:
-        np.take(src.reshape(len(src), -1), perm, axis=1, out=out.reshape(len(out), -1))
-    return out
-
-
-def _real(a: np.ndarray) -> np.ndarray:
-    """A contiguous array as real numbers, a view: a complex entry becomes its real and imaginary parts."""
-    return a.view(np.float64) if np.iscomplexobj(a) else a
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """A contiguous stack's matrices as rows of real numbers, a view: the dot product of two rows is Re tr(A^H B)."""
-    return _real(a.reshape(len(a), a.shape[-2] * a.shape[-1]))
-
-
-class _MatrixFrame:
-    """The cone of one cut on full-matrix coordinates: a copy's frame is the Hermitian part of its matrix (``perm``
-    None) or of its partial transpose through the index map ``perm``, one block of the full side."""
-
-    def __init__(self, perm, side: int):
-        self.perm, self.shape, self.sizes = perm, (side, side), ((side, 1),)
-
-    def views(self, frames: np.ndarray) -> list:
-        return [frames]
-
-    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
-        _sym(src if self.perm is None else _moved(src, self.perm, spare), out=frames)
-
-    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
-        _moved(frames, self.perm, out)
-
-
-class _AlgebraFrame:
-    """The cone of one cut on algebra coordinates a: in a unitary frame a copy's matrix is the block sum of
-    I_{m_j} (x) X_j, each n_j x n_j block X_j = sum_k a_k T_jk.  ``blocks`` lists the (n_j, m_j), smallest n_j first,
-    and ``sizes`` per block size how many blocks have it.  A copy's frame is one row of its blocks' entries, ``fwd``
-    takes a row of coordinates to it and ``bwd``, weighted by the m_j, back: both multiply row by row, so a copy's
-    frame does not depend on the rows it is stacked with."""
-
-    def __init__(self, blocks: tuple, fwd: np.ndarray, bwd: np.ndarray):
-        self.blocks, self.fwd, self.bwd = blocks, fwd, bwd
-        self.sizes = tuple(sorted(Counter(n for n, _ in blocks).items()))
-        self.shape = (sum(k * n * n for n, k in self.sizes),)
-
-    def views(self, frames: np.ndarray) -> list:
-        """Per block size n, the stack of the blocks of that size in ``frames``, shaped (copies, count, n, n)."""
-        ends = np.cumsum([k * n * n for n, k in self.sizes])
-        return [frames[:, end - k * n * n : end].reshape(len(frames), k, n, n) for (n, k), end in zip(self.sizes, ends)]
-
-    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
-        np.matmul(src[:, None], self.fwd, out=_real(frames)[:, None])
-
-    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(_real(frames)[:, None], self.bwd, out=out[:, None])
-
-
-def _extended(basis: np.ndarray, d: int, rows: np.ndarray, limit: int, floor: float):
-    """Extend the orthonormal basis[:d] by the directions ``rows`` (real rows, as :func:`_flat` gives, overwritten) add
-    to its span, the largest residual first, while one exceeds ``floor``.  Returns the new d, None once it would pass
-    ``limit``, and the rows whose residual is left between SPAN_TOL and ``floor``, orthogonal to the new span.  The
-    membership test, a projection onto the span, comes first."""
-    q = _flat(basis[:d])
-    rows -= (rows @ q.T) @ q
-    rows = rows[np.einsum("ij,ij->i", rows, rows) > SPAN_TOL**2]
-    rows -= (rows @ q.T) @ q  # twice is enough for orthogonality
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    while len(rows) and norms.max() > floor:
-        if d == limit:
-            return None, rows
-        new = _flat(basis[d : d + 1])[0]
-        new[...] = rows[np.argmax(norms)] / norms.max()
-        rows -= np.outer(rows @ new, new)
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        d += 1
-    return d, rows[norms > SPAN_TOL]
-
-
-def _algebra(gens: np.ndarray, maps: list, limit: int) -> np.ndarray | None:
-    """An orthonormal basis of the smallest *-algebra A that holds I and the Hermitian ``gens`` and whose image under
-    each index map is an algebra too: of A's Hermitian part for complex data, of A itself for real data (symmetric and
-    antisymmetric members).  None once dim A would pass ``limit``.
-
-    A product ab of members is taken as its two Hermitian parts (ab + ba)/2 and (ab - ba)/2i (for real data its
-    symmetric and antisymmetric parts), and under a map P as P(P(a) P(b)).  Each member is multiplied, under every
-    map, with every member before it, in chunks of at most ``BLOCK_BYTES`` of candidates (each of norm at most 1).  A
-    candidate adds its new direction at once only where its residual exceeds NEW_SHARE; a smaller one waits until the
-    pass over the products ends, by when another candidate has often brought the same direction with less rounding."""
-    side = gens.shape[-1]
-    basis = np.empty((limit, side, side), gens.dtype)
-    d, _ = _extended(basis, 0, _flat(np.concatenate([np.eye(side, dtype=gens.dtype)[None], gens])), limit, SPAN_TOL)
-    done = [0] * len(maps)  # per map, the members whose products are in the span
-    chunk = max(1, BLOCK_BYTES // (4 * side * side * gens.itemsize))
-    prods, left, right = np.empty((3, chunk, side, side), gens.dtype)  # the buffers every chunk reuses
-    cands, moved = np.empty((2, 2 * chunk, side, side), gens.dtype)
-    while d is not None and min(done) < d:
-        k = done.index(min(done))
-        perm, lo, done[k] = maps[k], done[k], d
-        i, j = np.tril_indices(d)
-        i, j = i[i >= lo], j[i >= lo]
-        waiting = _flat(basis[:0])
-        for at in range(0, len(i), chunk):
-            n = len(i[at : at + chunk])
-            a, b = _moved(basis[i[at : at + n]], perm, left[:n]), _moved(basis[j[at : at + n]], perm, right[:n])
-            p, parts = np.matmul(a, b, out=prods[:n]), cands[: 2 * n]
-            np.conjugate(p.transpose(0, 2, 1), out=parts[n:])
-            np.add(p, parts[n:], out=parts[:n])
-            np.subtract(p, parts[n:], out=parts[n:])
-            parts[:n] /= 2
-            parts[n:] /= 2j if np.iscomplexobj(p) else 2
-            if perm is not None:
-                parts = _moved(parts, perm, moved[: 2 * n])
-            d, rest = _extended(basis, d, _flat(parts), limit, NEW_SHARE)
-            waiting = np.concatenate([waiting, rest])
-            if d is not None and (waiting.nbytes > BLOCK_BYTES or at + chunk >= len(i)):
-                d, waiting = _extended(basis, d, waiting, limit, SPAN_TOL)
-            if d is None:
-                break
-    return None if d is None else basis[:d]
-
-
-def _algebra_frame(v: np.ndarray) -> _AlgebraFrame | None:
-    """The frame of the algebra whose Hermitian (for real data: symmetric) part has the orthonormal basis ``v``, or
-    None where a check fails.
-
-    Two generic members G and Y, with the coefficients sin(ALGEBRA_SEED * k), k = 1, 2, ... (the same in every
-    interpreter, and no ``numpy.random`` to load), split the algebra.  G's eigenspaces are the weight spaces of its
-    simple blocks: each distinct eigenvalue of a block M_{n_j} (x) I_{m_j} has multiplicity m_j.  Y links the n_j
-    eigenspaces of one block and no others, and its compressions E_a^H Y E_0, scaled to unitaries, align each
-    eigenspace's basis with the block's first one (Murota et al. 2010).  In that frame U every member is the block sum
-    of I_{m_j} (x) X_j.  The frame is kept only if U is unitary, sum m_j n_j is the side, the blocks' Hermitian
-    (symmetric) parts have the dimension of the algebra's, rebuilding every basis member from its blocks misses by at
-    most FRAME_TOL, and so does the isometry of the coordinates under the weights m_j."""
-    dim, side = v.shape[:2]
-    g, y = np.tensordot(np.sin(ALGEBRA_SEED * np.arange(1.0, 2 * dim + 1)).reshape(2, dim), v, 1)
-    w, e = np.linalg.eigh(g)
-    label = np.concatenate([[0], np.cumsum(np.diff(w) > 1e-8 * max(1.0, np.abs(w).max()))])  # eigenspace per column
-    yt = dagger(e) @ y @ e
-    linked = np.zeros((label[-1] + 1,) * 2, bool)
-    np.logical_or.at(linked, (label[:, None], label[None, :]), np.abs(yt) > 1e-8)
-    rows, block_of = np.unique(linked, axis=0, return_inverse=True)  # one row per block: the eigenspaces it links
-    sizes, firsts = np.bincount(label), np.argmax(rows, axis=1)
-    same_block = block_of[:, None] == block_of[None, :]
-    if not (np.array_equal(linked, same_block) and np.all(sizes == sizes[firsts][block_of])):
-        return None
-    cols, blocks = [], []
-    for row, first in zip(rows, firsts):
-        m, at = sizes[first], label == first
-        aligned = [e[:, at]]
-        for a in np.flatnonzero(row)[1:]:
-            link = yt[np.ix_(label == a, at)]
-            aligned.append(e[:, label == a] @ (link * (np.sqrt(m) / np.linalg.norm(link))))
-        cols.append(np.stack(aligned, axis=2).reshape(side, -1))  # column t * n + a: copy t of basis vector a
-        blocks.append((len(aligned), int(m)))
-    u = np.concatenate(cols, axis=1)
-    if (
-        np.max(np.abs(dagger(u) @ u - np.eye(side))) > FRAME_TOL
-        or sum(n * m for n, m in blocks) != side
-        or sum(n * n if np.iscomplexobj(v) else n * (n + 1) // 2 for n, _ in blocks) != dim
-    ):
-        return None
-    # per block, its offset and its matrices X_jk, exactly Hermitian; members are rebuilt in chunks of BLOCK_BYTES
-    offsets = np.cumsum([0] + [n * m for n, m in blocks])
-    parts = [np.empty((dim, n, n), v.dtype) for n, _ in blocks]
-    step = max(1, BLOCK_BYTES // (4 * side * side * v.itemsize))
-    for lo in range(0, dim, step):
-        t = dagger(u) @ v[lo : lo + step] @ u
-        for (n, m), o, part in zip(blocks, offsets, parts):
-            _sym(t[:, o : o + n, o : o + n], out=part[lo : lo + step])
-            for c in range(o, o + n * m, n):
-                t[:, c : c + n, c : c + n] -= part[lo : lo + step]
-        if np.max(np.abs(t)) > FRAME_TOL:  # what the blocks do not rebuild
-            return None
-    order = sorted(range(len(blocks)), key=lambda k: blocks[k][0])
-    fwd = np.concatenate([_flat(parts[k]) for k in order], axis=1)
-    weights = np.concatenate([np.full(_flat(parts[k]).shape[1], float(blocks[k][1])) for k in order])
-    bwd = np.ascontiguousarray((fwd * weights).T)
-    if np.max(np.abs(fwd @ bwd - np.eye(dim))) > FRAME_TOL:
-        return None
-    return _AlgebraFrame(tuple(blocks[k] for k in order), fwd, bwd)
-
-
-def _reduction(c: np.ndarray, f: np.ndarray, maps: dict):
-    """``(basis, frames)`` for a problem whose data's *-algebra A is small, else None.
-
-    A is the smallest *-algebra holding I, the objective blocks ``c`` and the target ``f`` whose image under every
-    cut's partial transposition (``maps``, None for the PSD cone) is an algebra too.  Then every ADMM iterate lies in
-    A: the affine step combines members, clipping is a function of a member, and each cone's frame of A is an algebra.
-    ``basis`` is an orthonormal basis of the iterates' space, A's Hermitian part (symmetric part for real data), and
-    ``frames`` maps each cut to its :class:`_AlgebraFrame`.  None where dim A passes ALGEBRA_SHARE of side**2, where
-    a frame or the data's coordinates fail their checks, or where an eigensolver fails: the caller then runs
-    unreduced."""
-    side = f.shape[0]
-    data = np.concatenate([c, f[None]])
-    algebra = _algebra(data, list(maps.values()), int(ALGEBRA_SHARE * side * side))
-    if algebra is None:
-        return None
-    if not np.iscomplexobj(algebra):  # the symmetric members: the antisymmetric ones were only there to multiply
-        algebra = algebra[np.einsum("kab,kab->k", algebra, algebra.transpose(0, 2, 1)) > 0.5]
-    algebra = _sym(algebra, out=algebra)  # exactly Hermitian, as its members are to rounding
-    flat = _flat(algebra)
-    if np.max(np.abs((_flat(data) @ flat.T) @ flat - _flat(data))) > FRAME_TOL * max(1.0, np.max(np.abs(data))):
-        return None
-    frames = {}
-    for cut, perm in maps.items():
-        try:
-            frames[cut] = _algebra_frame(algebra if perm is None else _moved(algebra, perm, np.empty_like(algebra)))
-        except np.linalg.LinAlgError:  # an eigensolver that did not converge: no frame
-            return None
-        if frames[cut] is None:
-            return None
-    return algebra, frames
 
 
 class _Helpers:
@@ -622,7 +383,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
     evidence = _infeasibility_evidence(problem)
     if evidence is not None:
-        x = _sym(np.repeat((f / n)[None], n, axis=0))
+        x = hermitian_part(np.repeat((f / n)[None], n, axis=0))
         return SdpSolution(
             matrices=tuple(xi.astype(complex) for xi in x),
             objective_value=_objective_value(c, x),
@@ -641,20 +402,20 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     # coordinates in an orthonormal basis of its Hermitian part; each cut's cone is a frame on them
     square = np.arange(side * side, dtype=float).reshape(side, side)
     maps = {cut: None if cut is None else partial_transpose(square, *cut).ravel().astype(np.intp) for cut in by_cut}
-    reduced = _reduction(c, f, maps)
+    reduced = reduction(c, f, maps)
     if reduced is None:
         basis, shape = None, (side, side)
-        frames = {cut: _MatrixFrame(perm, side) for cut, perm in maps.items()}
-        cs, fs, weights, hermitian = c, f, m, _sym
+        frames = {cut: MatrixFrame(perm, side) for cut, perm in maps.items()}
+        cs, fs, weights, hermitian = c, f, m, hermitian_part
     else:
         basis, frames = reduced
         shape = (len(basis),)
-        cs, fs = _flat(c) @ _flat(basis).T, (_flat(f[None]) @ _flat(basis).T)[0]
+        cs, fs = coordinates(c, basis), coordinates(f[None], basis)[0]
         weights, hermitian = counts[:, None], lambda a, out: np.copyto(out, a)
 
     def full(stack: np.ndarray) -> np.ndarray:
-        """The matrices of a stack of coordinates (exactly Hermitian when they are combinations of the basis)."""
-        return stack if basis is None else _sym((stack @ _flat(basis)).view(c.dtype).reshape(len(stack), side, side))
+        """The matrices of a stack of coordinates, exactly Hermitian."""
+        return stack if basis is None else matrices(stack, basis)
 
     # the iterates live in one anonymous shared mapping, so that forked helpers update them in place
     copies, size = len(owner), int(np.prod(shape))
@@ -717,13 +478,13 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
                 continue
 
             # residuals on the matrices
-            xf, zf = full(x), full(z)
+            xf = full(x)  # the differences are taken on the coordinates: full() is linear
             affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
             cone = _cone_violation(xf, owner, groups)
-            consensus = float(np.max(np.abs(xf[owner] - zf)))
-            dual = rho * float(np.max(np.abs(zf - full(z_prev))))
+            consensus = float(np.max(np.abs(full(x[owner] - z))))
+            dual = rho * float(np.max(np.abs(full(z - z_prev))))
             obj = _objective_value(c, xf)
-            zbar = block_sums(zf) / m
+            zbar = full(block_sums(z) / weights)
             gap = abs(obj - _objective_value(c, zbar))
             obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
             prev_obj = obj

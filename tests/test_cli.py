@@ -1183,7 +1183,7 @@ def test_an_sdp_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch
     forked = _in_parallel(monkeypatch, 2)
     monkeypatch.setattr(distlab.sdp, "FORK_WORK", 0)  # the cone step of the small problem goes to a helper too
     monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(2, blocks)))
-    message = _killed_in_a_child(monkeypatch, np.linalg, "eigh")
+    message = _killed_in_a_child(monkeypatch, distlab.sdp, "_clip")  # its frames' blocks are 1 x 1: no eigh
     problem = write_json(tmp_path / "q.json", bell_pair_problem())
     _worker_lost(capsys, ["sdp", "--problem", problem], forked, message)
 

@@ -127,8 +127,8 @@ LOADED = {
     "discriminate": {"linalg", "povm", "states", "discrimination"},
     "fuzz": {"linalg", "povm", "states", "discrimination"},
     "counterexample": {"linalg", "povm"},
-    "sdp": {"linalg", "sdp"},
-    "theorem1": {"linalg", "povm", "states", "discrimination", "sdp"},
+    "sdp": {"linalg", "sdp", "frames"},
+    "theorem1": {"linalg", "povm", "states", "discrimination", "sdp", "frames"},
 }
 
 MODULES_AFTER = """

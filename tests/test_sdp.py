@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from conftest import bell_pair_three_party
 from sdp_reference import reference_solve
 
+import distlab.frames
 import distlab.sdp
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
-from distlab.linalg import WorkerLost
+from distlab.linalg import BLOCK_BYTES, WorkerLost, partial_transpose
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -527,15 +529,15 @@ def test_more_helpers_than_cpus_stay_bit_identical(monkeypatch):
 def test_helpers_end_with_solve_and_hand_on_their_errors(monkeypatch, raises_in):
     forced_workers(monkeypatch, 3)
     build, opts = THREADED_CORPUS["bell2-ket0"]
-    problem, parent, eigh = build(), os.getpid(), np.linalg.eigh
+    problem, parent, clip = build(), os.getpid(), distlab.sdp._clip
 
-    def eigh_or_raise(h):
+    def clip_or_raise(h):  # the clipping of a share, which only the cone step calls
         where = "calling process" if os.getpid() == parent else "helpers"
         if where == raises_in:
             raise np.linalg.LinAlgError(f"Eigenvalues did not converge in the {where}")
-        return eigh(h)
+        clip(h)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_or_raise)
+    monkeypatch.setattr(distlab.sdp, "_clip", clip_or_raise)
     forked = counted_forks(monkeypatch)
     if raises_in is None:
         assert within(60, lambda: solve(problem, opts)).status == "optimal"
@@ -554,13 +556,13 @@ def test_a_helper_killed_mid_solve_is_a_lost_worker(monkeypatch, when):
     forced_workers(monkeypatch, 2)
     build, opts = THREADED_CORPUS["bell2"]
     parent, calls, forked = os.getpid(), [], counted_forks(monkeypatch)
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    clip, eigvalsh = distlab.sdp._clip, np.linalg.eigvalsh
 
-    def eigh_or_die(h):
+    def clip_or_die(h):
         calls.append(h)
-        if os.getpid() != parent and len(calls) == 10:  # the helper, in its tenth share
+        if os.getpid() != parent and len(calls) == 10:  # the helper, at its tenth clipping
             os.kill(os.getpid(), signal.SIGKILL)
-        return eigh(h)
+        clip(h)
 
     def eigvalsh_killing_the_helper(h):  # solve's checkpoints call it, while the helper waits for its next share
         if forked:
@@ -570,7 +572,7 @@ def test_a_helper_killed_mid_solve_is_a_lost_worker(monkeypatch, when):
         return eigvalsh(h)
 
     if when == "in-its-share":
-        monkeypatch.setattr(np.linalg, "eigh", eigh_or_die)
+        monkeypatch.setattr(distlab.sdp, "_clip", clip_or_die)
     else:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_killing_the_helper)
     with pytest.raises(WorkerLost) as lost:
@@ -636,7 +638,7 @@ def random_mixed_problem(dims, count, seed):
 def found_algebras(monkeypatch):
     """Per solve from now on: the dimension of the algebra it runs in (None where it runs unreduced), each cut's
     frame blocks (n_j, m_j), and the seconds spent finding them."""
-    found, find = [], distlab.sdp._reduction
+    found, find = [], distlab.sdp.reduction
 
     def timed(c, f, maps):
         start = time.perf_counter()
@@ -648,13 +650,13 @@ def found_algebras(monkeypatch):
             found.append((len(reduced[0]), {cut: frame.blocks for cut, frame in reduced[1].items()}, seconds))
         return reduced
 
-    monkeypatch.setattr(distlab.sdp, "_reduction", timed)
+    monkeypatch.setattr(distlab.sdp, "reduction", timed)
     return found
 
 
 def unreduced(monkeypatch):
     """Run every solve from now on on full matrices, as before the reduction."""
-    monkeypatch.setattr(distlab.sdp, "_reduction", lambda c, f, maps: None)
+    monkeypatch.setattr(distlab.sdp, "reduction", lambda c, f, maps: None)
 
 
 # the dimension of the algebra each corpus problem runs in; the others run unreduced (their algebra passes a quarter
@@ -736,18 +738,18 @@ def eigh_that_fails(*args, **kwargs):
 def test_a_failed_check_leaves_the_solve_unreduced(monkeypatch, failing):
     build, opts = THREADED_CORPUS["gbell3-first-four"]
     if failing == "coordinates":
-        monkeypatch.setattr(distlab.sdp, "FRAME_TOL", 0.0)  # the coordinates of the data, or the frames, miss by more
+        monkeypatch.setattr(distlab.frames, "FRAME_TOL", 0.0)  # the data's coordinates, or the frames, miss by more
     elif failing == "frame":
-        monkeypatch.setattr(distlab.sdp, "_algebra_frame", lambda v: None)
+        monkeypatch.setattr(distlab.frames, "_algebra_frame", lambda v, perm: None)
     else:
-        find = distlab.sdp._reduction
+        find = distlab.sdp.reduction
 
         def without_eigh(c, f, maps):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", eigh_that_fails)
                 return find(c, f, maps)
 
-        monkeypatch.setattr(distlab.sdp, "_reduction", without_eigh)
+        monkeypatch.setattr(distlab.sdp, "reduction", without_eigh)
     found = found_algebras(monkeypatch)
     got = solve(build(), opts)
     assert [dim for dim, _, _ in found] == [None]
@@ -764,4 +766,34 @@ def test_a_failed_check_leaves_the_solve_unreduced(monkeypatch, failing):
     ids=["sign", "degree"],
 )
 def test_a_span_that_is_no_algebra_has_no_frame(span):
-    assert distlab.sdp._algebra_frame(span) is None
+    assert distlab.frames._algebra_frame(span) is None
+
+
+def index_maps(problem):
+    """Per cut of ``problem``, the partial transpose's index map (None for the PSD cone), as ``solve`` makes them."""
+    square = np.arange(problem.side**2, dtype=float).reshape(problem.side, problem.side)
+    cuts = {(cone.dims, cone.parties) for cs in problem.pt_cones for cone in cs}
+    return {None: None, **{cut: partial_transpose(square, *cut).ravel().astype(np.intp) for cut in cuts}}
+
+
+def test_data_with_no_symmetry_is_given_up_within_the_byte_budget():
+    # at side 64 a quarter of side**2 is 1,024 members of 64 KiB; the basis stops at ALGEBRA_BYTES, 16 members
+    problem = random_mixed_problem((8, 8), 4, seed=5)
+    maps = index_maps(problem)
+    tracemalloc.start()
+    try:
+        assert distlab.frames.reduction(problem.objective, problem.target, maps) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * BLOCK_BYTES  # the basis, ALGEBRA_BYTES, and the temporaries of one product at a time
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_one_by_one_blocks_are_clipped_to_their_positive_part_without_eigh(monkeypatch, dtype):
+    values = np.array([-2.0, -0.0, 0.0, 3.5, -1e-300])
+    blocks = values.astype(dtype).reshape(1, 5, 1, 1)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_that_fails)
+    distlab.sdp._clip(blocks)
+    assert blocks.dtype == dtype
+    assert np.array_equal(blocks.ravel(), np.maximum(values, 0.0))
