@@ -97,7 +97,7 @@ class MatrixFrame:
     None) or of its partial transpose through the index map ``perm``, one block of the full side."""
 
     def __init__(self, perm, side: int):
-        self.perm, self.shape, self.sizes = perm, (side, side), ((side, 1),)
+        self.perm, self.shape = perm, (side, side)
 
     def views(self, frames: np.ndarray) -> list:
         return [frames]

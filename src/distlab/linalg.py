@@ -307,15 +307,9 @@ class WorkerLost(RuntimeError):
     """A worker process ended without a result, for example killed by a signal."""
 
 
-def worker_lost(pid: int, status: int) -> WorkerLost:
-    """The :class:`WorkerLost` for worker process ``pid``, reaped with exit code ``status`` (below 0: a signal)."""
-    how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-    return WorkerLost(f"worker process {pid} {how} without a result")
-
-
 def worker_count(blocks: int) -> int:
     """Workers that run ``blocks`` blocks of work: one per CPU this process may run on, at most one per block.
-    :func:`in_workers` and ``sdp.solve`` fork them as processes.
+    :func:`in_workers` forks them as processes.
 
     One where the platform has no ``os.fork`` or ``os.sched_getaffinity``, or where another thread runs:
     a forked child would hold that thread's locks in whatever state the fork caught them.
@@ -378,8 +372,9 @@ def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
                 data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pipes[pid]
-            if status:
-                raise worker_lost(pid, status)
+            if status:  # below 0: killed by a signal
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+                raise WorkerLost(f"worker process {pid} {how} without a result")
             found, error = pickle.loads(data)  # written by the child above
             results.update(found)
             errors += [error] if error else []

@@ -30,20 +30,13 @@ orthonormal basis of A's Hermitian part, or, unreduced, the matrices
 themselves.  All copies live in one ``(copies, ...)`` array, held cut by cut
 so that each cone group is one contiguous slice, and each block's ``x`` is
 one reduction over its copies in cone order.  The cone step is one stacked
-projection per iteration, split into W contiguous shares of the copies.  Each
-share gets over-relaxation, its copies' cone frames (in A, a matrix product
-that gives each copy's n_j x n_j blocks, one row per copy; unreduced, a
-partial transpose through an index map made once per cut, then the Hermitian
-part), one batched ``eigh`` per block size with clipping and reconstruction
-of only the blocks that had a negative eigenvalue, the way back, and the dual
-update, all in place.  Share 0 runs in the calling process, the others in
-W - 1 helper processes forked for one ``solve``; the iterates live in one
-anonymous shared mapping made before the fork, and each iteration hands every
-helper its share with one byte down a pipe and takes it back with one byte up
-another.  W is ``linalg.worker_count(copies)`` once the eigen work per
-iteration reaches ``FORK_WORK``, else 1, and then nothing is forked.  Every
-copy meets the same operations whatever W is, so the iterates do not depend
-on it.  Residuals, stopping and the returned matrices are computed on full
+projection per iteration, in the calling process: over-relaxation, each
+group's cone frames (in A, a matrix product that gives each copy's
+n_j x n_j blocks, one row per copy; unreduced, a partial transpose through an
+index map made once per cut, then the Hermitian part), one batched ``eigh``
+per block size with clipping and reconstruction of only the blocks that had
+a negative eigenvalue, the way back, and the dual update, all in place.
+Residuals, stopping and the returned matrices are computed on full
 ``(side, side)`` matrices at checkpoints.  When every objective block and the
 target have an identically zero imaginary part, the iteration runs in float64
 instead of complex128, with a real basis and real frames; the input alone
@@ -53,9 +46,6 @@ way.
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,8 +64,6 @@ from .linalg import (
     matrix_to_json,
     partial_transpose,
     strict_object,
-    worker_count,
-    worker_lost,
 )
 
 PROBLEM_HERMITIAN_TOL = 1e-12
@@ -83,13 +71,6 @@ PROBLEM_HERMITIAN_TOL = 1e-12
 PENALTY = 1.0
 OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
-# The cone step is shared with forked helper processes only from this much work per iteration on: the sum of n**3
-# over the blocks of every copy's frame (side**3 for a copy on full matrices), a complex block counted 4 times (its
-# eigh costs about that much more).
-# On two CPUs an empty hand-off costs about 20-26 us per iteration and the fork about 2-2.6 ms per solve.
-# The value was set for helper threads: no reduced problem measured reaches it, but unreduced ones gain from two
-# processes from about 160,000 on (ten random rank-2 states in 4 (x) 4, 327,680: 2.3 -> 1.6 ms per iteration).
-FORK_WORK = 600_000
 
 
 @dataclass(frozen=True)
@@ -213,96 +194,6 @@ def _as_slice(idx: np.ndarray):
     return slice(lo, lo + len(idx)) if np.array_equal(idx, np.arange(lo, lo + len(idx))) else idx
 
 
-class _Helpers:
-    """Runs ``step(w)`` for the W shares w of one cone step per call, each on the shared arrays' current contents.
-
-    Share 0 runs in the calling process, share w > 0 in helper process w, forked here and killed and
-    reaped by :meth:`close`.  A call sends each helper one byte down its ``go`` pipe and reads one byte
-    back from its ``done`` pipe.  A helper whose share raises sends the exception back pickled instead,
-    and leaves; one that ends without a reply is reported as :class:`~distlab.linalg.WorkerLost`.  A
-    helper leaves by ``os._exit``, so it never flushes the inherited stdio or runs exit handlers.
-    """
-
-    def __init__(self, step, workers: int):
-        self.step = step
-        self.pids: list[int | None] = []  # None once reaped
-        self.pipes: list = []  # per helper, this process's (go, done) ends as unbuffered files
-        try:
-            for w in range(1, workers):
-                go, done = os.pipe(), os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    for fd in go + done:
-                        os.close(fd)
-                    raise
-                if pid == 0:
-                    self._serve(w, go, done)
-                self.pids.append(pid)
-                os.close(go[0])
-                os.close(done[1])
-                self.pipes.append((open(go[1], "wb", buffering=0), open(done[0], "rb", buffering=0)))
-        except BaseException:
-            self.close()
-            raise
-
-    def _serve(self, w: int, go: tuple[int, int], done: tuple[int, int]) -> None:
-        """Helper w's loop, run in the forked child: never returns into the caller.  It closes every pipe end
-        of the calling process, so its ``go`` pipe reads empty, and it leaves, once that process is gone."""
-        code = 1
-        try:
-            for ends in self.pipes:  # the earlier helpers'
-                for end in ends:
-                    end.close()
-            os.close(go[1])
-            os.close(done[0])
-            with open(go[0], "rb", buffering=0) as orders, open(done[1], "wb") as replies:
-                while orders.read(1):
-                    try:
-                        self.step(w)
-                    except Exception as exc:  # raised by the caller of __call__
-                        pickle.dump(exc, replies, pickle.HIGHEST_PROTOCOL)
-                        break
-                    replies.write(b"\0")
-                    replies.flush()
-            code = 0
-        finally:
-            os._exit(code)
-
-    def __call__(self) -> None:
-        for go, _ in self.pipes:
-            try:
-                go.write(b"\0")
-            except BrokenPipeError:  # a helper that has died since the last call: its reply reads empty
-                pass
-        self.step(0)
-        for w, (_, done) in enumerate(self.pipes, 1):
-            reply = done.read(1)
-            if reply != b"\0":
-                raise self._failure(w, reply)
-
-    def _failure(self, w: int, reply: bytes) -> BaseException:
-        """The error to raise for helper w's ``reply``: its pickled exception, or a ``WorkerLost``."""
-        if reply:  # the exception written by _serve
-            return pickle.loads(reply + self.pipes[w - 1][1].readall())
-        pid, self.pids[w - 1] = self.pids[w - 1], None
-        return worker_lost(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
-    def close(self) -> None:
-        """Close the pipes, then kill and reap every helper not reaped yet."""
-        for ends in self.pipes:
-            for end in ends:
-                end.close()
-        live = [pid for pid in self.pids if pid is not None]
-        if live:
-            from signal import SIGKILL
-
-            for pid in live:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-        self.pids = []
-
-
 def _project(mats: np.ndarray, cut) -> np.ndarray:
     """Frobenius-nearest cone points: clip negative eigenvalues in the cone's frame."""
     h = _in_frame(mats, cut)
@@ -417,87 +308,65 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         """The matrices of a stack of coordinates, exactly Hermitian."""
         return stack if basis is None else matrices(stack, basis)
 
-    # the iterates live in one anonymous shared mapping, so that forked helpers update them in place
-    copies, size = len(owner), int(np.prod(shape))
     dtype = c.dtype if basis is None else np.dtype(np.float64)
-    shared = np.frombuffer(mmap.mmap(-1, (4 * copies + n) * size * dtype.itemsize), dtype)
-    z, u, xhat, work = shared[: 4 * copies * size].reshape(4, copies, *shape)
-    x = shared[4 * copies * size :].reshape(n, *shape)
+    z, u, xhat, work = np.zeros((4, len(owner), *shape), dtype)
+    x = np.zeros((n, *shape), dtype)
     z[...] = fs / n
     shift = cs / (rho * weights)
     best = best_x = None
     history: list[dict] = []
     prev_obj = None
-
-    # per share: its copies, their blocks, and its pieces of the groups, each with its frame and a stack for it
-    eigen_work = sum((at.stop - at.start) * sum(k * n_j**3 for n_j, k in frames[cut].sizes) for cut, at in groups)
-    eigen_work *= 4 if np.iscomplexobj(c) else 1
-    workers = worker_count(copies) if eigen_work >= FORK_WORK else 1
-    bounds = [copies * w // workers for w in range(workers + 1)]
-    shares = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        pieces = [(frames[cut], slice(max(lo, at.start), min(hi, at.stop))) for cut, at in groups]
-        pieces = [(frame, part, np.empty((part.stop - part.start, *frame.shape), c.dtype)) for frame, part in pieces
-                  if part.start < part.stop]
-        shares.append((slice(lo, hi), owner[lo:hi], pieces))
-
-    def cone_step(w: int) -> None:
-        """Share w of the cone step, in place: over-relaxation, the cone frames (for full matrices a partial
-        transpose, then the Hermitian part), clipping, the way back into ``z``, and the dual update."""
-        at, owners, pieces = shares[w]
-        np.take(x, owners, axis=0, out=xhat[at])
-        xhat[at] *= alpha
-        np.multiply(z[at], 1 - alpha, out=work[at])
-        xhat[at] += work[at]
-        np.add(xhat[at], u[at], out=work[at])
-        for frame, part, held in pieces:  # z is free until the way back, and holds the transposed copies
-            frame.into(work[part], z[part], held)
-            for stack in frame.views(held):
-                _clip(stack)
-            frame.back(held, z[part])  # a clipped frame is exactly Hermitian, and so is its partial transpose
-        u[at] += xhat[at]
-        u[at] -= z[at]
-        np.subtract(z[at], u[at], out=work[at])  # the next affine step's input
+    # per group: its frame, its copies, and a stack for their frames
+    pieces = [(frames[cut], at, np.empty((at.stop - at.start, *frames[cut].shape), c.dtype)) for cut, at in groups]
 
     np.subtract(z, u, out=work)
-    project = _Helpers(cone_step, workers)
-    try:
-        for it in range(1, opts.max_iter + 1):
-            checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
-            z_prev = z.copy() if checkpoint else None
+    for it in range(1, opts.max_iter + 1):
+        checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
+        z_prev = z.copy() if checkpoint else None
 
-            # affine step: weighted projection of the shifted consensus targets, work holding z - u
-            v = block_sums(work) / weights + shift
-            excess = (v.sum(axis=0) - fs) / inv_m_sum
-            hermitian(v - excess / weights, out=x)
+        # affine step: weighted projection of the shifted consensus targets, work holding z - u
+        v = block_sums(work) / weights + shift
+        excess = (v.sum(axis=0) - fs) / inv_m_sum
+        hermitian(v - excess / weights, out=x)
 
-            # cone steps with over-relaxation, one stacked projection of every copy, share by share
-            project()
+        # cone steps, one stacked projection of every copy, in place: over-relaxation, the cone frames (for full
+        # matrices a partial transpose, then the Hermitian part), clipping, the way back into z, and the dual update
+        np.take(x, owner, axis=0, out=xhat)
+        xhat *= alpha
+        np.multiply(z, 1 - alpha, out=work)
+        xhat += work
+        np.add(xhat, u, out=work)
+        for frame, at, held in pieces:  # z is free until the way back, and holds the transposed copies
+            frame.into(work[at], z[at], held)
+            for stack in frame.views(held):
+                _clip(stack)
+            frame.back(held, z[at])  # a clipped frame is exactly Hermitian, and so is its partial transpose
+        u += xhat
+        u -= z
+        np.subtract(z, u, out=work)  # the next affine step's input
 
-            if not checkpoint:
-                continue
+        if not checkpoint:
+            continue
 
-            # residuals on the matrices
-            xf = full(x)  # the differences are taken on the coordinates: full() is linear
-            affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
-            cone = _cone_violation(xf, owner, groups)
-            consensus = float(np.max(np.abs(full(x[owner] - z))))
-            dual = rho * float(np.max(np.abs(full(z - z_prev))))
-            obj = _objective_value(c, xf)
-            zbar = full(block_sums(z) / weights)
-            gap = abs(obj - _objective_value(c, zbar))
-            obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
-            prev_obj = obj
-            combined = max(affine, cone, consensus, dual, gap)
+        # residuals on the matrices
+        xf = full(x)  # the differences are taken on the coordinates: full() is linear
+        affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
+        cone = _cone_violation(xf, owner, groups)
+        consensus = float(np.max(np.abs(full(x[owner] - z))))
+        dual = rho * float(np.max(np.abs(full(z - z_prev))))
+        obj = _objective_value(c, xf)
+        zbar = full(block_sums(z) / weights)
+        gap = abs(obj - _objective_value(c, zbar))
+        obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
+        prev_obj = obj
+        combined = max(affine, cone, consensus, dual, gap)
 
-            if best is None or combined < best["combined"]:
-                best = {"combined": combined, "affine": affine, "cone": cone, "gap_estimate": gap}
-                best_x = xf.copy()
-            history.append({"iteration": it, **best})
-            if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
-                break
-    finally:
-        project.close()
+        if best is None or combined < best["combined"]:
+            best = {"combined": combined, "affine": affine, "cone": cone, "gap_estimate": gap}
+            best_x = xf.copy()
+        history.append({"iteration": it, **best})
+        if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
+            break
 
     status = "optimal" if best["combined"] <= opts.tol else "max-iterations"
     if status != "optimal" and best["combined"] > np.sqrt(opts.tol) and len(history) >= 8:

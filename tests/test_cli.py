@@ -19,7 +19,6 @@ from report_reference import reference_encode, reference_report
 
 import distlab
 import distlab.linalg
-import distlab.sdp
 from distlab.cli import build_parser, parse_report, run, summarize
 from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
 from distlab.linalg import matrix_to_json
@@ -1177,15 +1176,6 @@ def test_a_discriminate_loading_child_that_dies_is_one_error_line(tmp_path, caps
     paths = _bad_files(tmp_path)
     message = _killed_in_a_child(monkeypatch, distlab.povm, "povm_from_json")  # the --povm file loads in the child
     _worker_lost(capsys, ["discriminate", "--states", paths["s"], "--povm", paths["p"]], forked, message)
-
-
-def test_an_sdp_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
-    forked = _in_parallel(monkeypatch, 2)
-    monkeypatch.setattr(distlab.sdp, "FORK_WORK", 0)  # the cone step of the small problem goes to a helper too
-    monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(2, blocks)))
-    message = _killed_in_a_child(monkeypatch, distlab.sdp, "_clip")  # its frames' blocks are 1 x 1: no eigh
-    problem = write_json(tmp_path / "q.json", bell_pair_problem())
-    _worker_lost(capsys, ["sdp", "--problem", problem], forked, message)
 
 
 def test_an_unrelated_runtime_error_is_not_taken_for_a_lost_worker(capsys, monkeypatch):

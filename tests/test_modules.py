@@ -51,6 +51,42 @@ def test_no_module_imports_a_private_name_of_another():
     assert {str(m.relative_to(SOURCE)): private_imports(m) for m in modules if private_imports(m)} == {}
 
 
+def fork_calls(path: Path) -> list[str]:
+    """``module.scope`` for every ``os.fork()`` call in ``path``, the scope being the dotted names of the classes and
+    functions that enclose it."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            call = child.func if isinstance(child, ast.Call) else None
+            if isinstance(call, ast.Attribute) and call.attr == "fork" and getattr(call.value, "id", None) == "os":
+                found.append(".".join([path.stem, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+def test_fork_call_scan_names_the_enclosing_scope(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n\n"
+        "pid = os.fork()\n\n"
+        "class Pool:\n    def start(self):\n        return [os.fork() for _ in range(2)]\n\n"
+        "def outer():\n    def inner():\n        os.fork()\n    return os.getpid()\n"
+    )
+    assert fork_calls(sample) == ["sample", "sample.Pool.start", "sample.outer.inner"]
+
+
+def test_only_linalg_in_workers_forks():
+    # one fork mechanism in the package: its pipes, reaping and WorkerLost are written once
+    calls = [call for module in sorted(SOURCE.rglob("*.py")) for call in fork_calls(module)]
+    assert calls == ["linalg.in_workers"]
+
+
 # the package's functions and classes that nothing in it uses or exports, each kept on purpose
 KEPT_UNREFERENCED = {
     "cli.parse_report": "the strict reader of the reports every command writes; schema-version checks will extend it",

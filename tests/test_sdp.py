@@ -1,11 +1,9 @@
 """Tests for the splitting SDP engine."""
 
 import os
-import signal
 import threading
 import time
 import tracemalloc
-from functools import cache
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from sdp_reference import reference_solve
 import distlab.frames
 import distlab.sdp
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
-from distlab.linalg import BLOCK_BYTES, WorkerLost, partial_transpose
+from distlab.linalg import BLOCK_BYTES, partial_transpose, worker_count
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -390,12 +388,6 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
             assert mat.dtype == np.complex128 and mat.ndim == 2
 
 
-def forced_workers(monkeypatch, workers):
-    """Share every cone step among ``workers`` processes (at most one per copy), whatever its size."""
-    monkeypatch.setattr(distlab.sdp, "FORK_WORK", 0)
-    monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(workers, blocks)))
-
-
 def no_thread(*args, **kwargs):
     raise AssertionError("started a thread")
 
@@ -418,13 +410,6 @@ def counted_forks(monkeypatch):
     return forked
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
-def test_threaded_solve_matches_per_matrix_reference(monkeypatch, name):
-    # the name is kept from the helper-thread solver: the cone step is shared with two helper processes
-    forced_workers(monkeypatch, 2)
-    test_stacked_solve_matches_per_matrix_reference(name)
-
-
 def turned_bell2_ket0():
     """The Bell pair with a third party, the third qubit of its first block turned by a random unitary."""
     problem = ppt_discrimination_problem(bell_pair_three_party())
@@ -435,8 +420,8 @@ def turned_bell2_ket0():
     return SdpProblem(objective, problem.target, problem.pt_cones)
 
 
-# the five ppt-sdp problems of the benchmark, the Bell pair with a third party (two blocks of four
-# copies, held as one group of two per cone: three shares split them 2, 3 and 3, across groups), blocks
+# the name is kept from the helper-thread solver, whose tests it was made for: the five ppt-sdp problems of the
+# benchmark, the Bell pair with a third party (two blocks of four copies, held as one group of two per cone), blocks
 # with their cones in different orders, a PSD-only problem, and three whose frames have blocks larger than 1 x 1
 THREADED_CORPUS = {
     "bell3": (lambda: ppt_discrimination_problem(bell_states().subset([0, 1, 2])), SolveOptions(tol=1e-7)),
@@ -467,16 +452,6 @@ THREADED_CORPUS = {
 }
 
 
-@cache
-def one_process_solution(name):
-    build, opts = THREADED_CORPUS[name]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlab.sdp, "worker_count", lambda blocks: 1)
-        patch.setattr(os, "fork", no_fork)
-        patch.setattr(threading, "Thread", no_thread)
-        return solve(build(), opts)
-
-
 def assert_same_solution(got, want):
     assert (got.status, got.iterations, got.objective_value) == (want.status, want.iterations, want.objective_value)
     assert [list(h) for h in got.history] == [list(h) for h in want.history]  # the key order too
@@ -486,106 +461,19 @@ def assert_same_solution(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("name", list(THREADED_CORPUS))
-def test_threaded_solve_is_bit_identical(monkeypatch, name, workers):
-    # the name is kept from the helper-thread solver: W - 1 helper processes share the cone step
-    want = one_process_solution(name)
-    build, opts = THREADED_CORPUS[name]
-    forced_workers(monkeypatch, workers)
-    forked = counted_forks(monkeypatch)
-    problem = build()
-    assert_same_solution(solve(problem, opts), want)
-    copies = sum(1 + len(cs) for cs in problem.pt_cones)
-    assert len(forked) == min(workers, copies) - 1
-
-
-def within(seconds, fn):
-    """``fn()``, interrupted by a ``TimeoutError`` once it has run for ``seconds`` seconds."""
-
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    handler = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        return fn()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
-
-
-def test_more_helpers_than_cpus_stay_bit_identical(monkeypatch):
-    want = one_process_solution("bell2-ket0")
+def test_an_error_in_the_cone_step_leaves_solve_as_raised(monkeypatch):
+    monkeypatch.setattr(distlab.sdp, "_clip", eigh_that_fails)  # the clipping, which only the cone step calls
     build, opts = THREADED_CORPUS["bell2-ket0"]
-    problem = build()
-    forced_workers(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
-    forked = counted_forks(monkeypatch)
-    assert_same_solution(within(60, lambda: solve(problem, opts)), want)
-    assert len(forked) == min(2 * len(os.sched_getaffinity(0)) + 1, 8) - 1  # one share per copy at most
-
-
-@pytest.mark.parametrize("raises_in", [None, "calling process", "helpers"])
-def test_helpers_end_with_solve_and_hand_on_their_errors(monkeypatch, raises_in):
-    forced_workers(monkeypatch, 3)
-    build, opts = THREADED_CORPUS["bell2-ket0"]
-    problem, parent, clip = build(), os.getpid(), distlab.sdp._clip
-
-    def clip_or_raise(h):  # the clipping of a share, which only the cone step calls
-        where = "calling process" if os.getpid() == parent else "helpers"
-        if where == raises_in:
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge in the {where}")
-        clip(h)
-
-    monkeypatch.setattr(distlab.sdp, "_clip", clip_or_raise)
-    forked = counted_forks(monkeypatch)
-    if raises_in is None:
-        assert within(60, lambda: solve(problem, opts)).status == "optimal"
-    else:
-        with pytest.raises(np.linalg.LinAlgError) as raised:
-            within(60, lambda: solve(problem, opts))
-        assert type(raised.value) is np.linalg.LinAlgError
-        assert str(raised.value) == f"Eigenvalues did not converge in the {raises_in}"
-    assert len(forked) == 2
-    with pytest.raises(ChildProcessError):  # every helper is reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("when", ["in-its-share", "between-shares"])
-def test_a_helper_killed_mid_solve_is_a_lost_worker(monkeypatch, when):
-    forced_workers(monkeypatch, 2)
-    build, opts = THREADED_CORPUS["bell2"]
-    parent, calls, forked = os.getpid(), [], counted_forks(monkeypatch)
-    clip, eigvalsh = distlab.sdp._clip, np.linalg.eigvalsh
-
-    def clip_or_die(h):
-        calls.append(h)
-        if os.getpid() != parent and len(calls) == 10:  # the helper, at its tenth clipping
-            os.kill(os.getpid(), signal.SIGKILL)
-        clip(h)
-
-    def eigvalsh_killing_the_helper(h):  # solve's checkpoints call it, while the helper waits for its next share
-        if forked:
-            os.kill(forked[0], signal.SIGKILL)
-            while os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
-                time.sleep(0.001)  # until it has exited, left unreaped
-        return eigvalsh(h)
-
-    if when == "in-its-share":
-        monkeypatch.setattr(distlab.sdp, "_clip", clip_or_die)
-    else:
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_killing_the_helper)
-    with pytest.raises(WorkerLost) as lost:
-        within(60, lambda: solve(build(), opts))
-    assert len(forked) == 1
-    assert str(lost.value) == f"worker process {forked[0]} was killed by signal {signal.SIGKILL.value} without a result"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        solve(build(), opts)
+    assert type(raised.value) is np.linalg.LinAlgError
+    assert str(raised.value) == "Eigenvalues did not converge"
 
 
 def test_the_theorem1_problems_start_no_thread(monkeypatch):
-    # and fork nothing: they stay below the size rule
-    monkeypatch.setattr(distlab.sdp, "worker_count", lambda blocks: max(1, min(2, blocks)))  # as on two CPUs
+    # and fork nothing, although the package's worker count is 2, as on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert worker_count(12) == 2
     monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(os, "fork", no_fork)
     # the benchmark's theorem1 jobs: each solves the small problem and transfers its optimum
@@ -596,33 +484,22 @@ def test_the_theorem1_problems_start_no_thread(monkeypatch):
         (domino_states(), (8, 8)),
     ]:
         assert theorem1_ppt_invariance(states, new_dims).small.solution.status == "optimal"
-    # and so does the benchmark's sdp job, which runs in its data's algebra: per iteration 6 copies of 25 scalars
-    # and 6 of one 5 x 5 block, eigen work 3,600
+    # the benchmark's sdp job, which runs in its data's algebra: per iteration 6 copies of 25 scalars and 6 of one
+    # 5 x 5 block
     assert solve(THREADED_CORPUS["gbell5-first-six"][0](), SolveOptions(max_iter=1)).iterations == 1
-    # while a problem with no symmetry to reduce is above the size rule
-    with pytest.raises(AssertionError, match="forked"):
-        solve(random_mixed_problem((5, 5), 6, seed=3), SolveOptions(max_iter=1))
-
-
-def test_a_shared_solve_starts_no_thread(monkeypatch):
-    forced_workers(monkeypatch, 3)
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    before = threading.active_count()
-    build, opts = THREADED_CORPUS["bell2-ket0"]
-    assert_same_solution(solve(build(), opts), one_process_solution("bell2-ket0"))
-    assert threading.active_count() == before
+    # and a problem with no symmetry to reduce: 12 copies of a complex 25 x 25 matrix per iteration
+    assert solve(random_mixed_problem((5, 5), 6, seed=3), SolveOptions(max_iter=1)).iterations == 1
 
 
 def test_a_fuzz_after_a_threaded_solve_still_forks_as_on_two_cpus(monkeypatch):
-    # the name is kept from the helper-thread solver: the solve before the fuzz forks a helper
-    forced_workers(monkeypatch, 2)
+    # the name is kept from the helper-thread solver: the solve before the fuzz forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     build, opts = THREADED_CORPUS["bell2"]
     forked = counted_forks(monkeypatch)
     solve(build(), opts)
-    assert len(forked) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert forked == []
     assert local_global_fuzz(bell_states().subset([0, 1, 2]), ["general", "sep"], (3, 3), 2, 11).passes
-    assert len(forked) == 2
+    assert len(forked) == 1
 
 
 def random_mixed_problem(dims, count, seed):
