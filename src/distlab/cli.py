@@ -3,8 +3,9 @@
 Every subcommand writes one JSON report to stdout (schema version "1") and a
 one-line human summary to stderr.  Reports embed a run manifest with content
 digests of the input files; with SOURCE_DATE_EPOCH set, repeated runs are
-byte-identical.  Exit codes: 0 pass, 1 failed check, 2 usage or input error, or a
-worker process that died without a result.
+byte-identical.  Exit codes: 0 pass, 1 failed check, 2 usage or input error, a
+stdout closed before the report was written, or a worker process that died
+without a result.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def _cmd_gen(args, digests):
         states = extended_domino_basis(*dims)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown family {family!r}")
-    return 0, "state_set", state_set_to_json(states)
+    return 0, "state_set", state_set_to_json(states, matrix=np.asarray)
 
 
 def _povm_or_tree(obj):
@@ -386,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _jsonable(obj):
-    """Strict-JSON copy: non-finite floats become null."""
+    """Strict-JSON copy: non-finite floats become null, and a numpy matrix its wire-format object."""
+    if isinstance(obj, np.ndarray):
+        from .linalg import matrix_to_json  # loaded already by whatever made the matrix
+
+        obj = matrix_to_json(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -396,56 +401,60 @@ def _jsonable(obj):
     return obj
 
 
-def _around(obj: dict, key: str, encode) -> tuple[str, str]:
-    """The JSON text of ``obj`` before and after its value at ``key``."""
-    keys = list(obj)
-    at = keys.index(key)
-    head = encode({k: obj[k] for k in keys[:at]} | {key: 0})[:-2]  # through '"key":'
-    tail = encode({key: 0} | {k: obj[k] for k in keys[at + 1 :]})
-    return head, tail[len(encode({key: 0})) - 1 :]  # from the ',' or '}' after the value
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_NESTED = (dict, list, tuple, np.ndarray)
 
 
-def _encoded(report: dict) -> list[str]:
-    """The strict one-line JSON text of ``report``, in pieces that are written in order.
+def _pieces(obj, out: list) -> list:
+    """Append to ``out`` the strict one-line JSON text of ``obj``, in pieces, with each numpy matrix written
+    as its wire-format object; return ``out``.
 
-    The items of the payload's longest list, after its first, are encoded in W contiguous shares,
-    one block of :func:`~distlab.linalg.in_workers` each: W = ``worker_count`` when the list's
-    encoded size, estimated as its length times its first item's, is at least ``FORK_BYTES``, else 1.
+    Joined, the pieces are byte for byte ``json.dumps(obj, separators=(",", ":"), allow_nan=False)`` of
+    ``obj`` with each matrix m replaced by ``linalg.matrix_to_json(m)``.  A container that holds a dict, list
+    or matrix is walked; any other value is encoded by that strict encoder in one call.
     """
-    from .linalg import FORK_BYTES, in_workers, worker_count
+    if isinstance(obj, np.ndarray):
+        from .linalg import matrix_json_text  # loaded already by whatever made the matrix
 
-    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-    payload = report["payload"]
-    lists = [k for k, v in payload.items() if isinstance(v, list)]
-    if not lists:
-        return [encode(report)]
-    key = max(lists, key=lambda k: len(payload[k]))
-    report_head, report_tail = _around(report, "payload", encode)
-    payload_head, payload_tail = _around(payload, key, encode)
-    items = payload[key]
-    first, rest = (encode(items[0]) if items else ""), items[1:]
-    shares = worker_count(len(rest)) if len(first) * len(items) >= FORK_BYTES else 1
-    bounds = [len(rest) * w // shares for w in range(shares + 1)]
-    encoded = in_workers(lambda w: encode(rest[bounds[w] : bounds[w + 1]])[1:-1], shares)
-    pieces = [report_head + payload_head + "[" + first]
-    for w in sorted(encoded):
-        pieces += [",", encoded[w]]
-    return pieces + ["]" + payload_tail + report_tail]
+        out.append(matrix_json_text(obj))
+    elif isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values()):
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(("," if i else "{") + _encode({k: 0})[1:-3] + ":")  # the key as json writes it
+            _pieces(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
+        for i, v in enumerate(obj):
+            out.append("," if i else "[")
+            _pieces(v, out)
+        out.append("]")
+    else:
+        out.append(_encode(obj))
+    return out
 
 
 def _write_report(report: dict) -> dict:
     """Print ``report`` to stdout as one line of strict JSON and return the report as printed.
 
-    The strict encoder rejects only a non-finite float, so ``_jsonable`` copies
-    the payload, writing those floats as null, only after that has happened.
+    The strict encoder rejects only a non-finite number, so ``_jsonable`` copies
+    the payload, writing those numbers as null, only after that has happened.
+    Nothing is written unless the whole line was encoded.  A reader that has
+    closed stdout is an input error (``CliError``).
     """
     try:
-        pieces = _encoded(report)
+        pieces = _pieces(report, [])
     except ValueError:
         report = {**report, "payload": _jsonable(report["payload"])}
-        pieces = _encoded(report)
-    for piece in pieces + ["\n"]:
-        sys.stdout.write(piece)
+        pieces = _pieces(report, [])
+    try:
+        for piece in pieces + ["\n"]:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # What is left in stdout's buffer would fail again in the flush at exit: send it nowhere instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CliError(f"cannot write the report: {exc.strerror}") from exc
     return report
 
 

@@ -8,9 +8,11 @@ which is exactly the ordering produced by ``numpy.kron``.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import threading
+from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -24,9 +26,8 @@ HERMITIAN_TOL = 1e-10
 # Batched checks take their stacks in blocks of about this many bytes, which bounds
 # their temporaries: StateSet.from_stack, and the fuzz per block of samples.
 BLOCK_BYTES = 1 << 18
-# A command hands its input files, or the items of a report's longest list, to forked workers
-# (see in_workers) only from this much JSON on: a fork round trip costs a few milliseconds, and
-# decoding or encoding 1 MiB of JSON some tens of them.
+# A command hands its input files to forked workers (see in_workers) only from this much JSON on:
+# a fork round trip costs a few milliseconds, and decoding 1 MiB of JSON some tens of them.
 FORK_BYTES = 4 * BLOCK_BYTES
 
 
@@ -246,17 +247,48 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.reshape(m, -1) @ np.ascontiguousarray(a.transpose(2, 1, 0)).reshape(-1, n)).T
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Wire format shared by every tool: row-major real/imaginary parts."""
+def _as_wire_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return a
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    """Wire format shared by every tool: row-major real/imaginary parts."""
+    a = _as_wire_matrix(m)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
         "re": a.real.ravel().tolist(),
         "im": a.imag.ravel().tolist(),
     }
+
+
+_encode_strict = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _entries_text(part: np.ndarray) -> str:
+    kept = np.flatnonzero((part != 0) | np.signbit(part))  # every entry but +0.0: -0.0, NaN and the numbers
+    values = part[kept]
+    numbers = np.full(len(kept), "-0.0", dtype=object)
+    nonzero = values != 0
+    if nonzero.any():
+        numbers[nonzero] = _encode_strict(values[nonzero].tolist())[1:-1].split(",")
+    runs = np.diff(kept, prepend=-1, append=len(part)) - 1  # the +0.0 entries before each kept one, and after the last
+    text = "".join(["0.0," * run + number + "," for run, number in zip(runs.tolist(), numbers.tolist())])
+    return "[" + (text + "0.0," * int(runs[-1]))[:-1] + "]"
+
+
+def matrix_json_text(m: np.ndarray) -> str:
+    """The text of ``json.dumps(matrix_to_json(m), separators=(",", ":"), allow_nan=False)``, byte for byte.
+
+    Of each part, real and imaginary, the entries other than ±0.0 go through the strict stdlib encoder in
+    one call, each -0.0 is written as ``-0.0`` and each run of +0.0 entries as repeated ``0.0,`` text, so
+    no Python float is made for a zero.  A non-finite entry raises the encoder's ``ValueError``.
+    """
+    a = _as_wire_matrix(m)
+    return '{"rows":%d,"cols":%d,"re":%s,"im":%s}' % (*a.shape, _entries_text(a.real.ravel()), _entries_text(a.imag.ravel()))
 
 
 def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
@@ -273,19 +305,27 @@ def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[st
     return obj
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _matrix_parts(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of a matrix object, each a ``(rows, cols)`` float array; any defect raises
+    ``ValueError``.  ``rows`` and ``cols`` must be JSON integers and every entry a finite JSON number."""
     strict_object(obj, "matrix", ("rows", "cols", "re", "im"))
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except TypeError as exc:
+    rows, cols = obj["rows"], obj["cols"]
+    if type(rows) is not int or type(cols) is not int:  # rejects true, "2" and 2.9
+        raise ValueError(f"matrix rows and cols must be JSON integers, got {rows!r} and {cols!r}")
+    try:  # array("d") takes numbers only, not "1.5", in one C loop that is faster than np.asarray's
+        re, im = np.frombuffer(array("d", obj["re"])), np.frombuffer(array("d", obj["im"]))
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix entries do not match {rows}x{cols}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite numbers, not NaN or Infinity")
-    return (re + 1j * im).reshape(rows, cols)
+    return re.reshape(rows, cols), im.reshape(rows, cols)
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    re, im = _matrix_parts(obj)
+    return re + 1j * im
 
 
 def matrices_from_json(objs, what: str) -> np.ndarray:
@@ -294,12 +334,12 @@ def matrices_from_json(objs, what: str) -> np.ndarray:
         raise ValueError(f"{what} JSON needs a nonempty list of matrices")
     out = None
     for k, obj in enumerate(objs):
-        m = matrix_from_json(obj)
+        re, im = _matrix_parts(obj)
         if out is None:
-            out = np.empty((len(objs),) + m.shape, dtype=complex)
-        elif m.shape != out.shape[1:]:
-            raise ValueError(f"{what} matrix {k} has shape {m.shape}, expected {out.shape[1:]}")
-        out[k] = m
+            out = np.empty((len(objs),) + re.shape, dtype=complex)
+        elif re.shape != out.shape[1:]:
+            raise ValueError(f"{what} matrix {k} has shape {re.shape}, expected {out.shape[1:]}")
+        out[k] = re + 1j * im
     return out
 
 

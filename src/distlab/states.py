@@ -126,23 +126,22 @@ class StateSet:
         return StateSet([self[i] for i in indices], label=self.label)
 
 
+def _pure_states(vectors, dims: Sequence[int], labels: Sequence[str], label: str = "") -> StateSet:
+    """Normalize each row of ``vectors`` and adopt the stack of their rank-1 projectors, formed in one
+    broadcast product.  Each norm is the real part's dot product plus the imaginary part's, as
+    ``np.linalg.norm`` computes it, so each projector is bit for bit ``np.outer`` of the normalized row."""
+    v = np.asarray(vectors, dtype=complex)
+    re, im = v.real, v.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, :, 0]  # one dot product each
+    if not norms.all():
+        raise ValueError("cannot normalize the zero vector")
+    v = v / norms
+    return StateSet.from_stack(v[:, :, None] * v.conj()[:, None, :], dims, labels, label=label)
+
+
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int], label: str = "") -> State:
     """Normalize an amplitude vector and form its rank-1 projector."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    dims = check_dims(dims, v.size)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    v = v / norm
-    return State(np.outer(v, v.conj()), dims, label=label)
-
-
-def _ket(d: int, *indices_and_weights) -> np.ndarray:
-    """Unnormalized superposition of computational basis kets of C^d."""
-    v = np.zeros(d, dtype=complex)
-    for idx, w in indices_and_weights:
-        v[idx] = w
-    return v
+    return _pure_states(np.reshape(amplitudes, (1, -1)), dims, [label])[0]
 
 
 def generalized_bell_states(d: int) -> StateSet:
@@ -154,19 +153,25 @@ def generalized_bell_states(d: int) -> StateSet:
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     omega = np.exp(2j * np.pi / d)
-    out = []
-    for a in range(d):
-        for b in range(d):
-            v = np.zeros(d * d, dtype=complex)
-            for m in range(d):
-                v[m * d + (m + a) % d] = omega ** (m * b) / np.sqrt(d)
-            out.append(pure_state(v, (d, d), label=f"bell[{a},{b}]"))
-    return StateSet(out, label=f"gbell(d={d})")
+    a, b = np.divmod(np.arange(d * d)[:, None], d)  # element a*d + b, as a column
+    m = np.arange(d)
+    v = np.zeros((d * d, d * d), dtype=complex)
+    v[np.arange(d * d)[:, None], m * d + (m + a) % d] = omega ** (m * b) / np.sqrt(d)
+    labels = [f"bell[{i},{j}]" for i in range(d) for j in range(d)]
+    return _pure_states(v, (d, d), labels, label=f"gbell(d={d})")
 
 
 def bell_states() -> StateSet:
     """The four Bell states of (2,2)."""
     return generalized_bell_states(2)
+
+
+def _ket(d: int, *indices_and_weights) -> np.ndarray:
+    """Unnormalized superposition of computational basis kets of C^d."""
+    v = np.zeros(d, dtype=complex)
+    for idx, w in indices_and_weights:
+        v[idx] = w
+    return v
 
 
 def domino_states() -> StateSet:
@@ -183,8 +188,9 @@ def domino_states() -> StateSet:
         (_ket(3, (1, plus), (2, minus)), _ket(3, (0, 1)), "|1-2>|0>"),
         (_ket(3, (1, 1)), _ket(3, (1, 1)), "|1>|1>"),
     ]
-    out = [pure_state(np.kron(a, b), (3, 3), label=lab) for a, b, lab in kets]
-    return StateSet(out, label="domino")
+    first, second, labels = zip(*kets)
+    vectors = (np.array(first)[:, :, None] * np.array(second)[:, None, :]).reshape(len(kets), 9)  # np.kron of each pair
+    return _pure_states(vectors, (3, 3), labels, label="domino")
 
 
 def extended_domino_basis(m: int, n: int) -> StateSet:
@@ -200,13 +206,14 @@ def extended_domino_basis(m: int, n: int) -> StateSet:
     """
     if m < 3 or n < 3:
         raise ValueError("both local dimensions must be at least 3")
-    out = [embed_state(s, (m, n)) for s in domino_states()]
-    for i in range(m):
-        for j in range(n):
-            if i >= 3 or j >= 3:
-                v = np.kron(_ket(m, (i, 1)), _ket(n, (j, 1)))
-                out.append(pure_state(v, (m, n), label=f"|{i}>|{j}>"))
-    return StateSet(out, label=f"domino-ext({m},{n})")
+    dominoes = domino_states()
+    i, j = np.divmod(np.arange(m * n), n)
+    rest = np.flatnonzero((i >= 3) | (j >= 3))  # |i>|j> is the basis ket i*n + j
+    rhos = np.zeros((m * n, m * n, m * n), dtype=complex)
+    rhos[: len(dominoes)] = embed_matrix(dominoes.rhos, (3, 3), (m, n))
+    rhos[len(dominoes) + np.arange(len(rest)), rest, rest] = 1
+    labels = dominoes.labels + tuple(f"|{k // n}>|{k % n}>" for k in rest)
+    return StateSet.from_stack(rhos, (m, n), labels, label=f"domino-ext({m},{n})")
 
 
 def embed_state(s: State, new_dims: Sequence[int]) -> State:
@@ -259,10 +266,13 @@ def mutually_orthogonal(states: StateSet, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(g) <= tol) if len(states) > 1 else True
 
 
-def state_set_to_json(states: StateSet) -> dict:
+def state_set_to_json(states: StateSet, matrix=matrix_to_json) -> dict:
+    """The state-set object; ``matrix`` gives each density matrix's value, by default its wire-format
+    object.  The report writer of ``distlab.cli`` takes the matrix itself (``matrix=np.asarray``) and
+    writes it as that object."""
     return {
         "dims": list(states.dims),
-        "states": [{"label": lab, "matrix": matrix_to_json(rho)} for rho, lab in zip(states.rhos, states.labels)],
+        "states": [{"label": lab, "matrix": matrix(rho)} for rho, lab in zip(states.rhos, states.labels)],
     }
 
 

@@ -1,10 +1,12 @@
 """The report encoder that ``distlab.cli`` replaced, kept as the oracle for its output.
 
 It always copies the payload first, one value at a time, writing every
-non-finite float as null, and then encodes the copy as strict JSON.  The CLI
-now encodes a report strictly at once and makes that copy only when the
-encoder rejects a non-finite float; ``tests/test_cli.py`` asserts that both
-print the same bytes and hand the same report to ``summarize``.
+non-finite float as null and every numpy matrix as its wire-format object,
+and then encodes the copy as strict JSON.  The CLI now encodes a report
+strictly at once, writes a matrix's text straight from the array, and makes
+that copy only when the encoder rejects a non-finite float;
+``tests/test_cli.py`` asserts that both print the same bytes and hand the
+same report to ``summarize``.
 """
 
 import json
@@ -13,7 +15,15 @@ import numpy as np
 
 
 def reference_jsonable(obj):
-    """Strict-JSON copy: non-finite floats become null."""
+    """Strict-JSON copy: non-finite floats become null, and a numpy matrix ``{rows, cols, re, im}``."""
+    if isinstance(obj, np.ndarray):
+        rows, cols = obj.shape
+        return {
+            "rows": rows,
+            "cols": cols,
+            "re": reference_jsonable([float(x) for x in obj.real.ravel()]),
+            "im": reference_jsonable([float(x) for x in obj.imag.ravel()]),
+        }
     if isinstance(obj, dict):
         return {k: reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

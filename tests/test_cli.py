@@ -512,6 +512,14 @@ def one_party_pair_obj():
     return state_set_to_json(StateSet([pure_state([1, 0], (2,)), pure_state([0, 1], (2,))]))
 
 
+def povm_with_text_entries_and_fractional_rows():
+    """The projective POVM {|0><0|, |1><1|} with the first element's entries as strings and rows 2.9 in the second."""
+    obj = povm_to_json(Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (2,), kind="projective"))
+    obj["elements"][0]["re"] = ["1", "0", "0", "0"]
+    obj["elements"][1]["rows"] = 2.9
+    return obj
+
+
 def bell_projector_povm_obj():
     p = bell_states().rhos[0]
     return povm_to_json(Povm([p, np.eye(4) - p], (2, 2)))
@@ -697,6 +705,10 @@ CONTRACT_BREAKERS = {
     "sdp-boolean-party": (
         {"q": pt_cut_with_party(True)},
         ["sdp", "--problem", "{q}"],
+    ),
+    "povm-entries-and-rows-not-numbers": (
+        {"p": povm_with_text_entries_and_fractional_rows()},
+        ["verify", "--povm", "{p}", "--kind", "projective"],
     ),
 }
 
@@ -960,9 +972,10 @@ def run_against_reference(capsys, built_reports, argv):
 
 
 def test_reports_match_the_always_walking_encoder(tmp_path, capsys, monkeypatch, built_reports):
-    code, out, _ = run_against_reference(capsys, built_reports, ["gen", "--family", "domino-ext", "--dims", "3,3"])
-    assert code == 0
-    assert "-0.0," in out
+    for family, dims in (("bell", []), ("gbell", ["--dims", "3,3"]), ("domino", []), ("domino-ext", ["--dims", "3,3"])):
+        code, out, _ = run_against_reference(capsys, built_reports, ["gen", "--family", family, *dims])
+        assert code == 0
+        assert "-0.0," in out
 
     tree_path = write_json(tmp_path / "badtree.json", incomplete_tree())
     code, out, err = run_against_reference(capsys, built_reports, ["verify", "--povm", tree_path, "--kind", "locc1"])
@@ -989,6 +1002,36 @@ def test_report_writer_nulls_non_finite_matrix_entries(capsys):
     assert json.loads(out, parse_constant=reject_constant)["payload"]["details"]["matrix"] == {
         "rows": 1, "cols": 4, "re": [None, None, None, -0.0], "im": [0.0, None, 1.0, 2.0]
     }
+
+
+def test_report_writer_nulls_non_finite_entries_of_an_array_matrix(capsys):
+    matrix = np.empty((2, 3), dtype=complex)
+    matrix.real, matrix.imag = [[np.nan, 0.0, -0.0], [np.inf, 1.5, 0.0]], [[0.0, -np.inf, 2.0], [0.0, 0.0, -0.0]]
+    report = report_of("state_set", {"dims": [2], "states": [{"label": "x", "matrix": matrix}]})
+    report["manifest"] = {"command": "gen", "arguments": []}
+    written = distlab.cli._write_report(report)
+    out = capsys.readouterr().out
+    assert out == reference_encode(report)
+    assert written == reference_report(report)
+    assert json.loads(out, parse_constant=reject_constant)["payload"]["states"][0]["matrix"] == {
+        "rows": 2, "cols": 3, "re": [None, 0.0, -0.0, None, 1.5, 0.0], "im": [0.0, None, 2.0, 0.0, 0.0, -0.0]
+    }
+
+
+def test_a_closed_stdout_is_one_error_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(distlab.__file__).resolve().parents[1]))
+    for argv in (["gen", "--family", "gbell", "--dims", "10,10"], ["gen", "--family", "bell"]):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from distlab.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == "distlab: error: cannot write the report: Broken pipe\n", argv
 
 
 def test_finite_reports_are_encoded_without_the_walk(tmp_path, capsys, monkeypatch):
@@ -1033,22 +1076,19 @@ def _matrix(value):
 LABELS = ['say "hi"\\', "\u0000\u001f\n", "ψ⊗φ — naïve ☃ \U0001d53c"]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
-def test_shared_encoder_prints_what_one_strict_encoding_prints(capsys, monkeypatch, workers, count):
-    forked = _in_parallel(monkeypatch, workers)
+def test_report_writer_prints_what_one_strict_encoding_prints(capsys, monkeypatch, count):
+    forked = _in_parallel(monkeypatch, 2)
     states = [{"label": LABELS[k % 3] * k, "matrix": _matrix(k / 3)} for k in range(count)]
     report = report_of("state_set", {"dims": [2], "states": states, "note": "a list, a key: [\"]"})
     report["manifest"] = {"command": "gen", "arguments": ["--family", 'q"uote'], "input_digests": {"ψ": "0"}}
     written = distlab.cli._write_report(report)
     assert capsys.readouterr().out == json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
     assert written is report
-    assert len(forked) == max(1, min(workers, count - 1)) - 1  # the items after the first are shared
+    assert forked == []  # the report is encoded in this process, whatever the CPU count
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_shared_encoder_writes_a_non_finite_entry_as_null(capsys, monkeypatch, workers):
-    _in_parallel(monkeypatch, workers)
+def test_report_writer_writes_a_non_finite_entry_as_null(capsys):
     failures = [{"seed_offset": k, "check": "x", "residual": float("nan") if k == 4 else k / 7} for k in range(6)]
     report = report_of("harness", {"kinds": ["general"], "failures": failures, "passes": False})
     report["manifest"] = {"command": "fuzz", "arguments": []}
@@ -1163,12 +1203,6 @@ def test_a_fuzz_worker_that_dies_is_one_error_line(capsys, monkeypatch):
     forked = _in_parallel(monkeypatch, 2)
     message = _killed_in_a_child(monkeypatch, distlab.discrimination, "_sample_of_kind")
     _worker_lost(capsys, ["fuzz", "--kinds", "general,sep", "--trials", "2", "--seed", "1"], forked, message)
-
-
-def test_a_gen_encoding_child_that_dies_is_one_error_line(capsys, monkeypatch):
-    forked = _in_parallel(monkeypatch, 2)
-    message = _killed_in_a_child(monkeypatch, json.JSONEncoder, "encode")
-    _worker_lost(capsys, ["gen", "--family", "gbell", "--dims", "3,3"], forked, message)
 
 
 def test_a_discriminate_loading_child_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the multipartite matrix operations."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from distlab.linalg import (
     bipartition,
     embed_matrix,
     hermiticity_defect,
+    matrices_from_json,
     matrix_from_json,
+    matrix_json_text,
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
@@ -257,6 +260,66 @@ def test_matrix_json_roundtrip():
             matrix_from_json({"rows": 1, "cols": 1, "re": [bad], "im": [0.0]})
         with pytest.raises(ValueError, match="finite"):
             matrix_from_json({"rows": 1, "cols": 1, "re": [0.0], "im": [bad]})
+
+
+def _wire_cases():
+    rng = np.random.default_rng(44)
+    runs = np.zeros((4, 5), dtype=complex)
+    runs[1, 2], runs[2, 0] = 0.25 - 3j, -7.5  # +0.0 runs at the start and the end of both parts
+    signed = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]]) + 1j * np.array([[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0]])
+    return {
+        "dense-real": rng.standard_normal((3, 3)),
+        "dense-complex": rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
+        "all-zero": np.zeros((4, 4)),
+        "zero-runs-at-both-ends": runs,
+        "negative-zero": signed,
+        "subnormal": np.array([[5e-324, 0.0], [-2.2250738585072e-310, 0.0]]) * (1 - 1j),
+        "huge": np.array([[1e300, 0.0, -1e300]]) + 1j * np.array([[0.0, -1e300, 0.0]]),
+        "one-by-one": np.array([[0.5]]),
+        "one-by-one-zero": np.zeros((1, 1)),
+        "one-entry-late": np.eye(1, 30, 29),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wire_cases()))
+def test_matrix_text_is_the_json_text_of_its_wire_object(case):
+    m = _wire_cases()[case]
+    assert matrix_json_text(m) == json.dumps(matrix_to_json(m), separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_text_rejects_a_non_finite_entry_as_the_strict_encoder_does(bad):
+    for m in (np.array([[0.0, bad]]), np.array([[0.0, 1j * bad]]), np.array([[bad + 0j, 0.0]])):
+        with pytest.raises(ValueError):
+            matrix_json_text(m)
+    with pytest.raises(ValueError):
+        matrix_json_text(np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("re", ["1.5", 0.0, 0.0, 0.0]),
+        ("im", [0.0, 0.0, "0", 0.0]),
+        ("re", [None, 0.0, 0.0, 0.0]),
+        ("re", [[1.0], 0.0, 0.0, 0.0]),
+        ("re", "1.5"),
+        ("re", [10**400, 0, 0, 0]),
+        ("rows", True),
+        ("rows", "2"),
+        ("cols", 2.9),
+        ("cols", 2.0),
+        ("rows", None),
+    ],
+)
+def test_matrix_json_takes_json_numbers_and_integer_sizes_only(field, value):
+    obj = {"rows": 2, "cols": 2, "re": [1, 0, 0.0, 0], "im": [0.0, 0.0, 0, -0.0]}
+    assert np.array_equal(matrix_from_json(obj), np.diag([1.0, 0.0]))
+    bad = {**obj, field: value}
+    with pytest.raises(ValueError):
+        matrix_from_json(bad)
+    with pytest.raises(ValueError):
+        matrices_from_json([obj, bad], "test")
 
 
 def random_stack(rng, n, side, real):

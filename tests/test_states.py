@@ -112,6 +112,92 @@ def test_extended_domino_basis_cases():
         extended_domino_basis(2, 4)
 
 
+def reference_projectors(vectors) -> np.ndarray:
+    """One state at a time: the vector over its ``np.linalg.norm``, and ``np.outer`` with its conjugate."""
+    out = []
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        v = v / np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return np.array(out)
+
+
+def reference_gbell_vectors(d):
+    omega = np.exp(2j * np.pi / d)
+    out = []
+    for a in range(d):
+        for b in range(d):
+            v = np.zeros(d * d, dtype=complex)
+            for m in range(d):
+                v[m * d + (m + a) % d] = omega ** (m * b) / np.sqrt(d)
+            out.append(v)
+    return out
+
+
+H = 1 / np.sqrt(2)
+# The Domino kets |x>|y> in the order and with the labels of domino_states.
+REFERENCE_DOMINO = [
+    ((1, 0, 0), (H, H, 0), "|0>|0+1>"),
+    ((1, 0, 0), (H, -H, 0), "|0>|0-1>"),
+    ((H, H, 0), (0, 0, 1), "|0+1>|2>"),
+    ((H, -H, 0), (0, 0, 1), "|0-1>|2>"),
+    ((0, 0, 1), (0, H, H), "|2>|1+2>"),
+    ((0, 0, 1), (0, H, -H), "|2>|1-2>"),
+    ((0, H, H), (1, 0, 0), "|1+2>|0>"),
+    ((0, H, -H), (1, 0, 0), "|1-2>|0>"),
+    ((0, 1, 0), (0, 1, 0), "|1>|1>"),
+]
+
+
+def reference_domino_projectors():
+    return reference_projectors([np.kron(np.array(x, dtype=complex), np.array(y, dtype=complex)) for x, y, _ in REFERENCE_DOMINO])
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_generalized_bell_stack_is_the_per_state_construction_bit_for_bit(d):
+    family = generalized_bell_states(d)
+    assert_same_bits(family.rhos, reference_projectors(reference_gbell_vectors(d)))
+    assert family.labels == tuple(f"bell[{a},{b}]" for a in range(d) for b in range(d))
+    assert (family.dims, family.label) == ((d, d), f"gbell(d={d})")
+
+
+def test_domino_stack_is_the_per_state_construction_bit_for_bit():
+    family = domino_states()
+    assert_same_bits(family.rhos, reference_domino_projectors())
+    assert family.labels == tuple(label for _, _, label in REFERENCE_DOMINO)
+    assert (family.dims, family.label) == ((3, 3), "domino")
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (10, 10)])
+def test_extended_domino_stack_is_the_per_state_construction_bit_for_bit(m, n):
+    inside = [i * n + j for i in range(3) for j in range(3)]
+    rhos = []
+    for small in reference_domino_projectors():
+        big = np.zeros((m * n, m * n), dtype=complex)
+        big[np.ix_(inside, inside)] = small
+        rhos.append(big)
+    rest = [(i, j) for i in range(m) for j in range(n) if i >= 3 or j >= 3]
+    rhos.extend(reference_projectors(np.eye(m * n)[[i * n + j for i, j in rest]]))
+    family = extended_domino_basis(m, n)
+    assert_same_bits(family.rhos, np.array(rhos))
+    assert family.labels == tuple(label for _, _, label in REFERENCE_DOMINO) + tuple(f"|{i}>|{j}>" for i, j in rest)
+    assert (family.dims, family.label) == ((m, n), f"domino-ext({m},{n})")
+
+
+@pytest.mark.parametrize("length", [1, 2, 9, 17, 100])
+def test_pure_state_is_np_outer_of_the_normalized_vector_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    v = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    v[::3] = 0
+    v[-1] = 0.5 - 2j
+    assert_same_bits(pure_state(v, (length,), label="v").rho, reference_projectors([v])[0])
+
+
 def test_embed_state_preserves_spectrum_and_label():
     phi = pure_state([1, 0, 0, 1], (2, 2), label="phi+")
     same = embed_state(phi, (2, 2))
