@@ -147,16 +147,19 @@ def pure_state(amplitudes: Sequence[complex], dims: Sequence[int], label: str = 
 def generalized_bell_states(d: int) -> StateSet:
     """The d^2 shift-and-phase maximally entangled states of (d,d).
 
-    Element (a,b) has amplitudes omega^(m b)/sqrt(d) on |m>|m+a mod d>,
-    omega = exp(2 pi i / d); (0,0) is the uniform |Phi+>.
+    Element (a,b) has amplitudes omega^(m b mod d)/sqrt(d) on |m>|m+a mod d>,
+    omega = exp(2 pi i / d); (0,0) is the uniform |Phi+>.  The powers at the
+    quarter turns are exactly 1, i, -1 and -i, so for d = 2 the states are real.
     """
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    omega = np.exp(2j * np.pi / d)
+    k = np.arange(d)
+    powers = np.exp(2j * np.pi * k / d)  # omega^k
+    quarter = 4 * k % d == 0
+    powers[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // d]
     a, b = np.divmod(np.arange(d * d)[:, None], d)  # element a*d + b, as a column
-    m = np.arange(d)
     v = np.zeros((d * d, d * d), dtype=complex)
-    v[np.arange(d * d)[:, None], m * d + (m + a) % d] = omega ** (m * b) / np.sqrt(d)
+    v[np.arange(d * d)[:, None], k * d + (k + a) % d] = powers[k * b % d] / np.sqrt(d)
     labels = [f"bell[{i},{j}]" for i in range(d) for j in range(d)]
     return _pure_states(v, (d, d), labels, label=f"gbell(d={d})")
 

@@ -1,5 +1,7 @@
 """Tests for the state family constructors."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,7 @@ def test_bell_states_orthonormal():
     expected = np.zeros((4, 4), dtype=complex)
     expected[np.ix_([0, 3], [0, 3])] = 0.5
     assert np.max(np.abs(s[0].rho - expected)) <= 1e-15
+    assert not s.rhos.imag.any()  # exact phases +-1: every Bell problem built from them is real
 
 
 def test_generalized_bell_maximally_mixed_marginals():
@@ -122,14 +125,22 @@ def reference_projectors(vectors) -> np.ndarray:
     return np.array(out)
 
 
+def reference_power(k: int, d: int):
+    """omega^k for omega = exp(2 pi i / d): exactly 1, i, -1 or -i at the quarter turns."""
+    k %= d
+    quarter = Fraction(4 * k, d)
+    if quarter.denominator == 1:
+        return [1, 1j, -1, -1j][int(quarter)]
+    return np.exp(2j * np.pi * np.arange(d) / d)[k]
+
+
 def reference_gbell_vectors(d):
-    omega = np.exp(2j * np.pi / d)
     out = []
     for a in range(d):
         for b in range(d):
             v = np.zeros(d * d, dtype=complex)
             for m in range(d):
-                v[m * d + (m + a) % d] = omega ** (m * b) / np.sqrt(d)
+                v[m * d + (m + a) % d] = reference_power(m * b, d) / np.sqrt(d)
             out.append(v)
     return out
 
@@ -158,7 +169,7 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 10])
 def test_generalized_bell_stack_is_the_per_state_construction_bit_for_bit(d):
     family = generalized_bell_states(d)
     assert_same_bits(family.rhos, reference_projectors(reference_gbell_vectors(d)))
