@@ -288,7 +288,8 @@ def matrix_json_text(m: np.ndarray) -> str:
     no Python float is made for a zero.  A non-finite entry raises the encoder's ``ValueError``.
     """
     a = _as_wire_matrix(m)
-    return '{"rows":%d,"cols":%d,"re":%s,"im":%s}' % (*a.shape, _entries_text(a.real.ravel()), _entries_text(a.imag.ravel()))
+    re, im = _entries_text(a.real.ravel()), _entries_text(a.imag.ravel())
+    return '{"rows":%d,"cols":%d,"re":%s,"im":%s}' % (*a.shape, re, im)
 
 
 def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
@@ -305,14 +306,14 @@ def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[st
     return obj
 
 
-def _matrix_parts(obj) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of a matrix object, each a ``(rows, cols)`` float array; any defect raises
-    ``ValueError``.  ``rows`` and ``cols`` must be JSON integers and every entry a finite JSON number."""
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Parse a matrix object strictly: ``rows`` and ``cols`` must be JSON integers and every entry a finite
+    JSON number; any defect raises ``ValueError``."""
     strict_object(obj, "matrix", ("rows", "cols", "re", "im"))
     rows, cols = obj["rows"], obj["cols"]
     if type(rows) is not int or type(cols) is not int:  # rejects true, "2" and 2.9
         raise ValueError(f"matrix rows and cols must be JSON integers, got {rows!r} and {cols!r}")
-    try:  # array("d") takes numbers only, not "1.5", in one C loop that is faster than np.asarray's
+    try:  # array("d") rejects "1.5", null and lists (true is an int to it) in one C loop, faster than np.asarray
         re, im = np.frombuffer(array("d", obj["re"])), np.frombuffer(array("d", obj["im"]))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
@@ -320,12 +321,7 @@ def _matrix_parts(obj) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix entries do not match {rows}x{cols}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite numbers, not NaN or Infinity")
-    return re.reshape(rows, cols), im.reshape(rows, cols)
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    re, im = _matrix_parts(obj)
-    return re + 1j * im
+    return (re + 1j * im).reshape(rows, cols)
 
 
 def matrices_from_json(objs, what: str) -> np.ndarray:
@@ -334,12 +330,12 @@ def matrices_from_json(objs, what: str) -> np.ndarray:
         raise ValueError(f"{what} JSON needs a nonempty list of matrices")
     out = None
     for k, obj in enumerate(objs):
-        re, im = _matrix_parts(obj)
+        m = matrix_from_json(obj)
         if out is None:
-            out = np.empty((len(objs),) + re.shape, dtype=complex)
-        elif re.shape != out.shape[1:]:
-            raise ValueError(f"{what} matrix {k} has shape {re.shape}, expected {out.shape[1:]}")
-        out[k] = re + 1j * im
+            out = np.empty((len(objs),) + m.shape, dtype=complex)
+        elif m.shape != out.shape[1:]:
+            raise ValueError(f"{what} matrix {k} has shape {m.shape}, expected {out.shape[1:]}")
+        out[k] = m
     return out
 
 

@@ -144,6 +144,14 @@ def pure_state(amplitudes: Sequence[complex], dims: Sequence[int], label: str = 
     return _pure_states(np.reshape(amplitudes, (1, -1)), dims, [label])[0]
 
 
+def _ket(d: int, *indices_and_weights) -> np.ndarray:
+    """Unnormalized superposition of computational basis kets of C^d."""
+    v = np.zeros(d, dtype=complex)
+    for idx, w in indices_and_weights:
+        v[idx] = w
+    return v
+
+
 def generalized_bell_states(d: int) -> StateSet:
     """The d^2 shift-and-phase maximally entangled states of (d,d).
 
@@ -167,14 +175,6 @@ def generalized_bell_states(d: int) -> StateSet:
 def bell_states() -> StateSet:
     """The four Bell states of (2,2)."""
     return generalized_bell_states(2)
-
-
-def _ket(d: int, *indices_and_weights) -> np.ndarray:
-    """Unnormalized superposition of computational basis kets of C^d."""
-    v = np.zeros(d, dtype=complex)
-    for idx, w in indices_and_weights:
-        v[idx] = w
-    return v
 
 
 def domino_states() -> StateSet:
@@ -213,6 +213,7 @@ def extended_domino_basis(m: int, n: int) -> StateSet:
     i, j = np.divmod(np.arange(m * n), n)
     rest = np.flatnonzero((i >= 3) | (j >= 3))  # |i>|j> is the basis ket i*n + j
     rhos = np.zeros((m * n, m * n, m * n), dtype=complex)
+    # the projectors are padded, not the vectors: a padded vector's products would leave -0.0 in the padding
     rhos[: len(dominoes)] = embed_matrix(dominoes.rhos, (3, 3), (m, n))
     rhos[len(dominoes) + np.arange(len(rest)), rest, rest] = 1
     labels = dominoes.labels + tuple(f"|{k // n}>|{k % n}>" for k in rest)

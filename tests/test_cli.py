@@ -1018,7 +1018,7 @@ def test_report_writer_nulls_non_finite_entries_of_an_array_matrix(capsys):
     }
 
 
-def test_a_closed_stdout_is_one_error_line(tmp_path):
+def test_a_closed_stdout_is_one_error_line():
     env = dict(os.environ, PYTHONPATH=str(Path(distlab.__file__).resolve().parents[1]))
     for argv in (["gen", "--family", "gbell", "--dims", "10,10"], ["gen", "--family", "bell"]):
         read, write = os.pipe()

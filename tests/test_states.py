@@ -161,7 +161,8 @@ REFERENCE_DOMINO = [
 
 
 def reference_domino_projectors():
-    return reference_projectors([np.kron(np.array(x, dtype=complex), np.array(y, dtype=complex)) for x, y, _ in REFERENCE_DOMINO])
+    kets = [(np.array(x, dtype=complex), np.array(y, dtype=complex)) for x, y, _ in REFERENCE_DOMINO]
+    return reference_projectors([np.kron(x, y) for x, y in kets])
 
 
 def assert_same_bits(a, b):
