@@ -165,9 +165,10 @@ def generalized_bell_states(d: int) -> StateSet:
     powers = np.exp(2j * np.pi * k / d)  # omega^k
     quarter = 4 * k % d == 0
     powers[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // d]
-    a, b = np.divmod(np.arange(d * d)[:, None], d)  # element a*d + b, as a column
+    rows = np.arange(d * d)[:, None]  # element a*d + b
+    a, b = np.divmod(rows, d)
     v = np.zeros((d * d, d * d), dtype=complex)
-    v[np.arange(d * d)[:, None], k * d + (k + a) % d] = powers[k * b % d] / np.sqrt(d)
+    v[rows, k * d + (k + a) % d] = powers[k * b % d] / np.sqrt(d)
     labels = [f"bell[{i},{j}]" for i in range(d) for j in range(d)]
     return _pure_states(v, (d, d), labels, label=f"gbell(d={d})")
 
