@@ -1076,9 +1076,10 @@ def _matrix(value):
 LABELS = ['say "hi"\\', "\u0000\u001f\n", "ψ⊗φ — naïve ☃ \U0001d53c"]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
-def test_report_writer_prints_what_one_strict_encoding_prints(capsys, monkeypatch, count):
-    forked = _in_parallel(monkeypatch, 2)
+def test_shared_encoder_prints_what_one_strict_encoding_prints(capsys, monkeypatch, workers, count):
+    forked = _in_parallel(monkeypatch, workers)
     states = [{"label": LABELS[k % 3] * k, "matrix": _matrix(k / 3)} for k in range(count)]
     report = report_of("state_set", {"dims": [2], "states": states, "note": "a list, a key: [\"]"})
     report["manifest"] = {"command": "gen", "arguments": ["--family", 'q"uote'], "input_digests": {"ψ": "0"}}
@@ -1088,7 +1089,9 @@ def test_report_writer_prints_what_one_strict_encoding_prints(capsys, monkeypatc
     assert forked == []  # the report is encoded in this process, whatever the CPU count
 
 
-def test_report_writer_writes_a_non_finite_entry_as_null(capsys):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_shared_encoder_writes_a_non_finite_entry_as_null(capsys, monkeypatch, workers):
+    forked = _in_parallel(monkeypatch, workers)
     failures = [{"seed_offset": k, "check": "x", "residual": float("nan") if k == 4 else k / 7} for k in range(6)]
     report = report_of("harness", {"kinds": ["general"], "failures": failures, "passes": False})
     report["manifest"] = {"command": "fuzz", "arguments": []}
@@ -1097,6 +1100,7 @@ def test_report_writer_writes_a_non_finite_entry_as_null(capsys):
     assert out == reference_encode(report)
     assert written == reference_report(report)
     assert json.loads(out)["payload"]["failures"][4]["residual"] is None
+    assert forked == []
 
 
 def _bad_files(tmp_path):
