@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
-from .linalg import in_workers, restrict_matrix, strict_object, trace_products
+from .linalg import hermitian_part, in_workers, restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -206,8 +206,7 @@ def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> Global
         return GlobalVerdict(False, None)
     w, v = np.linalg.eigh(states.rhos)
     keep = v * (w > max(tol, 1e-12))[:, None, :]  # zero the eigenvectors outside each support
-    p = keep @ dagger(keep)
-    projectors = (p + dagger(p)) / 2
+    projectors = hermitian_part(keep @ dagger(keep))
     complement = np.eye(states.rhos.shape[-1]) - projectors.sum(axis=0)
     witness = Povm(np.concatenate([projectors, complement[None]]), states.dims, kind="projective")
     return GlobalVerdict(True, witness)
@@ -290,7 +289,7 @@ def _transfer(small: PptResult, embedded: StateSet, tol: float) -> PptResult:
     if status == "optimal" and max(residuals["affine"], residuals["cone"]) > tol:
         status = "max-iterations"
     objective = float(np.einsum("iab,iba->", embedded.rhos, elements).real) / n
-    solution = SdpSolution(tuple(elements), objective, status, residuals, iterations=0, history=())
+    solution = SdpSolution(elements, objective, status, residuals, iterations=0, history=())
     return PptResult(objective, _distinguishable(solution), povm, solution)
 
 

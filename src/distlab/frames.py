@@ -26,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from .linalg import BLOCK_BYTES, dagger
+from .linalg import BLOCK_BYTES, dagger, hermitian_part
 
 # The data's *-algebra is given up once its dimension passes ALGEBRA_SHARE of side**2 (an algebra of just that
 # dimension is kept) or its basis would pass ALGEBRA_BYTES.  Both bound the cost of finding it: on data with no symmetry
@@ -45,13 +45,6 @@ ALGEBRA_SEED = 2007
 SPAN_TOL = 1e-9
 NEW_SHARE = 1e-2
 FRAME_TOL = 1e-12
-
-
-def hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(M + M^H) / 2 for each matrix M of the stack ``m``, into ``out`` if given."""
-    out = np.add(m, dagger(m), out=out)
-    out /= 2
-    return out
 
 
 def _moved(src: np.ndarray, perm, out: np.ndarray) -> np.ndarray:

@@ -62,6 +62,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
+def hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(M + M^H) / 2 for each matrix M of the stack ``m``, into ``out`` if given."""
+    out = np.add(m, dagger(m), out=out)
+    out /= 2
+    return out
+
+
 def hermiticity_defect(m: np.ndarray):
     """Max entrywise |M - M^dagger|: a float for one matrix, an array of shape
     ``m.shape[:-2]`` for a stack (one defect per matrix)."""
@@ -135,8 +142,7 @@ def min_eigenvalue(m: np.ndarray):
     an array of shape ``m.shape[:-2]`` for a stack (one batched ``eigvalsh``)."""
     m = as_stack(m)
     with np.errstate(invalid="ignore"):  # complex arithmetic on an infinite entry makes NaNs, left to eigvalsh
-        h = m + dagger(m)
-        h /= 2  # in place: one stack-sized temporary fewer
+        h = hermitian_part(m)
     w = np.linalg.eigvalsh(h)[..., 0]
     return float(w) if m.ndim == 2 else w
 
@@ -166,8 +172,7 @@ def psd_certified(m: np.ndarray, tol: float):
     for lo in range(0, len(flat), step):
         block = flat[lo : lo + step]
         with np.errstate(invalid="ignore"):  # a block with a non-finite entry is left to min_eigenvalue below
-            h = block + dagger(block)
-            h /= 2
+            h = hermitian_part(block)
             c = 4 * gamma * (np.abs(h[:, idx, idx]).sum(axis=-1) + side * tol) + side * np.finfo(float).tiny
             h[:, idx, idx] += (tol - c)[:, None]
         if np.isfinite(h).all():  # numpy's Cholesky can complete on NaN entries

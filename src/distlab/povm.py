@@ -29,6 +29,7 @@ from .linalg import (
     check_dims,
     dagger,
     group_sums,
+    hermitian_part,
     hermiticity_defect,
     matrices_from_json,
     matrix_to_json,
@@ -557,7 +558,7 @@ def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g.imag = raw[..., 1, :, :]
     gram = g @ dagger(g)
     total = gram.sum(axis=-3)
-    w, v = np.linalg.eigh((total + dagger(total)) / 2)
+    w, v = np.linalg.eigh(hermitian_part(total))
     singular = w[..., 0] <= g.shape[-1] * 1e-12 * np.maximum(w[..., -1], 1.0)
     w[singular] = 1.0  # keeps the arithmetic finite until those families are drawn again
     inv_sqrt = ((v * w[..., None, :] ** -0.5) @ dagger(v))[..., None, :, :]

@@ -37,11 +37,12 @@ index map made once per cut, then the Hermitian part), one batched ``eigh``
 per block size with clipping and reconstruction of only the blocks that had
 a negative eigenvalue, the way back, and the dual update, all in place.
 Residuals, stopping and the returned matrices are computed on full
-``(side, side)`` matrices at checkpoints.  When every objective block and the
-target have an identically zero imaginary part, the iteration runs in float64
-instead of complex128, with a real basis and real frames; the input alone
-decides this, no option selects it.  Returned matrices are complex128 either
-way.
+``(side, side)`` matrices at checkpoints, each cut through its full-matrix
+frame, the one the infeasibility screen and the projections use.  When every
+objective block and the target have an identically zero imaginary part, the
+iteration runs in float64 instead of complex128, with a real basis and real
+frames; the input alone decides this, no option selects it.  The returned
+matrices are one complex128 ``(blocks, side, side)`` stack either way.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import MatrixFrame, coordinates, hermitian_part, matrices, reduction
+from .frames import MatrixFrame, coordinates, matrices, reduction
 from .linalg import (
     HERMITIAN_TOL,
     as_matrix,
@@ -59,7 +60,9 @@ from .linalg import (
     bipartition,
     check_dims,
     dagger,
+    hermitian_part,
     hermiticity_defect,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     partial_transpose,
@@ -148,7 +151,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray  # (blocks, side, side), complex
     objective_value: float
     status: str  # optimal | max-iterations | infeasible-evidence
     residuals: dict
@@ -156,23 +159,20 @@ class SdpSolution:
     history: tuple[dict, ...]
 
 
-# A cut is None for the plain PSD cone, else the (dims, parties) of a
-# partial transposition; the matrix helpers below work on (count, side, side) stacks.
+def _frame(cut, side: int) -> MatrixFrame:
+    """The cone of ``cut`` on full ``(side, side)`` matrices: the PSD cone for None, else the cone of matrices whose
+    partial transpose on ``cut``, any ``(dims, parties)`` that ``partial_transpose`` takes, is PSD."""
+    if cut is None:
+        return MatrixFrame(None, side)
+    square = np.arange(side * side, dtype=float).reshape(side, side)
+    return MatrixFrame(partial_transpose(square, *cut).ravel().astype(np.intp), side)
 
 
-def _transposed(mats: np.ndarray, cut) -> np.ndarray:
-    return mats if cut is None else partial_transpose(mats, *cut)
-
-
-def _in_frame(mats: np.ndarray, cut) -> np.ndarray:
-    """The Hermitian parts of ``mats`` in the cone's frame, where the cone is the PSD cone."""
-    return hermitian_part(_transposed(mats, cut))
-
-
-def _negative_parts(mats: np.ndarray, cut) -> np.ndarray:
-    """Per matrix, how far it sits outside the cone: max(0, -lambda_min)."""
-    w = np.linalg.eigvalsh(_in_frame(mats, cut))
-    return np.maximum(0.0, -w[:, 0])
+def _negative_parts(mats: np.ndarray, frame: MatrixFrame) -> np.ndarray:
+    """Per matrix of the stack ``mats``, how far it sits outside the cone of ``frame``: max(0, -lambda_min)."""
+    held, spare = np.empty((2, *mats.shape), mats.dtype)
+    frame.into(mats, spare, held)
+    return np.maximum(0.0, -np.linalg.eigvalsh(held)[:, 0])
 
 
 def _clip(h: np.ndarray) -> None:
@@ -194,38 +194,37 @@ def _as_slice(idx: np.ndarray):
     return slice(lo, lo + len(idx)) if np.array_equal(idx, np.arange(lo, lo + len(idx))) else idx
 
 
-def _project(mats: np.ndarray, cut) -> np.ndarray:
-    """Frobenius-nearest cone points: clip negative eigenvalues in the cone's frame."""
-    h = _in_frame(mats, cut)
-    _clip(h)
-    # h is exactly Hermitian, and so is its partial transpose
-    return _transposed(h, cut)
-
-
-def _checked_hermitian(m) -> np.ndarray:
+def _project(m, cut) -> np.ndarray:
+    """The Frobenius-nearest point of the cone of ``cut`` to the Hermitian matrix ``m``: clip negative eigenvalues
+    in the cone's frame."""
     m = as_matrix(m)
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"projection needs Hermitian input (defect {defect:.3e})")
-    return m
+    frame = _frame(cut, len(m))
+    held, out = np.empty((2, 1, *m.shape), complex)
+    frame.into(m[None], out, held)
+    _clip(held)
+    frame.back(held, out)  # a clipped frame is exactly Hermitian, and so is its partial transpose
+    return out[0]
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues."""
-    return _project(_checked_hermitian(m)[None], None)[0]
+    return _project(m, None)
 
 
 def project_ppt(m: np.ndarray, dims: Sequence[int], cut: int | Sequence[int]) -> np.ndarray:
     """Frobenius-nearest matrix whose partial transpose is PSD."""
-    return _project(_checked_hermitian(m)[None], (check_dims(dims), cut))[0]
+    return _project(m, (dims, cut))
 
 
 def _objective_value(c: np.ndarray, x: np.ndarray) -> float:
     return float(np.einsum("iab,iba->", c, x).real)
 
 
-def _cone_violation(x: np.ndarray, owner: np.ndarray, groups) -> float:
-    return max(float(np.max(_negative_parts(x[owner[at]], cut))) for cut, at in groups)
+def _cone_violation(x: np.ndarray, owner: np.ndarray, groups, cones: dict) -> float:
+    return max(float(np.max(_negative_parts(x[owner[at]], cones[cut]))) for cut, at in groups)
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
@@ -255,6 +254,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     owner = np.repeat(np.arange(n), counts)[held]
     ends = np.cumsum([len(ks) for ks in by_cut.values()]).tolist()
     groups = [(cut, slice(end - len(ks), end)) for (cut, ks), end in zip(by_cut.items(), ends)]
+    cones = {cut: _frame(cut, side) for cut in by_cut}  # each distinct cut's cone on full matrices
     m = counts[:, None, None]
     inv_m_sum = sum(1.0 / mi for mi in counts.tolist())
     rho, alpha = PENALTY, OVER_RELAXATION
@@ -272,16 +272,16 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             total[blocks] += stack[places]
         return total
 
-    evidence = _infeasibility_evidence(problem)
+    evidence = _infeasibility_evidence(problem, cones)
     if evidence is not None:
         x = hermitian_part(np.repeat((f / n)[None], n, axis=0))
         return SdpSolution(
-            matrices=tuple(xi.astype(complex) for xi in x),
+            matrices=x.astype(complex),
             objective_value=_objective_value(c, x),
             status="infeasible-evidence",
             residuals={
                 "affine": 0.0,
-                "cone": _cone_violation(x, owner, groups),
+                "cone": _cone_violation(x, owner, groups, cones),
                 "gap_estimate": float("nan"),
                 "evidence": evidence,
             },
@@ -291,12 +291,9 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
     # the iteration's coordinates: the matrices themselves, or, where the data's *-algebra is small, real
     # coordinates in an orthonormal basis of its Hermitian part; each cut's cone is a frame on them
-    square = np.arange(side * side, dtype=float).reshape(side, side)
-    maps = {cut: None if cut is None else partial_transpose(square, *cut).ravel().astype(np.intp) for cut in by_cut}
-    reduced = reduction(c, f, maps)
+    reduced = reduction(c, f, {cut: cone.perm for cut, cone in cones.items()})
     if reduced is None:
-        basis, shape = None, (side, side)
-        frames = {cut: MatrixFrame(perm, side) for cut, perm in maps.items()}
+        basis, shape, frames = None, (side, side), cones
         cs, fs, weights, hermitian = c, f, m, hermitian_part
     else:
         basis, frames = reduced
@@ -351,7 +348,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         # residuals on the matrices
         xf = full(x)  # the differences are taken on the coordinates: full() is linear
         affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
-        cone = _cone_violation(xf, owner, groups)
+        cone = _cone_violation(xf, owner, groups, cones)
         consensus = float(np.max(np.abs(full(x[owner] - z))))
         dual = rho * float(np.max(np.abs(full(z - z_prev))))
         obj = _objective_value(c, xf)
@@ -376,7 +373,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if best["combined"] > 0.95 * halfway:
             status = "infeasible-evidence"
     return SdpSolution(
-        matrices=tuple(xi.astype(complex) for xi in best_x),
+        matrices=best_x.astype(complex),
         objective_value=_objective_value(c, best_x),
         status=status,
         residuals={k: best[k] for k in ("affine", "cone", "gap_estimate")},
@@ -385,19 +382,15 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     )
 
 
-def _infeasibility_evidence(problem: SdpProblem) -> str | None:
-    """Necessary-condition screen: the target must lie in every shared cone."""
-    target = problem.target[None]
-    neg = _negative_parts(target, None)[0]
-    if neg > 1e-9:
-        return f"constraint target has negative eigenvalue {-neg:.3e}"
+def _infeasibility_evidence(problem: SdpProblem, cones: dict) -> str | None:
+    """Necessary-condition screen: the target must lie in the PSD cone and every shared cut's cone (``cones`` maps
+    each cut to its frame)."""
     shared = set(problem.pt_cones[0]).intersection(*problem.pt_cones[1:])
-    for cone in shared:
-        neg = _negative_parts(target, (cone.dims, cone.parties))[0]
+    for cut in [None, *((cone.dims, cone.parties) for cone in shared)]:
+        neg = _negative_parts(problem.target[None], cones[cut])[0]
         if neg > 1e-9:
-            return (
-                f"target transposed on {cone.parties} has negative eigenvalue {-neg:.3e}"
-            )
+            where = "constraint target" if cut is None else f"target transposed on {cut[1]}"
+            return f"{where} has negative eigenvalue {-neg:.3e}"
     return None
 
 
@@ -445,7 +438,7 @@ def solution_from_json(obj: dict) -> SdpSolution:
         obj, "SDP solution", ("matrices", "objective_value", "status", "residuals", "iterations", "history")
     )
     return SdpSolution(
-        matrices=tuple(matrix_from_json(m) for m in obj["matrices"]),
+        matrices=matrices_from_json(obj["matrices"], "SDP solution"),
         objective_value=float(obj["objective_value"]),
         status=str(obj["status"]),
         residuals=dict(obj["residuals"]),

@@ -34,15 +34,30 @@ from .linalg import (
 STATE_TOL = 1e-9
 
 
+def _check_states(rhos: np.ndarray, labels: Sequence[str]) -> None:
+    """Raise for the first matrix of the stack ``rhos`` that is not a state, with the message of its first failing
+    check: Hermitian within ``HERMITIAN_TOL``, trace 1 within ``STATE_TOL``, then lambda_min >= -STATE_TOL, decided by
+    :func:`~distlab.linalg.psd_certified`.  The checks run a block of ``BLOCK_BYTES`` at a time; the eigenvalue itself
+    is computed only for the message of a state that fails."""
+    step = max(1, BLOCK_BYTES // rhos[0].nbytes)
+    for lo in range(0, len(rhos), step):
+        block = rhos[lo : lo + step]
+        defect, tr = hermiticity_defect(block), np.trace(block, axis1=1, axis2=2).real
+        bad = (defect > HERMITIAN_TOL) | (np.abs(tr - 1.0) > STATE_TOL) | ~psd_certified(block, STATE_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            label = labels[lo + i]
+            if defect[i] > HERMITIAN_TOL:
+                raise ValueError(f"state {label!r} is not Hermitian (defect {defect[i]:.3e})")
+            if abs(tr[i] - 1.0) > STATE_TOL:
+                raise ValueError(f"state {label!r} has trace {tr[i]}, expected 1")
+            raise ValueError(f"state {label!r} has negative eigenvalue {min_eigenvalue(block[i]):.3e}")
+
+
 @dataclass(frozen=True)
 class State:
-    """Unit-trace PSD matrix over a composite system.
-
-    Checked in turn: Hermitian within ``HERMITIAN_TOL``, trace 1 within
-    ``STATE_TOL``, and lambda_min >= -STATE_TOL, decided by
-    :func:`~distlab.linalg.psd_certified`; the eigenvalue itself is computed
-    only for the message of a state that fails.
-    """
+    """Unit-trace PSD matrix over a composite system, checked as a stack of one by
+    :func:`_check_states`."""
 
     rho: np.ndarray
     dims: tuple[int, ...]
@@ -53,14 +68,7 @@ class State:
         dims = check_dims(self.dims, rho.shape[0])
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", dims)
-        defect = hermiticity_defect(rho)
-        if defect > HERMITIAN_TOL:
-            raise ValueError(f"state {self.label!r} is not Hermitian (defect {defect:.3e})")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"state {self.label!r} has trace {tr}, expected 1")
-        if not psd_certified(rho, STATE_TOL):
-            raise ValueError(f"state {self.label!r} has negative eigenvalue {min_eigenvalue(rho):.3e}")
+        _check_states(rho[None], [self.label])
 
     @property
     def side(self) -> int:
@@ -93,22 +101,12 @@ class StateSet:
     @classmethod
     def from_stack(cls, rhos, dims: Sequence[int], labels: Sequence[str], label: str = "") -> "StateSet":
         """Adopt a stack without copying it; every matrix must pass ``State``'s checks,
-        which run a block of matrices at a time and raise ``State``'s error for the
-        first matrix that fails."""
+        which raise ``State``'s error for the first matrix that fails."""
         rhos, labels = np.asarray(rhos, dtype=complex), tuple(str(x) for x in labels)
         if rhos.ndim != 3 or not len(rhos) or len(labels) != len(rhos):
             raise ValueError(f"bad state stack: shape {rhos.shape} with {len(labels)} labels")
         dims = check_dims(dims, rhos.shape[-1])
-        step = max(1, BLOCK_BYTES // rhos[0].nbytes)
-        for lo in range(0, len(rhos), step):
-            block = rhos[lo : lo + step]
-            bad = (
-                (hermiticity_defect(block) > HERMITIAN_TOL)
-                | (np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0) > STATE_TOL)
-                | ~psd_certified(block, STATE_TOL)
-            )
-            for i in lo + np.flatnonzero(bad):
-                State(rhos[i], dims, label=labels[i])  # raises the message of the first failing check
+        _check_states(rhos, labels)
         out = cls.__new__(cls)
         out.__dict__.update(rhos=rhos, dims=dims, labels=labels, label=label)
         return out

@@ -51,9 +51,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert {str(m.relative_to(SOURCE)): private_imports(m) for m in modules if private_imports(m)} == {}
 
 
-def fork_calls(path: Path) -> list[str]:
-    """``module.scope`` for every ``os.fork()`` call in ``path``, the scope being the dotted names of the classes and
-    functions that enclose it."""
+def call_sites(path: Path, name: str) -> list[str]:
+    """``module.scope`` for every call of ``name`` (such as ``os.fork``) in ``path``, the scope being the dotted names
+    of the classes and functions that enclose it."""
     found = []
 
     def visit(node: ast.AST, scope: list[str]) -> None:
@@ -61,8 +61,7 @@ def fork_calls(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, [*scope, child.name])
                 continue
-            call = child.func if isinstance(child, ast.Call) else None
-            if isinstance(call, ast.Attribute) and call.attr == "fork" and getattr(call.value, "id", None) == "os":
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
                 found.append(".".join([path.stem, *scope]))
             visit(child, scope)
 
@@ -78,13 +77,20 @@ def test_fork_call_scan_names_the_enclosing_scope(tmp_path):
         "class Pool:\n    def start(self):\n        return [os.fork() for _ in range(2)]\n\n"
         "def outer():\n    def inner():\n        os.fork()\n    return os.getpid()\n"
     )
-    assert fork_calls(sample) == ["sample", "sample.Pool.start", "sample.outer.inner"]
+    assert call_sites(sample, "os.fork") == ["sample", "sample.Pool.start", "sample.outer.inner"]
+    assert call_sites(sample, "os.getpid") == ["sample.outer"] and call_sites(sample, "fork") == []
 
 
 def test_only_linalg_in_workers_forks():
     # one fork mechanism in the package: its pipes, reaping and WorkerLost are written once
-    calls = [call for module in sorted(SOURCE.rglob("*.py")) for call in fork_calls(module)]
+    calls = [call for module in sorted(SOURCE.rglob("*.py")) for call in call_sites(module, "os.fork")]
     assert calls == ["linalg.in_workers"]
+
+
+def test_the_solver_reaches_partial_transpose_through_one_function():
+    # each cut's cone is one frame, made from the partial transpose's index map: the iteration, the residuals, the
+    # infeasibility screen and the projections all see the cut through it
+    assert call_sites(SOURCE / "sdp.py", "partial_transpose") == ["sdp._frame"]
 
 
 # the package's functions and classes that nothing in it uses or exports, each kept on purpose

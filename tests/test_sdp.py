@@ -8,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import bell_pair_three_party
-from sdp_reference import reference_solve
+from sdp_reference import _cone_violation, _project_cone, reference_solve
 
 import distlab.frames
 import distlab.sdp
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
-from distlab.linalg import BLOCK_BYTES, partial_transpose, worker_count
+from distlab.linalg import BLOCK_BYTES, matrix_to_json, partial_transpose, worker_count
 from distlab.sdp import (
     PtCone,
     SdpProblem,
@@ -263,6 +263,23 @@ def test_project_ppt():
     assert w[0] >= -1e-12
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "dims, parties",
+    [((2, 3), None), ((2, 3), (0,)), ((2, 3), (1,)), ((2, 2, 2), (0, 2))],
+    ids=["psd", "2x3-cut0", "2x3-cut1", "2x2x2-cut02"],
+)
+def test_projections_match_the_per_matrix_reference(dims, parties, dtype):
+    # the reference transposes through linalg.partial_transpose, not through the solver's index maps
+    rng = np.random.default_rng(24)
+    cone = None if parties is None else PtCone(dims, parties)
+    for _ in range(10):
+        m = random_hermitian(rng, int(np.prod(dims)))
+        m = m.real if dtype is float else m
+        got = project_psd(m) if cone is None else project_ppt(m, dims, parties)
+        assert np.max(np.abs(got - _project_cone(m, cone))) <= 1e-12
+
+
 def test_problem_and_solution_json_roundtrip():
     cone = PtCone((2, 2), (0,))
     problem = SdpProblem([PHI_PLUS / 2, PSI_PLUS / 2], np.eye(4), [(cone,), (cone,)])
@@ -278,6 +295,14 @@ def test_problem_and_solution_json_roundtrip():
     assert sol2.status == sol.status
     for a, b in zip(sol.matrices, sol2.matrices):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("matrices", [[], [np.eye(2), np.eye(3)]], ids=["empty", "mixed-shapes"])
+def test_solution_from_json_rejects_an_empty_or_ragged_matrix_list(matrices):
+    obj = solution_to_json(solve(operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions(max_iter=25)))
+    obj["matrices"] = [matrix_to_json(m) for m in matrices]
+    with pytest.raises(ValueError, match="^SDP solution "):
+        solution_from_json(obj)
 
 
 def test_solve_options_reject_empty_iteration():
@@ -386,6 +411,28 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
     for sol in (a, b):
         for mat in sol.matrices:
             assert mat.dtype == np.complex128 and mat.ndim == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ppt_discrimination_problem(domino_states()),  # real data, iterated in float64
+        lambda: ppt_discrimination_problem(generalized_bell_states(3).subset(range(4))),
+        lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, [(PtCone((2, 2), (0,)),)]),  # fails the screen
+    ],
+    ids=["real", "complex", "screened"],
+)
+def test_a_solution_holds_its_matrices_as_one_complex_stack(build):
+    problem = build()
+    sol = solve(problem, SolveOptions(max_iter=50))
+    assert type(sol.matrices) is np.ndarray and sol.matrices.dtype == np.complex128
+    assert sol.matrices.shape == (problem.n_blocks, problem.side, problem.side)
+
+
+def test_the_ppt_povms_adopt_their_solution_stacks():
+    result = theorem1_ppt_invariance(bell_states().subset([0, 2]), (3, 2))
+    for ppt in (result.small, result.big):
+        assert ppt.povm.elements is ppt.solution.matrices
 
 
 def no_thread(*args, **kwargs):
@@ -567,6 +614,25 @@ def test_reduced_solve_agrees_with_the_unreduced_one(monkeypatch, corpus, name):
     assert abs(got.objective_value - want.objective_value) <= 1e-12
     for a, b in zip(got.matrices, want.matrices, strict=True):
         assert a.dtype == np.complex128 and np.max(np.abs(a - b)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "build, opts, algebras",
+    [
+        (*REFERENCE_CORPUS["gbell3-first-four"], [9]),
+        (*REFERENCE_CORPUS["mixed-cone-order"], [None]),  # blocks with different cone lists
+        (lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, [(PtCone((2, 2), (0,)),)]), SolveOptions(), []),
+    ],
+    ids=["reduced", "unreduced", "screened"],
+)
+def test_the_cone_residual_is_the_reference_violation_of_the_returned_matrices(monkeypatch, build, opts, algebras):
+    # measured on full matrices, whatever the iteration ran in, and checked through linalg.partial_transpose
+    problem = build()
+    found = found_algebras(monkeypatch)
+    sol = solve(problem, opts)
+    assert [dim for dim, _, _ in found] == algebras
+    want = max(_cone_violation(m, [None, *cones]) for m, cones in zip(sol.matrices, problem.pt_cones, strict=True))
+    assert abs(sol.residuals["cone"] - want) <= 1e-12
 
 
 def test_gbell3_first_four_in_4x4_mixes_block_sizes(monkeypatch):
