@@ -77,7 +77,7 @@ def _load(digests: dict, *inputs):
     """
     import hashlib
 
-    from .linalg import FORK_BYTES, in_workers
+    from .linalg import FORK_BYTES, in_workers, read_json
 
     def load(g):
         path, parse = inputs[g]
@@ -88,7 +88,7 @@ def _load(digests: dict, *inputs):
             raise CliError(f"cannot read {path}: {exc}") from exc
         digest = hashlib.sha256(raw).hexdigest()
         try:
-            return digest, parse(json.loads(raw))
+            return digest, parse(read_json(raw))
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             # foreign input: [] for a number, 1e400 for a count, arrays nested too deep to decode
             raise CliError(f"bad input file {path}: {exc}") from exc

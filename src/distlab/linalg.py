@@ -14,6 +14,8 @@ import pickle
 import struct
 import threading
 from functools import lru_cache
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ HERMITIAN_TOL = 1e-10
 # their temporaries: StateSet.from_stack, and the fuzz per block of samples.
 BLOCK_BYTES = 1 << 18
 # A command hands its input files to forked workers (see in_workers) only from this much JSON on:
-# a fork round trip costs a few milliseconds, and decoding 1 MiB of JSON some tens of them.
+# a fork round trip costs about 3 ms, and hashing, decoding and parsing 1 MiB of state-set JSON about 25.
 FORK_BYTES = 4 * BLOCK_BYTES
 
 
@@ -295,6 +297,73 @@ def matrix_json_text(m: np.ndarray) -> str:
     a = _as_wire_matrix(m)
     re, im = _entries_text(a.real.ravel()), _entries_text(a.imag.ravel())
     return '{"rows":%d,"cols":%d,"re":%s,"im":%s}' % (*a.shape, re, im)
+
+
+def _flat_values(text: str) -> list:
+    """``json.loads("[" + text + "]")`` for the ASCII inside of a flat array; ``ValueError`` where a token is not
+    one JSON value.
+
+    Where more than four in five tokens are exactly ``0.0``, found from the commas in the bytes, each of them is
+    the one float of ``[0.0] * n`` and only the other tokens are decoded, in one call.  Below that share, decoding
+    a zero costs less than finding it.  An array with that share averages under 9 bytes a token with its comma (a
+    float as Python writes it has at most 24 characters), so one averaging more is decoded whole, without the pass.
+    """
+    b = np.frombuffer(text.encode("ascii") + b",  ", dtype=np.uint8)  # a comma ends the last token, two bytes pad
+    comma = b == ord(",")
+    if len(b) < 9 * np.count_nonzero(comma):
+        ends = np.flatnonzero(comma)
+        starts = np.concatenate(([0], ends[:-1] + 1))  # token k is text[starts[k]:ends[k]]
+        zero = ends - starts == 3
+        zero &= (b[starts] == ord("0")) & (b[starts + 1] == ord(".")) & (b[starts + 2] == ord("0"))
+        keep = np.flatnonzero(~zero)
+        if 5 * len(keep) < len(zero):
+            kept = [text[i:j] for i, j in zip(starts[keep].tolist(), ends[keep].tolist())]
+            values = json.loads("[" + ",".join(kept) + "]")
+            if len(values) != len(keep):  # an empty token: "[0.0,]"
+                raise ValueError("a token is not one value")
+            out = [0.0] * len(zero)
+            for k, v in zip(keep.tolist(), values):
+                out[k] = v
+            return out
+    return json.loads("[" + text + "]")
+
+
+def _array(s_and_end: tuple[str, int], scan_once):
+    """The stdlib's ``JSONArray``, but an array whose text up to the next ``]`` holds no ``"``, ``[`` or ``{`` is
+    decoded by :func:`_flat_values`; where that fails, ``JSONArray`` decodes the array or raises its error."""
+    s, end = s_and_end
+    close = s.find("]", end)
+    text = s[end:close]
+    if close >= 0 and '"' not in text and "[" not in text and "{" not in text:
+        try:
+            return _flat_values(text), close + 1
+        except ValueError:
+            pass
+    return JSONArray(s_and_end, scan_once)
+
+
+class _Decoder(json.JSONDecoder):
+    """The default decoder, with the stdlib's Python scanner calling :func:`_array` for each array."""
+
+    def __init__(self):
+        super().__init__()
+        self.parse_array = _array
+        self.scan_once = py_make_scanner(self)
+
+    def decode(self, s: str):
+        # the Python scanner reads any Unicode digit in a number, the C one 0-9 only
+        return super().decode(s) if s.isascii() else json.JSONDecoder().decode(s)
+
+
+def read_json(raw: bytes):
+    """``json.loads(raw)``, with the same values, exceptions and messages, but no Python float made for each
+    ``0.0`` of a flat number array that is mostly such tokens (see :func:`_flat_values`).
+
+    The one difference is depth: ASCII text is scanned by the stdlib's Python scanner, which raises
+    ``RecursionError`` for arrays and objects nested a few hundred deep, where the C scanner of ``json.loads``
+    raises it at about a thousand.
+    """
+    return json.loads(raw, cls=_Decoder)
 
 
 def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:

@@ -36,17 +36,22 @@ STATE_TOL = 1e-9
 
 def _check_states(rhos: np.ndarray, labels: Sequence[str]) -> None:
     """Raise for the first matrix of the stack ``rhos`` that is not a state, with the message of its first failing
-    check: Hermitian within ``HERMITIAN_TOL``, trace 1 within ``STATE_TOL``, then lambda_min >= -STATE_TOL, decided by
-    :func:`~distlab.linalg.psd_certified`.  The checks run a block of ``BLOCK_BYTES`` at a time; the eigenvalue itself
-    is computed only for the message of a state that fails."""
+    check: finite entries, Hermitian within ``HERMITIAN_TOL``, trace 1 within ``STATE_TOL``, then
+    lambda_min >= -STATE_TOL, decided by :func:`~distlab.linalg.psd_certified`.  The checks run a block of
+    ``BLOCK_BYTES`` at a time; finiteness and the eigenvalue itself are looked at only for a state that fails."""
     step = max(1, BLOCK_BYTES // rhos[0].nbytes)
     for lo in range(0, len(rhos), step):
         block = rhos[lo : lo + step]
-        defect, tr = hermiticity_defect(block), np.trace(block, axis1=1, axis2=2).real
-        bad = (defect > HERMITIAN_TOL) | (np.abs(tr - 1.0) > STATE_TOL) | ~psd_certified(block, STATE_TOL)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN or infinite entry makes the defect NaN or infinite
+            defect, tr = hermiticity_defect(block), np.trace(block, axis1=1, axis2=2).real
+        bad = ~(defect <= HERMITIAN_TOL) | ~(np.abs(tr - 1.0) <= STATE_TOL)
+        if not bad.all():  # the eigensolver sees only matrices that passed, so no non-finite one
+            bad[~bad] = ~psd_certified(block[~bad] if bad.any() else block, STATE_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             label = labels[lo + i]
+            if not np.isfinite(block[i]).all():
+                raise ValueError(f"state {label!r} has a NaN or Infinity entry")
             if defect[i] > HERMITIAN_TOL:
                 raise ValueError(f"state {label!r} is not Hermitian (defect {defect[i]:.3e})")
             if abs(tr[i] - 1.0) > STATE_TOL:

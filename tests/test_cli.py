@@ -745,6 +745,58 @@ def test_deeply_nested_input_exits_2_without_traceback(tmp_path, capsys):
     assert captured.err.startswith(f"distlab: error: bad input file {path}: ")
 
 
+def test_an_array_nested_500_deep_exits_2_without_traceback(tmp_path, capsys):
+    # deeper than the Python scanner of linalg.read_json goes, within what the C scanner of json.loads takes
+    text = "[" * 500 + "]" * 500
+    json.loads(text)
+    path = tmp_path / "deep500.json"
+    path.write_text(text)
+    code = run(["verify", "--povm", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"distlab: error: bad input file {path}: ")
+
+
+def test_an_invalid_state_is_named_by_its_label_verbatim(tmp_path, capsys):
+    # the label holds what the reader looks for when it takes a flat number array in bulk
+    label = "x[0.0,]{"
+    obj = state_set_to_json(domino_states())
+    obj["states"][4]["label"] = label
+    obj["states"][4]["matrix"]["re"] = [2 * v for v in obj["states"][4]["matrix"]["re"]]
+    code, report, err = run_captured(capsys, ["theorem1", "--states", write_json(tmp_path / "s.json", obj),
+                                              "--new-dims", "4,4"])
+    assert (code, report) == (2, None)
+    assert f"state {label!r} has trace 2" in err
+
+
+def test_pretty_printed_input_reads_as_the_compact_file(tmp_path, capsys):
+    dominoes = domino_states()
+    objs = {"s": state_set_to_json(dominoes), "p": povm_to_json(Povm(dominoes.rhos, (3, 3), kind="projective"))}
+    objs["q"] = {**objs["p"], "elements": objs["p"]["elements"][1:]}  # incomplete
+    objs["r"] = povm_to_json(Povm([np.eye(9) / 9] * 9, (3, 3)))  # tells no state apart
+    results = {}
+    compact, pretty = {"separators": (",", ":")}, {"indent": 2, "separators": (", ", ": ")}
+    for form, options in [("compact", compact), ("pretty", pretty)]:
+        paths = {}
+        for name, obj in objs.items():
+            paths[name] = str(tmp_path / f"{form}-{name}.json")
+            Path(paths[name]).write_text(json.dumps(obj, **options))
+        for argv in [
+            ["verify", "--povm", "{p}", "--kind", "projective"],
+            ["verify", "--povm", "{q}"],
+            ["discriminate", "--states", "{s}", "--povm", "{p}", "--mode", "perfect"],
+            ["discriminate", "--states", "{s}", "--povm", "{r}", "--mode", "perfect"],
+        ]:
+            code = run([arg.format(**paths) for arg in argv])
+            out = capsys.readouterr().out
+            for path in paths.values():  # the manifest names each file and its digest
+                out = out.replace(path, "FILE").replace(hashlib.sha256(Path(path).read_bytes()).hexdigest(), "DIGEST")
+            results.setdefault(" ".join(argv), []).append((code, out))
+    assert [codes for codes, _ in (zip(*r) for r in results.values())] == [(0, 0), (1, 1), (0, 0), (1, 1)]
+    for argv, (compact, pretty) in results.items():
+        assert compact == pretty, argv
+
+
 def test_tol_defaults_per_command(tmp_path, capsys):
     # complete within 1e-6 but not within the default 1e-9
     loose = write_json(tmp_path / "loose.json", povm_to_json(Povm([np.eye(4) * (1 + 1e-8)], (2, 2))))

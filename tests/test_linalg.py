@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distlab.linalg
 from distlab.linalg import (
@@ -20,6 +22,7 @@ from distlab.linalg import (
     min_eigenvalue,
     partial_transpose,
     psd_certified,
+    read_json,
     restrict_matrix,
     tensor,
     trace_products,
@@ -294,6 +297,103 @@ def test_matrix_text_rejects_a_non_finite_entry_as_the_strict_encoder_does(bad):
             matrix_json_text(m)
     with pytest.raises(ValueError):
         matrix_json_text(np.zeros(4))
+
+
+def decoded(load, raw: bytes):
+    """What ``load(raw)`` gives, comparable across decoders: each value with its type, each float by its bits
+    (``float.hex``, so -0.0 differs from 0.0 and NaN equals NaN), each object's items in order; or the type
+    and message of the exception it raises."""
+
+    def canon(x):
+        if isinstance(x, dict):
+            return "dict", [(k, canon(v)) for k, v in x.items()]
+        if isinstance(x, list):
+            return "list", [canon(v) for v in x]
+        return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+    try:
+        return canon(load(raw))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+JSON_WS = st.sampled_from(["", "", "", " ", "\n", "\t ", "\r\n"])
+# every token kind the reader may meet: zeros as written, other numbers, constants, literals, strings that hold
+# the characters the flat-array test looks for, and foreign text
+JSON_SCALARS = st.one_of(
+    st.sampled_from(["0.0"] * 6 + ["-0.0", "0", "00", "0.00", "0.0e0", "10.0", "1", "-2", "1.5", "1e400", "-2.5E-3"]),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "true", "false", "null", "nan", "+1", ".5", "1.", "0x1"]),
+    st.sampled_from(['"[0.0,"', '"]"', '"{"', '"a"', '""', '"0.0,]{"', "'a'", "}", ":", "\x0c"]),
+    st.floats(allow_nan=False).map(json.dumps),
+    st.integers().map(str),
+)
+# flat arrays of mostly 0.0, the reader's bulk case, with a token now and then that is not exactly 0.0 or is empty
+ZERO_ARRAYS = st.lists(
+    st.sampled_from(["0.0"] * 20 + ["-0.0", "0.5", "NaN", "-Infinity", "true", "null", " 0.0", "0.0 ", ""]), min_size=5
+)
+JSON_KEYS = st.sampled_from(['"a"', '"a"', '"b"', '"[0.0,"', '"]"'])  # repeated keys too
+
+
+@st.composite
+def json_container(draw, values):
+    """Array or object text, mostly well-formed: a separator may be doubled or missing, a comma may trail."""
+    n = draw(st.integers(0, 12))
+    seps = draw(st.lists(st.sampled_from([","] * 12 + [",,", ""]), min_size=n, max_size=n))
+    trailing = draw(st.sampled_from(["", "", "", "", ","]))
+    items = []
+    is_object = draw(st.integers(0, 3)) == 0
+    for sep in seps:
+        key = draw(JSON_KEYS) + draw(JSON_WS) + ":" if is_object else ""
+        items.append(draw(JSON_WS) + key + draw(JSON_WS) + draw(values) + draw(JSON_WS) + sep)
+    text = "".join(items)
+    text = text[: len(text) - len(seps[-1])] + trailing if seps else draw(JSON_WS)
+    return ("{%s}" if is_object else "[%s]") % text
+
+
+JSON_TEXTS = st.tuples(
+    st.recursive(JSON_SCALARS | ZERO_ARRAYS.map(lambda t: "[%s]" % ",".join(t)), json_container, max_leaves=40),
+    JSON_WS,
+    st.sampled_from([None] * 6 + [1, 3, -1, -2]),
+).map(lambda t: (t[1] + t[0] + t[1])[: t[2]])  # some texts cut short
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(JSON_TEXTS)
+def test_read_json_returns_and_raises_what_json_loads_does(text):
+    raw = text.encode()
+    assert decoded(read_json, raw) == decoded(json.loads, raw)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(ZERO_ARRAYS, st.sampled_from(["[%s]", '{"re":[%s],"im":[0.0,0.0,0.0,0.0,0.0,1]}', '{"re":[%s],"re":[%s]}']))
+def test_read_json_takes_mostly_zero_arrays_as_json_loads_does(tokens, form):
+    raw = (form % ((",".join(tokens),) * form.count("%s"))).encode()
+    assert decoded(read_json, raw) == decoded(json.loads, raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '{"é": [0.0, 0.0, 0.0, 1]}'.encode(),
+        "[0.0,0.0,0.0,0.0,0.0,0.0,1\u0661]".encode(),  # an Arabic-Indic digit, a number to the Python scanner
+        '[0.0,0.0,0.0,0.0,0.0,"\u2603"]'.encode(),
+        b"[0.0,0.0,0.0,0.0,0.0,\xff]",
+        "\ufeff[0.0,0.0,0.0,0.0,0.0,1]".encode(),  # a UTF-8 BOM
+        "\ufeff\ufeff[0.0]".encode(),  # a second BOM is text
+        "[0.0,0.0,0.0,0.0,0.0,-0.0]".encode("utf-16"),
+        '{"re":[0.0,0.0,0.0,0.0,0.0,2.5]}'.encode("utf-16-le"),
+        "[0.0,0.0,0.0,0.0,0.0]".encode("utf-32"),
+    ],
+)
+def test_read_json_takes_bytes_as_json_loads_does(raw):
+    assert decoded(read_json, raw) == decoded(json.loads, raw)
+
+
+def test_read_json_makes_one_float_for_the_zeros_of_a_flat_array():
+    text = "[%s]" % ",".join(["0.0"] * 5 + ["-0.0"] + ["0.0"] * 5 + ["1"])
+    values = read_json(b'{"re":%s}' % text.encode())["re"]
+    assert decoded(lambda raw: values, b"") == decoded(json.loads, text.encode())
+    assert len({id(v) for v in values}) == 3 and type(values[-1]) is int
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,16 @@ def test_state_invariants_enforced():
         State(np.array([[1, 1], [0, 0]], dtype=complex), (2,))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_state_rejects_a_nan_or_infinite_entry(entry, where):
+    # tier-1 turns a RuntimeWarning (inf - inf on the way) into a failure
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[where] = entry
+    with pytest.raises(ValueError, match="^state 'x' has a NaN or Infinity entry$"):
+        State(rho, (2,), label="x")
+
+
 def test_bell_states_orthonormal():
     s = bell_states()
     assert len(s) == 4
@@ -307,6 +317,8 @@ def test_embed_set():
         (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
         (np.eye(2), "has trace 2.0, expected 1"),
         (np.diag([1.5, -0.5]), "has negative eigenvalue"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "has a NaN or Infinity entry"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "has a NaN or Infinity entry"),
     ],
 )
 def test_stack_constructor_rejects_with_the_state_message(bad, message):
@@ -333,8 +345,9 @@ def per_state_error(stack, dims, labels):
         np.diag([0.5, 0.5, 0, 0]) + 1e-9 * np.eye(4, k=1),
         np.diag([0.5, 0.5, 0.5, 0]),
         np.diag([0.5 + 1e-7, 0.5, 0, -1e-7]),
+        np.diag([0.5, 0.5, np.nan, 0]),
     ],
-    ids=["non-hermitian", "wrong-trace", "negative-eigenvalue"],
+    ids=["non-hermitian", "wrong-trace", "negative-eigenvalue", "nan-entry"],
 )
 def test_stack_constructor_raises_the_per_state_error(monkeypatch, bad, position, block_bytes):
     if block_bytes:
