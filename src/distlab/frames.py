@@ -80,9 +80,11 @@ def coordinates(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The Hermitian parts of sum_k a_k B_k, one matrix per row a of ``coords``, for the Hermitian members B_k of
-    ``basis``: exactly Hermitian, as the sum is to rounding."""
-    return hermitian_part((coords @ basis.reshape(len(basis), -1)).reshape(len(coords), *basis.shape[1:]))
+    """The Hermitian parts of sum_k a_k B_k, one matrix per row a of real ``coords``, for the Hermitian members B_k
+    of the contiguous ``basis``: exactly Hermitian, as the sum is to rounding.  The product is taken on real
+    numbers, the basis members' real and imaginary parts."""
+    sums = coords @ _real(basis.reshape(len(basis), -1))
+    return hermitian_part(sums.view(basis.dtype).reshape(len(coords), *basis.shape[1:]))
 
 
 class MatrixFrame:
@@ -92,38 +94,44 @@ class MatrixFrame:
     def __init__(self, perm, side: int):
         self.perm, self.shape = perm, (side, side)
 
-    def views(self, frames: np.ndarray) -> list:
-        return [frames]
+    def plan(self, src: np.ndarray, out: np.ndarray):
+        """``(into, stacks, back)`` for the contiguous stacks ``src`` and ``out``, their views made once: ``into()``
+        puts the frames of ``src`` in ``stacks``, to be clipped in place, and ``back()`` takes them into ``out``.  The
+        PSD cone's frames are ``out`` itself; a PT cut's are a stack of their own, and ``into`` uses ``out`` as
+        scratch."""
+        if self.perm is None:
+            return (lambda: hermitian_part(src, out=out)), [out], (lambda: None)
+        frames = np.empty_like(out)
+        s, o, f = (a.reshape(len(a), -1) for a in (src, out, frames))
 
-    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
-        hermitian_part(src if self.perm is None else _moved(src, self.perm, spare), out=frames)
+        def into():
+            np.take(s, self.perm, axis=1, out=o)
+            hermitian_part(out, out=frames)
 
-    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
-        _moved(frames, self.perm, out)
+        return into, [frames], lambda: np.take(f, self.perm, axis=1, out=o)
 
 
 class AlgebraFrame:
     """The cone of one cut on algebra coordinates a: in a unitary frame a copy's matrix is the block sum of
     I_{m_j} (x) X_j, each n_j x n_j block X_j = sum_k a_k T_jk.  ``blocks`` lists the (n_j, m_j), smallest n_j first,
-    and ``sizes`` per block size how many blocks have it.  A copy's frame is one row of its blocks' entries, ``fwd``
-    takes a row of coordinates to it and ``bwd``, weighted by the m_j, back: both multiply row by row, so a copy's
-    frame does not depend on the rows it is stacked with."""
+    and ``sizes`` per block size how many blocks have it.  A copy's frame is one row of its blocks' entries, of
+    ``dtype``; ``fwd`` takes a row of coordinates to it and ``bwd``, weighted by the m_j, back: both multiply row by
+    row, so a copy's frame does not depend on the rows it is stacked with."""
 
-    def __init__(self, blocks: tuple, fwd: np.ndarray, bwd: np.ndarray):
-        self.blocks, self.fwd, self.bwd = blocks, fwd, bwd
+    def __init__(self, blocks: tuple, fwd: np.ndarray, bwd: np.ndarray, dtype):
+        self.blocks, self.fwd, self.bwd, self.dtype = blocks, fwd, bwd, dtype
         self.sizes = tuple(sorted(Counter(n for n, _ in blocks).items()))
         self.shape = (sum(k * n * n for n, k in self.sizes),)
 
-    def views(self, frames: np.ndarray) -> list:
-        """Per block size n, the stack of the blocks of that size in ``frames``, shaped (copies, count, n, n)."""
+    def plan(self, src: np.ndarray, out: np.ndarray):
+        """``(into, stacks, back)`` for the coordinate stacks ``src`` and ``out``, their views made once: ``into()``
+        puts the frames of ``src`` in a stack of their own, ``stacks`` views its blocks of each size n, shaped
+        (copies, count, n, n), to be clipped in place, and ``back()`` takes them into ``out``."""
+        frames = np.empty((len(src), *self.shape), self.dtype)
         ends = np.cumsum([k * n * n for n, k in self.sizes])
-        return [frames[:, end - k * n * n : end].reshape(len(frames), k, n, n) for (n, k), end in zip(self.sizes, ends)]
-
-    def into(self, src: np.ndarray, spare: np.ndarray, frames: np.ndarray) -> None:
-        np.matmul(src[:, None], self.fwd, out=_real(frames)[:, None])
-
-    def back(self, frames: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(_real(frames)[:, None], self.bwd, out=out[:, None])
+        stacks = [frames[:, end - k * n * n : end].reshape(len(frames), k, n, n) for (n, k), end in zip(self.sizes, ends)]
+        a, f, o = src[:, None], _real(frames)[:, None], out[:, None]
+        return (lambda: np.matmul(a, self.fwd, out=f)), stacks, lambda: np.matmul(f, self.bwd, out=o)
 
 
 def _extended(basis: np.ndarray, d: int, rows: np.ndarray, limit: int, floor: float):
@@ -253,11 +261,12 @@ def _algebra_frame(v: np.ndarray, perm=None) -> AlgebraFrame | None:
     order = sorted(range(len(blocks)), key=lambda k: blocks[k][0])
     fwd = np.concatenate([_real(parts[k].reshape(dim, -1)) for k in order], axis=1)
     weights = np.concatenate([np.full(_real(parts[k].reshape(dim, -1)).shape[1], float(blocks[k][1])) for k in order])
-    frame = AlgebraFrame(tuple(blocks[k] for k in order), fwd, np.ascontiguousarray((fwd * weights).T))
-    held, back = np.empty((dim, *frame.shape), v.dtype), np.empty((dim, dim))
-    frame.into(np.eye(dim), None, held)
-    frame.back(held, back)  # the isometry, by the frame's own maps
-    return frame if np.max(np.abs(back - np.eye(dim))) <= FRAME_TOL else None
+    frame = AlgebraFrame(tuple(blocks[k] for k in order), fwd, np.ascontiguousarray((fwd * weights).T), v.dtype)
+    rebuilt = np.empty((dim, dim))
+    into, _, back = frame.plan(np.eye(dim), rebuilt)
+    into()
+    back()  # the isometry, by the frame's own maps
+    return frame if np.max(np.abs(rebuilt - np.eye(dim))) <= FRAME_TOL else None
 
 
 def reduction(c: np.ndarray, f: np.ndarray, maps: dict):

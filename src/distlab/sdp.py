@@ -27,22 +27,25 @@ its checks, ``solve`` runs unreduced.  No option selects any of it.
 
 The iteration runs on stacks of coordinates: real coordinates in an
 orthonormal basis of A's Hermitian part, or, unreduced, the matrices
-themselves.  All copies live in one ``(copies, ...)`` array, held cut by cut
-so that each cone group is one contiguous slice, and each block's ``x`` is
-one reduction over its copies in cone order.  The cone step is one stacked
-projection per iteration, in the calling process: over-relaxation, each
-group's cone frames (in A, a matrix product that gives each copy's
+themselves.  The copies z and the scaled duals u live in one
+``(2 * copies, ...)`` array, held cut by cut so that each cone group is one
+contiguous slice.  The affine projection, the over-relaxation and the dual
+update are linear in ``[z; u]``, so one step is one precomputed matrix product
+plus a constant, ``pre = step @ [z; u] + offset``, on rows of real numbers;
+then each group's cone frames (in A, a matrix product that gives each copy's
 n_j x n_j blocks, one row per copy; unreduced, a partial transpose through an
 index map made once per cut, then the Hermitian part), one batched ``eigh``
-per block size with clipping and reconstruction of only the blocks that had
-a negative eigenvalue, the way back, and the dual update, all in place.
-Residuals, stopping and the returned matrices are computed on full
-``(side, side)`` matrices at checkpoints, each cut through its full-matrix
-frame, the one the infeasibility screen and the projections use.  When every
-objective block and the target have an identically zero imaginary part, the
-iteration runs in float64 instead of complex128, with a real basis and real
-frames; the input alone decides this, no option selects it.  The returned
-matrices are one complex128 ``(blocks, side, side)`` stack either way.
+per block size with clipping, and the way back into z, all through views made
+once before the loop; and ``u = pre - z``.  The affine iterate x itself is
+formed only at checkpoints, where residuals, stopping and the returned
+matrices are computed on full ``(side, side)`` matrices, each cut through its
+full-matrix frame, the one the infeasibility screen and the projections use.
+An eigensolver that does not converge ends the solve with the status
+``solver-failure`` and the best checkpoint so far.  When every objective block
+and the target have an identically zero imaginary part, the iteration runs in
+float64 instead of complex128, with a real basis and real frames; the input
+alone decides this, no option selects it.  The returned matrices are one
+complex128 ``(blocks, side, side)`` stack either way.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class SolveOptions:
 class SdpSolution:
     matrices: np.ndarray  # (blocks, side, side), complex
     objective_value: float
-    status: str  # optimal | max-iterations | infeasible-evidence
+    status: str  # optimal | max-iterations | infeasible-evidence | solver-failure (an eigensolver did not converge)
     residuals: dict
     iterations: int
     history: tuple[dict, ...]
@@ -170,8 +173,8 @@ def _frame(cut, side: int) -> MatrixFrame:
 
 def _negative_parts(mats: np.ndarray, frame: MatrixFrame) -> np.ndarray:
     """Per matrix of the stack ``mats``, how far it sits outside the cone of ``frame``: max(0, -lambda_min)."""
-    held, spare = np.empty((2, *mats.shape), mats.dtype)
-    frame.into(mats, spare, held)
+    into, (held,), _ = frame.plan(mats, np.empty_like(mats))
+    into()
     return np.maximum(0.0, -np.linalg.eigvalsh(held)[:, 0])
 
 
@@ -182,16 +185,8 @@ def _clip(h: np.ndarray) -> None:
         np.maximum(h.real, 0.0, out=h.real)
         return
     w, v = np.linalg.eigh(h)
-    neg = w[..., 0] < 0.0
-    if neg.any():
-        vn = v[neg]
-        h[neg] = hermitian_part((vn * np.maximum(w[neg], 0.0)[:, None, :]) @ dagger(vn))
-
-
-def _as_slice(idx: np.ndarray):
-    """``idx`` as a slice where it is a run of consecutive integers, which indexes a stack without a copy."""
-    lo = int(idx[0])
-    return slice(lo, lo + len(idx)) if np.array_equal(idx, np.arange(lo, lo + len(idx))) else idx
+    # every matrix is rebuilt, and only those with a negative eigenvalue are replaced
+    np.copyto(h, hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ dagger(v)), where=w[..., :1, None] < 0.0)
 
 
 def _project(m, cut) -> np.ndarray:
@@ -201,11 +196,12 @@ def _project(m, cut) -> np.ndarray:
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"projection needs Hermitian input (defect {defect:.3e})")
-    frame = _frame(cut, len(m))
-    held, out = np.empty((2, 1, *m.shape), complex)
-    frame.into(m[None], out, held)
-    _clip(held)
-    frame.back(held, out)  # a clipped frame is exactly Hermitian, and so is its partial transpose
+    out = np.empty((1, *m.shape), complex)
+    into, stacks, back = _frame(cut, len(m)).plan(m[None], out)
+    into()
+    for stack in stacks:
+        _clip(stack)
+    back()  # a clipped frame is exactly Hermitian, and so is its partial transpose
     return out[0]
 
 
@@ -227,12 +223,21 @@ def _cone_violation(x: np.ndarray, owner: np.ndarray, groups, cones: dict) -> fl
     return max(float(np.max(_negative_parts(x[owner[at]], cones[cut]))) for cut, at in groups)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A stack as a matrix of real numbers, one row per member (a complex entry gives its real and imaginary parts):
+    a view of a contiguous stack."""
+    return np.ascontiguousarray(a).view(np.float64).reshape(len(a), -1)
+
+
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """Run the splitting iteration until the residuals settle below tolerance.
 
     The returned matrices satisfy the completeness constraint to machine
     precision (they come out of the affine projection); the cone residual
-    reports how far they sit outside the PSD / transposed-PSD cones.
+    reports how far they sit outside the PSD / transposed-PSD cones.  An
+    eigensolver that does not converge ends the solve with the status
+    ``solver-failure`` and the best checkpoint so far (the start F/n, with
+    its residuals, if there is none yet).
     """
     opts = opts or SolveOptions()
     n = problem.n_blocks
@@ -243,104 +248,102 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         c, f = np.ascontiguousarray(c.real), np.ascontiguousarray(f.real)
     # block i owns one copy for the PSD cone and one per PT cone; the copies are held cut by cut,
     # block by block within a cut, so each distinct cut's group of copies is one contiguous slice
-    cuts = [[None, *((cone.dims, cone.parties) for cone in cs)] for cs in problem.pt_cones]
-    counts = np.array([len(cs) for cs in cuts])
-    starts = np.cumsum(counts) - counts
     by_cut: dict = {}
-    for k, cut in enumerate(cut for cs in cuts for cut in cs):
-        by_cut.setdefault(cut, []).append(k)
-    held = np.concatenate([np.array(ks) for ks in by_cut.values()])  # the copy held at each place, block by block
-    order = np.argsort(held)  # the place of each copy, block by block
-    owner = np.repeat(np.arange(n), counts)[held]
-    ends = np.cumsum([len(ks) for ks in by_cut.values()]).tolist()
-    groups = [(cut, slice(end - len(ks), end)) for (cut, ks), end in zip(by_cut.items(), ends)]
+    for i, pt in enumerate(problem.pt_cones):
+        for cut in [None, *((cone.dims, cone.parties) for cone in pt)]:
+            by_cut.setdefault(cut, []).append(i)
+    owner = np.concatenate([np.array(blocks) for blocks in by_cut.values()])  # the block of each copy
+    ends = np.cumsum([len(blocks) for blocks in by_cut.values()]).tolist()
+    groups = [(cut, slice(end - len(blocks), end)) for (cut, blocks), end in zip(by_cut.items(), ends)]
     cones = {cut: _frame(cut, side) for cut in by_cut}  # each distinct cut's cone on full matrices
-    m = counts[:, None, None]
-    inv_m_sum = sum(1.0 / mi for mi in counts.tolist())
+    copies = len(owner)
     rho, alpha = PENALTY, OVER_RELAXATION
 
-    # per cone rank j >= 1, the blocks that have a j-th copy and the places of those copies
-    ranks = []
-    for j in range(1, counts.max()):
-        has = counts > j
-        ranks.append((_as_slice(np.flatnonzero(has)), _as_slice(order[starts[has] + j])))
-
-    def block_sums(stack: np.ndarray) -> np.ndarray:
-        """Each block's copies summed in its cone order, as ``linalg.group_sums`` sums them."""
-        total = stack[:n].copy()  # the PSD group comes first: one copy per block, in block order
-        for blocks, places in ranks:
-            total[blocks] += stack[places]
-        return total
-
-    evidence = _infeasibility_evidence(problem, cones)
-    if evidence is not None:
+    def start(status: str, **residuals) -> SdpSolution:
+        """F/n for every block, with its residuals."""
         x = hermitian_part(np.repeat((f / n)[None], n, axis=0))
         return SdpSolution(
             matrices=x.astype(complex),
             objective_value=_objective_value(c, x),
-            status="infeasible-evidence",
+            status=status,
             residuals={
                 "affine": 0.0,
                 "cone": _cone_violation(x, owner, groups, cones),
                 "gap_estimate": float("nan"),
-                "evidence": evidence,
+                **residuals,
             },
             iterations=0,
             history=(),
         )
+
+    evidence = _infeasibility_evidence(problem, cones)
+    if evidence is not None:
+        return start("infeasible-evidence", evidence=evidence)
 
     # the iteration's coordinates: the matrices themselves, or, where the data's *-algebra is small, real
     # coordinates in an orthonormal basis of its Hermitian part; each cut's cone is a frame on them
     reduced = reduction(c, f, {cut: cone.perm for cut, cone in cones.items()})
     if reduced is None:
         basis, shape, frames = None, (side, side), cones
-        cs, fs, weights, hermitian = c, f, m, hermitian_part
+        cs, fs = c, f
     else:
         basis, frames = reduced
         shape = (len(basis),)
         cs, fs = coordinates(c, basis), coordinates(f[None], basis)[0]
-        weights, hermitian = counts[:, None], lambda a, out: np.copyto(out, a)
 
-    def full(stack: np.ndarray) -> np.ndarray:
+    def full(coords: np.ndarray) -> np.ndarray:
         """The matrices of a stack of coordinates, exactly Hermitian."""
-        return stack if basis is None else matrices(stack, basis)
+        return coords if basis is None else matrices(coords, basis)
+
+    def stack(rows: np.ndarray) -> np.ndarray:
+        """The stack of coordinates whose rows of real numbers are ``rows``."""
+        return rows.view(dtype).reshape(len(rows), *shape)
+
+    # The affine step is x = lin (z - u) + const, the projection of the shifted consensus targets weighted by each
+    # block's copy count w: lin = (I - (1/w) 1^T / sum(1/w)) diag(1/w) S, S the (blocks x copies) 0/1 sum matrix.
+    # With over-relaxation and the dual update, one step is pre = step [z; u] + offset, the next z is the cone
+    # projection of pre and the next u is pre - z: step = [alpha lin[owner] + (1 - alpha) I, I - alpha lin[owner]]
+    # and offset = alpha const[owner].  All of them act on rows of real numbers.
+    w = np.bincount(owner).astype(float)
+    means = (owner == np.arange(n)[:, None]) / w[:, None]  # diag(1/w) S
+    spread = np.eye(n) - np.outer(1 / w, np.ones(n)) / np.sum(1 / w)
+    lin = spread @ means
+    const = spread @ (_rows(cs) / (rho * w[:, None])) + np.outer(1 / w, _rows(fs[None])) / np.sum(1 / w)
+    step = np.hstack([alpha * lin[owner] + (1 - alpha) * np.eye(copies), np.eye(copies) - alpha * lin[owner]])
+    offset = alpha * const[owner]
 
     dtype = c.dtype if basis is None else np.dtype(np.float64)
-    z, u, xhat, work = np.zeros((4, len(owner), *shape), dtype)
-    x = np.zeros((n, *shape), dtype)
+    zu, pre = np.zeros((2 * copies, *shape), dtype), np.empty((copies, *shape), dtype)
+    z, u = zu[:copies], zu[copies:]
     z[...] = fs / n
-    shift = cs / (rho * weights)
+    zu_rows, pre_rows = _rows(zu), _rows(pre)
+    # per group, its cone step from pre into z, with its views made once: z is free until the way back
+    pieces = [frames[cut].plan(pre[at], z[at]) for cut, at in groups]
     best = best_x = None
     history: list[dict] = []
     prev_obj = None
-    # per group: its frame, its copies, and a stack for their frames
-    pieces = [(frames[cut], at, np.empty((at.stop - at.start, *frames[cut].shape), c.dtype)) for cut, at in groups]
+    failed = False
 
-    np.subtract(z, u, out=work)
     for it in range(1, opts.max_iter + 1):
         checkpoint = it % CHECK_EVERY == 0 or it == opts.max_iter
-        z_prev = z.copy() if checkpoint else None
+        if checkpoint:  # this step's x, and the z it starts from
+            z_prev = z.copy()
+            x = stack(lin @ _rows(z - u) + const)
+            if basis is None:
+                x = hermitian_part(x)
 
-        # affine step: weighted projection of the shifted consensus targets, work holding z - u
-        v = block_sums(work) / weights + shift
-        excess = (v.sum(axis=0) - fs) / inv_m_sum
-        hermitian(v - excess / weights, out=x)
-
-        # cone steps, one stacked projection of every copy, in place: over-relaxation, the cone frames (for full
-        # matrices a partial transpose, then the Hermitian part), clipping, the way back into z, and the dual update
-        np.take(x, owner, axis=0, out=xhat)
-        xhat *= alpha
-        np.multiply(z, 1 - alpha, out=work)
-        xhat += work
-        np.add(xhat, u, out=work)
-        for frame, at, held in pieces:  # z is free until the way back, and holds the transposed copies
-            frame.into(work[at], z[at], held)
-            for stack in frame.views(held):
-                _clip(stack)
-            frame.back(held, z[at])  # a clipped frame is exactly Hermitian, and so is its partial transpose
-        u += xhat
-        u -= z
-        np.subtract(z, u, out=work)  # the next affine step's input
+        np.matmul(step, zu_rows, out=pre_rows)
+        pre_rows += offset
+        try:
+            for into, stacks, back in pieces:
+                into()
+                for held in stacks:
+                    _clip(held)
+                back()  # a clipped frame is exactly Hermitian, and so is its partial transpose
+        except np.linalg.LinAlgError:  # an eigensolver that did not converge
+            failed = True
+            break
+        np.subtract(pre, z, out=u)
 
         if not checkpoint:
             continue
@@ -352,7 +355,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         consensus = float(np.max(np.abs(full(x[owner] - z))))
         dual = rho * float(np.max(np.abs(full(z - z_prev))))
         obj = _objective_value(c, xf)
-        zbar = full(block_sums(z) / weights)
+        zbar = full(stack(means @ _rows(z)))
         gap = abs(obj - _objective_value(c, zbar))
         obj_change = abs(obj - prev_obj) if prev_obj is not None else float("inf")
         prev_obj = obj
@@ -365,8 +368,12 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
             break
 
+    if best is None:  # the cone step failed before the first checkpoint
+        return start("solver-failure")
     status = "optimal" if best["combined"] <= opts.tol else "max-iterations"
-    if status != "optimal" and best["combined"] > np.sqrt(opts.tol) and len(history) >= 8:
+    if failed:
+        status = "solver-failure"
+    elif status != "optimal" and best["combined"] > np.sqrt(opts.tol) and len(history) >= 8:
         # a residual plateau far above tolerance is the strongest evidence
         # of an empty feasible set this first-order scheme can produce
         halfway = history[len(history) // 2]["combined"]
@@ -377,7 +384,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         objective_value=_objective_value(c, best_x),
         status=status,
         residuals={k: best[k] for k in ("affine", "cone", "gap_estimate")},
-        iterations=it,  # the last checkpoint: every run ends at one, it == max_iter being one
+        iterations=history[-1]["iteration"],  # the last checkpoint: a run that does not fail ends at one
         history=tuple(history),
     )
 

@@ -1,5 +1,6 @@
 """Tests for the splitting SDP engine."""
 
+import json
 import os
 import threading
 import time
@@ -12,6 +13,7 @@ from sdp_reference import _cone_violation, _project_cone, reference_solve
 
 import distlab.frames
 import distlab.sdp
+from distlab.cli import parse_report, run
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
 from distlab.linalg import BLOCK_BYTES, matrix_to_json, partial_transpose, worker_count
 from distlab.sdp import (
@@ -27,7 +29,14 @@ from distlab.sdp import (
     solution_to_json,
     solve,
 )
-from distlab.states import bell_states, domino_states, embed_set, generalized_bell_states, pure_state
+from distlab.states import (
+    bell_states,
+    domino_states,
+    embed_set,
+    generalized_bell_states,
+    pure_state,
+    state_set_to_json,
+)
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -382,6 +391,17 @@ def test_stacked_solve_matches_per_matrix_reference(name):
         assert np.max(np.abs(a - b)) <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_the_residual_trail_matches_the_per_matrix_reference(name):
+    build, opts = REFERENCE_CORPUS[name]
+    problem = build()
+    got, want = solve(problem, opts), reference_solve(problem, opts)
+    assert [h["iteration"] for h in got.history] == [h["iteration"] for h in want.history]
+    for a, b in zip(got.history, want.history, strict=True):
+        for key in ("combined", "affine", "cone", "gap_estimate"):
+            assert abs(a[key] - b[key]) <= 1e-12, (a["iteration"], key)
+
+
 def local_phase_unitary(dims, seed):
     rng = np.random.default_rng(seed)
     diag = np.ones(1, dtype=complex)
@@ -508,13 +528,68 @@ def assert_same_solution(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_an_error_in_the_cone_step_leaves_solve_as_raised(monkeypatch):
-    monkeypatch.setattr(distlab.sdp, "_clip", eigh_that_fails)  # the clipping, which only the cone step calls
-    build, opts = THREADED_CORPUS["bell2-ket0"]
-    with pytest.raises(np.linalg.LinAlgError) as raised:
-        solve(build(), opts)
-    assert type(raised.value) is np.linalg.LinAlgError
-    assert str(raised.value) == "Eigenvalues did not converge"
+def clip_failing_at(monkeypatch, call):
+    """From now on, the ``call``-th ``sdp._clip`` call raises LAPACK's error for an eigensolver that did not
+    converge; the others clip as before.  Returns the list of the calls so far, the shape of each one's stack."""
+    calls, clip = [], distlab.sdp._clip
+
+    def failing(h):
+        calls.append(h.shape)
+        if len(calls) == call:
+            eigh_that_fails()
+        clip(h)
+
+    monkeypatch.setattr(distlab.sdp, "_clip", failing)
+    return calls
+
+
+@pytest.mark.parametrize("call", [1, 60])
+def test_an_error_in_the_cone_step_ends_the_solve_as_a_solver_failure(monkeypatch, call):
+    build, opts = REFERENCE_CORPUS["bell-pair"]
+    want = solve(build(), opts)
+    calls = clip_failing_at(monkeypatch, 0)
+    solve(build(), SolveOptions(max_iter=1))
+    per_iteration = len(calls)
+    failed_in = -(-call // per_iteration)  # the iteration whose cone step fails
+    checkpoint = (failed_in - 1) // distlab.sdp.CHECK_EVERY * distlab.sdp.CHECK_EVERY  # the last one it reached
+    assert 0 < failed_in < want.iterations
+    clip_failing_at(monkeypatch, call)
+    got = solve(build(), opts)
+    assert (got.status, got.iterations) == ("solver-failure", checkpoint)
+    if checkpoint:  # the best checkpoint so far, as a run that stops there returns it
+        unfailed = solve(build(), SolveOptions(tol=opts.tol, max_iter=checkpoint))
+        assert got.history == want.history[: len(got.history)] == unfailed.history
+        assert got.history[-1]["iteration"] == checkpoint
+        assert got.residuals == unfailed.residuals and got.objective_value == unfailed.objective_value
+        assert np.array_equal(got.matrices, unfailed.matrices)
+    else:  # the start F/n, with its residuals
+        problem = build()
+        assert got.history == ()
+        assert np.array_equal(got.matrices, np.repeat(problem.target[None] / problem.n_blocks, problem.n_blocks, 0))
+        assert got.residuals["affine"] == 0.0 and np.isnan(got.residuals["gap_estimate"])
+
+
+@pytest.mark.parametrize("command", ["sdp", "theorem1"])
+def test_a_solver_failure_exits_1_with_a_parseable_report(monkeypatch, tmp_path, capsys, command):
+    states = bell_states().subset([0, 2])
+    if command == "sdp":
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_to_json(ppt_discrimination_problem(states))))
+        argv = ["sdp", "--problem", str(path), "--tol", "1e-7"]
+    else:
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(state_set_to_json(states)))
+        argv = ["theorem1", "--states", str(path), "--new-dims", "3,2"]
+    clip_failing_at(monkeypatch, 60)  # in iteration 30, after the checkpoint at 25
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    kind, payload = parse_report(json.loads(out))
+    if command == "sdp":
+        assert (kind, payload.status, payload.iterations) == ("sdp_solution", "solver-failure", 25)
+    else:
+        assert kind == "theorem1" and payload["status_small"] == payload["status_big"] == "solver-failure"
+        assert payload["distinguishable_small"] is payload["distinguishable_big"] is False
 
 
 def test_the_theorem1_problems_start_no_thread(monkeypatch):
