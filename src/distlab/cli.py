@@ -68,39 +68,29 @@ def tolerance(text: str) -> float:
 
 
 def _load(digests: dict, *inputs):
-    """Read, hash, decode and parse each ``(path, parse)`` input; return the parsed objects in order.
+    """Read, hash, decode and parse each ``(path, parse)`` input in order; return the parsed objects.
 
-    Any defect in a file is an input error naming its path, raised for the first such input.  When there
-    are two inputs or more and each is at least ``FORK_BYTES`` long, each is loaded in a block of
-    :func:`~distlab.linalg.in_workers`, so on two CPUs they load at once; otherwise they load one by one
-    in this process.  ``digests`` gets each path's SHA-256 digest, in the order of ``inputs``.
+    Any defect in a file is an input error naming its path, raised for the first such input.  ``digests`` gets
+    each path's SHA-256 digest, in the order of ``inputs``.
     """
     import hashlib
 
-    from .linalg import FORK_BYTES, in_workers, read_json
+    from .linalg import read_json
 
-    def load(g):
-        path, parse = inputs[g]
+    loaded = []
+    for path, parse in inputs:
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
-        digest = hashlib.sha256(raw).hexdigest()
+        digests[path] = hashlib.sha256(raw).hexdigest()
         try:
-            return digest, parse(read_json(raw))
+            loaded.append(parse(read_json(raw)))
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             # foreign input: [] for a number, 1e400 for a count, arrays nested too deep to decode
             raise CliError(f"bad input file {path}: {exc}") from exc
-
-    try:
-        fork = len(inputs) > 1 and min(os.path.getsize(path) for path, _ in inputs) >= FORK_BYTES
-    except OSError:  # a file that cannot be read: its load reports it
-        fork = False
-    loaded = in_workers(load, len(inputs), fork)
-    for g, (path, _) in enumerate(inputs):
-        digests[path] = loaded[g][0]
-    return [loaded[g][1] for g in range(len(inputs))]
+    return loaded
 
 
 def _report(args, argv: list[str], payload_kind: str, payload, digests: dict, started: str) -> dict:

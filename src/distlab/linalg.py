@@ -28,9 +28,6 @@ HERMITIAN_TOL = 1e-10
 # Batched checks take their stacks in blocks of about this many bytes, which bounds
 # their temporaries: StateSet.from_stack, and the fuzz per block of samples.
 BLOCK_BYTES = 1 << 18
-# A command hands its input files to forked workers (see in_workers) only from this much JSON on:
-# a fork round trip costs about 3 ms, and hashing, decoding and parsing 1 MiB of state-set JSON about 25.
-FORK_BYTES = 4 * BLOCK_BYTES
 
 
 def as_matrix(m) -> np.ndarray:
@@ -429,18 +426,18 @@ def worker_count(blocks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
 
 
-def in_workers(run_block, blocks: int, fork: bool = True) -> dict:
+def in_workers(run_block, blocks: int) -> dict:
     """``{g: run_block(g)}`` over the blocks g < ``blocks`` whose result is not empty.
 
-    The blocks run in W = :func:`worker_count` processes (W = 1 when ``fork`` is false), process w running
-    the blocks g ≡ w (mod W): share 0 runs in the calling process, each other share in a child forked for
-    it, which pickles its results, or its first exception with its g, into a pipe and leaves by ``os._exit``
-    (so it never flushes the inherited stdio or runs exit handlers).  The exception raised is that of the smallest failing g, the
-    one a loop over the blocks raises first.  Every child is killed if still running and reaped before this
-    returns or raises; a child that ends without a result raises a :class:`WorkerLost` naming its exit status.
-    With W = 1 nothing is forked.
+    The blocks run in W = :func:`worker_count` processes, process w running the blocks g ≡ w (mod W): share 0
+    runs in the calling process, each other share in a child forked for it, which pickles its results, or its
+    first exception with its g, into a pipe and leaves by ``os._exit`` (so it never flushes the inherited stdio
+    or runs exit handlers).  The exception raised is that of the smallest failing g, the one a loop over the
+    blocks raises first.  Every child is killed if still running and reaped before this returns or raises; a
+    child that ends without a result raises a :class:`WorkerLost` naming its exit status.  With W = 1 nothing
+    is forked.
     """
-    workers = worker_count(blocks) if fork else 1
+    workers = worker_count(blocks)
 
     def share(w):  # (results, None), or (results so far, (g, exception)) at the first block that raised
         results = {}

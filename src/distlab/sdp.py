@@ -180,11 +180,17 @@ def _negative_parts(mats: np.ndarray, frame: MatrixFrame) -> np.ndarray:
 
 def _clip(h: np.ndarray) -> None:
     """Replace each Hermitian matrix of ``h`` by its Frobenius-nearest PSD matrix: clip negative eigenvalues (of a
-    1 x 1 matrix, its positive part, with no eigensolver)."""
+    1 x 1 matrix, its positive part, with no eigensolver).  A stack whose ``eigh`` does not converge is redone once
+    by ``svd``: with H = U diag(s) V^H, |H| = V diag(s) V^H, and the PSD part is (H + |H|) / 2."""
     if h.shape[-1] == 1:
         np.maximum(h.real, 0.0, out=h.real)
         return
-    w, v = np.linalg.eigh(h)
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:  # an error of the SVD too reaches solve, which ends as a solver failure
+        _, s, vh = np.linalg.svd(h)
+        np.copyto(h, hermitian_part(h + (dagger(vh) * s[..., None, :]) @ vh) / 2)
+        return
     # every matrix is rebuilt, and only those with a negative eigenvalue are replaced
     np.copyto(h, hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ dagger(v)), where=w[..., :1, None] < 0.0)
 

@@ -87,6 +87,12 @@ def test_only_linalg_in_workers_forks():
     assert calls == ["linalg.in_workers"]
 
 
+def test_only_the_fuzz_runs_in_workers():
+    # the fuzz's blocks are the one stage that forks; every command loads its input files in one process
+    calls = [call for module in sorted(SOURCE.rglob("*.py")) for call in call_sites(module, "in_workers")]
+    assert calls == ["discrimination.local_global_fuzz"]
+
+
 def test_the_solver_reaches_partial_transpose_through_one_function():
     # each cut's cone is one frame, made from the partial transpose's index map: the iteration, the residuals, the
     # infeasibility screen and the projections all see the cut through it

@@ -569,6 +569,60 @@ def test_an_error_in_the_cone_step_ends_the_solve_as_a_solver_failure(monkeypatc
         assert got.residuals["affine"] == 0.0 and np.isnan(got.residuals["gap_estimate"])
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_stack_whose_eigh_fails_is_clipped_alike_by_svd(monkeypatch, dtype):
+    rng = np.random.default_rng(27)
+    stacks = []
+    for _ in range(100):
+        side, count = rng.integers(2, 9), rng.integers(1, 6)
+        a = rng.normal(size=(count, side, side))
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=(count, side, side))
+        stacks.append(a + np.swapaxes(a.conj(), -1, -2))
+    wanted = [h.copy() for h in stacks]
+    for want in wanted:
+        distlab.sdp._clip(want)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_that_fails)
+    for got, want in zip(stacks, wanted):
+        distlab.sdp._clip(got)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, np.swapaxes(got.conj(), -1, -2))  # exactly Hermitian
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def eigh_failing_once_in_clip(monkeypatch, call):
+    """From now on, the ``call``-th ``np.linalg.eigh`` call made by ``sdp._clip`` raises LAPACK's error for an
+    eigensolver that did not converge, once.  Returns the list of those calls so far, the shape of each one's
+    stack."""
+    calls, clip, eigh = [], distlab.sdp._clip, np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        if len(calls) == call:
+            eigh_that_fails()
+        return eigh(h)
+
+    def clip_counted(h):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            clip(h)
+
+    monkeypatch.setattr(distlab.sdp, "_clip", clip_counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["tripartite-two-cuts", "gbell3-first-four"])  # real and complex, with eigh
+@pytest.mark.parametrize("call", [1, 60])
+def test_a_one_time_eigh_failure_in_the_cone_step_is_redone_by_svd(monkeypatch, name, call):
+    build, opts = REFERENCE_CORPUS[name]
+    want = solve(build(), opts)
+    calls = eigh_failing_once_in_clip(monkeypatch, call)
+    got = solve(build(), opts)
+    assert len(calls) > call  # the failing call was made, and the solve went on
+    assert (got.status, got.iterations) == (want.status, want.iterations) and got.status == "optimal"
+    assert abs(got.objective_value - want.objective_value) <= 1e-12
+
+
 @pytest.mark.parametrize("command", ["sdp", "theorem1"])
 def test_a_solver_failure_exits_1_with_a_parseable_report(monkeypatch, tmp_path, capsys, command):
     states = bell_states().subset([0, 2])
