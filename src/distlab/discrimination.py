@@ -15,7 +15,6 @@ cannot be gained by enlarging local dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -58,50 +57,36 @@ FUZZ_ELEMENTS = 4
 FUZZ_BRANCHING = 2
 
 
-@dataclass(frozen=True)
 class DiscriminationVerdict:
-    """Hit-table analysis of one POVM against one state set."""
+    """Hit-table analysis of one POVM against one state set: ``mode`` is perfect or unambiguous, and
+    ``hit_table`` holds p(j|i) = tr(M_j rho_i), a row per state."""
 
-    mode: str  # perfect | unambiguous
-    povm_kind: str
-    passes: bool
-    hit_table: np.ndarray  # p(j|i) = tr(M_j rho_i), row per state
-    success_probability: float
-    violations: tuple[dict, ...]
-    tol: float
+    def __init__(self, mode: str, povm_kind: str, passes: bool, hit_table: np.ndarray, success_probability: float,
+                 violations: tuple[dict, ...], tol: float):
+        self.mode, self.povm_kind, self.passes, self.hit_table = mode, povm_kind, passes, hit_table
+        self.success_probability, self.violations, self.tol = success_probability, violations, tol
 
 
-@dataclass(frozen=True)
 class GlobalVerdict:
-    distinguishable: bool
-    witness: Povm | None
+    def __init__(self, distinguishable: bool, witness: Povm | None):
+        self.distinguishable, self.witness = distinguishable, witness
 
 
-@dataclass(frozen=True)
 class PptResult:
-    optimum: float
-    distinguishable: bool
-    povm: Povm
-    solution: SdpSolution
+    def __init__(self, optimum: float, distinguishable: bool, povm: Povm, solution: SdpSolution):
+        self.optimum, self.distinguishable, self.povm, self.solution = optimum, distinguishable, povm, solution
 
 
-@dataclass(frozen=True)
 class Theorem1Result:
-    opt_small: float
-    opt_big: float
-    delta: float
-    small: PptResult
-    big: PptResult
+    def __init__(self, opt_small: float, opt_big: float, delta: float, small: PptResult, big: PptResult):
+        self.opt_small, self.opt_big, self.delta, self.small, self.big = opt_small, opt_big, delta, small, big
 
 
-@dataclass(frozen=True)
 class HarnessReport:
-    trials: int
-    seed: int
-    kinds: tuple[str, ...]
-    dims: tuple[int, ...]
-    sub_dims: tuple[int, ...]
-    failures: tuple[dict, ...]
+    def __init__(self, trials: int, seed: int, kinds: tuple[str, ...], dims: tuple[int, ...], sub_dims: tuple[int, ...],
+                 failures: tuple[dict, ...]):
+        self.trials, self.seed, self.kinds, self.dims, self.sub_dims = trials, seed, kinds, dims, sub_dims
+        self.failures = failures
 
     @property
     def passes(self) -> bool:

@@ -46,9 +46,18 @@ def as_stack(m) -> np.ndarray:
     return a
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def check_dims(dims: Sequence[int], side: int | None = None) -> tuple[int, ...]:
-    """Validate a tuple of per-party local dimensions."""
-    t = tuple(int(d) for d in dims)
+    """Validate a tuple of per-party local dimensions, each an integer (see :func:`is_integer`)."""
+    t = tuple(dims)
+    for d in t:
+        if not is_integer(d):
+            raise ValueError(f"local dimension {d!r} is not an integer")
+    t = tuple(int(d) for d in t)
     if len(t) < 1 or any(d < 1 for d in t):
         raise ValueError(f"invalid local dimensions {t}")
     if side is not None and int(np.prod(t)) != side:
@@ -96,7 +105,7 @@ def tensor(*matrices: np.ndarray) -> np.ndarray:
 def _party_list(dims: tuple[int, ...], party: int | Iterable[int]) -> list[int]:
     parties = list(party) if isinstance(party, Iterable) else [party]
     for p in parties:
-        if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer)):
+        if not is_integer(p):
             raise ValueError(f"party {p!r} is not an integer")
         if not 0 <= p < len(dims):
             raise ValueError(f"party {p} out of range for {len(dims)} parties")

@@ -17,7 +17,6 @@ leading axis (see :func:`stack_batch`); verification, restriction and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .linalg import (
     group_sums,
     hermitian_part,
     hermiticity_defect,
+    is_integer,
     matrices_from_json,
     matrix_to_json,
     min_eigenvalue,
@@ -76,7 +76,6 @@ def _product_sums(factors: Sequence[np.ndarray], owner: np.ndarray) -> np.ndarra
     return total
 
 
-@dataclass(frozen=True)
 class SepDecomposition:
     """Separability witness as flat stacks: term ``t`` is the product of
     ``factors[k][t]`` over the parties ``k`` and belongs to element ``owner[t]``.
@@ -85,22 +84,16 @@ class SepDecomposition:
     nondecreasing and names every element, so each element has a term.
     """
 
-    factors: tuple[np.ndarray, ...]
-    owner: np.ndarray
-
     def __init__(self, factors, owner):
-        owner = _segment_index(owner, "witness owner")
-        factors = tuple(as_stack(f) for f in factors)
-        if not factors or any(f.ndim != 3 or len(f) != len(owner) for f in factors):
+        self.owner = _segment_index(owner, "witness owner")
+        self.factors = tuple(as_stack(f) for f in factors)
+        if not self.factors or any(f.ndim != 3 or len(f) != len(self.owner) for f in self.factors):
             raise ValueError("a witness needs one (terms, d, d) factor stack per party, one term per owner")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "owner", owner)
 
     def __len__(self) -> int:
         return int(self.owner[-1]) + 1
 
 
-@dataclass(frozen=True)
 class Locc1Tree:
     """One-round protocol: parties measure in a fixed order, conditioning on prior outcomes.
 
@@ -112,11 +105,6 @@ class Locc1Tree:
     are contiguous and may differ in size.  Levels of shape ``(b, N_l, d, d)``
     hold a batch of ``b`` trees sharing ``parents``.
     """
-
-    dims: tuple[int, ...]
-    party_order: tuple[int, ...]
-    levels: tuple[np.ndarray, ...]
-    parents: tuple[np.ndarray, ...]
 
     def __init__(self, dims, party_order, levels, parents):
         dims = check_dims(dims)
@@ -136,25 +124,17 @@ class Locc1Tree:
             if len(parent) != level.shape[-3] or parent[-1] != above - 1:
                 raise ValueError(f"level {depth} needs a parent per outcome and a family under all {above}")
             checked.append(parent)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "party_order", party_order)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "parents", tuple(checked))
+        self.dims, self.party_order, self.levels, self.parents = dims, party_order, levels, tuple(checked)
 
 
-@dataclass(frozen=True)
 class Povm:
     """Measurement given by PSD elements summing to the identity, held as one
     ``(n, side, side)`` complex stack (a stack passed in is not copied).
 
     A ``(b, n, side, side)`` stack holds a batch of ``b`` POVMs; a separability
-    witness of a batch covers its ``b * n`` elements in order.
+    witness of a batch covers its ``b * n`` elements in order.  ``kind`` is one of
+    ``POVM_KINDS``; ``witness`` is a ``SepDecomposition``, a ``Locc1Tree`` or None.
     """
-
-    elements: np.ndarray
-    dims: tuple[int, ...]
-    kind: str = "general"
-    witness: SepDecomposition | Locc1Tree | None = None
 
     def __init__(self, elements, dims, kind="general", witness=None):
         elements = np.asarray(elements, dtype=complex)
@@ -166,10 +146,7 @@ class Povm:
             raise ValueError(f"element stack shape {elements.shape} does not match system side {side}")
         if kind not in POVM_KINDS:
             raise ValueError(f"unknown POVM kind {kind!r}")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
+        self.elements, self.dims, self.kind, self.witness = elements, dims, kind, witness
 
     def __len__(self) -> int:
         return self.elements.shape[-3]
@@ -179,15 +156,14 @@ class Povm:
         return self.elements.shape[-1]
 
 
-@dataclass(frozen=True)
 class PovmReport:
     """Outcome of completeness/positivity verification; for a batch, every field
     is an array over the batch (``element_min_eigs`` one row per member)."""
 
-    completeness_residual: float | np.ndarray
-    element_min_eigs: tuple[float, ...] | np.ndarray
-    hermiticity_defect: float | np.ndarray
-    tol: float
+    def __init__(self, completeness_residual: float | np.ndarray, element_min_eigs: tuple[float, ...] | np.ndarray,
+                 hermiticity_defect: float | np.ndarray, tol: float):
+        self.completeness_residual, self.element_min_eigs = completeness_residual, element_min_eigs
+        self.hermiticity_defect, self.tol = hermiticity_defect, tol
 
     @property
     def passed(self):
@@ -789,7 +765,9 @@ def locc1_to_json(tree: Locc1Tree) -> dict:
 
 def locc1_from_json(obj: dict) -> Locc1Tree:
     strict_object(obj, "tree", ("dims", "party_order", "root"))
-    order = [int(p) for p in obj["party_order"]]
+    order = list(obj["party_order"])
+    if not all(map(is_integer, order)):
+        raise ValueError(f"party_order entries must be integers, got {obj['party_order']!r}")
     levels, parents = [], []
     nodes = [obj["root"]]  # the families of one level, one per outcome of the level above
     while nodes:
@@ -797,7 +775,9 @@ def locc1_from_json(obj: dict) -> Locc1Tree:
         outcomes, parent = [], []
         for j, node in enumerate(nodes):
             strict_object(node, "tree-node", ("party", "outcomes"))
-            if depth >= len(order) or int(node["party"]) != order[depth]:
+            if not is_integer(node["party"]):
+                raise ValueError(f"tree node party {node['party']!r} is not an integer")
+            if depth >= len(order) or node["party"] != order[depth]:
                 raise ValueError(f"node at depth {depth} measures party {node['party']}, not as in {order}")
             family = node["outcomes"]
             if not isinstance(family, list) or not family:

@@ -50,7 +50,6 @@ complex128 ``(blocks, side, side)`` stack either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +64,7 @@ from .linalg import (
     dagger,
     hermitian_part,
     hermiticity_defect,
+    is_integer,
     matrices_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -79,27 +79,17 @@ OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
 
 
-@dataclass(frozen=True)
 class PtCone:
-    """PSD-after-partial-transposition constraint on one block."""
-
-    dims: tuple[int, ...]
-    parties: tuple[int, ...]
+    """PSD-after-partial-transposition constraint on one block: the cut ``parties`` of ``dims``."""
 
     def __init__(self, dims, parties):
-        dims = check_dims(dims)
-        parties = bipartition(dims, tuple(parties))  # a cone takes a party list, never a bare index
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "parties", parties)
+        self.dims = check_dims(dims)
+        self.parties = bipartition(self.dims, tuple(parties))  # a cone takes a party list, never a bare index
 
 
-@dataclass(frozen=True)
 class SdpProblem:
-    """Block-diagonal conic program with a single completeness constraint."""
-
-    objective: np.ndarray
-    target: np.ndarray
-    pt_cones: tuple[tuple[PtCone, ...], ...]
+    """Block-diagonal conic program with a single completeness constraint: a ``(blocks, side, side)`` stack
+    ``objective``, the ``target`` the blocks sum to, and a tuple of ``PtCone`` per block (``pt_cones``)."""
 
     def __init__(self, objective, target, pt_cones=None):
         objective = as_stack(objective)
@@ -127,9 +117,7 @@ class SdpProblem:
             raise ValueError(f"the PT cones of one problem share one dims, got {sorted(dims)}")
         for d in dims:
             check_dims(d, side)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pt_cones", pt_cones)
+        self.objective, self.target, self.pt_cones = objective, target, pt_cones
 
     @property
     def n_blocks(self) -> int:
@@ -140,26 +128,23 @@ class SdpProblem:
         return self.target.shape[0]
 
 
-@dataclass(frozen=True)
 class SolveOptions:
-    tol: float = 1e-6
-    max_iter: int = 50000
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a finite number above 0, got {self.tol}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+    def __init__(self, tol: float = 1e-6, max_iter: int = 50000):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite number above 0, got {tol}")
+        if not is_integer(max_iter) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+        self.tol, self.max_iter = tol, max_iter
 
 
-@dataclass(frozen=True)
 class SdpSolution:
-    matrices: np.ndarray  # (blocks, side, side), complex
-    objective_value: float
-    status: str  # optimal | max-iterations | infeasible-evidence | solver-failure (an eigensolver did not converge)
-    residuals: dict
-    iterations: int
-    history: tuple[dict, ...]
+    """A solve's result: ``matrices`` is the complex ``(blocks, side, side)`` stack, and ``status`` is optimal,
+    max-iterations, infeasible-evidence or solver-failure (an eigensolver did not converge)."""
+
+    def __init__(self, matrices: np.ndarray, objective_value: float, status: str, residuals: dict, iterations: int,
+                 history: tuple[dict, ...]):
+        self.matrices, self.objective_value, self.status = matrices, objective_value, status
+        self.residuals, self.iterations, self.history = residuals, iterations, history
 
 
 def _frame(cut, side: int) -> MatrixFrame:
@@ -346,7 +331,10 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
                 for held in stacks:
                     _clip(held)
                 back()  # a clipped frame is exactly Hermitian, and so is its partial transpose
-        except np.linalg.LinAlgError:  # an eigensolver that did not converge
+            if checkpoint:  # how far x sits outside the cones, on the matrices
+                xf = full(x)  # the differences below are taken on the coordinates: full() is linear
+                cone = _cone_violation(xf, owner, groups, cones)
+        except np.linalg.LinAlgError:  # an eigensolver that did not converge, in the cone step or the checkpoint
             failed = True
             break
         np.subtract(pre, z, out=u)
@@ -354,10 +342,8 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if not checkpoint:
             continue
 
-        # residuals on the matrices
-        xf = full(x)  # the differences are taken on the coordinates: full() is linear
+        # the other residuals on the matrices
         affine = float(np.max(np.abs(xf.sum(axis=0) - f)))
-        cone = _cone_violation(xf, owner, groups, cones)
         consensus = float(np.max(np.abs(full(x[owner] - z))))
         dual = rho * float(np.max(np.abs(full(z - z_prev))))
         obj = _objective_value(c, xf)
@@ -374,7 +360,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         if combined <= opts.tol and obj_change <= opts.tol * max(1.0, abs(obj)):
             break
 
-    if best is None:  # the cone step failed before the first checkpoint
+    if best is None:  # an eigensolver failed before the first checkpoint was recorded
         return start("solver-failure")
     status = "optimal" if best["combined"] <= opts.tol else "max-iterations"
     if failed:
@@ -398,8 +384,8 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 def _infeasibility_evidence(problem: SdpProblem, cones: dict) -> str | None:
     """Necessary-condition screen: the target must lie in the PSD cone and every shared cut's cone (``cones`` maps
     each cut to its frame)."""
-    shared = set(problem.pt_cones[0]).intersection(*problem.pt_cones[1:])
-    for cut in [None, *((cone.dims, cone.parties) for cone in shared)]:
+    cuts = [[(cone.dims, cone.parties) for cone in cs] for cs in problem.pt_cones]
+    for cut in [None, *set(cuts[0]).intersection(*cuts[1:])]:
         neg = _negative_parts(problem.target[None], cones[cut])[0]
         if neg > 1e-9:
             where = "constraint target" if cut is None else f"target transposed on {cut[1]}"

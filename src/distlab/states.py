@@ -9,7 +9,6 @@ embedding of states into larger local dimensions.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,38 +58,26 @@ def _check_states(rhos: np.ndarray, labels: Sequence[str]) -> None:
             raise ValueError(f"state {label!r} has negative eigenvalue {min_eigenvalue(block[i]):.3e}")
 
 
-@dataclass(frozen=True)
 class State:
     """Unit-trace PSD matrix over a composite system, checked as a stack of one by
     :func:`_check_states`."""
 
-    rho: np.ndarray
-    dims: tuple[int, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        rho = as_matrix(self.rho)
-        dims = check_dims(self.dims, rho.shape[0])
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "dims", dims)
-        _check_states(rho[None], [self.label])
+    def __init__(self, rho, dims: Sequence[int], label: str = ""):
+        self.rho = as_matrix(rho)
+        self.dims = check_dims(dims, self.rho.shape[0])
+        self.label = label
+        _check_states(self.rho[None], [label])
 
     @property
     def side(self) -> int:
         return self.rho.shape[0]
 
 
-@dataclass(frozen=True)
 class StateSet:
     """Finite list of states sharing one dimension vector, held as one
-    ``(n, side, side)`` complex stack with a label per state.  Indexing (and so
-    iteration) yields each member as a ``State`` viewing its stack entry; the
-    members were checked when the set was built, so they are not checked again."""
-
-    rhos: np.ndarray
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
-    label: str = ""
+    ``(n, side, side)`` complex stack ``rhos`` with a label per state (``labels``).
+    Indexing (and so iteration) yields each member as a ``State`` viewing its stack
+    entry; the members were checked when the set was built, so they are not checked again."""
 
     def __init__(self, states: Iterable[State], label: str = ""):
         states = tuple(states)
@@ -100,8 +87,8 @@ class StateSet:
         for s in states:
             if s.dims != dims:
                 raise ValueError(f"mixed dimension vectors {dims} vs {s.dims}")
-        labels = tuple(s.label for s in states)
-        self.__dict__.update(rhos=np.stack([s.rho for s in states]), dims=dims, labels=labels, label=label)
+        self.rhos, self.dims = np.stack([s.rho for s in states]), dims
+        self.labels, self.label = tuple(s.label for s in states), label
 
     @classmethod
     def from_stack(cls, rhos, dims: Sequence[int], labels: Sequence[str], label: str = "") -> "StateSet":
@@ -113,7 +100,7 @@ class StateSet:
         dims = check_dims(dims, rhos.shape[-1])
         _check_states(rhos, labels)
         out = cls.__new__(cls)
-        out.__dict__.update(rhos=rhos, dims=dims, labels=labels, label=label)
+        out.rhos, out.dims, out.labels, out.label = rhos, dims, labels, label
         return out
 
     def __len__(self) -> int:
@@ -122,7 +109,7 @@ class StateSet:
     def __getitem__(self, i) -> State:
         i = operator.index(i)
         member = State.__new__(State)
-        member.__dict__.update(rho=self.rhos[i], dims=self.dims, label=self.labels[i])
+        member.rho, member.dims, member.label = self.rhos[i], self.dims, self.labels[i]
         return member
 
     def subset(self, indices: Sequence[int]) -> "StateSet":

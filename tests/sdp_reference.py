@@ -194,14 +194,14 @@ def _infeasibility_evidence(problem: SdpProblem) -> str | None:
     neg = _negative_part(problem.target)
     if neg > 1e-9:
         return f"constraint target has negative eigenvalue {-neg:.3e}"
-    shared = set(problem.pt_cones[0])
+    shared = {(cone.dims, cone.parties) for cone in problem.pt_cones[0]}
     for cs in problem.pt_cones[1:]:
-        shared &= set(cs)
-    for cone in shared:
-        pt = partial_transpose(problem.target, cone.dims, cone.parties)
+        shared &= {(cone.dims, cone.parties) for cone in cs}
+    for dims, parties in shared:
+        pt = partial_transpose(problem.target, dims, parties)
         neg = _negative_part(pt)
         if neg > 1e-9:
             return (
-                f"target transposed on {cone.parties} has negative eigenvalue {-neg:.3e}"
+                f"target transposed on {parties} has negative eigenvalue {-neg:.3e}"
             )
     return None

@@ -592,8 +592,44 @@ def pt_cut_with_party(party):
     return obj
 
 
+def tree_obj():
+    return locc1_to_json(random_locc1((2, 2), 2, seed=5))
+
+
+def tree_with_root_party(party):
+    obj = tree_obj()
+    obj["root"]["party"] = party
+    return obj
+
+
+# dims that are no JSON integers, though int() takes each entry: text, a fraction, a bool
+NOT_INTEGER_DIMS = {"text": ["2", "2"], "fractional": [2.9, 2], "boolean": [True, 4]}
+
 # (files to write, argv with {name} placeholders for their paths)
 CONTRACT_BREAKERS = {
+    **{
+        f"verify-{name}-dims": ({"p": {**identity_povm_obj(), "dims": dims}}, ["verify", "--povm", "{p}"])
+        for name, dims in NOT_INTEGER_DIMS.items()
+    },
+    **{
+        f"discriminate-{name}-dims": (
+            {"s": {**bell_pair_obj(), "dims": dims}, "p": {**identity_povm_obj(), "dims": dims}},
+            ["discriminate", "--states", "{s}", "--povm", "{p}"],
+        )
+        for name, dims in NOT_INTEGER_DIMS.items()
+    },
+    "tree-party-order-is-text": (
+        {"p": {**tree_obj(), "party_order": ["0", "1"]}},
+        ["verify", "--povm", "{p}", "--kind", "locc1"],
+    ),
+    "tree-party-order-is-boolean": (
+        {"p": {**tree_obj(), "party_order": [False, True]}},
+        ["verify", "--povm", "{p}", "--kind", "locc1"],
+    ),
+    "tree-node-party-is-fractional": (
+        {"p": tree_with_root_party(0.0)},
+        ["verify", "--povm", "{p}", "--kind", "locc1"],
+    ),
     "state-file-without-states": (
         {"s": {"dims": [2, 2]}, "p": identity_povm_obj()},
         ["discriminate", "--states", "{s}", "--povm", "{p}"],
@@ -726,7 +762,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("distlab: error:")
+    assert captured.err.startswith("distlab: error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     if case in NON_FINITE:
         assert paths[NON_FINITE[case]] in captured.err

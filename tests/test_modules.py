@@ -51,6 +51,29 @@ def test_no_module_imports_a_private_name_of_another():
     assert {str(m.relative_to(SOURCE)): private_imports(m) for m in modules if private_imports(m)} == {}
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The absolute modules ``path`` imports: ``a.b`` for ``import a.b`` and for ``from a.b import c``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_import_scan_sees_both_import_forms(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import os.path, json\nfrom dataclasses import dataclass\nfrom . import linalg\n")
+    assert imported_modules(sample) == {"os.path", "json", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    # the domain types are plain classes: a dataclass costs about a millisecond to create in every process
+    found = {str(m.relative_to(SOURCE)): imported_modules(m) for m in sorted(SOURCE.rglob("*.py"))}
+    assert [name for name, modules in found.items() if "dataclasses" in modules] == []
+
+
 def call_sites(path: Path, name: str) -> list[str]:
     """``module.scope`` for every call of ``name`` (such as ``os.fork``) in ``path``, the scope being the dotted names
     of the classes and functions that enclose it."""
@@ -184,7 +207,7 @@ import json, sys
 from distlab.cli import run
 argv = sys.argv[1:]
 code = run(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "distlab")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "distlab"), "dataclasses" in sys.modules]))
 """
 
 
@@ -211,6 +234,6 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     proc = subprocess.run([sys.executable, "-c", MODULES_AFTER, *argv], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    code, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and not dataclasses_loaded
     assert loaded == sorted({"distlab", "distlab.cli"} | {f"distlab.{m}" for m in LOADED[case]})

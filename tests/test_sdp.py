@@ -133,6 +133,17 @@ def test_infeasible_transposed_target_detected():
     assert sol.status == "infeasible-evidence"
 
 
+def test_equal_cones_of_different_blocks_are_one_shared_cut():
+    # two distinct cone objects on the same cut: the screen shares the cut by its dims and parties
+    first, second = PtCone((2, 2), (0,)), PtCone((2, 2), (0,))
+    assert first is not second
+    problem = SdpProblem([PHI_PLUS / 2, PHI_PLUS / 2], PHI_PLUS, [(first,), (second,)])
+    sol = solve(problem)
+    assert (sol.status, sol.iterations) == ("infeasible-evidence", 0)
+    assert sol.residuals["evidence"].startswith("target transposed on (0,) has negative eigenvalue")
+    assert reference_solve(problem).residuals["evidence"] == sol.residuals["evidence"]
+
+
 def ghz_plateau_problem():
     # GHZ projector split between two blocks with different transposition
     # cuts: any PSD decomposition of a rank-1 projector is a scalar split,
@@ -554,7 +565,12 @@ def test_an_error_in_the_cone_step_ends_the_solve_as_a_solver_failure(monkeypatc
     checkpoint = (failed_in - 1) // distlab.sdp.CHECK_EVERY * distlab.sdp.CHECK_EVERY  # the last one it reached
     assert 0 < failed_in < want.iterations
     clip_failing_at(monkeypatch, call)
-    got = solve(build(), opts)
+    assert_failed_at_checkpoint(solve(build(), opts), build, opts, want, checkpoint)
+
+
+def assert_failed_at_checkpoint(got, build, opts, want, checkpoint):
+    """``got`` is the solver failure of ``build()`` that returns the last checkpoint it reached, ``checkpoint`` (0
+    for none), as an unfailed run that stops there returns it; ``want`` is the unfailed solve."""
     assert (got.status, got.iterations) == ("solver-failure", checkpoint)
     if checkpoint:  # the best checkpoint so far, as a run that stops there returns it
         unfailed = solve(build(), SolveOptions(tol=opts.tol, max_iter=checkpoint))
@@ -567,6 +583,39 @@ def test_an_error_in_the_cone_step_ends_the_solve_as_a_solver_failure(monkeypatc
         assert got.history == ()
         assert np.array_equal(got.matrices, np.repeat(problem.target[None] / problem.n_blocks, problem.n_blocks, 0))
         assert got.residuals["affine"] == 0.0 and np.isnan(got.residuals["gap_estimate"])
+
+
+def negative_parts_failing_at(monkeypatch, call):
+    """From now on, the ``call``-th ``sdp._negative_parts`` call raises LAPACK's error for an eigensolver that did
+    not converge; the others measure as before.  Returns the list of the calls so far, the shape of each one's
+    stack."""
+    calls, negative_parts = [], distlab.sdp._negative_parts
+
+    def failing(mats, frame):
+        calls.append(mats.shape)
+        if len(calls) == call:
+            eigh_that_fails()
+        return negative_parts(mats, frame)
+
+    monkeypatch.setattr(distlab.sdp, "_negative_parts", failing)
+    return calls
+
+
+@pytest.mark.parametrize("call", [3, 8])
+def test_an_error_in_a_checkpoint_ends_the_solve_as_a_solver_failure(monkeypatch, call):
+    build, opts = REFERENCE_CORPUS["bell-pair"]
+    want = solve(build(), opts)
+    every = distlab.sdp.CHECK_EVERY
+    calls = negative_parts_failing_at(monkeypatch, 0)
+    solve(build(), SolveOptions(max_iter=every))
+    once = len(calls)  # the infeasibility screen's calls and one checkpoint's
+    solve(build(), SolveOptions(max_iter=2 * every))
+    per_checkpoint = len(calls) - 2 * once
+    screen = once - per_checkpoint
+    failed_in = -(-(call - screen) // per_checkpoint)  # the checkpoint whose cone residual fails, from 1
+    assert 0 < failed_in * every < want.iterations
+    negative_parts_failing_at(monkeypatch, call)
+    assert_failed_at_checkpoint(solve(build(), opts), build, opts, want, (failed_in - 1) * every)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -644,6 +693,17 @@ def test_a_solver_failure_exits_1_with_a_parseable_report(monkeypatch, tmp_path,
     else:
         assert kind == "theorem1" and payload["status_small"] == payload["status_big"] == "solver-failure"
         assert payload["distinguishable_small"] is payload["distinguishable_big"] is False
+
+
+def test_a_checkpoint_solver_failure_exits_1_with_a_parseable_report(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_json(ppt_discrimination_problem(bell_states().subset([0, 2])))))
+    negative_parts_failing_at(monkeypatch, 8)  # at the checkpoint at 75: the screen makes 2 calls, each checkpoint 2
+    code = run(["sdp", "--problem", str(path), "--tol", "1e-7"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err.startswith("SDP: ") and "Traceback" not in err
+    kind, payload = parse_report(json.loads(out))
+    assert (kind, payload.status, payload.iterations) == ("sdp_solution", "solver-failure", 50)
 
 
 def test_the_theorem1_problems_start_no_thread(monkeypatch):
