@@ -25,7 +25,6 @@ _HOMES = {
     "SdpProblem": "sdp",
     "SdpSolution": "sdp",
     "SolveOptions": "sdp",
-    "PtCone": "sdp",
     "tensor": "linalg",
     "partial_transpose": "linalg",
     "embed_matrix": "linalg",

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, dagger, embed_matrix, matrix_from_json, matrix_to_json
-from .linalg import hermitian_part, in_workers, restrict_matrix, strict_object, trace_products
+from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, check_dims, dagger, embed_matrix, hermitian_part, in_workers
+from .linalg import is_integer, matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -199,11 +199,10 @@ def global_distinguishable(states: StateSet, tol: float = DEFAULT_TOL) -> Global
 
 def ppt_discrimination_problem(states: StateSet) -> SdpProblem:
     """Average-success-probability SDP over POVMs PPT on every cut."""
-    from .sdp import PtCone, SdpProblem
+    from .sdp import SdpProblem
 
     n = len(states)
-    cones = tuple(PtCone(states.dims, c) for c in canonical_cuts(states.dims))
-    return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), (cones,) * n)
+    return SdpProblem(states.rhos / n, np.eye(states.rhos.shape[-1]), states.dims, [canonical_cuts(states.dims)] * n)
 
 
 def ppt_distinguishability(states: StateSet, opts: SolveOptions | None = None) -> PptResult:
@@ -237,7 +236,7 @@ def theorem1_trace_identity(states: StateSet, povm_big: Povm, sub_dims: Sequence
     exact arithmetic because the embedded state is supported on the in-range
     block.
     """
-    sub_dims = tuple(int(d) for d in sub_dims)
+    sub_dims = check_dims(sub_dims)
     if states.dims != sub_dims:
         raise ValueError(f"states live in {states.dims}, expected {sub_dims}")
     e = povm_big.elements
@@ -425,7 +424,7 @@ def local_global_fuzz(
     a multi-threaded BLAS, the interpreter may warn (``DeprecationWarning``)
     that it forks a process that has threads.
     """
-    new_dims = tuple(int(d) for d in new_dims)
+    new_dims = check_dims(new_dims)
     kinds = tuple(kinds)
     for kind in kinds:
         if kind not in FUZZ_KINDS:
@@ -481,13 +480,20 @@ def verdict_from_json(obj: dict) -> DiscriminationVerdict:
     strict_object(
         obj, "verdict", ("mode", "povm_kind", "passes", "hit_table", "success_probability", "violations", "tol")
     )
+    mode, povm_kind, passes, violations = obj["mode"], obj["povm_kind"], obj["passes"], obj["violations"]
+    if not (isinstance(mode, str) and isinstance(povm_kind, str)):
+        raise ValueError(f"verdict mode and povm_kind must be JSON strings, got {mode!r} and {povm_kind!r}")
+    if not isinstance(passes, bool):
+        raise ValueError(f"verdict passes must be a JSON boolean, got {passes!r}")
+    if not (isinstance(violations, list) and all(isinstance(x, dict) for x in violations)):
+        raise ValueError("verdict violations must be a JSON list of objects")
     return DiscriminationVerdict(
-        mode=str(obj["mode"]),
-        povm_kind=str(obj["povm_kind"]),
-        passes=bool(obj["passes"]),
+        mode=mode,
+        povm_kind=povm_kind,
+        passes=passes,
         hit_table=matrix_from_json(obj["hit_table"]).real,
         success_probability=float(obj["success_probability"]),
-        violations=tuple(dict(x) for x in obj["violations"]),
+        violations=tuple(dict(x) for x in violations),
         tol=float(obj["tol"]),
     )
 
@@ -506,14 +512,23 @@ def harness_to_json(r: HarnessReport) -> dict:
 
 def harness_from_json(obj: dict) -> HarnessReport:
     strict_object(obj, "harness", ("trials", "seed", "kinds", "dims", "sub_dims", "failures", "passes"))
+    trials, seed, kinds, failures, passes = (obj[k] for k in ("trials", "seed", "kinds", "failures", "passes"))
+    if not (is_integer(trials) and is_integer(seed)):
+        raise ValueError(f"harness trials and seed must be JSON integers, got {trials!r} and {seed!r}")
+    if not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
+        raise ValueError(f"harness kinds must be a JSON list of strings, got {kinds!r}")
+    if not (isinstance(failures, list) and all(isinstance(f, dict) for f in failures)):
+        raise ValueError("harness failures must be a JSON list of objects")
+    if not isinstance(passes, bool):
+        raise ValueError(f"harness passes must be a JSON boolean, got {passes!r}")
     report = HarnessReport(
-        trials=int(obj["trials"]),
-        seed=int(obj["seed"]),
-        kinds=tuple(obj["kinds"]),
-        dims=tuple(obj["dims"]),
-        sub_dims=tuple(obj["sub_dims"]),
-        failures=tuple(dict(f) for f in obj["failures"]),
+        trials=trials,
+        seed=seed,
+        kinds=tuple(kinds),
+        dims=check_dims(obj["dims"]),
+        sub_dims=check_dims(obj["sub_dims"]),
+        failures=tuple(dict(f) for f in failures),
     )
-    if report.passes != bool(obj["passes"]):
+    if report.passes != passes:
         raise ValueError("harness pass flag disagrees with failure list")
     return report

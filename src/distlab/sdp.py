@@ -15,8 +15,8 @@ tracked by their combined residual and the best one seen is returned, so the
 recorded residual trail never regresses.
 
 ``SdpProblem`` holds the C_i as one ``(blocks, side, side)`` stack (a list of
-blocks is stacked, a complex stack is kept without a copy), and all its PT
-cones share one ``dims``.
+blocks is stacked, a complex stack is kept without a copy), the system's one
+``dims``, and per block its PT cuts, party tuples on that ``dims``.
 
 ``solve`` first looks for the smallest *-algebra A that holds I, the C_i and
 F and whose partial transpose on every cut of the problem is an algebra too,
@@ -79,19 +79,12 @@ OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
 
 
-class PtCone:
-    """PSD-after-partial-transposition constraint on one block: the cut ``parties`` of ``dims``."""
-
-    def __init__(self, dims, parties):
-        self.dims = check_dims(dims)
-        self.parties = bipartition(self.dims, tuple(parties))  # a cone takes a party list, never a bare index
-
-
 class SdpProblem:
     """Block-diagonal conic program with a single completeness constraint: a ``(blocks, side, side)`` stack
-    ``objective``, the ``target`` the blocks sum to, and a tuple of ``PtCone`` per block (``pt_cones``)."""
+    ``objective``, the ``target`` the blocks sum to, the ``dims`` of the system (``(side,)`` by default), and per
+    block a tuple of cuts (``pt_cuts``), each the sorted party tuple of one side of a cut of ``dims``."""
 
-    def __init__(self, objective, target, pt_cones=None):
+    def __init__(self, objective, target, dims=None, pt_cuts=None):
         objective = as_stack(objective)
         target = as_matrix(target)
         side = target.shape[0]
@@ -107,17 +100,14 @@ class SdpProblem:
             raise ValueError("objective blocks must be Hermitian")
         if hermiticity_defect(target) > PROBLEM_HERMITIAN_TOL:
             raise ValueError("constraint target must be Hermitian")
-        if pt_cones is None:
-            pt_cones = tuple(() for _ in objective)
-        pt_cones = tuple(tuple(cs) for cs in pt_cones)
-        if len(pt_cones) != len(objective):
+        dims = check_dims((side,) if dims is None else dims, side)
+        if pt_cuts is None:
+            pt_cuts = [()] * len(objective)
+        # a cut is a party list, never a bare index
+        pt_cuts = tuple(tuple(bipartition(dims, tuple(cut)) for cut in cuts) for cuts in pt_cuts)
+        if len(pt_cuts) != len(objective):
             raise ValueError("one cone list per block required")
-        dims = {cone.dims for cs in pt_cones for cone in cs}
-        if len(dims) > 1:
-            raise ValueError(f"the PT cones of one problem share one dims, got {sorted(dims)}")
-        for d in dims:
-            check_dims(d, side)
-        self.objective, self.target, self.pt_cones = objective, target, pt_cones
+        self.objective, self.target, self.dims, self.pt_cuts = objective, target, dims, pt_cuts
 
     @property
     def n_blocks(self) -> int:
@@ -147,13 +137,14 @@ class SdpSolution:
         self.residuals, self.iterations, self.history = residuals, iterations, history
 
 
-def _frame(cut, side: int) -> MatrixFrame:
-    """The cone of ``cut`` on full ``(side, side)`` matrices: the PSD cone for None, else the cone of matrices whose
-    partial transpose on ``cut``, any ``(dims, parties)`` that ``partial_transpose`` takes, is PSD."""
+def _frame(dims: tuple[int, ...], cut) -> MatrixFrame:
+    """The cone of ``cut`` on full matrices of side prod(dims): the PSD cone for None, else the cone of matrices
+    whose partial transpose on the parties ``cut`` of ``dims`` is PSD."""
+    side = int(np.prod(dims))
     if cut is None:
         return MatrixFrame(None, side)
     square = np.arange(side * side, dtype=float).reshape(side, side)
-    return MatrixFrame(partial_transpose(square, *cut).ravel().astype(np.intp), side)
+    return MatrixFrame(partial_transpose(square, dims, cut).ravel().astype(np.intp), side)
 
 
 def _negative_parts(mats: np.ndarray, frame: MatrixFrame) -> np.ndarray:
@@ -180,15 +171,16 @@ def _clip(h: np.ndarray) -> None:
     np.copyto(h, hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ dagger(v)), where=w[..., :1, None] < 0.0)
 
 
-def _project(m, cut) -> np.ndarray:
-    """The Frobenius-nearest point of the cone of ``cut`` to the Hermitian matrix ``m``: clip negative eigenvalues
-    in the cone's frame."""
+def _project(m, dims, cut) -> np.ndarray:
+    """The Frobenius-nearest point of the cone of ``cut`` on ``dims`` (``(side,)`` for None) to the Hermitian matrix
+    ``m``: clip negative eigenvalues in the cone's frame."""
     m = as_matrix(m)
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"projection needs Hermitian input (defect {defect:.3e})")
+    dims = check_dims((len(m),) if dims is None else dims, len(m))
     out = np.empty((1, *m.shape), complex)
-    into, stacks, back = _frame(cut, len(m)).plan(m[None], out)
+    into, stacks, back = _frame(dims, cut).plan(m[None], out)
     into()
     for stack in stacks:
         _clip(stack)
@@ -198,12 +190,12 @@ def _project(m, cut) -> np.ndarray:
 
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues."""
-    return _project(m, None)
+    return _project(m, None, None)
 
 
 def project_ppt(m: np.ndarray, dims: Sequence[int], cut: int | Sequence[int]) -> np.ndarray:
     """Frobenius-nearest matrix whose partial transpose is PSD."""
-    return _project(m, (dims, cut))
+    return _project(m, dims, cut)
 
 
 def _objective_value(c: np.ndarray, x: np.ndarray) -> float:
@@ -237,16 +229,16 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     f = problem.target
     if not (np.any(c.imag) or np.any(f.imag)):  # real data: iterate in float64
         c, f = np.ascontiguousarray(c.real), np.ascontiguousarray(f.real)
-    # block i owns one copy for the PSD cone and one per PT cone; the copies are held cut by cut,
+    # block i owns one copy for the PSD cone (the cut None) and one per PT cut; the copies are held cut by cut,
     # block by block within a cut, so each distinct cut's group of copies is one contiguous slice
     by_cut: dict = {}
-    for i, pt in enumerate(problem.pt_cones):
-        for cut in [None, *((cone.dims, cone.parties) for cone in pt)]:
+    for i, cuts in enumerate(problem.pt_cuts):
+        for cut in [None, *cuts]:
             by_cut.setdefault(cut, []).append(i)
     owner = np.concatenate([np.array(blocks) for blocks in by_cut.values()])  # the block of each copy
     ends = np.cumsum([len(blocks) for blocks in by_cut.values()]).tolist()
     groups = [(cut, slice(end - len(blocks), end)) for (cut, blocks), end in zip(by_cut.items(), ends)]
-    cones = {cut: _frame(cut, side) for cut in by_cut}  # each distinct cut's cone on full matrices
+    cones = {cut: _frame(problem.dims, cut) for cut in by_cut}  # each distinct cut's cone on full matrices
     copies = len(owner)
     rho, alpha = PENALTY, OVER_RELAXATION
 
@@ -384,41 +376,35 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 def _infeasibility_evidence(problem: SdpProblem, cones: dict) -> str | None:
     """Necessary-condition screen: the target must lie in the PSD cone and every shared cut's cone (``cones`` maps
     each cut to its frame)."""
-    cuts = [[(cone.dims, cone.parties) for cone in cs] for cs in problem.pt_cones]
-    for cut in [None, *set(cuts[0]).intersection(*cuts[1:])]:
+    shared = [cut for cut in problem.pt_cuts[0] if all(cut in cuts for cuts in problem.pt_cuts[1:])]
+    for cut in [None, *shared]:  # in block 0's order
         neg = _negative_parts(problem.target[None], cones[cut])[0]
         if neg > 1e-9:
-            where = "constraint target" if cut is None else f"target transposed on {cut[1]}"
+            where = "constraint target" if cut is None else f"target transposed on {cut}"
             return f"{where} has negative eigenvalue {-neg:.3e}"
     return None
 
 
 def problem_to_json(problem: SdpProblem) -> dict:
-    dims = next((cs[0].dims for cs in problem.pt_cones if cs), None)
     return {
         "target": matrix_to_json(problem.target),
-        "dims": list(dims) if dims else [problem.side],
+        "dims": list(problem.dims),
         "blocks": [
-            {
-                "objective": matrix_to_json(c),
-                "pt_cuts": [list(cone.parties) for cone in problem.pt_cones[i]],
-            }
-            for i, c in enumerate(problem.objective)
+            {"objective": matrix_to_json(c), "pt_cuts": [list(cut) for cut in cuts]}
+            for c, cuts in zip(problem.objective, problem.pt_cuts)
         ],
     }
 
 
 def problem_from_json(obj: dict) -> SdpProblem:
     strict_object(obj, "SDP problem", ("target", "dims", "blocks"))
-    target = matrix_from_json(obj["target"])
-    dims = check_dims(obj["dims"], target.shape[0])  # whether or not a block has pt_cuts
     objective = []
-    pt_cones = []
+    pt_cuts = []
     for block in obj["blocks"]:
         strict_object(block, "SDP block", ("objective",), ("pt_cuts",))
         objective.append(matrix_from_json(block["objective"]))
-        pt_cones.append(tuple(PtCone(dims, cut) for cut in block.get("pt_cuts", [])))
-    return SdpProblem(objective, target, pt_cones)
+        pt_cuts.append(block.get("pt_cuts", []))
+    return SdpProblem(objective, matrix_from_json(obj["target"]), obj["dims"], pt_cuts)
 
 
 def solution_to_json(sol: SdpSolution) -> dict:
@@ -436,11 +422,18 @@ def solution_from_json(obj: dict) -> SdpSolution:
     strict_object(
         obj, "SDP solution", ("matrices", "objective_value", "status", "residuals", "iterations", "history")
     )
+    status, residuals, iterations, history = obj["status"], obj["residuals"], obj["iterations"], obj["history"]
+    if not isinstance(status, str):
+        raise ValueError(f"SDP solution status must be a JSON string, got {status!r}")
+    if not is_integer(iterations):
+        raise ValueError(f"SDP solution iterations must be a JSON integer, got {iterations!r}")
+    if not (isinstance(residuals, dict) and isinstance(history, list) and all(isinstance(h, dict) for h in history)):
+        raise ValueError("SDP solution residuals must be a JSON object and its history a JSON list of objects")
     return SdpSolution(
         matrices=matrices_from_json(obj["matrices"], "SDP solution"),
         objective_value=float(obj["objective_value"]),
-        status=str(obj["status"]),
-        residuals=dict(obj["residuals"]),
-        iterations=int(obj["iterations"]),
-        history=tuple(dict(h) for h in obj["history"]),
+        status=status,
+        residuals=dict(residuals),
+        iterations=iterations,
+        history=tuple(dict(h) for h in history),
     )

@@ -6,7 +6,9 @@ the stacked solver reproduces its statuses, iteration counts, histories,
 optima and matrices.  The code is the earlier ``solve`` unchanged, except
 that the random-initialisation branch went with ``SolveOptions.seed`` and the
 penalty (1.0), over-relaxation (1.6) and checkpoint interval (25) are literals
-here, as they are module constants there.
+here, as they are module constants there.  Its cones are read from the
+problem's one ``dims`` and each block's ``pt_cuts``, and its screen visits the
+cuts every block shares in block 0's order, as ``solve`` does.
 """
 
 import numpy as np
@@ -31,21 +33,21 @@ def _negative_part(m: np.ndarray) -> float:
     return float(max(0.0, -w[0]))
 
 
-def _cone_violation(mat: np.ndarray, cones) -> float:
+def _cone_violation(mat: np.ndarray, dims, cuts) -> float:
     worst = 0.0
-    for cone in cones:
-        if cone is None:
+    for cut in cuts:
+        if cut is None:
             worst = max(worst, _negative_part(mat))
         else:
-            worst = max(worst, _negative_part(partial_transpose(mat, cone.dims, cone.parties)))
+            worst = max(worst, _negative_part(partial_transpose(mat, dims, cut)))
     return worst
 
 
-def _project_cone(mat: np.ndarray, cone) -> np.ndarray:
-    if cone is None:
+def _project_cone(mat: np.ndarray, dims, cut) -> np.ndarray:
+    if cut is None:
         return _clip_psd(_sym(mat))
-    pt = partial_transpose(mat, cone.dims, cone.parties)
-    return _sym(partial_transpose(_clip_psd(_sym(pt)), cone.dims, cone.parties))
+    pt = partial_transpose(mat, dims, cut)
+    return _sym(partial_transpose(_clip_psd(_sym(pt)), dims, cut))
 
 
 def _objective_value(problem: SdpProblem, mats) -> float:
@@ -63,8 +65,9 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
     n = problem.n_blocks
     side = problem.side
     f = problem.target.astype(complex)
-    # cone list per block: None marks the plain PSD cone
-    cones = [[None, *problem.pt_cones[i]] for i in range(n)]
+    # cut list per block: None marks the plain PSD cone
+    dims = problem.dims
+    cones = [[None, *problem.pt_cuts[i]] for i in range(n)]
     m_counts = [len(cs) for cs in cones]
     inv_m_sum = sum(1.0 / mi for mi in m_counts)
     rho, alpha = 1.0, 1.6
@@ -78,7 +81,7 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
             status="infeasible-evidence",
             residuals={
                 "affine": 0.0,
-                "cone": max(_cone_violation(mi, cones[i]) for i, mi in enumerate(mats)),
+                "cone": max(_cone_violation(mi, dims, cones[i]) for i, mi in enumerate(mats)),
                 "gap_estimate": float("nan"),
                 "evidence": evidence,
             },
@@ -119,7 +122,7 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
         for i in range(n):
             for k in range(m_counts[i]):
                 xhat = alpha * x[i] + (1 - alpha) * z[i][k]
-                znew = _project_cone(xhat + u[i][k], cones[i][k])
+                znew = _project_cone(xhat + u[i][k], dims, cones[i][k])
                 u[i][k] = u[i][k] + xhat - znew
                 z[i][k] = znew
 
@@ -127,7 +130,7 @@ def reference_solve(problem: SdpProblem, opts: SolveOptions | None = None) -> Sd
             continue
 
         affine = float(np.max(np.abs(sum(x) - f)))
-        cone = max(_cone_violation(x[i], cones[i]) for i in range(n))
+        cone = max(_cone_violation(x[i], dims, cones[i]) for i in range(n))
         consensus = max(
             float(np.max(np.abs(x[i] - z[i][k])))
             for i in range(n)
@@ -194,11 +197,10 @@ def _infeasibility_evidence(problem: SdpProblem) -> str | None:
     neg = _negative_part(problem.target)
     if neg > 1e-9:
         return f"constraint target has negative eigenvalue {-neg:.3e}"
-    shared = {(cone.dims, cone.parties) for cone in problem.pt_cones[0]}
-    for cs in problem.pt_cones[1:]:
-        shared &= {(cone.dims, cone.parties) for cone in cs}
-    for dims, parties in shared:
-        pt = partial_transpose(problem.target, dims, parties)
+    # the cuts every block shares, in block 0's order
+    shared = [cut for cut in problem.pt_cuts[0] if all(cut in cuts for cuts in problem.pt_cuts[1:])]
+    for parties in shared:
+        pt = partial_transpose(problem.target, problem.dims, parties)
         neg = _negative_part(pt)
         if neg > 1e-9:
             return (

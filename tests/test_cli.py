@@ -23,7 +23,7 @@ from distlab.cli import build_parser, parse_report, run, summarize
 from distlab.discrimination import check_perfect, harness_to_json, local_global_fuzz, verdict_to_json
 from distlab.linalg import matrix_to_json
 from distlab.povm import Povm, povm_to_json, locc1_to_json, random_locc1, counterexample_c4
-from distlab.sdp import PtCone, SdpProblem, SdpSolution, problem_to_json, solution_to_json
+from distlab.sdp import SdpProblem, SdpSolution, problem_to_json, solution_to_json
 from distlab.states import StateSet, bell_states, domino_states, generalized_bell_states, pure_state, state_set_to_json
 
 
@@ -281,8 +281,7 @@ def test_sdp_command(tmp_path, capsys):
     phi[np.ix_([0, 3], [0, 3])] = 0.5
     psi = np.zeros((4, 4), dtype=complex)
     psi[np.ix_([1, 2], [1, 2])] = 0.5
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([phi / 2, psi / 2], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([phi / 2, psi / 2], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     path = write_json(tmp_path / "problem.json", problem_to_json(problem))
     code, report, err = run_captured(capsys, ["sdp", "--problem", path])
     assert code == 0
@@ -982,6 +981,27 @@ TYPE_BREAKING_REPORTS = {
     "harness-trials-list": lambda: report_of("harness", harness_payload(trials=[])),
     "verdict-violations-int": lambda: report_of("verdict", verdict_payload(violations=5)),
     "solution-history-int-entry": lambda: report_of("sdp_solution", solution_payload(history=[5])),
+    # reports whose foreign JSON types were coerced: trials 2.9 read as 2, kinds "general" as its letters
+    "harness-trials-float": lambda: report_of("harness", harness_payload(trials=2.9)),
+    "harness-trials-bool": lambda: report_of("harness", harness_payload(trials=True)),
+    "harness-seed-text": lambda: report_of("harness", harness_payload(seed="7")),
+    "harness-kinds-text": lambda: report_of("harness", harness_payload(kinds="general")),
+    "harness-kinds-int-entry": lambda: report_of("harness", harness_payload(kinds=[5])),
+    "harness-dims-text": lambda: report_of("harness", harness_payload(dims="33")),
+    "harness-sub-dims-float": lambda: report_of("harness", harness_payload(sub_dims=[2.0, 2])),
+    "harness-failures-object": lambda: report_of("harness", harness_payload(failures={})),
+    "harness-passes-text": lambda: report_of("harness", harness_payload(passes="false")),
+    "harness-passes-int": lambda: report_of("harness", harness_payload(passes=1)),
+    "verdict-mode-int": lambda: report_of("verdict", verdict_payload(mode=5)),
+    "verdict-povm-kind-list": lambda: report_of("verdict", verdict_payload(povm_kind=["sep"])),
+    "verdict-passes-text": lambda: report_of("verdict", verdict_payload(passes="false")),
+    "verdict-passes-int": lambda: report_of("verdict", verdict_payload(passes=0)),
+    "verdict-violations-object": lambda: report_of("verdict", verdict_payload(violations={})),
+    "solution-status-int": lambda: report_of("sdp_solution", solution_payload(status=5)),
+    "solution-iterations-float": lambda: report_of("sdp_solution", solution_payload(iterations=25.5)),
+    "solution-iterations-text": lambda: report_of("sdp_solution", solution_payload(iterations="25")),
+    "solution-residuals-list": lambda: report_of("sdp_solution", solution_payload(residuals=[])),
+    "solution-history-object": lambda: report_of("sdp_solution", solution_payload(history={})),
 }
 
 

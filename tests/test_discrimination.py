@@ -822,6 +822,21 @@ def test_local_global_fuzz_rejects_ppt_on_one_party_before_any_trial(monkeypatch
             local_global_fuzz(two, kinds, (3,), trials=5, seed=1)
 
 
+@pytest.mark.parametrize("bad", [3.9, "3", True], ids=["float", "str", "bool"])
+def test_local_global_fuzz_takes_integer_dims_only(monkeypatch, bad):
+    # int() truncated them: (3.9, 3) ran the trials on (3, 3) and reported dims (3, 3)
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
+    with pytest.raises(ValueError, match=r"^local dimension .+ is not an integer$"):
+        local_global_fuzz(bell_states().subset([0, 2]), ["general"], (bad, 3), trials=2, seed=1)
+
+
+@pytest.mark.parametrize("bad", [2.7, "2", True], ids=["float", "str", "bool"])
+def test_the_trace_identity_takes_integer_sub_dims_only(bad):
+    # int() truncated them: sub_dims (2.7, 2.2) were read as (2, 2) and the residual came back 0.0
+    with pytest.raises(ValueError, match=r"^local dimension .+ is not an integer$"):
+        theorem1_trace_identity(bell_states(), random_povm((3, 3), 4, 1), (bad, 2))
+
+
 def test_the_fuzz_draws_a_block_per_call_and_its_reference_a_trial_per_call(monkeypatch):
     drawn = []
     sample_of_kind = distlab.discrimination._sample_of_kind

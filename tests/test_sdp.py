@@ -17,7 +17,6 @@ from distlab.cli import parse_report, run
 from distlab.discrimination import local_global_fuzz, ppt_discrimination_problem, theorem1_ppt_invariance
 from distlab.linalg import BLOCK_BYTES, matrix_to_json, partial_transpose, worker_count
 from distlab.sdp import (
-    PtCone,
     SdpProblem,
     SdpSolution,
     SolveOptions,
@@ -76,8 +75,7 @@ def test_solve_fully_pinned_block():
 def test_solve_ppt_discrimination_two_bell_states():
     # frozen from an independent convex-programming run: optimum 1.0
     states = [PHI_PLUS, PSI_PLUS]
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([s / 2 for s in states], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([s / 2 for s in states], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     sol = solve(problem, SolveOptions(tol=1e-7))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
@@ -97,8 +95,7 @@ def test_solution_objective_reproducible():
 
 def test_residual_tail_monotone():
     states = [PHI_PLUS, PSI_PLUS, np.eye(4) / 4]
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([s / 3 for s in states], np.eye(4), [(cone,)] * 3)
+    problem = SdpProblem([s / 3 for s in states], np.eye(4), (2, 2), [[(0,)]] * 3)
     sol = solve(problem, SolveOptions(tol=1e-9, max_iter=2000))
     tail = [h["combined"] for h in sol.history[-10:]]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
@@ -115,8 +112,7 @@ def test_objective_scaling():
 
 def test_affine_constraint_exact_on_returned_matrices():
     states = [PHI_PLUS, PSI_PLUS]
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([s / 2 for s in states], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([s / 2 for s in states], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     sol = solve(problem)
     assert np.max(np.abs(sum(sol.matrices) - np.eye(4))) <= 1e-12
 
@@ -128,16 +124,13 @@ def test_infeasible_target_detected():
 
 
 def test_infeasible_transposed_target_detected():
-    cone = PtCone((2, 2), (0,))
-    sol = solve(SdpProblem([PHI_PLUS / 2], PHI_PLUS, [(cone,)]))
+    sol = solve(SdpProblem([PHI_PLUS / 2], PHI_PLUS, (2, 2), [[(0,)]]))
     assert sol.status == "infeasible-evidence"
 
 
 def test_equal_cones_of_different_blocks_are_one_shared_cut():
-    # two distinct cone objects on the same cut: the screen shares the cut by its dims and parties
-    first, second = PtCone((2, 2), (0,)), PtCone((2, 2), (0,))
-    assert first is not second
-    problem = SdpProblem([PHI_PLUS / 2, PHI_PLUS / 2], PHI_PLUS, [(first,), (second,)])
+    # one cut, given as a list on one block and as a tuple on the other: the screen shares the cut by its parties
+    problem = SdpProblem([PHI_PLUS / 2, PHI_PLUS / 2], PHI_PLUS, (2, 2), [[[0]], [(0,)]])
     sol = solve(problem)
     assert (sol.status, sol.iterations) == ("infeasible-evidence", 0)
     assert sol.residuals["evidence"].startswith("target transposed on (0,) has negative eigenvalue")
@@ -151,10 +144,21 @@ def ghz_plateau_problem():
     # feasible set is empty although the target passes the shared-cone screen.
     ghz = np.zeros((8, 8), dtype=complex)
     ghz[np.ix_([0, 7], [0, 7])] = 0.5
-    dims = (2, 2, 2)
-    return SdpProblem(
-        [ghz / 2, ghz / 2], ghz, [(PtCone(dims, (0,)),), (PtCone(dims, (1,)),)]
-    )
+    return SdpProblem([ghz / 2, ghz / 2], ghz, (2, 2, 2), [[(0,)], [(1,)]])
+
+
+@pytest.mark.parametrize("rotation", range(3))
+def test_the_screen_names_the_first_failing_shared_cut_in_block_0s_order(rotation):
+    # the GHZ projector fails PPT on every cut; the shared cuts were visited in a set's order, which named (0, 1)
+    # for every rotation of block 0's list
+    ghz = ghz_plateau_problem().target
+    cuts = [(0,), (1,), (0, 1)]
+    first = cuts[rotation:] + cuts[:rotation]
+    problem = SdpProblem([ghz / 2, ghz / 2], ghz, (2, 2, 2), [first, cuts])
+    sol = solve(problem)
+    assert (sol.status, sol.iterations) == ("infeasible-evidence", 0)
+    assert sol.residuals["evidence"].startswith(f"target transposed on {first[0]} has negative eigenvalue")
+    assert reference_solve(problem).residuals["evidence"] == sol.residuals["evidence"]
 
 
 def test_infeasible_plateau_detected():
@@ -165,8 +169,7 @@ def test_infeasible_plateau_detected():
 
 def test_max_iterations_reported_honestly():
     states = [PHI_PLUS, PSI_PLUS]
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([s / 2 for s in states], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([s / 2 for s in states], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     sol = solve(problem, SolveOptions(tol=1e-12, max_iter=50))
     assert sol.status != "optimal"
     assert sol.iterations <= 50
@@ -174,8 +177,7 @@ def test_max_iterations_reported_honestly():
 
 def test_solve_deterministic():
     states = [PHI_PLUS, PSI_PLUS]
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([s / 2 for s in states], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([s / 2 for s in states], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     a = solve(problem, SolveOptions(max_iter=500))
     b = solve(problem, SolveOptions(max_iter=500))
     assert a.objective_value == b.objective_value
@@ -190,10 +192,10 @@ def test_problem_validation():
         SdpProblem([np.eye(3)], np.eye(2))
     with pytest.raises(ValueError):
         SdpProblem([np.array([[0, 1], [0, 0]], dtype=complex)], np.eye(2))
-    with pytest.raises(ValueError):
-        PtCone((2, 2), (0, 1))
-    with pytest.raises(ValueError):
-        SdpProblem([np.eye(4)], np.eye(4), [(PtCone((2, 3), (0,)),)])
+    with pytest.raises(ValueError, match="leaves one side"):
+        SdpProblem([np.eye(4)], np.eye(4), (2, 2), [[(0, 1)]])
+    with pytest.raises(ValueError, match="do not factor"):
+        SdpProblem([np.eye(4)], np.eye(4), (2, 3), [[(0,)]])
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
@@ -212,23 +214,14 @@ def test_problem_rejects_non_finite_data(where, value, part):
         SdpProblem(objective, target)
 
 
-def test_problem_rejects_pt_cones_that_disagree_on_dims():
-    # problem_to_json writes one dims, so such a problem came back with every cone on the first one's dims
-    cones = (PtCone((2, 6), [0]), PtCone((3, 4), [0]))
-    with pytest.raises(ValueError, match="share one dims"):
-        SdpProblem([np.eye(12)], np.eye(12), [cones])
-    with pytest.raises(ValueError, match="share one dims"):
-        SdpProblem([np.eye(12), np.eye(12)], 2 * np.eye(12), [cones[:1], cones[1:]])
-
-
 def test_a_list_of_blocks_and_the_equal_stack_give_equal_problems_and_solutions():
     blocks = [PHI_PLUS / 3, PSI_PLUS / 3, PHI_MINUS / 3]
-    cones = [(), (PtCone((2, 2), (0,)),), (PtCone((2, 2), (0,)),)]
-    from_list = SdpProblem(blocks, np.eye(4), cones)
-    from_stack = SdpProblem(np.stack(blocks), np.eye(4), cones)
+    cuts = [[], [(0,)], [(0,)]]
+    from_list = SdpProblem(blocks, np.eye(4), (2, 2), cuts)
+    from_stack = SdpProblem(np.stack(blocks), np.eye(4), (2, 2), cuts)
     assert from_list.objective.shape == (3, 4, 4) and from_list.n_blocks == 3
     assert np.array_equal(from_list.objective, from_stack.objective)
-    assert np.array_equal(from_list.target, from_stack.target) and from_list.pt_cones == from_stack.pt_cones
+    assert np.array_equal(from_list.target, from_stack.target) and from_list.pt_cuts == from_stack.pt_cuts
     a, b = (solve(p, SolveOptions(tol=1e-7)) for p in (from_list, from_stack))
     assert (a.status, a.iterations, a.objective_value) == (b.status, b.iterations, b.objective_value)
     assert a.history == b.history and a.residuals == b.residuals
@@ -292,20 +285,18 @@ def test_project_ppt():
 def test_projections_match_the_per_matrix_reference(dims, parties, dtype):
     # the reference transposes through linalg.partial_transpose, not through the solver's index maps
     rng = np.random.default_rng(24)
-    cone = None if parties is None else PtCone(dims, parties)
     for _ in range(10):
         m = random_hermitian(rng, int(np.prod(dims)))
         m = m.real if dtype is float else m
-        got = project_psd(m) if cone is None else project_ppt(m, dims, parties)
-        assert np.max(np.abs(got - _project_cone(m, cone))) <= 1e-12
+        got = project_psd(m) if parties is None else project_ppt(m, dims, parties)
+        assert np.max(np.abs(got - _project_cone(m, dims, parties))) <= 1e-12
 
 
 def test_problem_and_solution_json_roundtrip():
-    cone = PtCone((2, 2), (0,))
-    problem = SdpProblem([PHI_PLUS / 2, PSI_PLUS / 2], np.eye(4), [(cone,), (cone,)])
+    problem = SdpProblem([PHI_PLUS / 2, PSI_PLUS / 2], np.eye(4), (2, 2), [[(0,)], [(0,)]])
     back = problem_from_json(problem_to_json(problem))
     assert back.n_blocks == 2
-    assert back.pt_cones[0][0].parties == (0,)
+    assert (back.dims, back.pt_cuts) == ((2, 2), (((0,),), ((0,),)))
     for a, b in zip(problem.objective, back.objective):
         assert np.array_equal(a, b)
     sol = solve(problem, SolveOptions(max_iter=200))
@@ -315,6 +306,15 @@ def test_problem_and_solution_json_roundtrip():
     assert sol2.status == sol.status
     for a, b in zip(sol.matrices, sol2.matrices):
         assert np.array_equal(a, b)
+
+
+def test_a_problem_without_cuts_keeps_its_dims_through_json():
+    # the dims were recovered from the first cone, so a problem with no cut was written back on dims [4]
+    obj = {"target": matrix_to_json(np.eye(4)), "dims": [2, 2], "blocks": [{"objective": matrix_to_json(PHI_PLUS)}]}
+    problem = problem_from_json(obj)
+    assert (problem.dims, problem.pt_cuts) == ((2, 2), ((),))
+    assert problem_to_json(problem)["dims"] == [2, 2]
+    assert SdpProblem([PHI_PLUS], np.eye(4)).dims == (4,)
 
 
 @pytest.mark.parametrize("matrices", [[], [np.eye(2), np.eye(3)]], ids=["empty", "mixed-shapes"])
@@ -352,23 +352,21 @@ def test_solve_options_reject_a_tol_that_is_not_finite_and_positive(tol):
 def unequal_cones_problem():
     # block 0 is PSD-only, the other two also carry the PT cone
     states = [PHI_PLUS, PSI_PLUS, PHI_MINUS]
-    cone = PtCone((2, 2), (0,))
-    return SdpProblem([s / 3 for s in states], np.eye(4), [(), (cone,), (cone,)])
+    return SdpProblem([s / 3 for s in states], np.eye(4), (2, 2), [[], [(0,)], [(0,)]])
 
 
 def tripartite_two_cut_problem():
     dims = (2, 2, 2)
     kets = [[1, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 1, 0, 1, 0, 0, 0]]
     rhos = [pure_state(k, dims).rho for k in kets]
-    cones = (PtCone(dims, (0,)), PtCone(dims, (1,)))
-    return SdpProblem([r / 3 for r in rhos], np.eye(8), [cones] * 3)
+    return SdpProblem([r / 3 for r in rhos], np.eye(8), dims, [[(0,), (1,)]] * 3)
 
 
 def mixed_cone_order_problem():
     # the blocks list their cones in different orders, and one has none: the copies of a cone rank
     # are not contiguous, and each block's copies are still summed in its own cone order
-    a, b, c = (PtCone((2, 2, 2), (p,)) for p in range(3))
-    return SdpProblem(tripartite_two_cut_problem().objective, np.eye(8), [(a, b), (b, a, c), ()])
+    a, b, c = (0,), (1,), (2,)
+    return SdpProblem(tripartite_two_cut_problem().objective, np.eye(8), (2, 2, 2), [(a, b), (b, a, c), ()])
 
 
 REFERENCE_CORPUS = {
@@ -432,7 +430,8 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
     conj = SdpProblem(
         [d @ c @ d.conj().T for c in real.objective],
         d @ real.target @ d.conj().T,
-        real.pt_cones,
+        real.dims,
+        real.pt_cuts,
     )
     assert any(np.any(c.imag) for c in conj.objective)
     opts = SolveOptions(tol=1e-7)
@@ -449,7 +448,7 @@ def test_real_problem_matches_its_complex_phase_conjugate(states):
     [
         lambda: ppt_discrimination_problem(domino_states()),  # real data, iterated in float64
         lambda: ppt_discrimination_problem(generalized_bell_states(3).subset(range(4))),
-        lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, [(PtCone((2, 2), (0,)),)]),  # fails the screen
+        lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, (2, 2), [[(0,)]]),  # fails the screen
     ],
     ids=["real", "complex", "screened"],
 )
@@ -495,7 +494,7 @@ def turned_bell2_ket0():
     turn = np.kron(np.eye(4), q)
     objective = problem.objective.copy()
     objective[0] = turn @ objective[0] @ turn.conj().T
-    return SdpProblem(objective, problem.target, problem.pt_cones)
+    return SdpProblem(objective, problem.target, problem.dims, problem.pt_cuts)
 
 
 # the name is kept from the helper-thread solver, whose tests it was made for: the five ppt-sdp problems of the
@@ -745,7 +744,7 @@ def random_mixed_problem(dims, count, seed):
     kets = rng.standard_normal((count, side, 2)) + 1j * rng.standard_normal((count, side, 2))
     rhos = kets @ kets.conj().transpose(0, 2, 1)
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    return SdpProblem(rhos / count, np.eye(side), [(PtCone(dims, (0,)),)] * count)
+    return SdpProblem(rhos / count, np.eye(side), dims, [[(0,)]] * count)
 
 
 def found_algebras(monkeypatch):
@@ -810,7 +809,7 @@ def test_reduced_solve_agrees_with_the_unreduced_one(monkeypatch, corpus, name):
     [
         (*REFERENCE_CORPUS["gbell3-first-four"], [9]),
         (*REFERENCE_CORPUS["mixed-cone-order"], [None]),  # blocks with different cone lists
-        (lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, [(PtCone((2, 2), (0,)),)]), SolveOptions(), []),
+        (lambda: SdpProblem([PHI_PLUS / 2], PHI_PLUS, (2, 2), [[(0,)]]), SolveOptions(), []),
     ],
     ids=["reduced", "unreduced", "screened"],
 )
@@ -820,7 +819,9 @@ def test_the_cone_residual_is_the_reference_violation_of_the_returned_matrices(m
     found = found_algebras(monkeypatch)
     sol = solve(problem, opts)
     assert [dim for dim, _, _ in found] == algebras
-    want = max(_cone_violation(m, [None, *cones]) for m, cones in zip(sol.matrices, problem.pt_cones, strict=True))
+    want = max(
+        _cone_violation(m, problem.dims, [None, *cuts]) for m, cuts in zip(sol.matrices, problem.pt_cuts, strict=True)
+    )
     assert abs(sol.residuals["cone"] - want) <= 1e-12
 
 
@@ -829,7 +830,7 @@ def test_gbell3_first_four_in_4x4_mixes_block_sizes(monkeypatch):
     solve(THREADED_CORPUS["gbell3-first-four-in-4x4"][0](), SolveOptions(max_iter=1))
     [(dim, blocks, _)] = found
     assert dim == 10
-    assert sorted(blocks[((4, 4), (0,))]) == [(1, 7), (3, 3)]  # the embedded M_3 (x) I_3, and 7 scalars beside it
+    assert sorted(blocks[(0,)]) == [(1, 7), (3, 3)]  # the embedded M_3 (x) I_3, and 7 scalars beside it
 
 
 def test_gbell4_first_five_runs_in_four_two_by_two_blocks(monkeypatch):
@@ -838,7 +839,7 @@ def test_gbell4_first_five_runs_in_four_two_by_two_blocks(monkeypatch):
     [(dim, blocks, _)] = found
     assert dim == 16
     assert blocks[None] == ((1, 1),) * 16  # the algebra is diagonal in the Bell basis
-    assert blocks[((4, 4), (0,))] == ((2, 2),) * 4  # and its partial transpose is four M_2 (x) I_2
+    assert blocks[(0,)] == ((2, 2),) * 4  # and its partial transpose is four M_2 (x) I_2
 
 
 def test_a_turned_block_reduces_less_and_still_agrees(monkeypatch):
@@ -904,8 +905,8 @@ def test_a_span_that_is_no_algebra_has_no_frame(span):
 def index_maps(problem):
     """Per cut of ``problem``, the partial transpose's index map (None for the PSD cone), as ``solve`` makes them."""
     square = np.arange(problem.side**2, dtype=float).reshape(problem.side, problem.side)
-    cuts = {(cone.dims, cone.parties) for cs in problem.pt_cones for cone in cs}
-    return {None: None, **{cut: partial_transpose(square, *cut).ravel().astype(np.intp) for cut in cuts}}
+    cuts = {cut for cuts in problem.pt_cuts for cut in cuts}
+    return {None: None, **{cut: partial_transpose(square, problem.dims, cut).ravel().astype(np.intp) for cut in cuts}}
 
 
 def test_data_with_no_symmetry_is_given_up_within_the_byte_budget():
