@@ -132,15 +132,15 @@ def parse_report(obj: dict):
     from .linalg import strict_object
 
     parsers = _payload_parsers()
-    strict_object(obj, "report", ("schema_version", "payload_kind", "payload"), ("manifest",))
+    strict_object(obj, "report", {"schema_version": str, "payload_kind": str, "payload": dict}, {"manifest": dict})
     if obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unknown schema version {obj['schema_version']!r}")
     kind = obj["payload_kind"]
-    if not isinstance(kind, str) or kind not in parsers:
+    if kind not in parsers:
         raise ValueError(f"unknown payload kind {kind!r}")
     try:
         return kind, parsers[kind](obj["payload"])
-    except (TypeError, OverflowError) as exc:  # a wrong JSON type where a parser expects a number or list
+    except (TypeError, OverflowError) as exc:  # a value no payload reader anticipated is malformed input too
         raise ValueError(f"malformed {kind} payload: {exc}") from exc
 
 

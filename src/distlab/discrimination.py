@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, check_dims, dagger, embed_matrix, hermitian_part, in_workers
-from .linalg import is_integer, matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
+from .linalg import matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -477,24 +477,16 @@ def verdict_to_json(v: DiscriminationVerdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> DiscriminationVerdict:
-    strict_object(
-        obj, "verdict", ("mode", "povm_kind", "passes", "hit_table", "success_probability", "violations", "tol")
-    )
-    mode, povm_kind, passes, violations = obj["mode"], obj["povm_kind"], obj["passes"], obj["violations"]
-    if not (isinstance(mode, str) and isinstance(povm_kind, str)):
-        raise ValueError(f"verdict mode and povm_kind must be JSON strings, got {mode!r} and {povm_kind!r}")
-    if not isinstance(passes, bool):
-        raise ValueError(f"verdict passes must be a JSON boolean, got {passes!r}")
-    if not (isinstance(violations, list) and all(isinstance(x, dict) for x in violations)):
-        raise ValueError("verdict violations must be a JSON list of objects")
+    strict_object(obj, "verdict", {"mode": str, "povm_kind": str, "passes": bool, "hit_table": dict,
+                                   "success_probability": float, "violations": [dict], "tol": float})
     return DiscriminationVerdict(
-        mode=mode,
-        povm_kind=povm_kind,
-        passes=passes,
+        mode=obj["mode"],
+        povm_kind=obj["povm_kind"],
+        passes=obj["passes"],
         hit_table=matrix_from_json(obj["hit_table"]).real,
-        success_probability=float(obj["success_probability"]),
-        violations=tuple(dict(x) for x in violations),
-        tol=float(obj["tol"]),
+        success_probability=obj["success_probability"],
+        violations=tuple(dict(x) for x in obj["violations"]),
+        tol=obj["tol"],
     )
 
 
@@ -511,24 +503,16 @@ def harness_to_json(r: HarnessReport) -> dict:
 
 
 def harness_from_json(obj: dict) -> HarnessReport:
-    strict_object(obj, "harness", ("trials", "seed", "kinds", "dims", "sub_dims", "failures", "passes"))
-    trials, seed, kinds, failures, passes = (obj[k] for k in ("trials", "seed", "kinds", "failures", "passes"))
-    if not (is_integer(trials) and is_integer(seed)):
-        raise ValueError(f"harness trials and seed must be JSON integers, got {trials!r} and {seed!r}")
-    if not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
-        raise ValueError(f"harness kinds must be a JSON list of strings, got {kinds!r}")
-    if not (isinstance(failures, list) and all(isinstance(f, dict) for f in failures)):
-        raise ValueError("harness failures must be a JSON list of objects")
-    if not isinstance(passes, bool):
-        raise ValueError(f"harness passes must be a JSON boolean, got {passes!r}")
+    strict_object(obj, "harness", {"trials": int, "seed": int, "kinds": [str], "dims": [int], "sub_dims": [int],
+                                   "failures": [dict], "passes": bool})
     report = HarnessReport(
-        trials=trials,
-        seed=seed,
-        kinds=tuple(kinds),
+        trials=obj["trials"],
+        seed=obj["seed"],
+        kinds=tuple(obj["kinds"]),
         dims=check_dims(obj["dims"]),
         sub_dims=check_dims(obj["sub_dims"]),
-        failures=tuple(dict(f) for f in failures),
+        failures=tuple(dict(f) for f in obj["failures"]),
     )
-    if report.passes != passes:
+    if report.passes != obj["passes"]:
         raise ValueError("harness pass flag disagrees with failure list")
     return report

@@ -372,27 +372,50 @@ def read_json(raw: bytes):
     return json.loads(raw, cls=_Decoder)
 
 
-def strict_object(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
-    """Return ``obj`` if it is a JSON object that has every ``required`` field and no
-    field outside ``required`` and ``optional``; raise ``ValueError`` otherwise."""
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    if kind is int:
+        return is_integer(value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _kind_name(kind, plural: str = "") -> str:
+    if isinstance(kind, list):
+        return f"list{plural} of {_kind_name(kind[0], 's')}"
+    names = {int: "integer", float: "number", str: "string", bool: "boolean", list: "list", dict: "object"}
+    return names[kind] + plural
+
+
+def strict_object(obj, what: str, required: dict, optional: dict = {}) -> dict:
+    """Return ``obj`` if it is a JSON object with every ``required`` field, no field outside ``required`` and
+    ``optional``, and in each field a value of the JSON kind they map it to; raise ``ValueError`` otherwise.
+
+    A kind is ``int`` (a JSON integer, not ``true``, ``2.0`` or ``"2"``), ``float`` (a JSON number, not a
+    boolean or text), ``str``, ``bool``, ``list``, ``dict`` (an object), ``object`` (any value) or ``[kind]``
+    (a list whose every entry has that kind).  The readers check values, such as dims, after it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} JSON must be an object")
-    unknown = set(obj).difference(required, optional)
+    kinds = {**required, **optional}
+    unknown = set(obj).difference(kinds)
     if unknown:
         raise ValueError(f"unknown {what} fields {sorted(unknown)}")
     missing = [f for f in required if f not in obj]
     if missing:
         raise ValueError(f"{what} JSON lacks fields {missing}")
+    for name, value in obj.items():
+        if not _has_kind(value, kinds[name]):
+            raise ValueError(f"{what} field {name!r} must be a JSON {_kind_name(kinds[name])}")
     return obj
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse a matrix object strictly: ``rows`` and ``cols`` must be JSON integers and every entry a finite
     JSON number; any defect raises ``ValueError``."""
-    strict_object(obj, "matrix", ("rows", "cols", "re", "im"))
+    strict_object(obj, "matrix", {"rows": int, "cols": int, "re": list, "im": list})
     rows, cols = obj["rows"], obj["cols"]
-    if type(rows) is not int or type(cols) is not int:  # rejects true, "2" and 2.9
-        raise ValueError(f"matrix rows and cols must be JSON integers, got {rows!r} and {cols!r}")
     try:  # struct packs numbers only ("1.5", null and lists fail; true is an int to it), twice as fast as np.asarray
         re, im = (np.frombuffer(struct.pack(f"{len(obj[part])}d", *obj[part])) for part in ("re", "im"))
     except (TypeError, struct.error) as exc:
@@ -406,7 +429,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def matrices_from_json(objs, what: str) -> np.ndarray:
     """Parse a nonempty list of equal-shape matrix objects straight into one ``(n, rows, cols)`` stack."""
-    if not isinstance(objs, list) or not objs:
+    if not objs:
         raise ValueError(f"{what} JSON needs a nonempty list of matrices")
     out = None
     for k, obj in enumerate(objs):

@@ -30,7 +30,6 @@ from .linalg import (
     group_sums,
     hermitian_part,
     hermiticity_defect,
-    is_integer,
     matrices_from_json,
     matrix_to_json,
     min_eigenvalue,
@@ -722,28 +721,28 @@ def povm_to_json(p: Povm) -> dict:
     return obj
 
 
-def _sep_from_json(terms) -> SepDecomposition:
+def _sep_from_json(terms: list) -> SepDecomposition:
     """The witness of ``{"terms": [per element: [per term: [per party: matrix]]]}``."""
-    if not isinstance(terms, list) or not terms or not all(isinstance(et, list) and et for et in terms):
+    if not terms or not all(terms):
         raise ValueError("sep witness terms must give every element a nonempty list of product terms")
     flat = [term for et in terms for term in et]
-    if not all(isinstance(term, list) and len(term) == len(flat[0]) for term in flat):
+    if not all(len(term) == len(flat[0]) for term in flat):
         raise ValueError("every sep witness term needs one factor per party")
     factors = [matrices_from_json([term[k] for term in flat], "sep witness") for k in range(len(flat[0]))]
     return SepDecomposition(factors, [element for element, et in enumerate(terms) for _ in et])
 
 
 def povm_from_json(obj: dict) -> Povm:
-    strict_object(obj, "POVM", ("dims", "elements"), ("kind", "witness"))
+    strict_object(obj, "POVM", {"dims": [int], "elements": [dict]}, {"kind": str, "witness": dict})
     dims = check_dims(obj["dims"])
     elements = matrices_from_json(obj["elements"], "POVM")
     w = obj.get("witness")
     if w is None:
         witness = None
-    elif isinstance(w, dict) and w.get("type") == "sep":
-        witness = _sep_from_json(strict_object(w, "sep witness", ("type", "terms"))["terms"])
-    elif isinstance(w, dict) and w.get("type") == "locc1":
-        witness = locc1_from_json(strict_object(w, "locc1 witness", ("type", "tree"))["tree"])
+    elif w.get("type") == "sep":
+        witness = _sep_from_json(strict_object(w, "sep witness", {"type": str, "terms": [[list]]})["terms"])
+    elif w.get("type") == "locc1":
+        witness = locc1_from_json(strict_object(w, "locc1 witness", {"type": str, "tree": dict})["tree"])
     else:
         raise ValueError('witness must be {"type": "sep", "terms"} or {"type": "locc1", "tree"}')
     return Povm(elements, dims, kind=obj.get("kind", "general"), witness=witness)
@@ -764,29 +763,25 @@ def locc1_to_json(tree: Locc1Tree) -> dict:
 
 
 def locc1_from_json(obj: dict) -> Locc1Tree:
-    strict_object(obj, "tree", ("dims", "party_order", "root"))
-    order = list(obj["party_order"])
-    if not all(map(is_integer, order)):
-        raise ValueError(f"party_order entries must be integers, got {obj['party_order']!r}")
+    strict_object(obj, "tree", {"dims": [int], "party_order": [int], "root": dict})
+    order = obj["party_order"]
     levels, parents = [], []
     nodes = [obj["root"]]  # the families of one level, one per outcome of the level above
     while nodes:
         depth = len(levels)
         outcomes, parent = [], []
         for j, node in enumerate(nodes):
-            strict_object(node, "tree-node", ("party", "outcomes"))
-            if not is_integer(node["party"]):
-                raise ValueError(f"tree node party {node['party']!r} is not an integer")
+            strict_object(node, "tree-node", {"party": int, "outcomes": [dict]})
             if depth >= len(order) or node["party"] != order[depth]:
                 raise ValueError(f"node at depth {depth} measures party {node['party']}, not as in {order}")
             family = node["outcomes"]
-            if not isinstance(family, list) or not family:
+            if not family:
                 raise ValueError("a tree node needs a nonempty list of outcomes")
-            outcomes += [strict_object(entry, "outcome", ("element",), ("children",)) for entry in family]
+            outcomes += [strict_object(entry, "outcome", {"element": dict}, {"children": dict}) for entry in family]
             parent += [j] * len(family)
         levels.append(matrices_from_json([entry["element"] for entry in outcomes], "tree-node"))
         parents.append(parent)
-        nodes = [entry["children"] for entry in outcomes if entry.get("children") is not None]
+        nodes = [entry["children"] for entry in outcomes if "children" in entry]
         if nodes and len(nodes) != len(outcomes):
             raise ValueError("either all outcomes of a level or none may carry children")
     return Locc1Tree(obj["dims"], order, levels, parents)

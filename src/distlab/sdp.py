@@ -397,11 +397,11 @@ def problem_to_json(problem: SdpProblem) -> dict:
 
 
 def problem_from_json(obj: dict) -> SdpProblem:
-    strict_object(obj, "SDP problem", ("target", "dims", "blocks"))
+    strict_object(obj, "SDP problem", {"target": dict, "dims": [int], "blocks": [dict]})
     objective = []
     pt_cuts = []
     for block in obj["blocks"]:
-        strict_object(block, "SDP block", ("objective",), ("pt_cuts",))
+        strict_object(block, "SDP block", {"objective": dict}, {"pt_cuts": [list]})
         objective.append(matrix_from_json(block["objective"]))
         pt_cuts.append(block.get("pt_cuts", []))
     return SdpProblem(objective, matrix_from_json(obj["target"]), obj["dims"], pt_cuts)
@@ -419,21 +419,13 @@ def solution_to_json(sol: SdpSolution) -> dict:
 
 
 def solution_from_json(obj: dict) -> SdpSolution:
-    strict_object(
-        obj, "SDP solution", ("matrices", "objective_value", "status", "residuals", "iterations", "history")
-    )
-    status, residuals, iterations, history = obj["status"], obj["residuals"], obj["iterations"], obj["history"]
-    if not isinstance(status, str):
-        raise ValueError(f"SDP solution status must be a JSON string, got {status!r}")
-    if not is_integer(iterations):
-        raise ValueError(f"SDP solution iterations must be a JSON integer, got {iterations!r}")
-    if not (isinstance(residuals, dict) and isinstance(history, list) and all(isinstance(h, dict) for h in history)):
-        raise ValueError("SDP solution residuals must be a JSON object and its history a JSON list of objects")
+    strict_object(obj, "SDP solution", {"matrices": [dict], "objective_value": float, "status": str,
+                                        "residuals": dict, "iterations": int, "history": [dict]})
     return SdpSolution(
         matrices=matrices_from_json(obj["matrices"], "SDP solution"),
-        objective_value=float(obj["objective_value"]),
-        status=status,
-        residuals=dict(residuals),
-        iterations=iterations,
-        history=tuple(dict(h) for h in history),
+        objective_value=obj["objective_value"],
+        status=obj["status"],
+        residuals=dict(obj["residuals"]),
+        iterations=obj["iterations"],
+        history=tuple(dict(h) for h in obj["history"]),
     )

@@ -272,12 +272,10 @@ def state_set_to_json(states: StateSet, matrix=matrix_to_json) -> dict:
 
 
 def state_set_from_json(obj: dict) -> StateSet:
-    strict_object(obj, "state set", ("dims", "states"))
+    strict_object(obj, "state set", {"dims": [int], "states": [dict]})
     dims = check_dims(obj["dims"])
     entries = obj["states"]
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("state set JSON needs a nonempty 'states' list")
     for e in entries:
-        strict_object(e, "state", ("matrix",), ("label",))
+        strict_object(e, "state", {"matrix": dict}, {"label": str})
     rhos = matrices_from_json([e["matrix"] for e in entries], "state set")
     return StateSet.from_stack(rhos, dims, [e.get("label", "") for e in entries])

@@ -591,6 +591,12 @@ def pt_cut_with_party(party):
     return obj
 
 
+def with_pt_cuts(cuts):
+    obj = bell_pair_problem()
+    obj["blocks"][0]["pt_cuts"] = cuts
+    return obj
+
+
 def tree_obj():
     return locc1_to_json(random_locc1((2, 2), 2, seed=5))
 
@@ -668,6 +674,20 @@ CONTRACT_BREAKERS = {
     "sdp-pt-cut-is-a-party-not-a-list": (
         {"q": pt_cut_as_int()},
         ["sdp", "--problem", "{q}"],
+    ),
+    # a block's pt_cuts is a list of party lists: {} and "" were read as a block with no cut
+    "sdp-pt-cuts-is-an-object": (
+        {"q": with_pt_cuts({})},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "sdp-pt-cuts-is-text": (
+        {"q": with_pt_cuts("")},
+        ["sdp", "--problem", "{q}"],
+    ),
+    "state-label-is-a-number": (
+        {"s": {**bell_pair_obj(), "states": [{**e, "label": 5} for e in bell_pair_obj()["states"]]},
+         "p": identity_povm_obj()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
     ),
     "sep-witness-unknown-field": (
         {"p": sep_witness_with_extra_field()},
@@ -1002,6 +1022,10 @@ TYPE_BREAKING_REPORTS = {
     "solution-iterations-text": lambda: report_of("sdp_solution", solution_payload(iterations="25")),
     "solution-residuals-list": lambda: report_of("sdp_solution", solution_payload(residuals=[])),
     "solution-history-object": lambda: report_of("sdp_solution", solution_payload(history={})),
+    # numbers that float() read: "0.5" as 0.5, true as 1.0, "nan" as nan
+    "verdict-success-probability-text": lambda: report_of("verdict", verdict_payload(success_probability="0.5")),
+    "verdict-tol-bool": lambda: report_of("verdict", verdict_payload(tol=True)),
+    "solution-objective-value-text": lambda: report_of("sdp_solution", solution_payload(objective_value="nan")),
 }
 
 

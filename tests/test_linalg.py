@@ -24,6 +24,7 @@ from distlab.linalg import (
     psd_certified,
     read_json,
     restrict_matrix,
+    strict_object,
     tensor,
     trace_products,
 )
@@ -420,6 +421,46 @@ def test_matrix_json_takes_json_numbers_and_integer_sizes_only(field, value):
         matrix_from_json(bad)
     with pytest.raises(ValueError):
         matrices_from_json([obj, bad], "test")
+
+
+# (kind, a value of that kind, a value not of it, the kind's name in the message)
+KINDS = {
+    "int": (int, -3, True, "integer"),
+    "int-not-a-whole-float": (int, 2, 2.0, "integer"),
+    "float": (float, 0.5, True, "number"),
+    "float-takes-an-integer": (float, 1, "1", "number"),
+    "str": (str, "", 5, "string"),
+    "bool": (bool, False, 0, "boolean"),
+    "list": (list, [], {}, "list"),
+    "dict": (dict, {}, [], "object"),
+    "list-of-int": ([int], [], [1, "2"], "list of integers"),
+    "list-of-int-not-bool": ([int], [0, 1], [0, True], "list of integers"),
+    "list-of-list-of-list": ([[list]], [[[]], []], [[[]], [5]], "list of lists of lists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KINDS))
+def test_strict_object_checks_each_field_kind(case):
+    kind, good, bad, name = KINDS[case]
+    assert strict_object({"f": good}, "thing", {"f": kind})["f"] == good
+    assert strict_object({"f": good}, "thing", {}, {"f": kind}) == {"f": good}
+    message = f"^thing field 'f' must be a JSON {name}$"
+    with pytest.raises(ValueError, match=message):
+        strict_object({"f": bad}, "thing", {"f": kind})
+    with pytest.raises(ValueError, match=message):
+        strict_object({"f": bad}, "thing", {}, {"f": kind})
+
+
+def test_strict_object_takes_any_value_of_kind_object_and_keeps_its_field_messages():
+    for value in (None, True, "x", 1.5, [None], {"a": []}):
+        assert strict_object({"f": value}, "thing", {"f": object}) == {"f": value}
+    assert strict_object({}, "thing", {}, {"f": int}) == {}
+    with pytest.raises(ValueError, match=r"^thing JSON must be an object$"):
+        strict_object([("f", 1)], "thing", {"f": int})
+    with pytest.raises(ValueError, match=r"^thing JSON lacks fields \['g'\]$"):
+        strict_object({"f": 1}, "thing", {"f": int, "g": str})
+    with pytest.raises(ValueError, match=r"^unknown thing fields \['z'\]$"):
+        strict_object({"f": 1, "z": "1"}, "thing", {"f": int}, {"g": str})
 
 
 def random_stack(rng, n, side, real):

@@ -74,6 +74,42 @@ def test_no_module_imports_dataclasses():
     assert [name for name, modules in found.items() if "dataclasses" in modules] == []
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Every name an import statement of ``path`` names (``numpy.random`` for ``import numpy.random``, the
+    alias if there is one) whose bound name the file never loads, sorted; ``__future__`` imports are not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if (alias.asname or alias.name.split(".")[0]) not in loaded:
+                    found.append(alias.asname or alias.name)
+    return sorted(found)
+
+
+def test_unused_import_scan_sees_both_import_forms_aliases_and_nested_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import numpy.random\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from .linalg import is_integer as whole, check_dims\n"
+        "if TYPE_CHECKING:\n    from .sdp import SdpProblem\n\n"
+        "def f(x: SdpProblem) -> Sequence[int]:\n    import json\n    check_dims = None\n"
+        "    return np.zeros(os.cpu_count())\n"
+    )
+    assert unused_imports(sample) == ["check_dims", "json", "numpy.random", "sys", "whole"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # numpy loads numpy.random on its first use; the fuzz imports it once before it forks its workers
+    found = {str(m.relative_to(SOURCE)): unused_imports(m) for m in sorted(SOURCE.rglob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {"discrimination.py": ["numpy.random"]}
+
+
 def call_sites(path: Path, name: str) -> list[str]:
     """``module.scope`` for every call of ``name`` (such as ``os.fork``) in ``path``, the scope being the dotted names
     of the classes and functions that enclose it."""
