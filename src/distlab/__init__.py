@@ -3,8 +3,8 @@
 Builds state families (Bell, generalized Bell, Domino, extended product
 bases), verifies POVM classes (general, projective, PPT, SEP, one-round
 local trees), restricts measurements between systems of different local
-dimensions, and decides PPT distinguishability with a small dense SDP
-engine.  The ``distlab`` command line exposes the same operations.
+dimensions, and estimates the PPT-optimal success probability with a small
+dense SDP engine.  The ``distlab`` command line exposes the same operations.
 
 ``import distlab`` loads none of the submodules: each exported name, and
 each submodule such as ``distlab.sdp``, is imported on first use (PEP 562),

@@ -6,8 +6,10 @@ with certainty.  Unambiguous discrimination designates some outcomes as
 inconclusive; the conclusive ones must never err and every state needs a
 conclusive detection with positive probability.
 
-PPT distinguishability is decided exactly (up to solver tolerance) by a
-semidefinite program over PPT POVMs.  The dimension-independence harnesses
+PPT distinguishability is judged by a semidefinite program over PPT POVMs,
+solved by ADMM: a set counts as distinguishable when the solve ends optimal
+with an objective of at least 1 - ``DISTINGUISHABLE_MARGIN``, a threshold on
+an iterate rather than a certified bound.  The dimension-independence harnesses
 compare a state set against its zero-padded embedding: restricting a POVM of
 the larger system reproduces the exact hit table, so distinguishability
 cannot be gained by enlarging local dimensions.
@@ -350,44 +352,33 @@ def _perfect_passes(povm: Povm, states: StateSet, tol: float) -> np.ndarray:
 def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: StateSet, tol: float) -> dict:
     """The first failed check of each trial in a batch of samples, as ``{position: (check, residual)}``.
 
-    Each check runs once for the block, on the trials that passed every check
-    before it in one trial's chain: the restriction's kind checks, the trace
-    identity, the two perfect-discrimination verdicts.  The sample's own
-    validity (its families, then its POVM, decided by :func:`verify_locc1` and
-    :func:`is_valid`) is an error rather than a failure, raised for the first
-    trial whose chain reaches an invalid sample.
+    Every check runs once, on the whole block: the restriction's kind checks,
+    the trace identity (NaN for a tree with an incomplete family), the
+    sample's own validity (its families, then its POVM, decided by
+    :func:`verify_locc1` and :func:`is_valid`) and the two
+    perfect-discrimination verdicts.  Each trial's first failure is then read
+    off them in the order of one trial's chain, masking the checks after it.
+    An invalid sample is an error rather than a failure, raised for the first
+    trial whose chain reaches it.
     """
     tree = isinstance(big, Locc1Tree)
     checks, small = check_kind((restrict_locc1 if tree else restrict_povm)(big, states.dims), kind, tol)
-    found: dict[int, tuple[str, float]] = {}
-    for name, residual, ok in checks:
-        for p in np.flatnonzero(~ok).tolist():
-            found.setdefault(p, (name, float(residual[p])))
-    alive = np.ones(len(checks[0][2]), dtype=bool)  # the trials that passed their kind checks
-    alive[list(found)] = False
-    if not alive.any():
-        return found
-    positions = np.flatnonzero(alive)
-    sample = take_batch(big, alive)
-    families = verify_locc1(sample, tol) if tree else np.ones(len(positions), dtype=bool)
-    flat = tree_povm(sample) if tree else sample
-    residual = np.full(len(positions), np.nan)  # the trace identity needs complete families
-    if families.any():
-        residual[families] = theorem1_trace_identity(states, take_batch(flat, families), states.dims)
-    broken = residual > ALGEBRA_TOL
-    for p, value in zip(positions[broken].tolist(), residual[broken].tolist()):
-        found[p] = ("trace-identity", value)
+    families = verify_locc1(big, tol) if tree else np.ones(len(checks[0][2]), dtype=bool)
+    flat = tree_povm(big) if tree else big
+    residual = np.where(families, theorem1_trace_identity(states, flat, states.dims), np.nan)
     valid = families & is_valid(flat, tol)
-    if not np.all(valid | broken):  # raise the error a lone trial on the first invalid sample raises
-        first = take_batch(big, positions[~(valid | broken)][0])
+    gained = _perfect_passes(small, states, tol) & ~_perfect_passes(flat, embedded, tol)
+    found: dict[int, tuple[str, float]] = {}
+    alive = np.ones(len(families), dtype=bool)  # the trials that passed every check so far
+    for name, values, ok in [*checks, ("trace-identity", residual, ~(residual > ALGEBRA_TOL))]:
+        for p in np.flatnonzero(alive & ~ok).tolist():
+            found[p] = (name, float(values[p]))
+        alive &= ok
+    if not np.all(valid | ~alive):  # raise the error a lone trial on the first invalid sample raises
+        first = take_batch(big, int(np.flatnonzero(alive & ~valid)[0]))
         require_valid(flatten_locc1(first, tol) if tree else first, tol)
-    keep = valid & ~broken
-    alive[positions[~keep]] = False
-    if keep.any():
-        small, flat = take_batch(small, alive), take_batch(flat, keep)
-        gained = _perfect_passes(small, states, tol) & ~_perfect_passes(flat, embedded, tol)
-        for p in positions[keep][gained].tolist():
-            found[p] = ("discrimination-gained", float("nan"))
+    for p in np.flatnonzero(alive & gained).tolist():
+        found[p] = ("discrimination-gained", float("nan"))
     return found
 
 

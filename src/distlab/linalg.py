@@ -412,10 +412,12 @@ def strict_object(obj, what: str, required: dict, optional: dict = {}) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse a matrix object strictly: ``rows`` and ``cols`` must be JSON integers and every entry a finite
-    JSON number; any defect raises ``ValueError``."""
+    """Parse a matrix object strictly: ``rows`` and ``cols`` must be nonnegative JSON integers and every entry a
+    finite JSON number; any defect raises ``ValueError``."""
     strict_object(obj, "matrix", {"rows": int, "cols": int, "re": list, "im": list})
     rows, cols = obj["rows"], obj["cols"]
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix rows and cols must not be negative, got {rows}x{cols}")
     try:  # struct packs numbers only ("1.5", null and lists fail; true is an int to it), twice as fast as np.asarray
         re, im = (np.frombuffer(struct.pack(f"{len(obj[part])}d", *obj[part])) for part in ("re", "im"))
     except (TypeError, struct.error) as exc:

@@ -398,11 +398,13 @@ def check_kind(
     its kind's ``projective``, ``ppt`` (on the cut ``partition`` names, else on
     every cut) or ``sep-witness``.  ``partition`` is checked first.
 
-    A batch is checked as a whole: each check runs once, on the members that
-    reached it, and its residual and ok are arrays over the batch (NaN and True
-    where it did not run); a check is listed when any member reached it, and the
-    POVM returned is the whole batch, every tree flattened.  One measurement is
-    checked as a batch of one.
+    A batch is checked as a whole: each check runs once, on every member, as
+    soon as any member has passed every check before it.  Its residual and ok
+    are arrays over the batch, masked to NaN and True for the members an earlier
+    check failed (``completeness`` and ``element-psd`` come from one
+    :func:`verify_povm` and are not masked by each other); a check is listed
+    when any member reached it, and the POVM returned is the whole batch, every
+    tree flattened.  One measurement is checked as a batch of one.
     """
     if kind not in POVM_KINDS:
         raise ValueError(f"unknown POVM kind {kind!r}")
@@ -426,10 +428,8 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
     alive = np.ones(size, dtype=bool)  # the members every check so far has passed
     checks: list = []
 
-    def record(name, residual, ok):  # values of the members alive when the check ran
-        values, oks = np.full(size, np.nan), np.ones(size, dtype=bool)
-        values[alive], oks[alive] = residual, ok
-        checks.append((name, values, oks))
+    def record(name, residual, ok):  # a check of every member, masked where an earlier check failed
+        checks.append((name, np.where(alive, residual, np.nan), np.where(alive, ok, True)))
 
     povm = batch
     if isinstance(batch, Locc1Tree):
@@ -437,20 +437,19 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
         alive &= checks[-1][2]
         povm = tree_povm(batch)
     if alive.any():
-        report = verify_povm(take_batch(povm, alive), tol)
+        report = verify_povm(povm, tol)
         worst = np.min(report.element_min_eigs, axis=-1)
         record("completeness", report.completeness_residual, report.completeness_residual <= tol)
         record("element-psd", worst, (worst >= -tol) & (report.hermiticity_defect <= tol))
-        alive[alive] = report.passed
+        alive &= report.passed
     if alive.any() and kind in ("projective", "ppt", "sep"):
-        valid = take_batch(povm, alive)
         if kind == "projective":
-            record("projective", np.nan, [_projective(e, tol) for e in valid.elements])
+            record("projective", np.nan, [_projective(e, tol) for e in povm.elements])
         elif kind == "ppt":
-            worst_pt = ppt_min_eigenvalue(valid, cuts)
+            worst_pt = ppt_min_eigenvalue(povm, cuts)
             record("ppt", worst_pt, worst_pt >= -tol)
         else:
-            record("sep-witness", np.nan, verify_sep(valid, tol))
+            record("sep-witness", np.nan, verify_sep(povm, tol))
     return checks, povm
 
 
@@ -476,22 +475,14 @@ def stack_batch(measurements: Sequence[Povm | Locc1Tree]) -> Povm | Locc1Tree:
     return Povm(stacked([m.elements for m in measurements]), first.dims, first.kind, witness)
 
 
-def take_batch(batch: Povm | Locc1Tree, index) -> Povm | Locc1Tree:
-    """The members of a batch at ``index``: a boolean mask gives a batch (``batch``
-    itself when it keeps every member), an integer one measurement."""
-    if not np.isscalar(index) and np.all(index):
-        return batch
+def take_batch(batch: Povm | Locc1Tree, index: int) -> Povm | Locc1Tree:
+    """Member ``index`` (0 to b - 1) of a batch, as one measurement."""
     if isinstance(batch, Locc1Tree):
         return Locc1Tree(batch.dims, batch.party_order, [level[index] for level in batch.levels], batch.parents)
     witness, n = batch.witness, len(batch)
     if isinstance(witness, SepDecomposition):
-        kept = np.zeros(len(batch.elements), dtype=bool)
-        kept[index] = True
-        member = witness.owner // n
-        terms = kept[member]
-        position = np.cumsum(kept) - 1  # each kept member's place in the result
-        owner = position[member[terms]] * n + witness.owner[terms] % n
-        witness = SepDecomposition([f[terms] for f in witness.factors], owner)
+        terms = witness.owner // n == index
+        witness = SepDecomposition([f[terms] for f in witness.factors], witness.owner[terms] - index * n)
     return Povm(batch.elements[index], batch.dims, batch.kind, witness)
 
 

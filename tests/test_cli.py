@@ -519,6 +519,13 @@ def povm_with_text_entries_and_fractional_rows():
     return obj
 
 
+def povm_with_negative_sizes():
+    """The identity POVM on (2,) with its element's rows and cols both -2: their product still counts four entries."""
+    obj = povm_to_json(Povm([np.eye(2)], (2,)))
+    obj["elements"][0].update(rows=-2, cols=-2)
+    return obj
+
+
 def bell_projector_povm_obj():
     p = bell_states().rhos[0]
     return povm_to_json(Povm([p, np.eye(4) - p], (2, 2)))
@@ -655,6 +662,10 @@ CONTRACT_BREAKERS = {
         {"s": state_matrix_without_re(), "p": identity_povm_obj()},
         ["discriminate", "--states", "{s}", "--povm", "{p}"],
     ),
+    "matrix-negative-rows": (
+        {"p": povm_with_negative_sizes()},
+        ["verify", "--povm", "{p}"],
+    ),
     "witness-is-5": (
         {"p": {**sep_c4_obj(), "witness": 5}},
         ["verify", "--povm", "{p}", "--kind", "sep"],
@@ -788,6 +799,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert "NaN or Infinity" in captured.err
     if case == "fuzz-negative-seed":
         assert "--seed" in captured.err
+    if case == "matrix-negative-rows":
+        assert "negative, got -2x-2" in captured.err
 
 
 def test_deeply_nested_input_exits_2_without_traceback(tmp_path, capsys):

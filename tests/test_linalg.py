@@ -259,6 +259,9 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"rows": 2, "cols": 2, "re": [0] * 4, "im": [0] * 4, "oops": 1})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [0] * 3, "im": [0] * 4})
+    for rows, cols in ((-2, -2), (-1, 0), (0, -3)):  # products that match the entry count, before any reshape
+        with pytest.raises(ValueError, match=f"negative, got {rows}x{cols}$"):
+            matrix_from_json({"rows": rows, "cols": cols, "re": [0] * (rows * cols), "im": [0] * (rows * cols)})
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             matrix_from_json({"rows": 1, "cols": 1, "re": [bad], "im": [0.0]})

@@ -158,6 +158,38 @@ def test_the_solver_reaches_partial_transpose_through_one_function():
     assert call_sites(SOURCE / "sdp.py", "partial_transpose") == ["sdp._frame"]
 
 
+def masked_takes(path: Path) -> list[str]:
+    """The source of every ``take_batch`` call in ``path`` whose index (second argument or ``index=``) is neither an
+    integer literal nor an ``int(...)`` call, or that passes no index."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "take_batch"):
+            continue
+        index = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "index"), None)
+        integer = isinstance(index, ast.Constant) and type(index.value) is int
+        if not (integer or isinstance(index, ast.Call) and ast.unparse(index.func) == "int"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_take_batch_scan_accepts_only_integer_indices(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "one = take_batch(batch, 0)\n"
+        "first = povm.take_batch(batch, index=int(np.flatnonzero(bad)[0]))\n"
+        "kept = take_batch(batch, alive)\n"
+        "flag = take_batch(batch, True)\n"
+        "none = take_batch(batch)\n"
+    )
+    assert masked_takes(sample) == ["take_batch(batch, alive)", "take_batch(batch, True)", "take_batch(batch)"]
+
+
+def test_no_module_takes_a_batch_subset():
+    # each check runs on the whole batch and masks the members an earlier check failed; a batch is never sliced
+    found = {str(m.relative_to(SOURCE)): masked_takes(m) for m in sorted(SOURCE.rglob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 # the package's functions and classes that nothing in it uses or exports, each kept on purpose
 KEPT_UNREFERENCED = {
     "cli.parse_report": "the strict reader of the reports every command writes; schema-version checks will extend it",

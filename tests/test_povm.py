@@ -364,6 +364,23 @@ def test_check_kind_runs_the_checks_in_order_and_stops_at_an_invalid_povm():
             check_kind(measurement, kind, partition=partition)
 
 
+def test_check_kind_of_a_mixed_batch_masks_the_checks_after_a_failure():
+    # member 0 is incomplete, member 1 (the Bell pair) is not PPT, member 2 (a product POVM) passes
+    product = np.array([np.kron(k, np.eye(2)) for k in KET01])
+    bell = np.array([PHI_PLUS, np.eye(4) - PHI_PLUS])
+    checks, povm = check_kind(Povm(np.stack([1.01 * product, bell, product]), (2, 2)), "ppt")
+    assert povm.elements.shape == (3, 2, 4, 4)
+    assert [name for name, _, _ in checks] == ["completeness", "element-psd", "ppt"]
+    (_, residual, complete), (_, worst, psd), (_, worst_pt, ppt) = checks
+    np.testing.assert_allclose(residual, [0.01, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert complete.tolist() == [False, True, True]
+    np.testing.assert_allclose(worst, [0.0, 0.0, 0.0], rtol=0, atol=1e-12)  # completeness does not mask it
+    assert psd.tolist() == [True, True, True]
+    assert np.isnan(worst_pt[0]) and not np.isnan(worst_pt[1:]).any()  # member 0 failed before ppt
+    np.testing.assert_allclose(worst_pt[1:], [-0.5, 0.0], rtol=0, atol=1e-12)
+    assert ppt.tolist() == [True, False, True]
+
+
 def test_locc1_structure_validation():
     two_levels = [KET01, KET01 + KET01]
     assert Locc1Tree((2, 2), (0, 1), two_levels, [[0, 0], [0, 0, 1, 1]]).parents[1].tolist() == [0, 0, 1, 1]
