@@ -35,6 +35,7 @@ from .linalg import (
     min_eigenvalue,
     partial_transpose,
     psd_certified,
+    real_if_zero_imag,
     restrict_matrix,
     strict_object,
     tensor,
@@ -179,36 +180,52 @@ def _completeness_residual(e: np.ndarray) -> np.ndarray:
 
 
 def verify_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmReport:
-    """Measure completeness residual and per-element minimum eigenvalues (per member of a batch)."""
-    e = p.elements
-    residual = _completeness_residual(e)
-    min_eigs, defect = min_eigenvalue(e), np.max(hermiticity_defect(e), axis=-1)
+    """Measure completeness residual and per-element minimum eigenvalues (per member of a batch).
+
+    Of a real stack, the residual and the Hermiticity defect are read off its float64 copy
+    (:func:`~distlab.linalg.real_if_zero_imag`), where they come out bit for bit the same; the
+    eigenvalues are always those of the complex elements."""
+    return _report(p.elements, real_if_zero_imag(p.elements), tol)
+
+
+def _report(e: np.ndarray, checked: np.ndarray, tol: float) -> PovmReport:
+    """:func:`verify_povm` of the elements ``e``, given ``checked = real_if_zero_imag(e)``."""
+    residual = _completeness_residual(checked)
+    min_eigs, defect = min_eigenvalue(e), np.max(hermiticity_defect(checked), axis=-1)
     if e.ndim == 3:
         return PovmReport(float(residual), tuple(min_eigs.tolist()), float(defect), tol)
     return PovmReport(residual, min_eigs, defect, tol)
 
 
-def is_valid(p: Povm, tol: float = DEFAULT_TOL):
-    """``verify_povm(p, tol).passed`` (per member of a batch), with each element's
-    positivity decided by :func:`~distlab.linalg.psd_certified` instead of measured."""
-    e = p.elements
-    ok = (
+def _valid(e: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`is_valid` of a stack of elements, real or complex, as an array over the batch."""
+    return (
         (_completeness_residual(e) <= tol)
         & (np.max(hermiticity_defect(e), axis=-1) <= tol)
         & np.all(psd_certified(e, tol), axis=-1)
     )
+
+
+def is_valid(p: Povm, tol: float = DEFAULT_TOL):
+    """``verify_povm(p, tol).passed`` (per member of a batch), with each element's
+    positivity decided by :func:`~distlab.linalg.psd_certified` instead of measured.
+    A real stack is checked in float64 (:func:`~distlab.linalg.real_if_zero_imag`)."""
+    ok = _valid(real_if_zero_imag(p.elements), tol)
     return ok if ok.ndim else bool(ok)
 
 
-def require_valid(p: Povm, tol: float):
+def require_valid(p: Povm, tol: float) -> np.ndarray:
     """Raise ``ValueError`` unless :func:`is_valid` passes ``p``; only then is
-    :func:`verify_povm` run, for the values the message reports."""
-    if not is_valid(p, tol):
-        report = verify_povm(p, tol)
+    :func:`verify_povm` run, for the values the message reports.  Returns the stack
+    the check ran on, ``real_if_zero_imag(p.elements)``."""
+    checked = real_if_zero_imag(p.elements)
+    if not _valid(checked, tol):
+        report = _report(p.elements, checked, tol)
         raise ValueError(
             f"invalid POVM: completeness residual {report.completeness_residual:.3e}, "
             f"min eigenvalue {min(report.element_min_eigs):.3e}"
         )
+    return checked
 
 
 def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
@@ -231,13 +248,15 @@ def is_projective(p: Povm, tol: float = DEFAULT_TOL) -> bool:
     at most tol/2 passes (the other half of tol covers the rounding of R, G and
     E); only the other pairs are multiplied out and tested against tol, so the
     answer is that of testing every pair.
+
+    A real stack is tested in float64 (:func:`~distlab.linalg.real_if_zero_imag`): the
+    products, the ``eigh`` and the bound are real, and the rule above is unchanged.
     """
-    require_valid(p, tol)
-    return _projective(p.elements, tol)
+    return _projective(require_valid(p, tol), tol)
 
 
 def _projective(e: np.ndarray, tol: float) -> bool:
-    """:func:`is_projective` on a stack already known to be a valid POVM."""
+    """:func:`is_projective` on a stack, real or complex, already known to be a valid POVM."""
     if np.max(np.abs(e @ e - e)) > tol:
         return False
     j, k = np.nonzero(np.triu(_cross_product_bounds(e) > tol / 2, 1))
@@ -247,10 +266,10 @@ def _projective(e: np.ndarray, tol: float) -> bool:
 def _cross_product_bounds(e: np.ndarray) -> np.ndarray:
     """(n, n) table of the bound on max|M_j M_k| stated in :func:`is_projective`."""
     w, v = np.linalg.eigh(e)
-    keep = w > 0.5
-    residual = (v * w[:, None, :]) @ dagger(v)
+    keep, vh = w > 0.5, dagger(v)
+    residual = (v * w[:, None, :]) @ vh
     residual = np.linalg.norm(np.subtract(e, residual, out=residual), axis=(1, 2))  # ||D_j||_F
-    gram = dagger(v) @ v
+    gram = vh @ v
     gram -= np.eye(e.shape[-1])
     square = 1 + np.linalg.norm(gram, axis=(1, 2))  # s_j
     norm_e = square * np.max(np.abs(w - keep), axis=1) + residual
@@ -436,15 +455,16 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
         record("locc1-tree", np.nan, verify_locc1(batch, tol))
         alive &= checks[-1][2]
         povm = tree_povm(batch)
+    checked = real_if_zero_imag(povm.elements)  # the completeness, positivity and projectivity checks run on it
     if alive.any():
-        report = verify_povm(povm, tol)
+        report = _report(povm.elements, checked, tol)
         worst = np.min(report.element_min_eigs, axis=-1)
         record("completeness", report.completeness_residual, report.completeness_residual <= tol)
         record("element-psd", worst, (worst >= -tol) & (report.hermiticity_defect <= tol))
         alive &= report.passed
     if alive.any() and kind in ("projective", "ppt", "sep"):
         if kind == "projective":
-            record("projective", np.nan, [_projective(e, tol) for e in povm.elements])
+            record("projective", np.nan, [_projective(e, tol) for e in checked])
         elif kind == "ppt":
             worst_pt = ppt_min_eigenvalue(povm, cuts)
             record("ppt", worst_pt, worst_pt >= -tol)

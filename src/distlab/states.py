@@ -26,6 +26,7 @@ from .linalg import (
     matrix_to_json,
     min_eigenvalue,
     psd_certified,
+    real_if_zero_imag,
     strict_object,
     trace_products,
 )
@@ -36,13 +37,16 @@ STATE_TOL = 1e-9
 def _check_states(rhos: np.ndarray, labels: Sequence[str]) -> None:
     """Raise for the first matrix of the stack ``rhos`` that is not a state, with the message of its first failing
     check: finite entries, Hermitian within ``HERMITIAN_TOL``, trace 1 within ``STATE_TOL``, then
-    lambda_min >= -STATE_TOL, decided by :func:`~distlab.linalg.psd_certified`.  The checks run a block of
-    ``BLOCK_BYTES`` at a time; finiteness and the eigenvalue itself are looked at only for a state that fails."""
-    step = max(1, BLOCK_BYTES // rhos[0].nbytes)
+    lambda_min >= -STATE_TOL, decided by :func:`~distlab.linalg.psd_certified`.  A real stack is checked on its
+    float64 copy (:func:`~distlab.linalg.real_if_zero_imag`), but the traces and the eigenvalue a message
+    reports are those of the complex ``rhos``.  The checks run a block of ``BLOCK_BYTES`` of the stack they
+    check at a time; finiteness and the eigenvalue itself are looked at only for a state that fails."""
+    checked = real_if_zero_imag(rhos)
+    step = max(1, BLOCK_BYTES // checked[0].nbytes)
     for lo in range(0, len(rhos), step):
-        block = rhos[lo : lo + step]
+        block = checked[lo : lo + step]
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN or infinite entry makes the defect NaN or infinite
-            defect, tr = hermiticity_defect(block), np.trace(block, axis1=1, axis2=2).real
+            defect, tr = hermiticity_defect(block), np.trace(rhos[lo : lo + step], axis1=1, axis2=2).real
         bad = ~(defect <= HERMITIAN_TOL) | ~(np.abs(tr - 1.0) <= STATE_TOL)
         if not bad.all():  # the eigensolver sees only matrices that passed, so no non-finite one
             bad[~bad] = ~psd_certified(block[~bad] if bad.any() else block, STATE_TOL)
@@ -55,7 +59,7 @@ def _check_states(rhos: np.ndarray, labels: Sequence[str]) -> None:
                 raise ValueError(f"state {label!r} is not Hermitian (defect {defect[i]:.3e})")
             if abs(tr[i] - 1.0) > STATE_TOL:
                 raise ValueError(f"state {label!r} has trace {tr[i]}, expected 1")
-            raise ValueError(f"state {label!r} has negative eigenvalue {min_eigenvalue(block[i]):.3e}")
+            raise ValueError(f"state {label!r} has negative eigenvalue {min_eigenvalue(rhos[lo + i]):.3e}")
 
 
 class State:

@@ -251,6 +251,43 @@ def test_discriminate_domino(tmp_path, capsys):
     assert "PERFECT DISCRIMINATION: PASS (success 1.000000)" in err
 
 
+def test_a_real_input_and_its_phase_twin_get_the_same_verdicts(tmp_path, capsys):
+    """The real domino-ext set, checked in float64, and its twin D rho D^H (D a local diagonal unitary: complex
+    data, checked in complex arithmetic) get the same exit codes and verdicts from verify and discriminate.  Each
+    report of the real input prints again byte for byte, and so does its copy read back through parse_report."""
+    code, report, _ = run_captured(capsys, ["gen", "--family", "domino-ext", "--dims", "4,4"])
+    assert code == 0
+    _, states = parse_report(report)
+    assert not np.any(states.rhos.imag)
+    rng = np.random.default_rng(11)
+    phases = np.kron(np.exp(2j * np.pi * rng.random(4)), np.exp(2j * np.pi * rng.random(4)))
+    twin = phases[:, None] * states.rhos * phases.conj()[None, :]
+    assert np.any(twin.imag)
+    answers = {}
+    for name, rhos in (("real", states.rhos), ("twin", twin)):
+        stack = StateSet.from_stack(rhos, states.dims, states.labels)
+        states_path = write_json(tmp_path / f"{name}-states.json", state_set_to_json(stack))
+        povm_path = write_json(tmp_path / f"{name}-povm.json", povm_to_json(Povm(rhos, states.dims, "projective")))
+        verify = ["verify", "--povm", povm_path, "--kind", "projective"]
+        discriminate = ["discriminate", "--states", states_path, "--povm", povm_path, "--mode", "perfect"]
+        for argv in (verify, discriminate):
+            code = run(argv)
+            out = capsys.readouterr().out
+            kind, payload = parse_report(json.loads(out))
+            if kind == "verdict":
+                answers[name, argv[0]] = (code, payload.passes, payload.violations)
+                payload = verdict_to_json(payload)
+            else:
+                answers[name, argv[0]] = (code, payload["passed"], payload["details"])
+            if name == "real":
+                assert run(argv) == code
+                assert capsys.readouterr().out == out
+                assert reference_encode({**json.loads(out), "payload": payload}) == out
+    for command in ("verify", "discriminate"):
+        assert answers["real", command] == answers["twin", command]
+        assert answers["real", command][:2] == (0, True)
+
+
 def test_discriminate_dimension_mismatch_is_usage_error(tmp_path, capsys):
     states_path = bell_pair_file(tmp_path)
     from distlab.povm import Povm

@@ -511,7 +511,7 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity
     import distlab.povm
 
     three = bell_states().subset([0, 1, 2])
-    calls = {"verify_povm": 0, "is_valid": 0, "verify_locc1": 0, "eigvalsh": 0, "cholesky": 0}
+    calls = {"_report": 0, "is_valid": 0, "verify_locc1": 0, "eigvalsh": 0, "cholesky": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -520,7 +520,7 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity
 
         return wrapper
 
-    for name in ("verify_povm", "is_valid", "verify_locc1"):
+    for name in ("_report", "is_valid", "verify_locc1"):  # _report: the measurement of verify_povm and check_kind
         wrapper = counted(name, getattr(distlab.povm, name))
         monkeypatch.setattr(distlab.povm, name, wrapper)
         monkeypatch.setattr(distlab.discrimination, name, wrapper, raising=False)
@@ -529,7 +529,7 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity
     _pin_workers(monkeypatch, 1)  # calls made in a forked child are not counted here
     report = local_global_fuzz(three, [kind], (3, 3), trials=1, seed=7)
     assert report.passes
-    assert calls["verify_povm"] == 1  # the restriction
+    assert calls["_report"] == 1  # the restriction
     assert calls["is_valid"] == 1  # the sample
     assert calls["verify_locc1"] == (2 if kind == "locc1" else 0)  # the restricted tree, then the sample
     assert calls["eigvalsh"] == positivity_calls - cholesky_calls
@@ -540,7 +540,7 @@ def test_local_global_fuzz_verifies_each_povm_once(monkeypatch, kind, positivity
 def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
     """Outside the sampler, a block of 30 trials makes the calls one trial makes; three blocks, three times as many."""
     three = bell_states().subset([0, 1, 2])
-    names = ("verify_povm", "is_valid", "verify_locc1", "eigvalsh", "eigh", "cholesky")
+    names = ("_report", "is_valid", "verify_locc1", "eigvalsh", "eigh", "cholesky")
     _pin_workers(monkeypatch, 1)  # calls made in a forked child are not counted here
 
     def counts(trials):
@@ -550,7 +550,7 @@ def test_local_global_fuzz_checks_once_per_block(monkeypatch, kind):
         return calls
 
     one = counts(1)
-    assert (one["verify_povm"], one["is_valid"]) == (1, 1)  # the restriction, the sample
+    assert (one["_report"], one["is_valid"]) == (1, 1)  # the restriction measured, the sample
     assert counts(30) == one
     trial_bytes = 4 * 9 * 9 * 16  # every sample here has four outcomes on (3, 3)
     monkeypatch.setattr(distlab.discrimination, "BLOCK_BYTES", 10 * trial_bytes)

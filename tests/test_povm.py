@@ -21,8 +21,8 @@ from sampler_reference import (
 )
 
 import distlab.povm
-from distlab.discrimination import _trial_seed
-from distlab.linalg import BLOCK_BYTES, matrix_to_json, tensor
+from distlab.discrimination import _trial_seed, check_perfect
+from distlab.linalg import BLOCK_BYTES, matrix_to_json, psd_certified, tensor
 from distlab.povm import (
     Locc1Tree,
     Povm,
@@ -33,6 +33,7 @@ from distlab.povm import (
     flatten_locc1,
     is_ppt_povm,
     is_projective,
+    is_valid,
     locc1_from_json,
     locc1_to_json,
     povm_from_json,
@@ -48,7 +49,7 @@ from distlab.povm import (
     verify_povm,
     verify_sep,
 )
-from distlab.states import extended_domino_basis
+from distlab.states import StateSet, extended_domino_basis
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -212,6 +213,19 @@ def test_cross_product_bound_holds_for_any_stack(seed):
     assert np.all(products <= distlab.povm._cross_product_bounds(e.astype(complex)))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_cross_product_bound_holds_for_float64_stacks(seed):
+    """The same bound on real stacks kept in float64, as ``is_projective`` takes a real POVM: a real ``eigh``."""
+    rng = np.random.default_rng([seed, 64])
+    n, side = rng.integers(2, 6), rng.integers(1, 13)
+    g = rng.standard_normal((n, side, side))
+    e = g @ np.swapaxes(g, 1, 2) / side + 0.05 * rng.standard_normal((n, side, side))
+    products = np.max(np.abs(e[:, None] @ e[None, :]), axis=(2, 3))
+    bounds = distlab.povm._cross_product_bounds(e)
+    assert e.dtype == bounds.dtype == np.float64
+    assert np.all(products <= bounds)
+
+
 def random_projective(rng, dims, ranks, real):
     """Projectors onto consecutive column blocks (of the given sizes) of a random orthogonal or unitary matrix."""
     side = int(np.prod(dims))
@@ -247,6 +261,230 @@ def test_random_projective_povms_agree_with_reference(dims, real, seed, tol, noi
     answer = agrees_with_reference(Povm(elements, dims), tol)
     if not noise:
         assert answer is True
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    dims=st.sampled_from([(1,), (2,), (5,), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (4, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    noise=st.sampled_from([0.1, 0.5, 1.0, 2.0, 10.0]),
+    symmetric=st.booleans(),
+    cuts=st.lists(st.integers(0, 100), max_size=11),
+)
+@example(dims=(10, 10), seed=4, tol=1e-9, noise=0.5, symmetric=True, cuts=[1, 2, 40, 40, 41, 99])
+def test_random_projective_povms_with_real_noise_agree_with_reference(dims, seed, tol, noise, symmetric, cuts):
+    """Real projective POVMs kicked by real noise stay real, so they are checked in float64, and their
+    residuals land on both sides of ``tol``: every verdict is the pairwise one of the complex oracle."""
+    side = int(np.prod(dims))
+    cuts = [c % (side + 1) for c in cuts]
+    ranks = np.diff(np.sort([0, *cuts, side]))
+    rng = np.random.default_rng(seed)
+    elements = np.array(random_projective(rng, dims, ranks, True))
+    kick = rng.standard_normal(elements.shape)
+    if symmetric:  # Hermitian noise leaves more POVMs valid, so more reach the projectivity test
+        kick += np.swapaxes(kick, 1, 2)
+    elements += noise * tol * kick / np.max(np.abs(kick))
+    p = Povm(elements, dims)
+    assert not np.any(p.elements.imag)
+    agrees_with_reference(p, tol)
+
+
+def local_phases(dims, seed=None):
+    """The diagonal of a local diagonal unitary D = D_1 (x) ... (x) D_k: random phases for a seed, else the
+    quarter turns by which a real number moves exactly onto an axis: i**j at index j of the last party with more
+    than one level, (-1)**j of the others."""
+    diag = np.ones(1, dtype=complex)
+    rng = np.random.default_rng(seed)
+    last = max(k for k, d in enumerate(dims) if d > 1)
+    for k, d in enumerate(dims):
+        if seed is None:
+            local = np.array([1, 1j, -1, -1j])[np.arange(d) * (1 if k == last else 2) % 4]
+        else:
+            local = np.exp(2j * np.pi * rng.random(d))
+        diag = (diag[:, None] * local[None, :]).ravel()
+    return diag
+
+
+def phase_twin(stack, phases):
+    """D M D^H of every matrix M of ``stack``: complex data with the spectra and the products of the real one."""
+    twin = phases[:, None] * np.asarray(stack, dtype=complex) * phases.conj()[None, :]
+    assert np.any(twin.imag)
+    return twin
+
+
+def real_povm_cases(tol):
+    """Real POVMs (name, elements, dims): valid and projective, valid and not, and invalid ones."""
+    c4 = counterexample_c4(bipartite=True)
+    rng = np.random.default_rng(23)
+    noisy = np.array(random_projective(rng, (3, 3), [2, 3, 4], True))
+    kick = rng.standard_normal(noisy.shape)
+    noisy += 0.5 * tol * (kick + np.swapaxes(kick, 1, 2)) / np.max(np.abs(kick))
+    negative = np.zeros((4, 4))
+    negative[np.ix_([1, 2], [1, 2])] = [[0.5, 0.25], [0.25, 0.25]]
+    negative += np.diag([-2 * tol, 0.0, 0.0, 0.5])
+    negative = np.array([negative, np.eye(4) - negative])
+    return [
+        ("domino-ext", extended_domino_basis(4, 4).rhos, (4, 4)),
+        ("c4", c4.elements, c4.dims),
+        ("c4-restricted", restrict_povm(c4, (2, 1)).elements, (2, 1)),
+        ("rotated-pair-passes", rotated_pair(0.5 * tol).elements, (3,)),
+        ("rotated-pair-fails", rotated_pair(1.05 * tol).elements, (3,)),
+        ("noisy", noisy, (3, 3)),
+        ("incomplete", 1.01 * extended_domino_basis(3, 4).rhos, (3, 4)),
+        ("not-psd", negative, (2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_real_verdicts_match_their_complex_phase_twins(tol):
+    """A real POVM is checked in float64, its phase twin D M D^H in complex arithmetic: the same verdicts
+    from is_valid, psd_certified and is_projective, and the verdict of the pairwise oracle."""
+    for name, elements, dims in real_povm_cases(tol):
+        real = Povm(elements, dims)
+        twins = [Povm(phase_twin(elements, local_phases(dims, seed)), dims) for seed in (5, None)]
+        valid = is_valid(real, tol)
+        psd = psd_certified(np.ascontiguousarray(real.elements.real), tol)
+        assert psd.dtype == bool and np.array_equal(psd, psd_certified(real.elements, tol)), name
+        answer = agrees_with_reference(real, tol)
+        assert valid is (answer is not None), name
+        for twin in twins:
+            assert is_valid(twin, tol) is valid, name
+            assert np.array_equal(psd_certified(twin.elements, tol), psd), name
+            assert agrees_with_reference(twin, tol) is answer, name
+
+
+def exact_boundary_povms(t):
+    """POVMs on (2, 2) whose dyadic entries make every product and sum exact in either arithmetic, each with one
+    deciding quantity and the others far inside: projective exactly when the cross product s - s^2 <= tol, and
+    valid exactly when the smallest eigenvalue, the Hermiticity defect or the completeness residual, each
+    ``t``, is at most tol (``t`` a multiple of 2^-52).  A coupled 2x2 block gives each a complex phase twin."""
+    block = np.zeros((4, 4))
+    block[np.ix_([1, 2], [1, 2])] = [[0.5, 0.25], [0.25, 0.25]]
+    s = 2.0**-20  # the products of s and 1 - s span at most 41 bits
+    idempotent = np.zeros((4, 4))
+    idempotent[np.ix_([0, 1], [0, 1])] = 0.5
+    first = {
+        "cross-product": idempotent + np.diag([0.0, 0.0, s, 0.0]),
+        "eigenvalue": block + np.diag([-t, 0.0, 0.0, 0.5]),
+        "hermiticity": block + np.diag([0.0, 0.0, 0.0, 0.5]),
+        "completeness": block + np.diag([0.0, 0.0, 0.0, 0.5]),
+    }
+    first["hermiticity"][1, 2] += t  # and so I - M has the same defect
+    povms = {name: np.array([m, np.eye(4) - m]) for name, m in first.items()}
+    povms["completeness"][1, 3, 3] += t
+    return povms, {"cross-product": s - s * s, "eigenvalue": t, "hermiticity": t, "completeness": t}
+
+
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_real_and_twin_verdicts_agree_a_few_ulps_from_tol(ulps):
+    """At tol a few ulps either side of the deciding quantity, the real POVM (float64), its quarter-turn twin
+    (complex, the same numbers on the imaginary axis) and the pairwise oracle give one verdict."""
+    t = np.ldexp(round(1.1e-9 * 2**52), -52)
+    povms, quantity = exact_boundary_povms(t)
+    for name, elements in povms.items():
+        tol = quantity[name]
+        for _ in range(abs(ulps)):
+            tol = np.nextafter(tol, np.inf if ulps > 0 else -np.inf)
+        expected = bool(quantity[name] <= tol)
+        real = Povm(elements, (2, 2))
+        twin = Povm(phase_twin(elements, local_phases((2, 2))), (2, 2))
+        answer = agrees_with_reference(real, tol)
+        if name == "cross-product":
+            assert answer is expected, name  # the test data is where it should be
+        else:
+            assert (answer is not None) is expected, name
+        assert is_valid(real, tol) is is_valid(twin, tol) is (answer is not None), name
+        assert agrees_with_reference(twin, tol) is answer, name
+        if name == "eigenvalue":
+            psd = psd_certified(np.ascontiguousarray(real.elements.real), tol)
+            assert psd.tolist() == psd_certified(twin.elements, tol).tolist() == [expected, True]
+            assert verify_povm(real, tol).element_min_eigs[0] == verify_povm(twin, tol).element_min_eigs[0] == -t
+
+
+def state_cases():
+    """Real state stacks (name, rhos): a basis, and stacks whose fifth state fails one check by about 2e-9."""
+    rhos = extended_domino_basis(3, 4).rhos.real.copy()
+    mixed = np.eye(12) / 12
+    mixed[2, 3] = mixed[3, 2] = 1 / 48
+    changes = {"negative": [(0, 0, -1 / 12 - 2e-9), (1, 1, 1 / 12 + 2e-9)], "trace": [(0, 0, 2e-9)],
+               "hermiticity": [(0, 1, 2e-9)]}
+    cases = [("basis", rhos)]
+    for name, entries in changes.items():
+        bad = rhos.copy()
+        bad[4] = mixed
+        for i, j, amount in entries:
+            bad[4, i, j] += amount
+        cases.append((name, bad))
+    return cases
+
+
+def test_real_state_checks_match_their_complex_phase_twins():
+    """StateSet.from_stack of a real stack (checked in float64) and of its phase twins (complex) accept the same
+    stacks and reject the same state for the same reason."""
+    labels = [f"s{i}" for i in range(12)]
+    for name, rhos in state_cases():
+        reasons = []
+        for stack in [rhos] + [phase_twin(rhos, local_phases((3, 4), seed)) for seed in (7, None)]:
+            try:
+                StateSet.from_stack(stack, (3, 4), labels)
+                reasons.append(None)
+            except ValueError as exc:
+                reasons.append(str(exc).split()[:4])  # "state 's4' has trace", without the value
+        expected = {"basis": None, "negative": "has negative", "trace": "has trace", "hermiticity": "is not"}[name]
+        assert reasons[0] == (expected and ["state", "'s4'", *expected.split()]), name
+        assert reasons == reasons[:1] * 3, name
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (10, 10)])
+def test_real_inputs_report_the_numbers_of_complex_arithmetic(dims):
+    """A real POVM is checked in float64, but the numbers a report prints are those of complex arithmetic, bit
+    for bit: the eigenvalues of the complex Hermitian parts, the complex residuals, and the complex hit table."""
+    states = extended_domino_basis(*dims)
+    rng = np.random.default_rng(list(dims))
+    kick = rng.standard_normal(states.rhos.shape)
+    elements = states.rhos + 1e-12 * (kick + np.swapaxes(kick, 1, 2))  # real, with nonzero eigenvalues
+    p = Povm(elements, dims)
+    assert p.elements.dtype == np.complex128 and not np.any(p.elements.imag)
+    e = p.elements
+    report = verify_povm(p, 1e-9)
+    hermitian = (e + np.conj(np.swapaxes(e, -1, -2))) / 2
+    assert same_bits(np.array(report.element_min_eigs), np.linalg.eigvalsh(hermitian)[:, 0])
+    assert same_bits(report.completeness_residual, np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[-1]))))
+    assert same_bits(report.hermiticity_defect, np.max(np.abs(e - np.conj(np.swapaxes(e, -1, -2)))))
+    verdict = check_perfect(p, states)
+    n, side = len(e), e.shape[-1]
+    products = e.reshape(n, -1) @ np.ascontiguousarray(states.rhos.transpose(2, 1, 0)).reshape(-1, n)
+    assert products.dtype == np.complex128
+    assert same_bits(verdict.hit_table, products.T.real)  # tr(M_j rho_i) as trace_products forms it
+
+
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_real_and_twin_states_agree_a_few_ulps_from_the_state_tolerance(ulps):
+    """A state whose smallest eigenvalue is -STATE_TOL moved by a few ulps is rejected, real or as its
+    quarter-turn twin, exactly when that eigenvalue is below -STATE_TOL; both messages print the same value."""
+    from distlab.states import STATE_TOL
+
+    x = -STATE_TOL
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    rho = np.zeros((4, 4))
+    rho[np.ix_([1, 2], [1, 2])] = [[0.5, 0.125], [0.125, 0.25]]
+    rho[0, 0], rho[3, 3] = x, 0.25 - x
+    messages = []
+    for stack in (rho[None], phase_twin(rho[None], local_phases((2, 2)))):
+        try:
+            StateSet.from_stack(stack, (2, 2), ["edge"])
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    expected = None if x >= -STATE_TOL else f"state 'edge' has negative eigenvalue {x:.3e}"
+    assert messages == [expected, expected]
 
 
 def test_is_ppt_povm():
