@@ -272,16 +272,6 @@ def restrict_matrix(m: np.ndarray, dims: Sequence[int], sub_dims: Sequence[int])
     return m[..., idx[:, None], idx]
 
 
-def group_sums(stack: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum consecutive groups of ``stack``: group ``g`` is the ``counts[g] >= 1`` members
-    from ``starts[g]`` on, summed from its first member in stack order."""
-    total = stack[starts]
-    for j in range(1, int(counts.max())):
-        has = counts > j
-        total[has] += stack[starts[has] + j]
-    return total
-
-
 def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs tr(A_i B_j) of two ``(n, side, side)`` stacks, as an ``(n, m)`` array."""
     n, m = len(a), len(b)

@@ -11,8 +11,9 @@ a smaller system; it maps each class to itself, which is the numerical surface
 the fuzz tests exercise.  Projectivity is the documented exception.
 
 A POVM or a tree may also hold a batch of measurements of one shape along a
-leading axis (see :func:`stack_batch`); verification, restriction and
-:func:`check_kind` then run once for the whole batch and answer per member.
+leading axis, as the samplers draw them for a sequence of seeds; verification,
+restriction and :func:`check_kind` then run once for the whole batch and answer
+per member.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .linalg import (
     bipartition,
     check_dims,
     dagger,
-    group_sums,
     hermitian_part,
     hermiticity_defect,
     matrices_from_json,
@@ -57,22 +57,17 @@ def _segment_index(index, what: str) -> np.ndarray:
     return index
 
 
-def _index_sums(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """:func:`group_sums` over the groups a :func:`_segment_index` names."""
+def _group_sums(member, index: np.ndarray) -> np.ndarray:
+    """Sum the groups a :func:`_segment_index` names, where ``member(positions)`` stacks
+    the members at ``positions``: each group starts from its first member and adds the
+    rest in order, one rank of members at a time, so at most one member per group is
+    held besides the sums."""
     counts = np.bincount(index)
-    return group_sums(stack, np.cumsum(counts) - counts, counts)
-
-
-def _product_sums(factors: Sequence[np.ndarray], owner: np.ndarray) -> np.ndarray:
-    """The tensor products of witness terms summed per owner, as :func:`_index_sums`
-    sums them; the products are formed one rank of terms at a time, so at most one
-    product per element is held."""
-    counts = np.bincount(owner)
     starts = np.cumsum(counts) - counts
-    total = tensor(*(f[starts] for f in factors))
+    total = member(starts)
     for j in range(1, int(counts.max())):
         has = counts > j
-        total[has] += tensor(*(f[starts[has] + j] for f in factors))
+        total[has] += member(starts[has] + j)
     return total
 
 
@@ -215,9 +210,11 @@ def is_valid(p: Povm, tol: float = DEFAULT_TOL):
 
 
 def require_valid(p: Povm, tol: float) -> np.ndarray:
-    """Raise ``ValueError`` unless :func:`is_valid` passes ``p``; only then is
-    :func:`verify_povm` run, for the values the message reports.  Returns the stack
-    the check ran on, ``real_if_zero_imag(p.elements)``."""
+    """Raise ``ValueError`` unless ``p`` is one POVM, not a batch, and :func:`is_valid`
+    passes it; only then is :func:`verify_povm` run, for the values the message reports.
+    Returns the stack the check ran on, ``real_if_zero_imag(p.elements)``."""
+    if p.elements.ndim != 3:
+        raise ValueError(f"expected one POVM, got a batch of {len(p.elements)}")
     checked = real_if_zero_imag(p.elements)
     if not _valid(checked, tol):
         report = _report(p.elements, checked, tol)
@@ -323,13 +320,14 @@ def is_ppt_povm(
     transposed element decided by :func:`~distlab.linalg.psd_certified`.
 
     ``partition`` selects one bipartition (a party index or a party subset);
-    when omitted, every nontrivial bipartition is required.
+    when omitted, every nontrivial bipartition is required.  A real stack is
+    transposed and certified in float64 (:func:`~distlab.linalg.real_if_zero_imag`).
     """
-    require_valid(p, tol)
+    checked = require_valid(p, tol)
     cuts = canonical_cuts(p.dims) if partition is None else [bipartition(p.dims, partition)]
     if not cuts:
         raise ValueError("PPT needs a nontrivial bipartition")
-    return all(np.all(psd_certified(partial_transpose(p.elements, p.dims, cut), tol)) for cut in cuts)
+    return all(np.all(psd_certified(partial_transpose(checked, p.dims, cut), tol)) for cut in cuts)
 
 
 def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
@@ -357,7 +355,8 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
         if f.shape[1:] != (p.dims[k], p.dims[k]):
             raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
         bad |= (hermiticity_defect(f) > tol) | ~psd_certified(f, tol)
-    recon = _product_sums(witness.factors, witness.owner).reshape(-1, len(p), p.side, p.side)
+    recon = _group_sums(lambda t: tensor(*(f[t] for f in witness.factors)), witness.owner)
+    recon = recon.reshape(-1, len(p), p.side, p.side)
     ok = np.max(np.abs(recon - p.elements.reshape(recon.shape)), axis=(1, 2, 3)) <= tol
     ok &= np.bincount(member[bad], minlength=len(ok)) == 0
     return ok if p.elements.ndim == 4 else bool(ok[0])
@@ -370,7 +369,8 @@ def verify_locc1(tree: Locc1Tree, tol: float = DEFAULT_TOL):
     decides."""
     ok = True
     for level, parents in zip(tree.levels, tree.parents):
-        sums = _index_sums(np.moveaxis(level, -3, 0), parents)  # (families, [batch,] d, d)
+        outcomes = np.moveaxis(level, -3, 0)
+        sums = _group_sums(lambda j: outcomes[j], parents)  # (families, [batch,] d, d)
         residual = np.max(np.abs(sums - np.eye(level.shape[-1])), axis=(0, -2, -1))
         defect, psd = np.max(hermiticity_defect(level), axis=-1), np.all(psd_certified(level, tol), axis=-1)
         ok = ok & (residual <= tol) & (defect <= tol) & psd
@@ -431,10 +431,14 @@ def check_kind(
     if (kind == "locc1") != tree:
         raise ValueError("kind locc1 takes a measurement tree, every other kind a POVM")
     cuts = None if partition is None else [bipartition(measurement.dims, partition)]
-    single = (measurement.levels[0] if tree else measurement.elements).ndim == 3
-    checks, povm = _check_batch(stack_batch([measurement]) if single else measurement, kind, tol, cuts)
-    if not single:
-        return checks, povm
+    if (measurement.levels[0] if tree else measurement.elements).ndim == 4:
+        return _check_batch(measurement, kind, tol, cuts)
+    m = measurement  # checked as a batch of one that views its stacks, under the same parents or witness
+    if tree:
+        one = Locc1Tree(m.dims, m.party_order, [level[None] for level in m.levels], m.parents)
+    else:
+        one = Povm(m.elements[None], m.dims, m.kind, m.witness)
+    checks, povm = _check_batch(one, kind, tol, cuts)
     checks = [(name, float(residual[0]), bool(ok[0])) for name, residual, ok in checks]
     if tree:
         return checks, take_batch(povm, 0) if checks[0][2] else None
@@ -471,28 +475,6 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
         else:
             record("sep-witness", np.nan, verify_sep(povm, tol))
     return checks, povm
-
-
-def stack_batch(measurements: Sequence[Povm | Locc1Tree]) -> Povm | Locc1Tree:
-    """One batch of measurements of one shape: POVM elements ``(b, n, side, side)``
-    under the kind of the first, whose separability witnesses are concatenated with
-    each member's owners offset by ``n`` times its position; or tree levels
-    ``(b, N_l, d, d)`` under the parents of the first tree.  A batch of one views
-    its member's stacks instead of copying them."""
-    first = measurements[0]
-
-    def stacked(arrays):
-        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-    if isinstance(first, Locc1Tree):
-        levels = [stacked(level) for level in zip(*(t.levels for t in measurements))]
-        return Locc1Tree(first.dims, first.party_order, levels, first.parents)
-    witness = first.witness
-    if isinstance(witness, SepDecomposition) and len(measurements) > 1:
-        factors = [np.concatenate(f) for f in zip(*(m.witness.factors for m in measurements))]
-        owner = np.concatenate([m.witness.owner + k * len(first) for k, m in enumerate(measurements)])
-        witness = SepDecomposition(factors, owner)
-    return Povm(stacked([m.elements for m in measurements]), first.dims, first.kind, witness)
 
 
 def take_batch(batch: Povm | Locc1Tree, index: int) -> Povm | Locc1Tree:
@@ -597,10 +579,10 @@ def _one_or_batch(seed, batch: Povm | Locc1Tree) -> Povm | Locc1Tree:
 def random_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     """Seeded random POVM: normalized complex Wishart matrices.
 
-    ``seed`` is an int, or a sequence of them for a batch that equals
-    :func:`stack_batch` of the samples of each seed.  Every sampler takes its
-    seeds so: each member draws from its own generator in the order of one
-    sample, and the batch is normalized at once.
+    ``seed`` is an int, or a sequence of them for a batch whose members equal
+    the samples of each seed.  Every sampler takes its seeds so: each member
+    draws from its own generator in the order of one sample, and the batch is
+    normalized at once.
     """
     dims = check_dims(dims)
     if n_elements < 1:
@@ -662,7 +644,7 @@ def random_sep_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     outcomes = np.unravel_index(np.take_along_axis(order, terms, axis=1), (n_local,) * k)
     factors = [lp[member, i].reshape((-1,) + lp.shape[-2:]) for lp, i in zip(locals_, outcomes)]
     owner = np.ravel(np.take_along_axis(group, terms, axis=1) + n_elements * member)
-    elements = _product_sums(factors, owner).reshape(-1, n_elements, side, side)
+    elements = _group_sums(lambda t: tensor(*(f[t] for f in factors)), owner).reshape(-1, n_elements, side, side)
     return _one_or_batch(seed, Povm(elements, dims, kind="sep", witness=SepDecomposition(factors, owner)))
 
 
@@ -698,21 +680,15 @@ def random_locc1(
     return _one_or_batch(seed, Locc1Tree(dims, order, levels, parents))
 
 
-def counterexample_c4(bipartite: bool = False) -> Povm:
+def counterexample_c4() -> Povm:
     """Projective rank-1 POVM with entries +-1/4 whose 3x3 restriction is not projective.
 
     The four elements project onto the Hadamard product vectors; restricting
     to the top-left 3x3 block keeps them a POVM but breaks idempotence.
-    With ``bipartite=True`` the same matrices are tagged on (2,2) and carry
-    the product witness |+-><+-| (x) |+-><+->.
     """
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    first, second = np.array([plus, plus, minus, minus]), np.array([plus, minus, plus, minus])
-    elements = tensor(first, second)
-    if bipartite:
-        witness = SepDecomposition([first, second], np.arange(4))
-        return Povm(elements, (2, 2), kind="sep", witness=witness)
+    elements = tensor(np.array([plus, plus, minus, minus]), np.array([plus, minus, plus, minus]))
     return Povm(elements, (4,), kind="projective")
 
 

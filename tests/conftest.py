@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from distlab.discrimination import _sample_of_kind
+from distlab.linalg import tensor
 from distlab.povm import (
     Locc1Tree,
+    Povm,
+    SepDecomposition,
     flatten_locc1,
     is_ppt_povm,
     ppt_min_eigenvalue,
@@ -33,6 +36,14 @@ def bell_pair_three_party():
     for s in bell_states().subset([0, 2]):
         out.append(pure_state(np.kron(state_vector(s), e0), (2, 2, 2), label=s.label + "|0>"))
     return StateSet(out)
+
+
+def hadamard_sep_povm():
+    """The (2,2) SEP POVM of the Hadamard product projectors |+-><+-| (x) |+-><+-|, each its own witness term."""
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]])
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    first, second = np.array([plus, plus, minus, minus]), np.array([plus, minus, plus, minus])
+    return Povm(tensor(first, second), (2, 2), kind="sep", witness=SepDecomposition([first, second], np.arange(4)))
 
 
 def with_scaled_root(restrict, factor=1.01):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import with_scaled_root
+from conftest import hadamard_sep_povm, with_scaled_root
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from report_reference import reference_encode, reference_report
@@ -569,7 +569,7 @@ def bell_projector_povm_obj():
 
 
 def sep_c4_obj():
-    return povm_to_json(counterexample_c4(bipartite=True))
+    return povm_to_json(hadamard_sep_povm())
 
 
 def without(obj, key):
@@ -1036,7 +1036,7 @@ def harness_payload(**changes):
 
 
 def verdict_payload(**changes):
-    return {**verdict_to_json(check_perfect(counterexample_c4(bipartite=True), bell_states())), **changes}
+    return {**verdict_to_json(check_perfect(hadamard_sep_povm(), bell_states())), **changes}
 
 
 def solution_payload(**changes):

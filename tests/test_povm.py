@@ -5,7 +5,7 @@ import json
 import conftest
 import numpy as np
 import pytest
-from conftest import FUZZ_DIM_CONFIGS, restriction_defects, with_scaled_root
+from conftest import FUZZ_DIM_CONFIGS, hadamard_sep_povm, restriction_defects, with_scaled_root
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from projective_reference import reference_is_projective
@@ -21,7 +21,7 @@ from sampler_reference import (
 )
 
 import distlab.povm
-from distlab.discrimination import _trial_seed, check_perfect
+from distlab.discrimination import _trial_seed, check_perfect, check_unambiguous
 from distlab.linalg import BLOCK_BYTES, matrix_to_json, psd_certified, tensor
 from distlab.povm import (
     Locc1Tree,
@@ -44,12 +44,11 @@ from distlab.povm import (
     random_sep_povm,
     restrict_locc1,
     restrict_povm,
-    stack_batch,
     verify_locc1,
     verify_povm,
     verify_sep,
 )
-from distlab.states import StateSet, extended_domino_basis
+from distlab.states import StateSet, bell_states, extended_domino_basis
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -114,8 +113,9 @@ def test_counterexample_restriction_not_projective():
 
 
 def test_counterexample_bipartite_witness():
-    p = counterexample_c4(bipartite=True)
+    p = hadamard_sep_povm()
     assert p.dims == (2, 2)
+    assert np.array_equal(p.elements, counterexample_c4().elements)
     assert verify_sep(p, 1e-12)
     # independent expansion: Hadamard-basis projectors from outer products
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -315,7 +315,7 @@ def phase_twin(stack, phases):
 
 def real_povm_cases(tol):
     """Real POVMs (name, elements, dims): valid and projective, valid and not, and invalid ones."""
-    c4 = counterexample_c4(bipartite=True)
+    c4 = hadamard_sep_povm()
     rng = np.random.default_rng(23)
     noisy = np.array(random_projective(rng, (3, 3), [2, 3, 4], True))
     kick = rng.standard_normal(noisy.shape)
@@ -499,6 +499,55 @@ def test_is_ppt_povm():
         is_ppt_povm(Povm([np.eye(4)], (2, 2)), partition=(0, 1))
 
 
+def isotropic_povm(t):
+    """{M, I - M} with M = t Phi+ + (1 - t) I / 4 on (2, 2): PPT exactly when t <= 1/3, since M's partial
+    transpose t F / 2 + (1 - t) I / 4 (F the swap) has smallest eigenvalue (1 - 3t) / 4 and that of I - M is
+    (3 - t) / 4."""
+    m = t * PHI_PLUS.real + (1 - t) * np.eye(4) / 4
+    return np.array([m, np.eye(4) - m])
+
+
+@pytest.mark.parametrize("partition", [None, 0, [1]])
+def test_is_ppt_povm_of_a_real_povm_matches_its_phase_twin(partition, monkeypatch):
+    """A real POVM is transposed and certified in float64, its phase twin (D_A (x) D_B) M (D_A (x) D_B)^H in
+    complex arithmetic; the twin's partial transposes are unitarily equivalent to the real ones, so the
+    verdicts agree, on PPT POVMs and on POVMs that are not PPT."""
+    certified = []
+
+    def recorded(m, tol):
+        certified.append(m.dtype)
+        return psd_certified(m, tol)
+
+    monkeypatch.setattr(distlab.povm, "psd_certified", recorded)
+    cases = [
+        ("domino-ext", extended_domino_basis(3, 4).rhos, (3, 4), True),
+        ("isotropic-0.3", isotropic_povm(0.3), (2, 2), True),
+        ("isotropic-0.4", isotropic_povm(0.4), (2, 2), False),
+        ("bell", isotropic_povm(1.0), (2, 2), False),
+    ]
+    for name, elements, dims, ppt in cases:
+        certified.clear()
+        assert is_ppt_povm(Povm(elements, dims), partition) is ppt, name
+        assert set(certified) == {np.dtype(np.float64)}, name
+        for seed in (5, None):
+            twin = Povm(phase_twin(elements, local_phases(dims, seed)), dims)
+            assert is_ppt_povm(twin, partition) is ppt, name
+
+
+@pytest.mark.parametrize("seeds", [[1, 2, 3], [1]])
+def test_single_povm_checks_reject_a_batch(seeds):
+    batch = random_povm((2, 2), 4, seeds)
+    checks = [
+        lambda: check_perfect(batch, bell_states()),
+        lambda: check_unambiguous(batch, bell_states()),
+        lambda: is_projective(batch),
+        lambda: is_ppt_povm(batch),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=f"^expected one POVM, got a batch of {len(seeds)}$"):
+            check()
+
+
 def test_canonical_cuts():
     assert canonical_cuts((2, 2)) == [(0,)]
     assert sorted(canonical_cuts((2, 2, 2))) == [(0,), (0, 1), (1,)]
@@ -575,7 +624,7 @@ def test_check_kind_runs_the_checks_in_order_and_stops_at_an_invalid_povm():
     assert checks[2][1] == pytest.approx(-0.5, abs=1e-12)
     assert summary(bell, "ppt", partition=1)[0][2] == ("ppt", False)
     assert summary(counterexample_c4(), "projective")[0][2] == ("projective", True)
-    assert summary(counterexample_c4(bipartite=True), "sep")[0][2] == ("sep-witness", True)
+    assert summary(hadamard_sep_povm(), "sep")[0][2] == ("sep-witness", True)
     assert summary(Povm(1.01 * bell.elements, (2, 2)), "ppt")[0] == [("completeness", False), ("element-psd", True)]
     skew = bell.elements.copy()
     skew[:, [0, 1], [1, 0]] += [[1e-3, -1e-3], [-1e-3, 1e-3]]  # complete, same Hermitian parts, not Hermitian
@@ -872,9 +921,9 @@ def test_sampler_blocks_reproduce_the_per_element_reference(kind, dims, size):
     seeds = [_trial_seed(9, 2, offset) for offset in range(size)]
     block = SAMPLERS[kind](dims, seeds)
     assert_block_matches_reference(block, kind, dims, seeds)
-    alone = stack_batch([SAMPLERS[kind](dims, seed) for seed in seeds])
-    for got, want in zip(*(tree.levels if kind == "locc1" else (tree.elements,) for tree in (block, alone))):
-        assert np.array_equal(got, want)
+    alone = [SAMPLERS[kind](dims, seed) for seed in seeds]
+    for got, *want in zip(*(m.levels if kind == "locc1" else (m.elements,) for m in (block, *alone))):
+        assert np.array_equal(got, np.stack(want))
 
 
 class _ZeroDraws:
