@@ -165,7 +165,7 @@ def summarize(report: dict) -> str:
     if kind == "verification":
         status = "PASS" if p["passed"] else "FAIL"
         res = p["completeness_residual"]
-        res_text = f"{res:.6g}" if isinstance(res, (int, float)) else "n/a"
+        res_text = f"{res:.6g}" if isinstance(res, (int, float)) and np.isfinite(res) else "n/a"
         return f"VERIFY {p['kind']}: {status} (completeness {res_text})"
     if kind == "theorem1":
         return (
@@ -286,18 +286,12 @@ def _cmd_fuzz(args, digests):
     from .discrimination import harness_to_json, local_global_fuzz
     from .states import bell_states, state_set_from_json
 
-    if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.states:
         (states,) = _load(digests, (args.states, state_set_from_json))
     else:
         states = bell_states().subset([0, 1, 2])
     new_dims = _parse_dims(args.new_dims)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    if not kinds:
-        raise CliError("at least one kind required")
     report = local_global_fuzz(states, kinds, new_dims, args.trials, args.seed, args.tol)
     return (0 if report.passes else 1), "harness", harness_to_json(report)
 
@@ -376,65 +370,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(obj):
-    """Strict-JSON copy: non-finite floats become null, and a numpy matrix its wire-format object."""
-    if isinstance(obj, np.ndarray):
-        from .linalg import matrix_to_json  # loaded already by whatever made the matrix
-
-        obj = matrix_to_json(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
 _encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 _NESTED = (dict, list, tuple, np.ndarray)
 
 
 def _pieces(obj, out: list) -> list:
-    """Append to ``out`` the strict one-line JSON text of ``obj``, in pieces, with each numpy matrix written
-    as its wire-format object; return ``out``.
+    """Append to ``out`` the strict one-line JSON text of ``obj``, in pieces; return ``out``.
 
     Joined, the pieces are byte for byte ``json.dumps(obj, separators=(",", ":"), allow_nan=False)`` of
-    ``obj`` with each matrix m replaced by ``linalg.matrix_to_json(m)``.  A container that holds a dict, list
-    or matrix is walked; any other value is encoded by that strict encoder in one call.
+    ``obj`` with each numpy matrix m replaced by ``linalg.matrix_to_json(m)`` and each non-finite float by
+    None.  A container that holds a dict, list or matrix is walked; any other value is encoded by that
+    strict encoder in one call, and walked only if that call refuses it.  A matrix is written by
+    ``linalg.matrix_json_text``, or, with a non-finite entry, as its ``matrix_to_json`` object.
     """
     if isinstance(obj, np.ndarray):
-        from .linalg import matrix_json_text  # loaded already by whatever made the matrix
+        from .linalg import matrix_json_text, matrix_to_json  # loaded already by whatever made the matrix
 
-        out.append(matrix_json_text(obj))
-    elif isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values()):
+        try:
+            out.append(matrix_json_text(obj))
+        except ValueError:  # a non-finite entry
+            _pieces(matrix_to_json(obj), out)
+        return out
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else None
+    if values is None or not any(isinstance(v, _NESTED) for v in values):
+        try:
+            out.append(_encode(obj))
+            return out
+        except ValueError:  # the strict encoder refuses only a non-finite float
+            if values is None:
+                out.append("null")
+                return out
+    if isinstance(obj, dict):
         for i, (k, v) in enumerate(obj.items()):
             out.append(("," if i else "{") + _encode({k: 0})[1:-3] + ":")  # the key as json writes it
             _pieces(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
+    else:
         for i, v in enumerate(obj):
             out.append("," if i else "[")
             _pieces(v, out)
         out.append("]")
-    else:
-        out.append(_encode(obj))
     return out
 
 
-def _write_report(report: dict) -> dict:
-    """Print ``report`` to stdout as one line of strict JSON and return the report as printed.
+def _write_report(report: dict) -> None:
+    """Print ``report`` to stdout as one line of strict JSON, with null for each non-finite number.
 
-    The strict encoder rejects only a non-finite number, so ``_jsonable`` copies
-    the payload, writing those numbers as null, only after that has happened.
     Nothing is written unless the whole line was encoded.  A reader that has
     closed stdout is an input error (``CliError``).
     """
-    try:
-        pieces = _pieces(report, [])
-    except ValueError:
-        report = {**report, "payload": _jsonable(report["payload"])}
-        pieces = _pieces(report, [])
+    pieces = _pieces(report, [])
     try:
         for piece in pieces + ["\n"]:
             sys.stdout.write(piece)
@@ -445,7 +430,6 @@ def _write_report(report: dict) -> dict:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise CliError(f"cannot write the report: {exc.strerror}") from exc
-    return report
 
 
 def run(argv: list[str]) -> int:
@@ -460,7 +444,7 @@ def run(argv: list[str]) -> int:
     try:
         code, payload_kind, payload = args.func(args, digests)
         report = _report(args, argv, payload_kind, payload, digests, started)
-        printed = _write_report(report)  # writes nothing unless every piece was encoded
+        _write_report(report)  # writes nothing unless every piece was encoded
     except ValueError as exc:  # CliError and the domain checks: usage or input errors
         print(f"distlab: error: {exc}", file=sys.stderr)
         return 2
@@ -471,7 +455,7 @@ def run(argv: list[str]) -> int:
             raise
         print(f"distlab: error: {exc}", file=sys.stderr)
         return 2
-    print(summarize(printed), file=sys.stderr)
+    print(summarize(report), file=sys.stderr)
     return code
 
 

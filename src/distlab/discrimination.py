@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, check_dims, dagger, embed_matrix, hermitian_part, in_workers
-from .linalg import matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
+from .linalg import is_integer, matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
 from .povm import (
     Locc1Tree,
     Povm,
@@ -63,10 +63,14 @@ class DiscriminationVerdict:
     """Hit-table analysis of one POVM against one state set: ``mode`` is perfect or unambiguous, and
     ``hit_table`` holds p(j|i) = tr(M_j rho_i), a row per state."""
 
-    def __init__(self, mode: str, povm_kind: str, passes: bool, hit_table: np.ndarray, success_probability: float,
+    def __init__(self, mode: str, povm_kind: str, hit_table: np.ndarray, success_probability: float,
                  violations: tuple[dict, ...], tol: float):
-        self.mode, self.povm_kind, self.passes, self.hit_table = mode, povm_kind, passes, hit_table
+        self.mode, self.povm_kind, self.hit_table = mode, povm_kind, hit_table
         self.success_probability, self.violations, self.tol = success_probability, violations, tol
+
+    @property
+    def passes(self) -> bool:
+        return not self.violations
 
 
 class GlobalVerdict:
@@ -132,7 +136,6 @@ def check_perfect(povm: Povm, states: StateSet, tol: float = DEFAULT_TOL) -> Dis
     return DiscriminationVerdict(
         mode="perfect",
         povm_kind=povm.kind,
-        passes=not violations,
         hit_table=table,
         success_probability=float(np.mean(totals)),
         violations=tuple(violations),
@@ -167,7 +170,6 @@ def check_unambiguous(
     return DiscriminationVerdict(
         mode="unambiguous",
         povm_kind=povm.kind,
-        passes=not violations,
         hit_table=table,
         success_probability=float(np.min(totals)),
         violations=tuple(violations),
@@ -397,8 +399,9 @@ def local_global_fuzz(
     its kind, (b) the hit-table trace identity holds to 1e-12, and (c) the
     restriction never discriminates the set when the original fails to
     discriminate the embedded set.  Failures are data, not exceptions; each
-    trial records its first failed check.  The kinds are those of
-    ``FUZZ_KINDS``, each at most once, and are checked before any trial.
+    trial records its first failed check.  The kinds are one or more of
+    ``FUZZ_KINDS``, each at most once, ``trials`` an integer of at least 1
+    and ``seed`` one of at least 0; all are checked before any trial.
 
     Trials run in blocks: a block holds as many trials as it takes for their
     POVM elements to fill ``BLOCK_BYTES``.  Each trial draws from its own
@@ -417,6 +420,8 @@ def local_global_fuzz(
     """
     new_dims = check_dims(new_dims)
     kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("at least one kind required")
     for kind in kinds:
         if kind not in FUZZ_KINDS:
             raise ValueError(f"no sampler for kind {kind!r}; the fuzz samples {', '.join(FUZZ_KINDS)}")
@@ -424,6 +429,10 @@ def local_global_fuzz(
         raise ValueError(f"each kind may be fuzzed once, got {', '.join(kinds)}")
     if "ppt" in kinds and len(new_dims) < 2:
         raise ValueError("PPT needs at least two parties")
+    if not (is_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     embedded = embed_set(states, new_dims)
     sizes = [-(-BLOCK_BYTES // _sample_bytes(kind, new_dims)) for kind in kinds]  # trials per block
     counts = [-(-trials // size) for size in sizes]  # blocks per kind
@@ -470,15 +479,17 @@ def verdict_to_json(v: DiscriminationVerdict) -> dict:
 def verdict_from_json(obj: dict) -> DiscriminationVerdict:
     strict_object(obj, "verdict", {"mode": str, "povm_kind": str, "passes": bool, "hit_table": dict,
                                    "success_probability": float, "violations": [dict], "tol": float})
-    return DiscriminationVerdict(
+    verdict = DiscriminationVerdict(
         mode=obj["mode"],
         povm_kind=obj["povm_kind"],
-        passes=obj["passes"],
         hit_table=matrix_from_json(obj["hit_table"]).real,
         success_probability=obj["success_probability"],
         violations=tuple(dict(x) for x in obj["violations"]),
         tol=obj["tol"],
     )
+    if verdict.passes != obj["passes"]:
+        raise ValueError("verdict pass flag disagrees with violation list")
+    return verdict
 
 
 def harness_to_json(r: HarnessReport) -> dict:

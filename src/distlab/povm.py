@@ -330,10 +330,10 @@ def is_ppt_povm(
     return all(np.all(psd_certified(partial_transpose(checked, p.dims, cut), tol)) for cut in cuts)
 
 
-def _sep_witness(p: Povm, tol: float) -> SepDecomposition:
+def _sep_witness(p: Povm) -> SepDecomposition:
     w = p.witness
-    if isinstance(w, Locc1Tree):
-        w = flatten_locc1(w, tol).witness
+    if isinstance(w, Locc1Tree):  # the leaves' product terms: whether the families are complete says nothing here
+        w = tree_povm(w).witness
     if not isinstance(w, SepDecomposition):
         raise ValueError("POVM carries no separability witness")
     elements = int(np.prod(p.elements.shape[:-2]))
@@ -346,7 +346,7 @@ def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
     """Check the separability witness: Hermitian local factors whose PSD-ness
     :func:`~distlab.linalg.psd_certified` decides, reconstructing each element
     within ``tol`` (for a batch, one answer per member)."""
-    witness = _sep_witness(p, tol)
+    witness = _sep_witness(p)
     if len(witness.factors) != len(p.dims):
         raise ValueError("witness term does not have one factor per party")
     member = witness.owner // len(p)  # the batch member of each term

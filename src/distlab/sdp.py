@@ -398,12 +398,10 @@ def problem_to_json(problem: SdpProblem) -> dict:
 
 def problem_from_json(obj: dict) -> SdpProblem:
     strict_object(obj, "SDP problem", {"target": dict, "dims": [int], "blocks": [dict]})
-    objective = []
-    pt_cuts = []
     for block in obj["blocks"]:
         strict_object(block, "SDP block", {"objective": dict}, {"pt_cuts": [list]})
-        objective.append(matrix_from_json(block["objective"]))
-        pt_cuts.append(block.get("pt_cuts", []))
+    objective = matrices_from_json([block["objective"] for block in obj["blocks"]], "SDP problem")
+    pt_cuts = [block.get("pt_cuts", []) for block in obj["blocks"]]
     return SdpProblem(objective, matrix_from_json(obj["target"]), obj["dims"], pt_cuts)
 
 

@@ -2,11 +2,11 @@
 
 It always copies the payload first, one value at a time, writing every
 non-finite float as null and every numpy matrix as its wire-format object,
-and then encodes the copy as strict JSON.  The CLI now encodes a report
-strictly at once, writes a matrix's text straight from the array, and makes
-that copy only when the encoder rejects a non-finite float;
-``tests/test_cli.py`` asserts that both print the same bytes and hand the
-same report to ``summarize``.
+and then encodes the copy as strict JSON.  The CLI makes no copy: it encodes
+a report in one walk, writes a matrix's text straight from the array, and
+walks into a value only where the strict encoder refuses a non-finite float
+in it; ``tests/test_cli.py`` asserts that both print the same bytes and that
+``summarize`` prints the same line for the report and for its copy here.
 """
 
 import json

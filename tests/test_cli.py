@@ -234,6 +234,29 @@ def test_flatten_honours_the_tol_of_every_command(tmp_path, capsys):
     assert report["payload"]["details"]["sep_witness_ok"] is True
 
 
+def test_a_tree_witness_is_judged_by_its_product_terms(tmp_path, capsys):
+    # Alice's family {|0><0|, |1><1|/2} is incomplete; only the leaves' product terms can make a SEP witness
+    def leaf(a, b):
+        return {"element": matrix_to_json(a), "children": {"party": 1, "outcomes": [{"element": matrix_to_json(b)}]}}
+
+    def verify_sep(elements, leaves):
+        tree = {"dims": [2, 2], "party_order": [0, 1], "root": {"party": 0, "outcomes": leaves}}
+        povm_obj = {**povm_to_json(Povm(elements, (2, 2))), "witness": {"type": "locc1", "tree": tree}}
+        path = write_json(tmp_path / "povm.json", povm_obj)
+        return run_captured(capsys, ["verify", "--povm", path, "--kind", "sep"])
+
+    zero, one, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    code, report, err = verify_sep([np.kron(zero, eye), np.kron(one, eye)], [leaf(zero, eye), leaf(one / 2, eye)])
+    assert code == 1
+    assert report["payload"]["details"]["sep_witness_ok"] is False
+    assert "VERIFY sep: FAIL" in err
+    # incomplete families whose product terms rebuild a valid POVM: the witness is good
+    halves = [leaf(eye / 2, 1.5 * eye), leaf(eye / 2, eye / 2)]
+    code, report, _ = verify_sep([0.75 * np.eye(4), 0.25 * np.eye(4)], halves)
+    assert code == 0
+    assert report["payload"]["details"]["sep_witness_ok"] is True
+
+
 def test_discriminate_domino(tmp_path, capsys):
     dominoes = domino_states()
     states_path = write_json(tmp_path / "domino.json", state_set_to_json(dominoes))
@@ -835,7 +858,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert paths[NON_FINITE[case]] in captured.err
         assert "NaN or Infinity" in captured.err
     if case == "fuzz-negative-seed":
-        assert "--seed" in captured.err
+        assert "seed must be a non-negative integer, got -1" in captured.err
     if case == "matrix-negative-rows":
         assert "negative, got -2x-2" in captured.err
 
@@ -1066,6 +1089,9 @@ TYPE_BREAKING_REPORTS = {
     "verdict-povm-kind-list": lambda: report_of("verdict", verdict_payload(povm_kind=["sep"])),
     "verdict-passes-text": lambda: report_of("verdict", verdict_payload(passes="false")),
     "verdict-passes-int": lambda: report_of("verdict", verdict_payload(passes=0)),
+    # pass flags that disagree with the violation list (the verdict fixture has violations)
+    "verdict-fails-without-violations": lambda: report_of("verdict", verdict_payload(passes=False, violations=[])),
+    "verdict-passes-with-violations": lambda: report_of("verdict", verdict_payload(passes=True)),
     "verdict-violations-object": lambda: report_of("verdict", verdict_payload(violations={})),
     "solution-status-int": lambda: report_of("sdp_solution", solution_payload(status=5)),
     "solution-iterations-float": lambda: report_of("sdp_solution", solution_payload(iterations=25.5)),
@@ -1177,10 +1203,9 @@ def test_report_writer_nulls_non_finite_matrix_entries(capsys):
     matrix = {"rows": 1, "cols": 4, "re": [np.nan, np.inf, -np.inf, -0.0], "im": [0.0, np.float64(np.nan), 1.0, 2.0]}
     report = report_of("verification", {"kind": "general", "passed": False, "details": {"matrix": matrix}})
     report["manifest"] = {"command": "verify", "arguments": ("--kind", "general"), "seed": None}
-    written = distlab.cli._write_report(report)
+    distlab.cli._write_report(report)
     out = capsys.readouterr().out
     assert out == reference_encode(report)
-    assert written == reference_report(report)
     assert json.loads(out, parse_constant=reject_constant)["payload"]["details"]["matrix"] == {
         "rows": 1, "cols": 4, "re": [None, None, None, -0.0], "im": [0.0, None, 1.0, 2.0]
     }
@@ -1191,13 +1216,33 @@ def test_report_writer_nulls_non_finite_entries_of_an_array_matrix(capsys):
     matrix.real, matrix.imag = [[np.nan, 0.0, -0.0], [np.inf, 1.5, 0.0]], [[0.0, -np.inf, 2.0], [0.0, 0.0, -0.0]]
     report = report_of("state_set", {"dims": [2], "states": [{"label": "x", "matrix": matrix}]})
     report["manifest"] = {"command": "gen", "arguments": []}
-    written = distlab.cli._write_report(report)
+    distlab.cli._write_report(report)
     out = capsys.readouterr().out
     assert out == reference_encode(report)
-    assert written == reference_report(report)
     assert json.loads(out, parse_constant=reject_constant)["payload"]["states"][0]["matrix"] == {
         "rows": 2, "cols": 3, "re": [None, 0.0, -0.0, None, 1.5, 0.0], "im": [0.0, None, 2.0, 0.0, 0.0, -0.0]
     }
+
+
+def test_a_non_finite_number_leaves_a_finite_matrix_to_its_text(capsys, monkeypatch):
+    calls = []
+    to_json = distlab.linalg.matrix_to_json
+
+    def recorded(m):
+        calls.append(m)
+        return to_json(m)
+
+    monkeypatch.setattr(distlab.linalg, "matrix_to_json", recorded)
+    matrix = np.array([[0.5, -0.0], [1j, -np.pi]])
+    payload = {"kind": "general", "passed": False, "completeness_residual": float("nan"), "details": {"m": matrix}}
+    report = report_of("verification", payload)
+    report["manifest"] = {"command": "verify", "arguments": []}
+    distlab.cli._write_report(report)
+    out = capsys.readouterr().out
+    assert out == reference_encode(report)
+    assert calls == []  # the matrix was written from the array, not through its lists
+    assert json.loads(out)["payload"]["completeness_residual"] is None
+    assert summarize(report) == summarize(reference_report(report)) == "VERIFY general: FAIL (completeness n/a)"
 
 
 def test_a_closed_stdout_is_one_error_line():
@@ -1218,9 +1263,9 @@ def test_a_closed_stdout_is_one_error_line():
 
 def test_finite_reports_are_encoded_without_the_walk(tmp_path, capsys, monkeypatch):
     def no_walk(obj):
-        raise AssertionError("a finite report was walked")
+        raise AssertionError("a finite matrix was written through its lists")
 
-    monkeypatch.setattr(distlab.cli, "_jsonable", no_walk)
+    monkeypatch.setattr(distlab.linalg, "matrix_to_json", no_walk)
     dominoes = domino_states()
     states_path = write_json(tmp_path / "domino.json", state_set_to_json(dominoes))
     povm_path = write_json(tmp_path / "proj.json", povm_to_json(Povm(dominoes.rhos, (3, 3), kind="projective")))
@@ -1263,9 +1308,8 @@ def test_shared_encoder_prints_what_one_strict_encoding_prints(capsys, monkeypat
     states = [{"label": LABELS[k % 3] * k, "matrix": _matrix(k / 3)} for k in range(count)]
     report = report_of("state_set", {"dims": [2], "states": states, "note": "a list, a key: [\"]"})
     report["manifest"] = {"command": "gen", "arguments": ["--family", 'q"uote'], "input_digests": {"ψ": "0"}}
-    written = distlab.cli._write_report(report)
+    distlab.cli._write_report(report)
     assert capsys.readouterr().out == json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
-    assert written is report
     assert forked == []  # the report is encoded in this process, whatever the CPU count
 
 
@@ -1275,10 +1319,9 @@ def test_shared_encoder_writes_a_non_finite_entry_as_null(capsys, monkeypatch, w
     failures = [{"seed_offset": k, "check": "x", "residual": float("nan") if k == 4 else k / 7} for k in range(6)]
     report = report_of("harness", {"kinds": ["general"], "failures": failures, "passes": False})
     report["manifest"] = {"command": "fuzz", "arguments": []}
-    written = distlab.cli._write_report(report)
+    distlab.cli._write_report(report)
     out = capsys.readouterr().out
     assert out == reference_encode(report)
-    assert written == reference_report(report)
     assert json.loads(out)["payload"]["failures"][4]["residual"] is None
     assert forked == []
 

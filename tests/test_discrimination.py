@@ -822,6 +822,27 @@ def test_local_global_fuzz_rejects_ppt_on_one_party_before_any_trial(monkeypatch
             local_global_fuzz(two, kinds, (3,), trials=5, seed=1)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"trials": -5}, "trials must be an integer of at least 1, got -5"),
+        ({"trials": 0}, "trials must be an integer of at least 1, got 0"),
+        ({"trials": 2.0}, "trials must be an integer of at least 1, got 2.0"),
+        ({"trials": True}, "trials must be an integer of at least 1, got True"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"kinds": []}, "at least one kind required"),
+    ],
+    ids=["negative-trials", "zero-trials", "float-trials", "bool-trials", "negative-seed", "float-seed", "no-kind"],
+)
+def test_local_global_fuzz_rejects_bad_trials_seeds_and_kind_lists_before_any_trial(monkeypatch, changes, message):
+    # 0 or -5 trials and an empty kind list each gave a passing report; a negative seed failed in numpy's draw
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
+    arguments = {"kinds": ["general"], "new_dims": (3, 3), "trials": 2, "seed": 1, **changes}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        local_global_fuzz(bell_states().subset([0, 2]), **arguments)
+
+
 @pytest.mark.parametrize("bad", [3.9, "3", True], ids=["float", "str", "bool"])
 def test_local_global_fuzz_takes_integer_dims_only(monkeypatch, bad):
     # int() truncated them: (3.9, 3) ran the trials on (3, 3) and reported dims (3, 3)
@@ -862,13 +883,6 @@ def test_local_global_fuzz_domino_sep():
     assert report.passes
 
 
-def test_local_global_fuzz_empty():
-    three = bell_states().subset([0, 1, 2])
-    report = local_global_fuzz(three, ["general", "ppt"], (3, 3), trials=0, seed=0)
-    assert report.passes
-    assert report.failures == ()
-
-
 def test_verdict_json_roundtrip():
     povm = Povm(KET01, (2,))
     states = StateSet([pure_state([1, 0], (2,)), pure_state([0, 1], (2,))])
@@ -879,6 +893,11 @@ def test_verdict_json_roundtrip():
     assert np.max(np.abs(back.hit_table - verdict.hit_table)) == 0.0
     with pytest.raises(ValueError):
         verdict_from_json({**verdict_to_json(verdict), "surprise": 1})
+    # the passing verdict has no violations: a false flag, or a violation beside a true one, contradicts it
+    violation = {"kind": "state-not-identified", "state": 0, "probability": 0.5}
+    for changes in ({"passes": False}, {"violations": [violation]}):
+        with pytest.raises(ValueError, match="^verdict pass flag disagrees with violation list$"):
+            verdict_from_json({**verdict_to_json(verdict), **changes})
 
 
 def test_harness_json_roundtrip():

@@ -158,6 +158,11 @@ def test_the_solver_reaches_partial_transpose_through_one_function():
     assert call_sites(SOURCE / "sdp.py", "partial_transpose") == ["sdp._frame"]
 
 
+def test_the_report_writer_reaches_matrix_lists_through_one_walk():
+    # a matrix's text comes from matrix_json_text; only the walk that nulls a non-finite entry builds its lists
+    assert call_sites(SOURCE / "cli.py", "matrix_to_json") == ["cli._pieces"]
+
+
 def masked_takes(path: Path) -> list[str]:
     """The source of every ``take_batch`` call in ``path`` whose index (second argument or ``index=``) is neither an
     integer literal nor an ``int(...)`` call, or that passes no index."""

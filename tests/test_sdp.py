@@ -317,6 +317,14 @@ def test_a_problem_without_cuts_keeps_its_dims_through_json():
     assert SdpProblem([PHI_PLUS], np.eye(4)).dims == (4,)
 
 
+def test_problem_from_json_names_the_block_of_another_side():
+    # the blocks were stacked by numpy, whose message spoke of an inhomogeneous shape
+    blocks = [{"objective": matrix_to_json(np.eye(2) / 2)}, {"objective": matrix_to_json(np.eye(3) / 2)}]
+    obj = {"target": matrix_to_json(np.eye(2)), "dims": [2], "blocks": blocks}
+    with pytest.raises(ValueError, match=r"^SDP problem matrix 1 has shape \(3, 3\), expected \(2, 2\)$"):
+        problem_from_json(obj)
+
+
 @pytest.mark.parametrize("matrices", [[], [np.eye(2), np.eye(3)]], ids=["empty", "mixed-shapes"])
 def test_solution_from_json_rejects_an_empty_or_ragged_matrix_list(matrices):
     obj = solution_to_json(solve(operator_interval_problem(np.diag([0.7, 0.3])), SolveOptions(max_iter=25)))
