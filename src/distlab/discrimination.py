@@ -21,9 +21,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, check_dims, dagger, embed_matrix, hermitian_part, in_workers
-from .linalg import is_integer, matrix_from_json, matrix_to_json, restrict_matrix, strict_object, trace_products
+from .linalg import ALGEBRA_TOL, BLOCK_BYTES, DEFAULT_TOL, check_dims, check_sub_dims, dagger, embed_matrix
+from .linalg import hermitian_part, in_workers, is_integer, matrix_from_json, matrix_to_json, restrict_matrix
+from .linalg import strict_object, trace_products
 from .povm import (
+    POVM_KINDS,
     Locc1Tree,
     Povm,
     canonical_cuts,
@@ -65,6 +67,10 @@ class DiscriminationVerdict:
 
     def __init__(self, mode: str, povm_kind: str, hit_table: np.ndarray, success_probability: float,
                  violations: tuple[dict, ...], tol: float):
+        if mode not in ("perfect", "unambiguous"):
+            raise ValueError(f"unknown discrimination mode {mode!r}")
+        if povm_kind not in POVM_KINDS:
+            raise ValueError(f"unknown POVM kind {povm_kind!r}")
         self.mode, self.povm_kind, self.hit_table = mode, povm_kind, hit_table
         self.success_probability, self.violations, self.tol = success_probability, violations, tol
 
@@ -89,10 +95,29 @@ class Theorem1Result:
 
 
 class HarnessReport:
-    def __init__(self, trials: int, seed: int, kinds: tuple[str, ...], dims: tuple[int, ...], sub_dims: tuple[int, ...],
+    """A fuzz run of ``trials`` trials per kind from ``seed``, on ``dims`` restricted to ``sub_dims``.  The kinds are
+    one or more of ``FUZZ_KINDS``, each at most once and ``ppt`` only on two parties or more; ``trials`` is an
+    integer (see :func:`is_integer`) of at least 1 and ``seed`` one of at least 0; ``sub_dims`` has as many parties
+    as ``dims`` and none larger.  These are the rules of :func:`local_global_fuzz` and of its reports."""
+
+    def __init__(self, trials: int, seed: int, kinds: Sequence[str], dims: Sequence[int], sub_dims: Sequence[int],
                  failures: tuple[dict, ...]):
-        self.trials, self.seed, self.kinds, self.dims, self.sub_dims = trials, seed, kinds, dims, sub_dims
-        self.failures = failures
+        dims, kinds = check_dims(dims), tuple(kinds)
+        if not kinds:
+            raise ValueError("at least one kind required")
+        for kind in kinds:
+            if kind not in FUZZ_KINDS:
+                raise ValueError(f"no sampler for kind {kind!r}; the fuzz samples {', '.join(FUZZ_KINDS)}")
+        if len(set(kinds)) != len(kinds):
+            raise ValueError(f"each kind may be fuzzed once, got {', '.join(kinds)}")
+        if "ppt" in kinds and len(dims) < 2:
+            raise ValueError("PPT needs at least two parties")
+        for value, least, rule in ((trials, 1, "trials must be an integer of at least 1"),
+                                   (seed, 0, "seed must be a non-negative integer")):
+            if not (is_integer(value) and value >= least):
+                raise ValueError(f"{rule}, got {value!r}")
+        self.trials, self.seed, self.kinds, self.dims = trials, seed, kinds, dims
+        self.sub_dims, self.failures = check_sub_dims(dims, sub_dims), failures
 
     @property
     def passes(self) -> bool:
@@ -399,9 +424,13 @@ def local_global_fuzz(
     its kind, (b) the hit-table trace identity holds to 1e-12, and (c) the
     restriction never discriminates the set when the original fails to
     discriminate the embedded set.  Failures are data, not exceptions; each
-    trial records its first failed check.  The kinds are one or more of
-    ``FUZZ_KINDS``, each at most once, ``trials`` an integer of at least 1
-    and ``seed`` one of at least 0; all are checked before any trial.
+    trial records its first failed check.  The arguments obey the rules of
+    :class:`HarnessReport`, which checks them before any trial.
+
+    Check (c) does not follow from (b): (b) restricts the big elements itself,
+    with :func:`restrict_matrix`, and never sees the POVM that (a) checked, so
+    only (c) catches a :func:`restrict_povm` that returns another POVM of the
+    kind, one that discriminates the set.
 
     Trials run in blocks: a block holds as many trials as it takes for their
     POVM elements to fill ``BLOCK_BYTES``.  Each trial draws from its own
@@ -418,21 +447,8 @@ def local_global_fuzz(
     a multi-threaded BLAS, the interpreter may warn (``DeprecationWarning``)
     that it forks a process that has threads.
     """
-    new_dims = check_dims(new_dims)
-    kinds = tuple(kinds)
-    if not kinds:
-        raise ValueError("at least one kind required")
-    for kind in kinds:
-        if kind not in FUZZ_KINDS:
-            raise ValueError(f"no sampler for kind {kind!r}; the fuzz samples {', '.join(FUZZ_KINDS)}")
-    if len(set(kinds)) != len(kinds):
-        raise ValueError(f"each kind may be fuzzed once, got {', '.join(kinds)}")
-    if "ppt" in kinds and len(new_dims) < 2:
-        raise ValueError("PPT needs at least two parties")
-    if not (is_integer(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
-    if not (is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    report = HarnessReport(trials, seed, kinds, new_dims, states.dims, ())
+    kinds, new_dims = report.kinds, report.dims
     embedded = embed_set(states, new_dims)
     sizes = [-(-BLOCK_BYTES // _sample_bytes(kind, new_dims)) for kind in kinds]  # trials per block
     counts = [-(-trials // size) for size in sizes]  # blocks per kind
@@ -454,14 +470,8 @@ def local_global_fuzz(
     import numpy.random  # noqa: F401 - numpy loads it on first use: here once, not in every forked worker
 
     failures = [f for found in in_workers(block, sum(counts)).values() for f in found]
-    return HarnessReport(
-        trials=trials,
-        seed=seed,
-        kinds=kinds,
-        dims=new_dims,
-        sub_dims=states.dims,
-        failures=tuple(sorted(failures, key=lambda f: (f["kind"], f["seed_offset"]))),
-    )
+    report.failures = tuple(sorted(failures, key=lambda f: (f["kind"], f["seed_offset"])))
+    return report
 
 
 def verdict_to_json(v: DiscriminationVerdict) -> dict:
@@ -510,9 +520,9 @@ def harness_from_json(obj: dict) -> HarnessReport:
     report = HarnessReport(
         trials=obj["trials"],
         seed=obj["seed"],
-        kinds=tuple(obj["kinds"]),
-        dims=check_dims(obj["dims"]),
-        sub_dims=check_dims(obj["sub_dims"]),
+        kinds=obj["kinds"],
+        dims=obj["dims"],
+        sub_dims=obj["sub_dims"],
         failures=tuple(dict(f) for f in obj["failures"]),
     )
     if report.passes != obj["passes"]:

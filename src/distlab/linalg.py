@@ -90,6 +90,16 @@ def check_dims(dims: Sequence[int], side: int | None = None) -> tuple[int, ...]:
     return t
 
 
+def check_sub_dims(dims: tuple[int, ...], sub_dims: Sequence[int]) -> tuple[int, ...]:
+    """Validate ``sub_dims`` as a subsystem of the checked ``dims``: as many parties, none larger."""
+    sub_dims = check_dims(sub_dims)
+    if len(sub_dims) != len(dims):
+        raise ValueError(f"party count mismatch: {len(dims)} vs {len(sub_dims)}")
+    if any(s > d for d, s in zip(dims, sub_dims)):
+        raise ValueError(f"sub_dims {sub_dims} must not exceed dims {dims}")
+    return sub_dims
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of one matrix or of each matrix of a stack."""
     return np.swapaxes(m.conj(), -1, -2)
@@ -263,12 +273,7 @@ def restrict_matrix(m: np.ndarray, dims: Sequence[int], sub_dims: Sequence[int])
     """Exact adjoint of :func:`embed_matrix`: keep rows/columns with in-range multi-indices."""
     m = as_stack(m)
     dims = check_dims(dims, m.shape[-1])
-    sub_dims = check_dims(sub_dims)
-    if len(sub_dims) != len(dims):
-        raise ValueError(f"party count mismatch: {len(dims)} vs {len(sub_dims)}")
-    if any(s > d for d, s in zip(dims, sub_dims)):
-        raise ValueError(f"sub_dims {sub_dims} must not exceed dims {dims}")
-    idx = _inrange_indices(dims, sub_dims)
+    idx = _inrange_indices(dims, check_sub_dims(dims, sub_dims))
     return m[..., idx[:, None], idx]
 
 

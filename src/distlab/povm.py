@@ -27,6 +27,7 @@ from .linalg import (
     as_stack,
     bipartition,
     check_dims,
+    check_sub_dims,
     dagger,
     hermitian_part,
     hermiticity_defect,
@@ -507,9 +508,7 @@ def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
 
 def restrict_locc1(tree: Locc1Tree, sub_dims: Sequence[int]) -> Locc1Tree:
     """Restrict every conditional local element to its party's smaller dimension."""
-    sub_dims = check_dims(sub_dims)
-    if len(sub_dims) != len(tree.dims) or any(s > d for s, d in zip(sub_dims, tree.dims)):
-        raise ValueError(f"cannot restrict dims {tree.dims} to {sub_dims}")
+    sub_dims = check_sub_dims(tree.dims, sub_dims)
     levels = [level[..., : sub_dims[p], : sub_dims[p]] for level, p in zip(tree.levels, tree.party_order)]
     return Locc1Tree(sub_dims, tree.party_order, levels, tree.parents)
 

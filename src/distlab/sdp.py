@@ -78,6 +78,8 @@ PENALTY = 1.0
 OVER_RELAXATION = 1.6
 CHECK_EVERY = 25
 
+STATUSES = ("optimal", "max-iterations", "infeasible-evidence", "solver-failure")  # how a solve ends
+
 
 class SdpProblem:
     """Block-diagonal conic program with a single completeness constraint: a ``(blocks, side, side)`` stack
@@ -133,6 +135,10 @@ class SdpSolution:
 
     def __init__(self, matrices: np.ndarray, objective_value: float, status: str, residuals: dict, iterations: int,
                  history: tuple[dict, ...]):
+        if status not in STATUSES:
+            raise ValueError(f"unknown solve status {status!r}")
+        if not (is_integer(iterations) and iterations >= 0):
+            raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
         self.matrices, self.objective_value, self.status = matrices, objective_value, status
         self.residuals, self.iterations, self.history = residuals, iterations, history
 

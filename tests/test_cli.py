@@ -1111,6 +1111,56 @@ def test_parse_report_raises_only_value_error(case):
         parse_report(TYPE_BREAKING_REPORTS[case]())
 
 
+# reports of the right JSON kinds whose values no command writes, with the message refusing each; each once parsed
+VALUE_BREAKING_REPORTS = {
+    "harness-trials-negative": (
+        lambda: report_of("harness", harness_payload(trials=-5)), "trials must be an integer of at least 1, got -5"
+    ),
+    "harness-seed-negative": (
+        lambda: report_of("harness", harness_payload(seed=-2)), "seed must be a non-negative integer, got -2"
+    ),
+    "harness-kinds-empty": (lambda: report_of("harness", harness_payload(kinds=[])), "at least one kind required"),
+    "harness-kinds-unknown-twice": (
+        lambda: report_of("harness", harness_payload(kinds=["magic", "magic"])), "no sampler for kind 'magic'; .+"
+    ),
+    "harness-kinds-repeated": (
+        lambda: report_of("harness", harness_payload(kinds=["general", "general"])),
+        "each kind may be fuzzed once, got general, general",
+    ),
+    "harness-ppt-on-one-party": (
+        lambda: report_of("harness", harness_payload(kinds=["ppt"], dims=[3], sub_dims=[2])),
+        "PPT needs at least two parties",
+    ),
+    "harness-sub-dims-more-parties": (
+        lambda: report_of("harness", harness_payload(sub_dims=[4, 4, 4])), "party count mismatch: 2 vs 3"
+    ),
+    "harness-sub-dims-larger": (
+        lambda: report_of("harness", harness_payload(sub_dims=[4, 2])),
+        r"sub_dims \(4, 2\) must not exceed dims \(3, 3\)",
+    ),
+    "verdict-mode-unknown": (
+        lambda: report_of("verdict", verdict_payload(mode="banana")), "unknown discrimination mode 'banana'"
+    ),
+    "verdict-povm-kind-unknown": (
+        lambda: report_of("verdict", verdict_payload(povm_kind="magic")), "unknown POVM kind 'magic'"
+    ),
+    "solution-status-unknown": (
+        lambda: report_of("sdp_solution", solution_payload(status="banana")), "unknown solve status 'banana'"
+    ),
+    "solution-iterations-negative": (
+        lambda: report_of("sdp_solution", solution_payload(iterations=-3)),
+        "iterations must be a non-negative integer, got -3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_BREAKING_REPORTS))
+def test_parse_report_refuses_values_no_command_writes(case):
+    build, message = VALUE_BREAKING_REPORTS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_report(build())
+
+
 @pytest.fixture(scope="module")
 def valid_reports(tmp_path_factory):
     """Reports of gen, verify, discriminate and fuzz, as the CLI prints them."""

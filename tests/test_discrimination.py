@@ -835,12 +835,29 @@ def test_local_global_fuzz_rejects_ppt_on_one_party_before_any_trial(monkeypatch
     ],
     ids=["negative-trials", "zero-trials", "float-trials", "bool-trials", "negative-seed", "float-seed", "no-kind"],
 )
-def test_local_global_fuzz_rejects_bad_trials_seeds_and_kind_lists_before_any_trial(monkeypatch, changes, message):
-    # 0 or -5 trials and an empty kind list each gave a passing report; a negative seed failed in numpy's draw
+@pytest.mark.parametrize("read", [False, True], ids=["fuzz", "report"])
+def test_local_global_fuzz_rejects_bad_trials_seeds_and_kind_lists_before_any_trial(
+    monkeypatch, changes, message, read
+):
+    # 0 or -5 trials and an empty kind list each gave a passing report; a negative seed failed in numpy's draw.
+    # harness_from_json parsed such reports; it checks JSON kinds first, so 2.0, true and 1.5 fail there
     monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
     arguments = {"kinds": ["general"], "new_dims": (3, 3), "trials": 2, "seed": 1, **changes}
+    ((name, value),) = changes.items()
+    if read and not isinstance(value, list) and not distlab.linalg.is_integer(value):
+        message = f"harness field '{name}' must be a JSON integer"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        local_global_fuzz(bell_states().subset([0, 2]), **arguments)
+        if read:
+            fields = {k: arguments[k] for k in ("trials", "seed", "kinds")}
+            harness_from_json({**fields, "dims": [3, 3], "sub_dims": [2, 2], "failures": [], "passes": True})
+        else:
+            local_global_fuzz(bell_states().subset([0, 2]), **arguments)
+
+
+def test_local_global_fuzz_rejects_new_dims_below_the_states_dims_before_any_trial(monkeypatch):
+    monkeypatch.setattr(distlab.discrimination, "_sample_of_kind", _no_sample)
+    with pytest.raises(ValueError, match=r"^sub_dims \(2, 2\) must not exceed dims \(3, 1\)$"):
+        local_global_fuzz(bell_states(), ["general"], (3, 1), trials=2, seed=1)
 
 
 @pytest.mark.parametrize("bad", [3.9, "3", True], ids=["float", "str", "bool"])

@@ -163,6 +163,11 @@ def test_the_report_writer_reaches_matrix_lists_through_one_walk():
     assert call_sites(SOURCE / "cli.py", "matrix_to_json") == ["cli._pieces"]
 
 
+def test_the_fuzz_rules_are_written_once():
+    # trials and seed are checked where kinds and dims are, so local_global_fuzz and harness_from_json obey one set
+    assert call_sites(SOURCE / "discrimination.py", "is_integer") == ["discrimination.HarnessReport.__init__"]
+
+
 def masked_takes(path: Path) -> list[str]:
     """The source of every ``take_batch`` call in ``path`` whose index (second argument or ``index=``) is neither an
     integer literal nor an ``int(...)`` call, or that passes no index."""

@@ -734,6 +734,17 @@ def test_restrict_locc1_identity_and_computational():
     assert verify_povm(flat).passed
 
 
+@pytest.mark.parametrize(
+    "sub_dims, message",
+    [((4, 2), r"sub_dims \(4, 2\) must not exceed dims \(3, 3\)"), ((2, 2, 2), "party count mismatch: 2 vs 3")],
+    ids=["larger", "more-parties"],
+)
+def test_restrict_locc1_rejects_sub_dims_that_no_restriction_has(sub_dims, message):
+    # the rule restrict_matrix applies, with its message; the tree's own copy read "cannot restrict dims ..."
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        restrict_locc1(random_locc1((3, 3), 2, seed=2), sub_dims)
+
+
 def test_restrict_flatten_commutation_fuzz():
     worst = 0.0
     for seed in range(500):
