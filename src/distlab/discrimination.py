@@ -40,7 +40,6 @@ from .povm import (
     require_valid,
     restrict_locc1,
     restrict_povm,
-    take_batch,
     tree_povm,
     verify_locc1,
     verify_povm,
@@ -63,7 +62,12 @@ FUZZ_BRANCHING = 2
 
 class DiscriminationVerdict:
     """Hit-table analysis of one POVM against one state set: ``mode`` is perfect or unambiguous, and
-    ``hit_table`` holds p(j|i) = tr(M_j rho_i), a row per state."""
+    ``hit_table`` holds p(j|i) = tr(M_j rho_i), a row per state.
+
+    ``tol`` is a number of at least 0.  ``success_probability`` lies in [0, B], B the mean (perfect) or the
+    minimum (unambiguous) over the states of the running sum of a row's positive entries: each state's
+    total in :func:`_assign_hits` is that running sum with some positive entries replaced by 0.0, and
+    rounding is monotone, so no verdict of :func:`check_perfect` or :func:`check_unambiguous` exceeds B."""
 
     def __init__(self, mode: str, povm_kind: str, hit_table: np.ndarray, success_probability: float,
                  violations: tuple[dict, ...], tol: float):
@@ -71,6 +75,14 @@ class DiscriminationVerdict:
             raise ValueError(f"unknown discrimination mode {mode!r}")
         if povm_kind not in POVM_KINDS:
             raise ValueError(f"unknown POVM kind {povm_kind!r}")
+        if not tol >= 0:
+            raise ValueError(f"tol must be a number of at least 0, got {tol!r}")
+        if np.ndim(hit_table) != 2 or not np.size(hit_table):
+            raise ValueError(f"a hit table needs a state and an outcome, got shape {np.shape(hit_table)}")
+        rows = np.cumsum(np.maximum(hit_table, 0.0), axis=1)[:, -1]
+        bound = float(np.mean(rows) if mode == "perfect" else np.min(rows))
+        if not 0 <= success_probability <= bound:
+            raise ValueError(f"success probability {success_probability!r} lies outside [0, {bound!r}]")
         self.mode, self.povm_kind, self.hit_table = mode, povm_kind, hit_table
         self.success_probability, self.violations, self.tol = success_probability, violations, tol
 
@@ -98,7 +110,12 @@ class HarnessReport:
     """A fuzz run of ``trials`` trials per kind from ``seed``, on ``dims`` restricted to ``sub_dims``.  The kinds are
     one or more of ``FUZZ_KINDS``, each at most once and ``ppt`` only on two parties or more; ``trials`` is an
     integer (see :func:`is_integer`) of at least 1 and ``seed`` one of at least 0; ``sub_dims`` has as many parties
-    as ``dims`` and none larger.  These are the rules of :func:`local_global_fuzz` and of its reports."""
+    as ``dims`` and none larger.  These are the rules of :func:`local_global_fuzz` and of its reports.
+
+    Each of ``failures`` is a record of exactly ``seed_offset`` (an integer in [0, trials)), ``kind`` (one of the
+    kinds), ``check`` (a string; the names are :func:`~distlab.povm.check_kind`'s and the fuzz's own, not listed
+    here again) and ``residual`` (a number, or None where a report has null for NaN).  The records are sorted by
+    (kind, seed_offset), each pair once, as the fuzz writes them."""
 
     def __init__(self, trials: int, seed: int, kinds: Sequence[str], dims: Sequence[int], sub_dims: Sequence[int],
                  failures: tuple[dict, ...]):
@@ -118,6 +135,16 @@ class HarnessReport:
                 raise ValueError(f"{rule}, got {value!r}")
         self.trials, self.seed, self.kinds, self.dims = trials, seed, kinds, dims
         self.sub_dims, self.failures = check_sub_dims(dims, sub_dims), failures
+        record = {"seed_offset": int, "kind": str, "check": str, "residual": (float, type(None))}
+        for f in failures:
+            strict_object(f, "failure record", record)
+            if not 0 <= f["seed_offset"] < trials:
+                raise ValueError(f"failure seed_offset {f['seed_offset']} lies outside [0, {trials})")
+            if f["kind"] not in kinds:
+                raise ValueError(f"failure kind {f['kind']!r} is not one of {', '.join(kinds)}")
+        keys = [(f["kind"], f["seed_offset"]) for f in failures]
+        if keys != sorted(set(keys)):
+            raise ValueError("failure records must be sorted by (kind, seed_offset), each pair once")
 
     @property
     def passes(self) -> bool:
@@ -402,8 +429,10 @@ def _fuzz_block(big: Povm | Locc1Tree, kind: str, states: StateSet, embedded: St
             found[p] = (name, float(values[p]))
         alive &= ok
     if not np.all(valid | ~alive):  # raise the error a lone trial on the first invalid sample raises
-        first = take_batch(big, int(np.flatnonzero(alive & ~valid)[0]))
-        require_valid(flatten_locc1(first, tol) if tree else first, tol)
+        p = int(np.flatnonzero(alive & ~valid)[0])
+        if tree:  # its families first, as flatten_locc1 checks them
+            flatten_locc1(Locc1Tree(big.dims, big.party_order, [level[p] for level in big.levels], big.parents), tol)
+        require_valid(Povm(flat.elements[p], flat.dims), tol)
     for p in np.flatnonzero(alive & gained).tolist():
         found[p] = ("discrimination-gained", float("nan"))
     return found
@@ -470,8 +499,8 @@ def local_global_fuzz(
     import numpy.random  # noqa: F401 - numpy loads it on first use: here once, not in every forked worker
 
     failures = [f for found in in_workers(block, sum(counts)).values() for f in found]
-    report.failures = tuple(sorted(failures, key=lambda f: (f["kind"], f["seed_offset"])))
-    return report
+    failures.sort(key=lambda f: (f["kind"], f["seed_offset"]))
+    return HarnessReport(trials, seed, kinds, new_dims, states.dims, tuple(failures))
 
 
 def verdict_to_json(v: DiscriminationVerdict) -> dict:

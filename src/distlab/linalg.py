@@ -396,6 +396,8 @@ def read_json(raw: bytes):
 
 
 def _has_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_has_kind(value, k) for k in kind)
     if isinstance(kind, list):
         return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
     if kind is int:
@@ -406,9 +408,12 @@ def _has_kind(value, kind) -> bool:
 
 
 def _kind_name(kind, plural: str = "") -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_kind_name(k, plural) for k in kind)
     if isinstance(kind, list):
         return f"list{plural} of {_kind_name(kind[0], 's')}"
-    names = {int: "integer", float: "number", str: "string", bool: "boolean", list: "list", dict: "object"}
+    names = {int: "integer", float: "number", str: "string", bool: "boolean", list: "list", dict: "object",
+             type(None): "null"}
     return names[kind] + plural
 
 
@@ -417,8 +422,9 @@ def strict_object(obj, what: str, required: dict, optional: dict = {}) -> dict:
     ``optional``, and in each field a value of the JSON kind they map it to; raise ``ValueError`` otherwise.
 
     A kind is ``int`` (a JSON integer, not ``true``, ``2.0`` or ``"2"``), ``float`` (a JSON number, not a
-    boolean or text), ``str``, ``bool``, ``list``, ``dict`` (an object), ``object`` (any value) or ``[kind]``
-    (a list whose every entry has that kind).  The readers check values, such as dims, after it."""
+    boolean or text), ``str``, ``bool``, ``list``, ``dict`` (an object), ``type(None)`` (null), ``object`` (any
+    value), ``[kind]`` (a list whose every entry has that kind) or a tuple of kinds (a value of any of them).  The
+    readers check values, such as dims, after it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} JSON must be an object")
     kinds = {**required, **optional}

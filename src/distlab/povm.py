@@ -4,7 +4,9 @@ A POVM is a list of PSD matrices summing to the identity.  Beyond the general
 kind, this module models projective POVMs, PPT POVMs (every element stays PSD
 under partial transposition), SEP POVMs (elements are sums of tensor products
 of local PSD factors, certified by an explicit witness), and one-round local
-measurement trees whose leaves are tensor products along outcome paths.
+measurement trees whose leaves are tensor products along outcome paths.  A
+POVM's witness is always product terms: a tree given as one is stored as its
+leaves' terms, and :class:`Povm` checks the witness's shape when it is built.
 
 Restriction extracts the sub-block supported on the in-range local indices of
 a smaller system; it maps each class to itself, which is the numerical surface
@@ -129,7 +131,10 @@ class Povm:
 
     A ``(b, n, side, side)`` stack holds a batch of ``b`` POVMs; a separability
     witness of a batch covers its ``b * n`` elements in order.  ``kind`` is one of
-    ``POVM_KINDS``; ``witness`` is a ``SepDecomposition``, a ``Locc1Tree`` or None.
+    ``POVM_KINDS``; ``witness`` is None or a ``SepDecomposition`` with one factor
+    stack per party, of that party's dimension, covering every element.  A
+    ``Locc1Tree`` given as the witness is stored as its leaves' product terms,
+    ``tree_povm(tree).witness``: whether its families are complete says nothing here.
     """
 
     def __init__(self, elements, dims, kind="general", witness=None):
@@ -142,6 +147,19 @@ class Povm:
             raise ValueError(f"element stack shape {elements.shape} does not match system side {side}")
         if kind not in POVM_KINDS:
             raise ValueError(f"unknown POVM kind {kind!r}")
+        if isinstance(witness, Locc1Tree):
+            witness = tree_povm(witness).witness
+        if witness is not None:
+            if not isinstance(witness, SepDecomposition):
+                raise ValueError("a witness is a SepDecomposition, a Locc1Tree or None")
+            count = int(np.prod(elements.shape[:-2]))
+            if len(witness) != count:
+                raise ValueError(f"witness covers {len(witness)} elements, POVM has {count}")
+            if len(witness.factors) != len(dims):
+                raise ValueError("witness term does not have one factor per party")
+            for k, f in enumerate(witness.factors):
+                if f.shape[1:] != (dims[k], dims[k]):
+                    raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
         self.elements, self.dims, self.kind, self.witness = elements, dims, kind, witness
 
     def __len__(self) -> int:
@@ -331,30 +349,17 @@ def is_ppt_povm(
     return all(np.all(psd_certified(partial_transpose(checked, p.dims, cut), tol)) for cut in cuts)
 
 
-def _sep_witness(p: Povm) -> SepDecomposition:
-    w = p.witness
-    if isinstance(w, Locc1Tree):  # the leaves' product terms: whether the families are complete says nothing here
-        w = tree_povm(w).witness
-    if not isinstance(w, SepDecomposition):
-        raise ValueError("POVM carries no separability witness")
-    elements = int(np.prod(p.elements.shape[:-2]))
-    if len(w) != elements:
-        raise ValueError(f"witness covers {len(w)} elements, POVM has {elements}")
-    return w
-
-
 def verify_sep(p: Povm, tol: float = DEFAULT_TOL):
     """Check the separability witness: Hermitian local factors whose PSD-ness
     :func:`~distlab.linalg.psd_certified` decides, reconstructing each element
-    within ``tol`` (for a batch, one answer per member)."""
-    witness = _sep_witness(p)
-    if len(witness.factors) != len(p.dims):
-        raise ValueError("witness term does not have one factor per party")
+    within ``tol`` (for a batch, one answer per member).  Its shape was checked
+    when ``p`` was built; a POVM without a witness raises ``ValueError``."""
+    witness = p.witness
+    if witness is None:
+        raise ValueError("POVM carries no separability witness")
     member = witness.owner // len(p)  # the batch member of each term
     bad = np.zeros(len(member), dtype=bool)
-    for k, f in enumerate(witness.factors):
-        if f.shape[1:] != (p.dims[k], p.dims[k]):
-            raise ValueError(f"witness factor shape {f.shape[1:]} mismatches party {k}")
+    for f in witness.factors:
         bad |= (hermiticity_defect(f) > tol) | ~psd_certified(f, tol)
     recon = _group_sums(lambda t: tensor(*(f[t] for f in witness.factors)), witness.owner)
     recon = recon.reshape(-1, len(p), p.side, p.side)
@@ -442,7 +447,7 @@ def check_kind(
     checks, povm = _check_batch(one, kind, tol, cuts)
     checks = [(name, float(residual[0]), bool(ok[0])) for name, residual, ok in checks]
     if tree:
-        return checks, take_batch(povm, 0) if checks[0][2] else None
+        return checks, _one_or_batch(povm) if checks[0][2] else None
     return checks, measurement
 
 
@@ -478,31 +483,27 @@ def _check_batch(batch: Povm | Locc1Tree, kind: str, tol: float, cuts) -> tuple[
     return checks, povm
 
 
-def take_batch(batch: Povm | Locc1Tree, index: int) -> Povm | Locc1Tree:
-    """Member ``index`` (0 to b - 1) of a batch, as one measurement."""
+def _one_or_batch(batch: Povm | Locc1Tree, seed=0) -> Povm | Locc1Tree:
+    """``batch`` for a sequence of seeds; for an int seed (the default), the one member of a batch of one, which
+    views its stacks under the same parents or witness (a batch of one's witness is its member's)."""
+    if np.ndim(seed):
+        return batch
     if isinstance(batch, Locc1Tree):
-        return Locc1Tree(batch.dims, batch.party_order, [level[index] for level in batch.levels], batch.parents)
-    witness, n = batch.witness, len(batch)
-    if isinstance(witness, SepDecomposition):
-        terms = witness.owner // n == index
-        witness = SepDecomposition([f[terms] for f in witness.factors], witness.owner[terms] - index * n)
-    return Povm(batch.elements[index], batch.dims, batch.kind, witness)
+        return Locc1Tree(batch.dims, batch.party_order, [level[0] for level in batch.levels], batch.parents)
+    return Povm(batch.elements[0], batch.dims, batch.kind, batch.witness)
 
 
 def restrict_povm(p: Povm, sub_dims: Sequence[int]) -> Povm:
     """Extract the sub-block of every element on the in-range local indices.
 
     Element count and order are preserved; a separability witness restricts
-    factor by factor, a tree witness level by level.
+    factor by factor.
     """
     sub_dims = check_dims(sub_dims)
     elements = restrict_matrix(p.elements, p.dims, sub_dims)
     witness = p.witness
-    if isinstance(witness, SepDecomposition):
-        factors = [f[:, :d, :d] for f, d in zip(witness.factors, sub_dims, strict=True)]
-        witness = SepDecomposition(factors, witness.owner)
-    elif isinstance(witness, Locc1Tree):
-        witness = restrict_locc1(witness, sub_dims)
+    if witness is not None:
+        witness = SepDecomposition([f[:, :d, :d] for f, d in zip(witness.factors, sub_dims)], witness.owner)
     return Povm(elements, sub_dims, kind=p.kind, witness=witness)
 
 
@@ -570,11 +571,6 @@ def _sample(seed, draw, families: int) -> list[np.ndarray]:
     return arrays
 
 
-def _one_or_batch(seed, batch: Povm | Locc1Tree) -> Povm | Locc1Tree:
-    """``batch`` for a sequence of seeds, its one member for an int seed."""
-    return take_batch(batch, 0) if np.ndim(seed) == 0 else batch
-
-
 def random_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     """Seeded random POVM: normalized complex Wishart matrices.
 
@@ -589,7 +585,7 @@ def random_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     side = int(np.prod(dims))
     # element by element, the real part is drawn before the imaginary part
     (elements,) = _sample(seed, lambda rng: (rng.standard_normal((n_elements, 2, side, side)),), 1)
-    return _one_or_batch(seed, Povm(elements, dims, kind="general"))
+    return _one_or_batch(Povm(elements, dims, kind="general"), seed)
 
 
 def random_ppt_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
@@ -613,7 +609,7 @@ def random_ppt_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     if bad.any():
         raise ValueError(f"degenerate mixing weight {float(lam[np.argmax(bad)])}")
     elements = (1 - lam)[:, None, None, None] * base + (lam[:, None] * c)[..., None, None] * np.eye(side)
-    return _one_or_batch(seed, Povm(elements, dims, kind="ppt"))
+    return _one_or_batch(Povm(elements, dims, kind="ppt"), seed)
 
 
 def random_sep_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
@@ -644,7 +640,7 @@ def random_sep_povm(dims: Sequence[int], n_elements: int, seed) -> Povm:
     factors = [lp[member, i].reshape((-1,) + lp.shape[-2:]) for lp, i in zip(locals_, outcomes)]
     owner = np.ravel(np.take_along_axis(group, terms, axis=1) + n_elements * member)
     elements = _group_sums(lambda t: tensor(*(f[t] for f in factors)), owner).reshape(-1, n_elements, side, side)
-    return _one_or_batch(seed, Povm(elements, dims, kind="sep", witness=SepDecomposition(factors, owner)))
+    return _one_or_batch(Povm(elements, dims, kind="sep", witness=SepDecomposition(factors, owner)), seed)
 
 
 def random_locc1(
@@ -676,7 +672,7 @@ def random_locc1(
     levels = _sample(seed, draw, len(dims))  # one normalization per level
     levels = [level.reshape((len(level), -1) + level.shape[-2:]) for level in levels]
     parents = [np.arange(branching ** (depth + 1)) // branching for depth in range(len(dims))]
-    return _one_or_batch(seed, Locc1Tree(dims, order, levels, parents))
+    return _one_or_batch(Locc1Tree(dims, order, levels, parents), seed)
 
 
 def counterexample_c4() -> Povm:
@@ -697,13 +693,11 @@ def povm_to_json(p: Povm) -> dict:
         "elements": [matrix_to_json(m) for m in p.elements],
         "kind": p.kind,
     }
-    if isinstance(p.witness, SepDecomposition):
+    if p.witness is not None:
         terms: list[list] = [[] for _ in range(len(p.witness))]
         for t, element in enumerate(p.witness.owner):
             terms[element].append([matrix_to_json(f[t]) for f in p.witness.factors])
         obj["witness"] = {"type": "sep", "terms": terms}
-    elif isinstance(p.witness, Locc1Tree):
-        obj["witness"] = {"type": "locc1", "tree": locc1_to_json(p.witness)}
     return obj
 
 

@@ -622,6 +622,13 @@ def incomplete_tree():
     return {"dims": [2, 2], "party_order": [0, 1], "root": root}
 
 
+def short_sep_witness():
+    """The Hadamard SEP POVM with its last element's witness terms dropped: the witness covers 3 of its 4 elements."""
+    obj = sep_c4_obj()
+    obj["witness"]["terms"] = obj["witness"]["terms"][:3]
+    return obj
+
+
 def sep_witness_with_extra_field():
     obj = sep_c4_obj()
     obj["witness"]["extra"] = 1
@@ -764,6 +771,13 @@ CONTRACT_BREAKERS = {
         {"p": sep_witness_with_extra_field()},
         ["verify", "--povm", "{p}", "--kind", "sep"],
     ),
+    # the POVM is built, and its witness checked, as the file is read, whatever the command does with it
+    "short-witness-verify-general": ({"p": short_sep_witness()}, ["verify", "--povm", "{p}"]),
+    "short-witness-verify-sep": ({"p": short_sep_witness()}, ["verify", "--povm", "{p}", "--kind", "sep"]),
+    "short-witness-discriminate": (
+        {"s": bell_pair_obj(), "p": short_sep_witness()},
+        ["discriminate", "--states", "{s}", "--povm", "{p}"],
+    ),
     "dims-overflow": (
         {"p": {**identity_povm_obj(), "dims": [1e400]}},
         ["verify", "--povm", "{p}"],
@@ -861,6 +875,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert "seed must be a non-negative integer, got -1" in captured.err
     if case == "matrix-negative-rows":
         assert "negative, got -2x-2" in captured.err
+    if case.startswith("short-witness"):
+        assert f"bad input file {paths['p']}: witness covers 3 elements, POVM has 4\n" in captured.err
 
 
 def test_deeply_nested_input_exits_2_without_traceback(tmp_path, capsys):
@@ -1053,6 +1069,10 @@ def report_of(kind, payload):
     return {"schema_version": "1", "payload_kind": kind, "payload": payload}
 
 
+# a failure record as the fuzz writes one: trial 0 of kind general failed its completeness check
+FAILURE = {"seed_offset": 0, "kind": "general", "check": "completeness", "residual": 0.01}
+
+
 def harness_payload(**changes):
     payload = harness_to_json(local_global_fuzz(bell_states().subset([0, 1, 2]), ["general"], (3, 3), 1, 3))
     return {**payload, **changes}
@@ -1150,6 +1170,62 @@ VALUE_BREAKING_REPORTS = {
     "solution-iterations-negative": (
         lambda: report_of("sdp_solution", solution_payload(iterations=-3)),
         "iterations must be a non-negative integer, got -3",
+    ),
+    "harness-passes-without-failures": (
+        lambda: report_of("harness", harness_payload(passes=False)), "harness pass flag disagrees with failure list"
+    ),
+    "harness-failure-unknown-field": (
+        lambda: report_of("harness", harness_payload(failures=[{"foo": 1}], passes=False)),
+        r"unknown failure record fields \['foo'\]",
+    ),
+    "harness-failure-without-residual": (
+        lambda: report_of("harness", harness_payload(failures=[without(FAILURE, "residual")], passes=False)),
+        r"failure record JSON lacks fields \['residual'\]",
+    ),
+    "harness-failure-residual-text": (
+        lambda: report_of("harness", harness_payload(failures=[{"seed_offset": 99, "kind": "sep", "check": "x",
+                                                                "residual": "y"}], passes=False)),
+        "failure record field 'residual' must be a JSON number or null",
+    ),
+    "harness-failure-seed-offset-float": (
+        lambda: report_of("harness", harness_payload(failures=[{**FAILURE, "seed_offset": 0.0}], passes=False)),
+        "failure record field 'seed_offset' must be a JSON integer",
+    ),
+    "harness-failure-check-number": (
+        lambda: report_of("harness", harness_payload(failures=[{**FAILURE, "check": 5}], passes=False)),
+        "failure record field 'check' must be a JSON string",
+    ),
+    "harness-failure-seed-offset-99": (
+        lambda: report_of("harness", harness_payload(failures=[{**FAILURE, "seed_offset": 99}], passes=False)),
+        r"failure seed_offset 99 lies outside \[0, 1\)",
+    ),
+    "harness-failure-kind-not-fuzzed": (
+        lambda: report_of("harness", harness_payload(failures=[{**FAILURE, "kind": "sep"}], passes=False)),
+        "failure kind 'sep' is not one of general",
+    ),
+    "harness-failure-twice": (
+        lambda: report_of("harness", harness_payload(failures=[FAILURE, FAILURE], passes=False)),
+        r"failure records must be sorted by \(kind, seed_offset\), each pair once",
+    ),
+    "harness-failures-out-of-order": (
+        lambda: report_of("harness", harness_payload(trials=2, failures=[{**FAILURE, "seed_offset": 1}, FAILURE],
+                                                     passes=False)),
+        r"failure records must be sorted by \(kind, seed_offset\), each pair once",
+    ),
+    "verdict-success-probability-7.5": (
+        lambda: report_of("verdict", verdict_payload(success_probability=7.5)),
+        r"success probability 7.5 lies outside \[0, 1.0000000000000002\]",
+    ),
+    "verdict-success-probability-negative": (
+        lambda: report_of("verdict", verdict_payload(success_probability=-0.25)),
+        r"success probability -0.25 lies outside \[0, 1.0000000000000002\]",
+    ),
+    "verdict-tol-negative": (
+        lambda: report_of("verdict", verdict_payload(tol=-1.0)), "tol must be a number of at least 0, got -1.0"
+    ),
+    "verdict-hit-table-empty": (
+        lambda: report_of("verdict", verdict_payload(hit_table=matrix_to_json(np.zeros((0, 0))))),
+        r"a hit table needs a state and an outcome, got shape \(0, 0\)",
     ),
 }
 

@@ -17,6 +17,7 @@ from fuzz_reference import reference_fuzz
 
 import distlab.discrimination
 import distlab.linalg
+from distlab.cli import _pieces
 from distlab.linalg import BLOCK_BYTES
 from distlab.povm import Locc1Tree, Povm, random_povm, verify_povm
 from distlab.sdp import SolveOptions
@@ -577,6 +578,8 @@ def _assert_matches_reference(monkeypatch, states, kinds, new_dims, trials, seed
     ]
     got = [f["residual"] for f in report.failures]
     np.testing.assert_allclose(got, [f["residual"] for f in expected], rtol=0, atol=1e-12)  # NaN matches NaN
+    printed = json.loads("".join(_pieces(harness_to_json(report), [])))  # as the CLI prints it: null for NaN
+    assert harness_to_json(harness_from_json(printed)) == printed
     return report
 
 
@@ -873,6 +876,11 @@ def test_the_trace_identity_takes_integer_sub_dims_only(bad):
     # int() truncated them: sub_dims (2.7, 2.2) were read as (2, 2) and the residual came back 0.0
     with pytest.raises(ValueError, match=r"^local dimension .+ is not an integer$"):
         theorem1_trace_identity(bell_states(), random_povm((3, 3), 4, 1), (bad, 2))
+
+
+def test_the_trace_identity_takes_states_of_the_sub_dims_only():
+    with pytest.raises(ValueError, match=r"^states live in \(2, 2\), expected \(3, 2\)$"):
+        theorem1_trace_identity(bell_states(), random_povm((3, 3), 4, 1), (3, 2))
 
 
 def test_the_fuzz_draws_a_block_per_call_and_its_reference_a_trial_per_call(monkeypatch):

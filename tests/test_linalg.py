@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import distlab.linalg
 from distlab.linalg import (
     _inrange_indices,
+    as_matrix,
     bipartition,
     embed_matrix,
     hermiticity_defect,
@@ -50,6 +51,21 @@ def test_tensor_identities():
     assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
     got = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert np.array_equal(got, np.diag([0.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tensor(), "tensor of zero factors is undefined"),
+        (lambda: as_matrix(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: partial_transpose(np.zeros((2, 3)), (2,), 0),
+         r"expected a square matrix or a stack of them, got shape \(2, 3\)"),
+    ],
+    ids=["tensor-of-nothing", "non-square-matrix", "non-square-partial-transpose"],
+)
+def test_matrix_functions_reject_input_without_a_square_matrix(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_tensor_sigma_x_pair_matches_hand_expansion():
@@ -439,6 +455,8 @@ KINDS = {
     "list-of-int": ([int], [], [1, "2"], "list of integers"),
     "list-of-int-not-bool": ([int], [0, 1], [0, True], "list of integers"),
     "list-of-list-of-list": ([[list]], [[[]], []], [[[]], [5]], "list of lists of lists"),
+    "number-or-null": ((float, type(None)), None, "1", "number or null"),
+    "number-or-null-takes-a-number": ((float, type(None)), 0.5, [None], "number or null"),
 }
 
 

@@ -110,9 +110,9 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: names for name, names in found.items() if names} == {"discrimination.py": ["numpy.random"]}
 
 
-def call_sites(path: Path, name: str) -> list[str]:
-    """``module.scope`` for every call of ``name`` (such as ``os.fork``) in ``path``, the scope being the dotted names
-    of the classes and functions that enclose it."""
+def call_sites(path: Path, name: str, first_arg: str = "") -> list[str]:
+    """``module.scope`` for every call of ``name`` (such as ``os.fork``) in ``path`` whose first argument's source
+    contains ``first_arg``, the scope being the dotted names of the classes and functions that enclose it."""
     found = []
 
     def visit(node: ast.AST, scope: list[str]) -> None:
@@ -121,7 +121,8 @@ def call_sites(path: Path, name: str) -> list[str]:
                 visit(child, [*scope, child.name])
                 continue
             if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
-                found.append(".".join([path.stem, *scope]))
+                if not first_arg or child.args and first_arg in ast.unparse(child.args[0]):
+                    found.append(".".join([path.stem, *scope]))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), str(path)), [])
@@ -138,6 +139,17 @@ def test_fork_call_scan_names_the_enclosing_scope(tmp_path):
     )
     assert call_sites(sample, "os.fork") == ["sample", "sample.Pool.start", "sample.outer.inner"]
     assert call_sites(sample, "os.getpid") == ["sample.outer"] and call_sites(sample, "fork") == []
+
+
+def test_call_scan_can_require_a_first_argument(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(p, witness):\n"
+        "    return isinstance(p.witness, list), isinstance(witness, dict), isinstance(p, int), isinstance()\n\n"
+        "def g(w):\n    return isinstance(w, list)\n"
+    )
+    assert call_sites(sample, "isinstance", first_arg="witness") == ["sample.f", "sample.f"]
+    assert call_sites(sample, "isinstance") == ["sample.f"] * 4 + ["sample.g"]
 
 
 def test_only_linalg_in_workers_forks():
@@ -161,6 +173,12 @@ def test_the_solver_reaches_partial_transpose_through_one_function():
 def test_the_report_writer_reaches_matrix_lists_through_one_walk():
     # a matrix's text comes from matrix_json_text; only the walk that nulls a non-finite entry builds its lists
     assert call_sites(SOURCE / "cli.py", "matrix_to_json") == ["cli._pieces"]
+
+
+def test_only_the_povm_constructor_tests_a_witness_type():
+    # a tree witness becomes product terms and a witness's shape is checked where a Povm is built, so no other
+    # function of povm.py branches on what a witness is
+    assert set(call_sites(SOURCE / "povm.py", "isinstance", first_arg="witness")) == {"povm.Povm.__init__"}
 
 
 def test_the_fuzz_rules_are_written_once():
@@ -204,6 +222,7 @@ def test_no_module_takes_a_batch_subset():
 KEPT_UNREFERENCED = {
     "cli.parse_report": "the strict reader of the reports every command writes; schema-version checks will extend it",
     "sdp.problem_to_json": "writes the problem format that `distlab sdp --problem` reads",
+    "povm.locc1_to_json": "writes the tree format that `verify --kind locc1` and `discriminate` read",
 }
 
 

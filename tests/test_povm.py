@@ -38,12 +38,14 @@ from distlab.povm import (
     locc1_to_json,
     povm_from_json,
     povm_to_json,
+    ppt_min_eigenvalue,
     random_locc1,
     random_povm,
     random_ppt_povm,
     random_sep_povm,
     restrict_locc1,
     restrict_povm,
+    tree_povm,
     verify_locc1,
     verify_povm,
     verify_sep,
@@ -54,6 +56,7 @@ PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
 
 KET01 = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+EYE2 = matrix_to_json(np.eye(2))
 
 
 def unconditional_tree(dims, local_povms, party_order=None):
@@ -83,6 +86,33 @@ def test_povm_shape_validation():
         Povm([], (2,))
     with pytest.raises(ValueError):
         Povm([np.eye(2)], (2,), kind="magic")
+    with pytest.raises(ValueError, match=r"^element stack shape \(1, 3, 3\) does not match system side 4$"):
+        Povm([np.eye(3)], (2, 2))
+
+
+def malformed_witnesses():
+    """(elements, witness, message) of a witness of the Hadamard SEP POVM on (2, 2) that no POVM may hold."""
+    good = hadamard_sep_povm()
+    first, second = good.witness.factors
+    return {
+        "too-few-elements": (good.elements, SepDecomposition([first[:3], second[:3]], np.arange(3)),
+                             "witness covers 3 elements, POVM has 4"),
+        "batch-of-two": (np.stack([good.elements] * 2), good.witness, "witness covers 4 elements, POVM has 8"),
+        "too-few-factor-stacks": (good.elements, SepDecomposition([first], np.arange(4)),
+                                  "witness term does not have one factor per party"),
+        "factor-of-the-wrong-side": (good.elements, SepDecomposition([first, np.ones((4, 3, 3))], np.arange(4)),
+                                     r"witness factor shape \(3, 3\) mismatches party 1"),
+        "tree-on-other-dims": (good.elements, random_locc1((2, 3), 2, seed=1),
+                               r"witness factor shape \(3, 3\) mismatches party 1"),
+        "not-a-witness": (good.elements, [first, second], "a witness is a SepDecomposition, a Locc1Tree or None"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(malformed_witnesses()))
+def test_a_malformed_witness_raises_where_the_povm_is_built(case):
+    elements, witness, message = malformed_witnesses()[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Povm(elements, (2, 2), kind="sep", witness=witness)
 
 
 def test_counterexample_matrices_exact():
@@ -497,6 +527,9 @@ def test_is_ppt_povm():
         assert is_ppt_povm(sep, partition=cut)
     with pytest.raises(ValueError):
         is_ppt_povm(Povm([np.eye(4)], (2, 2)), partition=(0, 1))
+    for check in (is_ppt_povm, ppt_min_eigenvalue):  # one party has no cut
+        with pytest.raises(ValueError, match="^PPT needs a nontrivial bipartition$"):
+            check(Povm([np.eye(2)], (2,)))
 
 
 def isotropic_povm(t):
@@ -836,6 +869,40 @@ def test_povm_with_tree_witness_verifies_sep():
     flat = flatten_locc1(tree)
     p = Povm(flat.elements, (2, 2), kind="locc1", witness=tree)
     assert verify_sep(p)
+    # the tree is held as its leaves' product terms
+    assert isinstance(p.witness, SepDecomposition)
+    assert np.array_equal(p.witness.owner, tree_povm(tree).witness.owner)
+    for got, want in zip(p.witness.factors, tree_povm(tree).witness.factors, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (lambda: random_povm((2, 2), 2, []), "need at least one seed"),
+        (lambda: random_ppt_povm((4,), 2, 0), "PPT needs at least two parties"),
+        (lambda: random_sep_povm((2, 2), 0, 0), "need at least one element"),
+        (lambda: random_locc1((2, 2), 0, 0), "branching must be at least 1"),
+    ],
+    ids=["no-seeds", "ppt-on-one-party", "sep-without-elements", "locc1-without-branches"],
+)
+def test_samplers_reject_arguments_no_sample_has(sample, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample()
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"type": "tree"}, r'witness must be \{"type": "sep", "terms"\} or \{"type": "locc1", "tree"\}'),
+        ({"type": "sep", "terms": [[[EYE2, EYE2]], [[EYE2]]]}, "every sep witness term needs one factor per party"),
+    ],
+    ids=["unknown-type", "unequal-factor-counts"],
+)
+def test_povm_from_json_rejects_a_witness_of_no_known_form(witness, message):
+    obj = {**povm_to_json(Povm([np.eye(4) / 2] * 2, (2, 2))), "witness": witness}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        povm_from_json(obj)
 
 
 def reference_levels(root):

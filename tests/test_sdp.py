@@ -196,6 +196,12 @@ def test_problem_validation():
         SdpProblem([np.eye(4)], np.eye(4), (2, 2), [[(0, 1)]])
     with pytest.raises(ValueError, match="do not factor"):
         SdpProblem([np.eye(4)], np.eye(4), (2, 3), [[(0,)]])
+    with pytest.raises(ValueError, match="^need at least one block$"):
+        SdpProblem(np.zeros((0, 2, 2)), np.eye(2))
+    with pytest.raises(ValueError, match="^constraint target must be Hermitian$"):
+        SdpProblem([np.eye(2)], np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^one cone list per block required$"):
+        SdpProblem([np.eye(4) / 2] * 2, np.eye(4), (2, 2), [[(0,)]])
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
